@@ -658,7 +658,7 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>[-+*/^()]))"
 )
 
-_FUNCTIONS = {"sqrt": sqrt_, "exp": exp_, "sin": sin_, "cos": cos_}
+_FUNCTIONS = {"sqrt": sqrt_, "exp": exp_, "sin": sin_, "cos": cos_, "recip": recip}
 _VAR_NAMES = {v.value: v for v in VarId}
 
 
@@ -863,7 +863,8 @@ def to_text(e: Expr) -> str:
         elif op == "var":
             text, prec = node.data.value, 40
         elif op == "recip":
-            # the DSL has no named reciprocal; render as a division
+            # printed as a division, so existing term files keep their text;
+            # parse reads it back to the same value
             text, prec = "1/" + go(node.args[0], _PREC["div"] + 1), _PREC["div"]
         elif op in ("sqrt", "exp", "sin", "cos"):
             text, prec = f"{op}({go(node.args[0], 0)})", 40

@@ -489,11 +489,13 @@ def operator_distance(
     over band-limited random probe fields."""
     if rng is None:
         rng = np.random.default_rng(3)
+    if probes < 1:
+        raise OracleError("operator_distance needs at least one probe field")
+    fields = np.stack([random_smooth_field(grid, rng) for _ in range(probes)])
+    gots = quantize_apply(sym, fields, grid, x3, s)
     worst = 0.0
-    for _ in range(probes):
-        u = random_smooth_field(grid, rng)
+    for u, got in zip(fields, gots):
         ref = (ymat @ u.ravel()).reshape(u.shape)
-        got = quantize_apply(sym, u, grid, x3, s)
         denom = np.linalg.norm(ref)
         if denom < 1e-300:
             raise OracleError("reference operator annihilated a probe field")

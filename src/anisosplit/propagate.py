@@ -27,8 +27,8 @@ from .expansion import SplitSymbols
 from .oracle import quad_oracle
 from .symbols import (
     TransverseGrid,
+    _kernel_rows,
     quantize_apply,
-    quantize_matrix,
     spectral_derivative,
 )
 
@@ -325,17 +325,19 @@ def _guard(v3, p, base):
 # one-way solve
 
 
-_DFT2_CACHE = {}
+def _physical_kernel(sym, grid: TransverseGrid, x3, s) -> np.ndarray:
+    """Quantized symbol composed with the forward 2D DFT: grid values in,
+    grid values out.
 
-
-def _dft2_matrix(n: int) -> np.ndarray:
-    """2D DFT as a dense matrix on C-order raveled (n, n) fields."""
-    got = _DFT2_CACHE.get(n)
-    if got is None:
-        F = np.fft.fft(np.eye(n), axis=0)
-        got = np.kron(F, F)
-        _DFT2_CACHE[n] = got
-    return got
+    The DFT matrix kron(F, F) is symmetric, so right-multiplying by it is
+    an fft2 of each kernel row; each row block is transformed in place
+    as soon as it is built.
+    """
+    n = grid.n
+    out = np.empty((n * n, n * n), dtype=np.complex128)
+    for block in _kernel_rows(sym, grid, x3, s, out):
+        block[...] = np.fft.fft2(block.reshape(-1, n, n)).reshape(block.shape)
+    return out
 
 
 class _KernelCache:
@@ -356,9 +358,7 @@ class _KernelCache:
         key = round(float(x3), 12)
         got = self.store.get(key)
         if got is None:
-            got = quantize_matrix(self.sym, self.grid, x3, self.s) @ _dft2_matrix(
-                self.grid.n
-            )
+            got = _physical_kernel(self.sym, self.grid, x3, self.s)
             self.store[key] = got
             if len(self.store) > self.capacity:
                 self.store.popitem(last=False)

@@ -118,9 +118,6 @@ class PolyhomSymbol:
     def term(self, degree) -> Expr:
         return self.terms.get(degree, ZERO)
 
-    def term_list(self):
-        return [SymbolTerm(e, d) for d, e in self.terms.items()]
-
     def total(self) -> Expr:
         """The plain sum of all retained terms (no grading)."""
         acc = ZERO
@@ -172,9 +169,6 @@ class SymbolMatrix22:
     a12: PolyhomSymbol
     a21: PolyhomSymbol
     a22: PolyhomSymbol
-
-    def entry(self, i, j):
-        return (self.a11, self.a12, self.a21, self.a22)[2 * (i - 1) + (j - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -327,27 +321,6 @@ class TransverseGrid:
         return np.logical_and.outer(keep, keep)
 
 
-_PHASE_CACHE = {}
-
-
-def _phase_matrix(grid: TransverseGrid):
-    key = (grid.n, grid.L1, grid.L2)
-    got = _PHASE_CACHE.get(key)
-    if got is None:
-        X1g, X2g = grid.x_mesh()
-        W1g, W2g = grid.xi_mesh()
-        ph = np.exp(
-            1j
-            * (
-                np.outer(X1g.ravel(), W1g.ravel())
-                + np.outer(X2g.ravel(), W2g.ravel())
-            )
-        )
-        got = ph / grid.n**2
-        _PHASE_CACHE[key] = got
-    return got
-
-
 def _term_exprs(sym):
     if isinstance(sym, PolyhomSymbol):
         return list(sym.terms.values())
@@ -365,29 +338,59 @@ def _symbol_total(sym) -> Expr:
     return acc
 
 
+# Entries per row block of a kernel build: small enough that the block's
+# intermediates stay in cache, large enough to amortize per-block overhead.
+_BLOCK_ENTRIES = 2**14
+
+
+def _kernel_rows(sym, grid: TransverseGrid, x3, s, out: np.ndarray):
+    """Fill ``out`` (n^2 x n^2) with the quantized symbol, one row block
+    of the x-grid at a time, yielding each finished block (a view).
+
+    A caller may overwrite a yielded block in place before resuming, so
+    a row-wise transform is applied while the block is still in cache.
+    """
+    total = _symbol_total(sym)
+    n = grid.n
+    X1g, X2g = grid.x_mesh()
+    W1g, W2g = grid.xi_mesh()
+    x1, x2 = X1g.ravel(), X2g.ravel()
+    w1, w2 = W1g.ravel(), W2g.ravel()
+    nyquist = ~grid.nyquist_mask().ravel()
+    rows = max(1, _BLOCK_ENTRIES // (n * n))
+    for r0 in range(0, n * n, rows):
+        r1 = min(r0 + rows, n * n)
+        env = {
+            VarId.X1: x1[r0:r1, None],
+            VarId.X2: x2[r0:r1, None],
+            VarId.X3: complex(x3),
+            VarId.XI1: w1[None, :],
+            VarId.XI2: w2[None, :],
+            VarId.S: complex(s),
+        }
+        phase = np.exp(1j * (np.outer(x1[r0:r1], w1) + np.outer(x2[r0:r1], w2))) / n**2
+        block = out[r0:r1]
+        np.multiply(eval_expr(total, env), phase, out=block)
+        block[:, nyquist] = 0.0
+        yield block
+
+
 def quantize_matrix(sym, grid: TransverseGrid, x3, s) -> np.ndarray:
     """Dense n^2 x n^2 matrix of the quantized symbol at fixed (x3, s).
 
     Row index flattens the x-grid, column index the xi-lattice; Nyquist
     columns are zero. Applying it to a flattened FFT of a field realizes
     the operator; ``quantize_apply`` wraps this.
+
+    The result takes n^4 * 16 bytes (16 MB at n=32). It is built in row
+    blocks of a fixed number of entries, so no other n^4-sized array is
+    allocated, and nothing is cached between calls.
     """
-    total = _symbol_total(sym)
     n = grid.n
-    X1g, X2g = grid.x_mesh()
-    W1g, W2g = grid.xi_mesh()
-    env = {
-        VarId.X1: X1g.ravel()[:, None],
-        VarId.X2: X2g.ravel()[:, None],
-        VarId.X3: complex(x3),
-        VarId.XI1: W1g.ravel()[None, :],
-        VarId.XI2: W2g.ravel()[None, :],
-        VarId.S: complex(s),
-    }
-    vals = np.broadcast_to(np.asarray(eval_expr(total, env)), (n * n, n * n))
-    mat = vals * _phase_matrix(grid)
-    mask = grid.nyquist_mask().ravel()
-    return np.where(mask[None, :], mat, 0.0)
+    out = np.empty((n * n, n * n), dtype=np.complex128)
+    for _ in _kernel_rows(sym, grid, x3, s, out):
+        pass
+    return out
 
 
 def _hat(values, grid):
@@ -396,18 +399,21 @@ def _hat(values, grid):
 
 
 def quantize_apply(sym, field, grid: TransverseGrid, x3, s):
-    """Apply the quantized symbol to a grid field.
+    """Apply the quantized symbol to a grid field or a stack of them.
 
-    ``field`` is an (n, n) complex array (or an object with a ``values``
-    array, returned in kind). Fast paths: a symbol free of xi acts by
-    pointwise multiplication, one free of x by a Fourier multiplier; the
-    general case goes through the dense kernel. All paths project out
-    the Nyquist row/column of the input spectrum first.
+    ``field`` is an (n, n) complex array, a (k, n, n) stack of k fields
+    (the dense kernel is then built once for all of them), or an object
+    with an (n, n) ``values`` array, returned in kind. Fast paths: a
+    symbol free of xi acts by pointwise multiplication, one free of x by
+    a Fourier multiplier; the general case goes through the dense
+    kernel. All paths project out the Nyquist row/column of the input
+    spectrum first.
     """
     wrapped = hasattr(field, "values") and not isinstance(field, np.ndarray)
     values = np.asarray(field.values if wrapped else field, dtype=np.complex128)
-    if values.shape != (grid.n, grid.n):
-        raise SymbolError(f"field shape {values.shape} does not match grid {grid.n}")
+    n = grid.n
+    if values.shape[-2:] != (n, n) or values.ndim not in (2, 3):
+        raise SymbolError(f"field shape {values.shape} does not match grid {n}")
     total = _symbol_total(sym)
     fv = free_vars(total)
     uhat = _hat(values, grid)
@@ -424,7 +430,7 @@ def quantize_apply(sym, field, grid: TransverseGrid, x3, s):
         out = np.fft.ifft2(mult * uhat)
     else:
         mat = quantize_matrix(sym, grid, x3, s)
-        out = (mat @ uhat.ravel()).reshape(values.shape)
+        out = (mat @ uhat.reshape(-1, n * n).T).T.reshape(values.shape)
 
     if wrapped:
         return field.__class__(

@@ -41,6 +41,12 @@ def field_rel(got, want) -> float:
     return float(np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300))
 
 
+def dft2_matrix(n: int) -> np.ndarray:
+    """Dense 2D DFT acting on C-order raveled (n, n) fields (test oracle)."""
+    F = np.fft.fft(np.eye(n), axis=0)
+    return np.kron(F, F)
+
+
 def random_points(rng, count: int, box=None):
     """Probe tuples with x in the box, |xi| near 1, Re s > 0."""
     if box is None:

@@ -1,10 +1,12 @@
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import anisosplit
 from anisosplit.cli import run
 
 HOM = """
@@ -120,6 +122,16 @@ def test_manifest_hashes_every_output(tmp_path):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
     assert man["seed"] == 11
     assert "numpy" in man["versions"]
+
+
+def test_manifest_version_matches_package_metadata(tmp_path):
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    declared = re.search(r'^version = "([^"]+)"', pyproject, re.M).group(1)
+    assert anisosplit.__version__ == declared
+    out = tmp_path / "o"
+    run(["expand", _cfg(tmp_path, HOM), "--out", str(out)])
+    man, _ = _outputs(out)
+    assert man["versions"]["anisosplit"] == declared
 
 
 def test_identical_config_and_seed_bit_identical(tmp_path):

@@ -95,6 +95,14 @@ def test_functions_evaluate():
     assert eval_expr(e, ENV) == pytest.approx(want)
 
 
+def test_parse_recip():
+    e = parse("recip(x1)")
+    assert e is recip(X1)
+    assert eval_expr(e, ENV) == pytest.approx(1 / ENV[VarId.X1], rel=1e-15)
+    r = recip(add(mul(X1, S), sin_(X2)))
+    assert eval_expr(parse(to_text(r)), ENV) == pytest.approx(eval_expr(r, ENV), rel=1e-15)
+
+
 def test_interning_identical_sources():
     a = parse("x1*x1 + sin(x2)")
     b = parse("  x1 * x1+sin( x2 )")

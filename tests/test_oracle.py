@@ -16,7 +16,7 @@ from anisosplit import (
 from anisosplit import presets
 from anisosplit.oracle import DEFAULT_LAMBDAS, draw_probe_points, fit_loglog
 
-from helpers import field_rel
+from helpers import dft2_matrix, field_rel
 
 TAU = 2 * np.pi
 
@@ -167,10 +167,9 @@ def test_operator_distance_zero_for_matching_operator(hom_medium):
     grid = TransverseGrid(8, TAU, TAU)
     s = 1.0 + 0.1j
     from anisosplit import quantize_matrix
-    from anisosplit.propagate import _dft2_matrix
 
     exp = expand(hom_medium, 1, 0, 0)
-    mat = quantize_matrix(exp.series(0), grid, 0.0, s) @ _dft2_matrix(grid.n)
+    mat = quantize_matrix(exp.series(0), grid, 0.0, s) @ dft2_matrix(grid.n)
     assert operator_distance(exp.series(0), mat, grid, s) <= 1e-12
 
 
@@ -178,12 +177,18 @@ def test_operator_distance_detects_scaling(hom_medium):
     grid = TransverseGrid(8, TAU, TAU)
     s = 1.0 + 0.1j
     from anisosplit import quantize_matrix
-    from anisosplit.propagate import _dft2_matrix
 
     exp = expand(hom_medium, 1, 0, 0)
-    mat = 1.01 * (quantize_matrix(exp.series(0), grid, 0.0, s) @ _dft2_matrix(grid.n))
+    mat = 1.01 * (quantize_matrix(exp.series(0), grid, 0.0, s) @ dft2_matrix(grid.n))
     d = operator_distance(exp.series(0), mat, grid, s)
     assert 0.005 <= d <= 0.02
+
+
+def test_operator_distance_needs_a_probe(hom_medium):
+    grid = TransverseGrid(8, TAU, TAU)
+    exp = expand(hom_medium, 1, 0, 0)
+    with pytest.raises(OracleError):
+        operator_distance(exp.series(0), np.eye(64), grid, 1.0, probes=0)
 
 
 def test_order_claim_on_heterogeneous_split(het_split):

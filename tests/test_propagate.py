@@ -16,9 +16,10 @@ from anisosplit import (
     recompose,
     systems_symbols,
 )
-from anisosplit import presets
+from anisosplit import presets, quantize_matrix
+from anisosplit.propagate import _physical_kernel
 
-from helpers import field_rel
+from helpers import dft2_matrix, field_rel
 
 TAU = 2 * np.pi
 
@@ -203,6 +204,15 @@ def test_decomposition_isolates_oneway_content(grid8, hom_split):
     up, um = decompose_homogeneous(m, v3, p, grid8, s)
     assert field_rel(up, u) <= 1e-10
     assert np.linalg.norm(um) <= 1e-10 * np.linalg.norm(u)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_physical_kernel_matches_dense_dft_product(het_split, n):
+    grid = TransverseGrid(n, TAU, TAU)
+    g = het_split.g_symbol(1)
+    s = 1.5 + 0.3j
+    want = quantize_matrix(g, grid, 0.25, s) @ dft2_matrix(n)
+    assert field_rel(_physical_kernel(g, grid, 0.25, s), want) <= 1e-13
 
 
 def test_oneway_down_going_decays(grid8, hom_split):

@@ -20,7 +20,7 @@ from anisosplit import (
 )
 from anisosplit import presets
 from anisosplit.expr import ZERO, diff, mul, sub
-from anisosplit.symbols import x_derivative, xi_derivative
+from anisosplit.symbols import _BLOCK_ENTRIES, x_derivative, xi_derivative
 
 from helpers import field_rel, random_points, rel_err
 
@@ -232,6 +232,58 @@ def test_quantize_matrix_consistent_with_apply():
     want = (mat @ np.fft.fft2(u).ravel()).reshape(u.shape)
     got = quantize_apply(sym, u, grid, 0.3, 1.1 + 0.5j)
     assert rel_err(got, want) <= 1e-11
+
+
+MIXED = "(2 + sin(x1)*cos(x2 + x3))*sqrt(s^2 + xi1^2 + 0.5*xi2^2) + 1i*xi1*cos(x1 - x2)/s"
+
+
+def _single_shot_quantize(sym, grid, x3, s):
+    # reference: all n^2 x n^2 entries in one broadcast evaluation
+    n = grid.n
+    X1g, X2g = grid.x_mesh()
+    W1g, W2g = grid.xi_mesh()
+    x1, x2, w1, w2 = X1g.ravel(), X2g.ravel(), W1g.ravel(), W2g.ravel()
+    env = {
+        VarId.X1: x1[:, None],
+        VarId.X2: x2[:, None],
+        VarId.X3: complex(x3),
+        VarId.XI1: w1[None, :],
+        VarId.XI2: w2[None, :],
+        VarId.S: complex(s),
+    }
+    vals = np.broadcast_to(np.asarray(eval_expr(sym, env)), (n * n, n * n))
+    phase = np.exp(1j * (np.outer(x1, w1) + np.outer(x2, w2))) / n**2
+    return np.where(grid.nyquist_mask().ravel()[None, :], vals * phase, 0.0)
+
+
+@pytest.mark.parametrize("n, several_blocks", [(8, False), (16, True), (32, True)])
+def test_blocked_quantize_matrix_equals_single_shot(n, several_blocks):
+    # several_blocks: a row block holds fewer rows than the grid has
+    assert (n**4 > _BLOCK_ENTRIES) == several_blocks
+    grid = TransverseGrid(n, TAU, TAU)
+    sym = parse(MIXED)
+    got = quantize_matrix(sym, grid, 0.4, 1.3 + 0.2j)
+    assert np.array_equal(got, _single_shot_quantize(sym, grid, 0.4, 1.3 + 0.2j))
+
+
+def test_quantize_apply_stack_matches_per_field():
+    grid = TransverseGrid(8, TAU, TAU)
+    rng = np.random.default_rng(17)
+    fields = np.stack([random_smooth_field(grid, rng) for _ in range(3)])
+    # pointwise, Fourier-multiplier and dense-kernel paths
+    for text in ("sin(x1)*s", "1i*xi1 + s", MIXED):
+        sym = parse(text)
+        got = quantize_apply(sym, fields, grid, 0.2, 1.1 + 0.3j)
+        assert got.shape == fields.shape
+        for g, u in zip(got, fields):
+            assert field_rel(g, quantize_apply(sym, u, grid, 0.2, 1.1 + 0.3j)) <= 1e-13
+
+
+def test_quantize_apply_rejects_bad_field_shapes():
+    grid = TransverseGrid(8, TAU, TAU)
+    for shape in ((4, 4), (8,), (2, 2, 8, 8)):
+        with pytest.raises(SymbolError):
+            quantize_apply(parse(MIXED), np.zeros(shape), grid, 0.0, 1.0)
 
 
 def test_quantize_linearity():
