@@ -48,6 +48,7 @@ from .symbols import (
     PolyhomSymbol,
     SymbolError,
     SymbolTerm,
+    _multi_indices,
     compose,
     compose_degree_part,
     homogeneity_check,
@@ -172,10 +173,6 @@ def collector_step(m: MediumSpec, eta: int, sign: int, y_terms: dict, n: int) ->
 
 # ---------------------------------------------------------------------------
 # the closed-form recursion (independent of the collector)
-
-
-def _multi_indices(total):
-    return [(i, total - i) for i in range(total + 1)]
 
 
 def closed_form_step(m: MediumSpec, eta: int, sign: int, y_terms: dict, n: int) -> Expr:

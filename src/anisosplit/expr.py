@@ -17,9 +17,9 @@ producing inf/NaN. Evaluation memoizes over the shared DAG per call and
 frees intermediates as soon as their last consumer has run, so large
 kernels evaluate on full grids without holding every node's array alive.
 
-Thread-safety note: the intern table and per-node derivative caches are
-shared mutable dictionaries. Mutations are single dict operations
-(atomic under the GIL); a race can at worst duplicate work, never
+Thread-safety note: the intern table, the free-variable table and the
+per-node derivative caches are shared mutable dictionaries. Mutations
+are single dict operations (atomic under the GIL); a race can at worst duplicate work, never
 corrupt a result. Evaluation itself is pure and keeps all scratch state
 per call.
 """
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 import weakref
 from enum import Enum
 
@@ -72,11 +71,6 @@ __all__ = [
     "XI2",
     "S",
 ]
-
-# Derivative chains in high-order expansions nest deeply; the printer and
-# parser recurse, so give them headroom.
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
-
 
 class VarId(Enum):
     """The six admissible variables."""
@@ -138,11 +132,14 @@ class Expr:
         self.data = data
         if op == "var":
             fv = frozenset((data,))
+        elif len(args) == 1:
+            fv = args[0].free_vars
         else:
             fv = frozenset()
             for a in args:
                 fv = fv | a.free_vars
-        self.free_vars = fv
+        # at most 2^6 distinct sets exist; share one object per set
+        self.free_vars = _FREE_VARS.setdefault(fv, fv)
         self._dcache = {}
         self._simp = None
 
@@ -182,6 +179,7 @@ class Expr:
 
 
 _intern: "weakref.WeakValueDictionary[tuple, Expr]" = weakref.WeakValueDictionary()
+_FREE_VARS: "dict[frozenset, frozenset]" = {}
 
 
 def _node(op, args, data=None):
@@ -441,6 +439,15 @@ def _postorder(root):
     return out
 
 
+def _consumer_counts(order):
+    # per node id, how many argument slots of the nodes in ``order`` read it
+    nref = {}
+    for node in order:
+        for a in node.args:
+            nref[id(a)] = nref.get(id(a), 0) + 1
+    return nref
+
+
 def _coerce_value(v):
     if isinstance(v, np.ndarray):
         return v.astype(np.complex128, copy=False)
@@ -462,10 +469,7 @@ def eval_expr(e: Expr, env: dict):
             raise TypeError("env keys must be VarId")
         bound[k] = _coerce_value(v)
     order = _postorder(e)
-    nref = {}
-    for node in order:
-        for a in node.args:
-            nref[id(a)] = nref.get(id(a), 0) + 1
+    nref = _consumer_counts(order)
     vals = {}
     root_id = id(e)
     for node in order:
@@ -809,12 +813,16 @@ def parse(text: str) -> Expr:
         variable = "x1" | "x2" | "x3" | "xi1" | "xi2" | "s" ;
         number   = decimal or scientific literal, optional "i" suffix ;
 
-    Errors carry the byte offset of the offending token.
+    Errors carry the byte offset of the offending token; input nested
+    deeper than the interpreter's recursion limit is a ``ParseError`` too.
     """
     if not isinstance(text, str):
         raise TypeError("parse expects a string")
     ts = _Tokens(text)
-    node = _parse_expr(ts)
+    try:
+        node = _parse_expr(ts)
+    except RecursionError:
+        raise ParseError("expression nested too deeply", ts.tok_pos) from None
     if ts.kind != "end":
         raise ParseError(f"unexpected trailing input {ts.tok!r}", ts.tok_pos)
     return node
@@ -853,10 +861,25 @@ def _fmt_const(c: complex) -> tuple[str, int]:
     return f"({_fmt_real(c.real)} {op} {_fmt_real(abs(c.imag))}i)", 40
 
 
-def to_text(e: Expr) -> str:
-    """Render to DSL text; ``parse(to_text(e))`` is evaluation-equivalent."""
+_BINARY_SYM = {"add": " + ", "sub": " - ", "mul": "*", "div": "/"}
 
-    def go(node, ctx):
+
+def to_text(e: Expr) -> str:
+    """Render to DSL text; ``parse(to_text(e))`` is evaluation-equivalent.
+
+    Shared subtrees are printed in full at every use, but each DAG node's
+    text is built once and reused by all of its consumers; a node's text
+    is dropped as soon as its last consumer has been rendered.
+    """
+    order = _postorder(e)
+    nref = _consumer_counts(order)
+    done = {}  # id(node) -> (unparenthesized text, precedence)
+
+    def arg(a, ctx):
+        text, prec = done[id(a)]
+        return f"({text})" if prec < ctx else text
+
+    for node in order:
         op = node.op
         if op == "const":
             text, prec = _fmt_const(node.data)
@@ -865,24 +888,25 @@ def to_text(e: Expr) -> str:
         elif op == "recip":
             # printed as a division, so existing term files keep their text;
             # parse reads it back to the same value
-            text, prec = "1/" + go(node.args[0], _PREC["div"] + 1), _PREC["div"]
+            text, prec = "1/" + arg(node.args[0], _PREC["div"] + 1), _PREC["div"]
         elif op in ("sqrt", "exp", "sin", "cos"):
-            text, prec = f"{op}({go(node.args[0], 0)})", 40
+            text, prec = f"{op}({arg(node.args[0], 0)})", 40
         elif op == "neg":
-            text = "-" + go(node.args[0], _PREC["neg"] + 1)
+            text = "-" + arg(node.args[0], _PREC["neg"] + 1)
             prec = _PREC["neg"]
         elif op == "pow":
             n = node.data
             exp = str(n) if n >= 0 else f"(-{-n})"
-            text = go(node.args[0], _PREC["pow"] + 1) + "^" + exp
+            text = arg(node.args[0], _PREC["pow"] + 1) + "^" + exp
             prec = _PREC["pow"]
         else:
-            sym = {"add": " + ", "sub": " - ", "mul": "*", "div": "/"}[op]
             p = _PREC[op]
-            text = go(node.args[0], p) + sym + go(node.args[1], p + 1)
+            text = arg(node.args[0], p) + _BINARY_SYM[op] + arg(node.args[1], p + 1)
             prec = p
-        if prec < ctx:
-            return f"({text})"
-        return text
-
-    return go(e, 0)
+        done[id(node)] = (text, prec)
+        for a in node.args:
+            i = id(a)
+            nref[i] -= 1
+            if nref[i] == 0:
+                del done[i]
+    return done[id(e)][0]

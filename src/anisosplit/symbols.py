@@ -490,11 +490,14 @@ def homogeneity_check(
     """Euler-style scaling test: term(x, lam*xi, lam*s) vs lam^deg * term.
 
     Draws random points with |xi| of order one and Re s > 0, scales by
-    lam in {2, 5, 10}, and reports the worst relative mismatch.
+    lam in {2, 5, 10}, and reports the worst relative mismatch. All
+    trials and scales are evaluated together in one array pass.
     """
     if rng is None:
         rng = np.random.default_rng(2024)
-    worst = 0.0
+    if trials <= 0:
+        return HomogeneityReport(term.degree, trials, 0.0, tol)
+    pts = []
     for _ in range(trials):
         x = [rng.uniform(lo, hi) for lo, hi in box]
         xi = rng.uniform(-1.5, 1.5, size=2)
@@ -502,26 +505,16 @@ def homogeneity_check(
             xi = xi + np.array([0.7, -0.4])
         r = rng.uniform(0.5, 2.0)
         th = rng.uniform(-1.2, 1.2)
-        s = r * complex(np.cos(th), np.sin(th))
-        base_env = {
-            VarId.X1: x[0],
-            VarId.X2: x[1],
-            VarId.X3: x[2],
-            VarId.XI1: xi[0],
-            VarId.XI2: xi[1],
-            VarId.S: s,
-        }
-        base = eval_expr(term.expr, base_env)
-        for lam in (2.0, 5.0, 10.0):
-            env = dict(base_env)
-            env[VarId.XI1] = lam * xi[0]
-            env[VarId.XI2] = lam * xi[1]
-            env[VarId.S] = lam * s
-            got = eval_expr(term.expr, env)
-            want = lam**term.degree * base
-            denom = max(abs(want), 1e-30)
-            rel = abs(got - want) / denom
-            if abs(want) < 1e-30 and abs(got) < 1e-30:
-                rel = 0.0
-            worst = max(worst, rel)
+        pts.append((*x, *xi, r * complex(np.cos(th), np.sin(th))))
+    p = np.array(pts)  # (trials, 6): x1 x2 x3 xi1 xi2 s
+    lam = np.array([1.0, 2.0, 5.0, 10.0])  # column 0 is the base point
+    env = {v: p[:, k : k + 1].real for k, v in enumerate((VarId.X1, VarId.X2, VarId.X3))}
+    for k, v in ((3, VarId.XI1), (4, VarId.XI2), (5, VarId.S)):
+        env[v] = p[:, k : k + 1] * lam
+    vals = np.broadcast_to(eval_expr(term.expr, env), (trials, lam.size))
+    got = vals[:, 1:]
+    want = lam[1:] ** term.degree * vals[:, :1]
+    rel = np.abs(got - want) / np.maximum(np.abs(want), 1e-30)
+    rel[(np.abs(want) < 1e-30) & (np.abs(got) < 1e-30)] = 0.0
+    worst = float(rel.max())
     return HomogeneityReport(term.degree, trials, worst, tol)

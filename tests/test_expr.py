@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from anisosplit import expand, presets
+from anisosplit import expr as expr_module
 from anisosplit.expr import (
     ONE,
     S,
@@ -245,3 +251,124 @@ def test_sqrt_principal_branch():
 def test_ipow_negative_exponent():
     e = ipow(X1, -2)
     assert eval_expr(e, {VarId.X1: 2.0}) == pytest.approx(0.25)
+
+
+# ---------------------------------------------------------------------------
+# printer: rendering each DAG node once must not change a byte
+
+
+def _recursive_to_text(e):
+    """The tree-recursive printer the DAG printer replaced (test oracle)."""
+    prec_of = {"add": 10, "sub": 10, "mul": 20, "div": 20, "neg": 25, "pow": 30}
+
+    def real(x):
+        return repr(int(x)) if x == int(x) and abs(x) < 1e16 else repr(x)
+
+    def fmt_const(c):
+        if c.imag == 0:
+            return real(c.real), (25 if c.real < 0 else 40)
+        if c.real == 0:
+            if c.imag < 0:
+                return f"-{real(-c.imag)}i", 25
+            return f"{real(c.imag)}i", 40
+        op = "-" if c.imag < 0 else "+"
+        return f"({real(c.real)} {op} {real(abs(c.imag))}i)", 40
+
+    def go(node, ctx):
+        op = node.op
+        if op == "const":
+            text, prec = fmt_const(node.data)
+        elif op == "var":
+            text, prec = node.data.value, 40
+        elif op == "recip":
+            text, prec = "1/" + go(node.args[0], 21), 20
+        elif op in ("sqrt", "exp", "sin", "cos"):
+            text, prec = f"{op}({go(node.args[0], 0)})", 40
+        elif op == "neg":
+            text, prec = "-" + go(node.args[0], 26), 25
+        elif op == "pow":
+            n = node.data
+            exp = str(n) if n >= 0 else f"(-{-n})"
+            text, prec = go(node.args[0], 31) + "^" + exp, 30
+        else:
+            sym = {"add": " + ", "sub": " - ", "mul": "*", "div": "/"}[op]
+            p = prec_of[op]
+            text, prec = go(node.args[0], p) + sym + go(node.args[1], p + 1), p
+        return f"({text})" if prec < ctx else text
+
+    return go(e, 0)
+
+
+@pytest.mark.parametrize("eta", [0, 1])
+def test_to_text_matches_recursive_printer_on_expansion_terms(eta):
+    ex = expand(presets.heterogeneous_full(), 1, eta, 2)
+    for k in range(3):
+        term = ex.term(-k)
+        assert to_text(term) == _recursive_to_text(term)
+
+
+def test_to_text_matches_recursive_printer_on_every_op():
+    shared = add(mul(X1, S), sin_(X2))
+    cases = [
+        recip(shared),
+        mul(recip(X1), recip(add(X1, XI1))),
+        neg(ipow(X1, 3)),
+        neg(ipow(shared, -2)),
+        ipow(neg(X1), 2),
+        ipow(sub(X1, X2), -3),
+        div(sub(X1, neg(X2)), mul(XI1, div(S, X2))),
+        sub(X1, sub(X2, S)),
+        sub(sub(X1, X2), S),
+        div(X1, div(X2, S)),
+        mul(shared, mul(shared, X2)),
+        add(const(-2.5), mul(const(-3), X1)),
+        add(const(2j), mul(const(-0.5j), S)),
+        mul(const(1.5 - 2j), sqrt_(add(const(1 + 0.25j), XI1))),
+        ipow(const(-2) + X1, 2),
+        exp_(neg(cos_(div(S, const(1e20))))),
+        add(const(1e20), X1),
+        const(-7),
+        const(-1j),
+        const(3 + 4j),
+        const(1e-300),
+    ]
+    for e in cases:
+        assert to_text(e) == _recursive_to_text(e)
+        assert eval_expr(parse(to_text(e)), ENV) == pytest.approx(eval_expr(e, ENV), rel=1e-12)
+
+
+def test_to_text_deep_chain_at_default_recursion_limit():
+    e = X1
+    for _ in range(5000):
+        e = sin_(e)
+    assert sys.getrecursionlimit() < 5000
+    assert to_text(e) == "sin(" * 5000 + "x1" + ")" * 5000
+
+
+def test_parse_too_deeply_nested_is_parse_error():
+    text = "(" * 5000 + "x1" + ")" * 5000
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert 0 < info.value.offset < 5000
+
+
+def test_import_leaves_recursion_limit_alone():
+    code = (
+        "import sys; before = sys.getrecursionlimit(); import anisosplit; "
+        "print(before, sys.getrecursionlimit())"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    before, after = out.stdout.split()
+    assert before == after
+
+
+def test_equal_variable_sets_share_one_object():
+    a = add(mul(X1, S), XI1)
+    b = div(sin_(XI1), sub(S, ipow(X1, 3)))
+    assert a is not b
+    assert a.free_vars is b.free_vars
+    assert sin_(X2).free_vars is X2.free_vars
+    assert len(expr_module._FREE_VARS) <= 64

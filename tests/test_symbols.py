@@ -18,7 +18,7 @@ from anisosplit import (
     spectral_derivative,
     systems_symbols,
 )
-from anisosplit import presets
+from anisosplit import expand, presets, symbols
 from anisosplit.expr import ZERO, diff, mul, sub
 from anisosplit.symbols import _BLOCK_ENTRIES, x_derivative, xi_derivative
 
@@ -343,3 +343,69 @@ def test_homogeneity_check_rejects_mixed_degrees():
     term = SymbolTerm(parse("s + 1"), 1)
     rep = homogeneity_check(term)
     assert not rep.passed
+
+
+def _scalar_homogeneity(term, trials, rng, box):
+    """The point-by-point loop the batched check replaced (test oracle):
+    one scalar evaluation per trial point and scale."""
+    worst = 0.0
+    for _ in range(trials):
+        x = [rng.uniform(lo, hi) for lo, hi in box]
+        xi = rng.uniform(-1.5, 1.5, size=2)
+        if np.hypot(*xi) < 0.3:
+            xi = xi + np.array([0.7, -0.4])
+        r = rng.uniform(0.5, 2.0)
+        th = rng.uniform(-1.2, 1.2)
+        s = r * complex(np.cos(th), np.sin(th))
+        env = {VarId.X1: x[0], VarId.X2: x[1], VarId.X3: x[2],
+               VarId.XI1: xi[0], VarId.XI2: xi[1], VarId.S: s}
+        base = eval_expr(term.expr, env)
+        for lam in (2.0, 5.0, 10.0):
+            scaled = dict(env)
+            scaled[VarId.XI1] = lam * xi[0]
+            scaled[VarId.XI2] = lam * xi[1]
+            scaled[VarId.S] = lam * s
+            got = eval_expr(term.expr, scaled)
+            want = lam**term.degree * base
+            rel = abs(got - want) / max(abs(want), 1e-30)
+            if abs(want) < 1e-30 and abs(got) < 1e-30:
+                rel = 0.0
+            worst = max(worst, rel)
+    return worst
+
+
+def test_batched_homogeneity_check_matches_scalar_loop(het_medium):
+    ex = expand(het_medium, 1, 1, 3)
+    for k in (1, 2, 3):
+        term = SymbolTerm(ex.term(-k), -k)
+        rep = homogeneity_check(term, trials=4, tol=1e-7, rng=np.random.default_rng(5), box=het_medium.box)
+        want = _scalar_homogeneity(term, 4, np.random.default_rng(5), het_medium.box)
+        assert rep.passed and want <= 1e-7
+        assert abs(rep.max_rel_error - want) <= 1e-12
+
+
+def test_batched_homogeneity_check_matches_scalar_loop_on_failure():
+    term = SymbolTerm(parse("s + 1"), 1)
+    rep = homogeneity_check(term)
+    want = _scalar_homogeneity(term, 16, np.random.default_rng(2024), ((0.0, 1.0),) * 3)
+    assert not rep.passed and want > 1e-9
+    assert abs(rep.max_rel_error - want) <= 1e-9 * want
+
+
+def test_homogeneity_check_without_trials_passes():
+    rep = homogeneity_check(SymbolTerm(parse("s + 1"), 1), trials=0)
+    assert rep.passed
+    assert rep.max_rel_error == 0.0
+
+
+def test_homogeneity_check_evaluates_term_in_one_call(monkeypatch, het_medium):
+    term = SymbolTerm(expand(het_medium, 1, 1, 2).term(-2), -2)
+    calls = []
+
+    def counting(e, env):
+        calls.append(e)
+        return eval_expr(e, env)
+
+    monkeypatch.setattr(symbols, "eval_expr", counting)
+    assert homogeneity_check(term, trials=4).passed
+    assert calls == [term.expr]
