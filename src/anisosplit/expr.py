@@ -58,6 +58,7 @@ __all__ = [
     "parse",
     "to_text",
     "eval_expr",
+    "taylor_eval",
     "diff",
     "simplify",
     "free_vars",
@@ -492,6 +493,240 @@ def eval_expr(e: Expr, env: dict):
             if r == 0 and i != root_id:
                 del vals[i]  # free intermediates eagerly
     return vals[root_id]
+
+
+# ---------------------------------------------------------------------------
+# Taylor-mode evaluation
+#
+# A jet is an array of shape (degree + 1, directions, *point shape) holding
+# the truncated Taylor coefficients f_k = (d/dt)^k f(p + t u) / k! at t = 0
+# along each seeded direction u. Coefficient 0 of a nonlinear op goes through
+# ``_EVAL``, so jets raise the same typed errors as ``eval_expr``; the higher
+# coefficients follow the standard recurrences (Griewank & Walther,
+# "Evaluating Derivatives", SIAM 2008, ch. 13).
+
+
+def _tail(p, q, k):
+    # sum_{j=1}^{k} p_j q_{k-j}
+    return np.sum(p[1 : k + 1] * q[k - 1 :: -1], axis=0)
+
+
+def _plus_plain(a, b):
+    # jet a plus a plain value b, which only enters coefficient 0
+    out = np.empty(np.broadcast_shapes(a.shape, np.shape(b)), dtype=np.complex128)
+    out[...] = a
+    out[0] += b
+    return out
+
+
+def _conv(a, b):
+    # truncated Cauchy product: c_k = sum_i a_i b_{k-i}
+    out = a[0] * b
+    n = a.shape[0]
+    for i in range(1, n):
+        out[i:] += a[i] * b[: n - i]
+    return out
+
+
+def _weighted(a):
+    # j * a_j: the coefficients of t * da/dt
+    return a * np.arange(a.shape[0]).reshape((-1,) + (1,) * (a.ndim - 1))
+
+
+def _jet_div(node, a, b, a_jet):
+    # c = a / b with b a jet: b_0 c_k = a_k - sum_{j>=1} b_j c_{k-j}
+    out = np.empty(np.broadcast_shapes(np.shape(a), b.shape), dtype=np.complex128)
+    out[0] = _EVAL["div"](node, [a[0] if a_jet else a, b[0]])
+    for k in range(1, out.shape[0]):
+        num = -_tail(b, out, k)
+        if a_jet:
+            num += a[k]
+        out[k] = num / b[0]
+    return out
+
+
+def _jet_recip(node, a):
+    out = np.empty(a.shape, dtype=np.complex128)
+    out[0] = _EVAL["recip"](node, [a[0]])
+    for k in range(1, a.shape[0]):
+        out[k] = -_tail(a, out, k) / a[0]
+    return out
+
+
+def _jet_pow(node, a):
+    n = node.data
+    if n < 0:
+        # k a_0 c_k = sum_{j=1}^{k} ((n + 1) j - k) a_j c_{k-j}; a_0 != 0 once
+        # coefficient 0 has been evaluated
+        out = np.empty(a.shape, dtype=np.complex128)
+        out[0] = _EVAL["pow"](node, [a[0]])
+        ja = _weighted(a)
+        for k in range(1, a.shape[0]):
+            out[k] = ((n + 1) * _tail(ja, out, k) - k * _tail(a, out, k)) / (k * a[0])
+        return out
+    # binary powering needs no division, so a zero base is harmless
+    out, base = None, a
+    while True:
+        if n & 1:
+            out = base if out is None else _conv(out, base)
+        n >>= 1
+        if not n:
+            break
+        base = _conv(base, base)
+    out = out.copy() if out is a else out
+    out[0] = _EVAL["pow"](node, [a[0]])
+    return out
+
+
+def _jet_sqrt(node, a):
+    # 2 c_0 c_k = a_k - sum_{j=1}^{k-1} c_j c_{k-j}
+    out = np.empty(a.shape, dtype=np.complex128)
+    out[0] = _EVAL["sqrt"](node, [a[0]])
+    for k in range(1, a.shape[0]):
+        out[k] = (a[k] - np.sum(out[1:k] * out[k - 1 : 0 : -1], axis=0)) / (2 * out[0])
+    return out
+
+
+def _jet_exp(node, a):
+    # k c_k = sum_{j=1}^{k} j a_j c_{k-j}
+    out = np.empty(a.shape, dtype=np.complex128)
+    out[0] = _EVAL["exp"](node, [a[0]])
+    ja = _weighted(a)
+    for k in range(1, a.shape[0]):
+        out[k] = _tail(ja, out, k) / k
+    return out
+
+
+def _jet_sin_cos(node, a):
+    # sin and cos advance together: k s_k = sum j a_j c_{k-j}, k c_k = -sum j a_j s_{k-j}
+    sn = np.empty(a.shape, dtype=np.complex128)
+    cs = np.empty(a.shape, dtype=np.complex128)
+    sn[0] = np.sin(a[0])
+    cs[0] = np.cos(a[0])
+    ja = _weighted(a)
+    for k in range(1, a.shape[0]):
+        sn[k] = _tail(ja, cs, k) / k
+        cs[k] = -_tail(ja, sn, k) / k
+    out = sn if node.op == "sin" else cs
+    out[0] = _EVAL[node.op](node, [a[0]])
+    return out
+
+
+_JET_UNARY = {
+    "neg": lambda node, a: -a,
+    "recip": _jet_recip,
+    "pow": _jet_pow,
+    "sqrt": _jet_sqrt,
+    "exp": _jet_exp,
+    "sin": _jet_sin_cos,
+    "cos": _jet_sin_cos,
+}
+
+
+def _jet_op(node, vals, jets):
+    # a node with at least one jet argument
+    op = node.op
+    if len(vals) == 1:
+        return _JET_UNARY[op](node, vals[0])
+    a, b = vals
+    ja, jb = jets
+    if op == "add":
+        if ja and jb:
+            return a + b
+        return _plus_plain(a, b) if ja else _plus_plain(b, a)
+    if op == "sub":
+        if ja and jb:
+            return a - b
+        return _plus_plain(a, -b) if ja else _plus_plain(-b, a)
+    if op == "mul":
+        return _conv(a, b) if ja and jb else a * b
+    # div: dividing a jet by a plain value scales every coefficient
+    return _jet_div(node, a, b, ja) if jb else _EVAL["div"](node, [a, b])
+
+
+def taylor_eval(roots, env: dict, seeds: dict, degree: int) -> list:
+    """Truncated Taylor coefficients of ``roots`` along seeded directions.
+
+    ``seeds`` maps each seeded variable to its components along the k
+    directions u_1 .. u_k (a length-k sequence, the same k for every
+    seeded variable). For each root the result is an array of shape
+    ``(degree + 1, k, *shape)`` whose entry ``[j, d]`` is
+    (d/dt)^j root(env + t u_d) / j! at t = 0; ``shape`` has as many
+    axes as the widest env value. The DAG is walked once for all roots.
+
+    Nodes that depend on no seeded variable are evaluated as plain values,
+    as in ``eval_expr``. Coefficient 0 of every other node is computed by
+    the same evaluation functions, so a zero divisor or a sqrt on the
+    closed negative real axis raises the same typed error.
+    """
+    if not isinstance(degree, (int, np.integer)) or degree < 0:
+        raise ValueError("degree must be a non-negative integer")
+    bound = {}
+    for k, v in env.items():
+        if not isinstance(k, VarId):
+            raise TypeError("env keys must be VarId")
+        bound[k] = _coerce_value(v)
+    dirs = {}
+    for k, u in seeds.items():
+        if not isinstance(k, VarId):
+            raise TypeError("seed keys must be VarId")
+        dirs[k] = np.asarray(u, dtype=np.complex128).ravel()
+    counts = {u.size for u in dirs.values()}
+    if len(counts) != 1 or 0 in counts:
+        raise ValueError("seeds need the same positive number of directions per variable")
+    ndir = counts.pop()
+    ndim = max((np.ndim(v) for v in bound.values()), default=0)
+    seeded = frozenset(dirs)
+
+    def lift(v):
+        # a plain value as a jet: every coefficient past the zeroth is 0
+        shape = np.shape(v)
+        shape = (1,) * (ndim - len(shape)) + shape
+        jet = np.zeros((degree + 1, ndir) + shape, dtype=np.complex128)
+        jet[0] = np.reshape(v, shape)
+        return jet
+
+    def seed_jet(var):
+        jet = lift(bound[var])
+        if degree:
+            jet[1] = dirs[var].reshape((ndir,) + (1,) * ndim)
+        return jet
+
+    roots = list(roots)
+    order, seen = [], set()
+    for r in roots:
+        for node in _postorder(r):
+            if id(node) not in seen:
+                seen.add(id(node))
+                order.append(node)
+    nref = _consumer_counts(order)
+    keep = {id(r) for r in roots}
+    vals = {}
+    for node in order:
+        op = node.op
+        is_jet = not seeded.isdisjoint(node.free_vars)
+        if op == "const":
+            v = node.data
+        elif op == "var":
+            if node.data not in bound:
+                raise UnboundVariableError(f"variable {node.data.value} is unbound")
+            v = seed_jet(node.data) if is_jet else bound[node.data]
+        else:
+            cv = [vals[id(a)] for a in node.args]
+            if is_jet:
+                jets = [not seeded.isdisjoint(a.free_vars) for a in node.args]
+                v = _jet_op(node, cv, jets)
+            else:
+                v = _EVAL[op](node, cv)
+        vals[id(node)] = v
+        for a in node.args:
+            i = id(a)
+            nref[i] -= 1
+            if nref[i] == 0 and i not in keep:
+                del vals[i]
+    return [
+        lift(vals[id(r)]) if seeded.isdisjoint(r.free_vars) else vals[id(r)] for r in roots
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -34,9 +34,9 @@ from .expr import (
     eval_expr,
     ipow,
     mul,
-    neg,
     recip,
     simplify,
+    taylor_eval,
     variable,
 )
 from .medium import MediumSpec, is_depth_independent, is_homogeneous, schur
@@ -47,8 +47,6 @@ from .symbols import (
     quantize_apply,
     random_smooth_field,
     systems_symbols,
-    x_derivative,
-    xi_derivative,
 )
 
 __all__ = [
@@ -89,16 +87,25 @@ class SpectralGapError(OracleError):
     """The discrete systems operator has eigenvalues too close to Re = 0."""
 
 
+def _check_lambdas(lambdas) -> np.ndarray:
+    lam = np.asarray(lambdas, dtype=float)
+    if lam.ndim != 1 or not np.all(np.isfinite(lam) & (lam > 0)):
+        raise OracleError("scales must be a flat sequence of finite positive numbers")
+    if np.unique(lam).size < 2:
+        raise OracleError("need at least two distinct scales for a slope fit")
+    return lam
+
+
 def fit_loglog(lambdas, values):
     """Least-squares slope of log(value) against log(lambda).
 
     Returns (slope, intercept, max_dev) with max_dev the worst absolute
     deviation of log(value) from the fitted line.
     """
-    lam = np.asarray(lambdas, dtype=float)
+    lam = _check_lambdas(lambdas)
     val = np.clip(np.asarray(values, dtype=float), 1e-300, None)
-    if lam.size < 2:
-        raise OracleError("need at least two scales for a slope fit")
+    if val.shape != lam.shape:
+        raise OracleError(f"{val.size} values for {lam.size} scales")
     logs = np.log(val)
     slope, intercept = np.polyfit(np.log(lam), logs, 1)
     dev = float(np.max(np.abs(logs - (slope * np.log(lam) + intercept))))
@@ -161,12 +168,73 @@ class ResidualReport:
         )
 
 
-def _residual_expr(exp: AdmittanceExpansion, beta_cap: int) -> Expr:
-    """Full symbol equation applied to the plain truncated sum.
+def _scaling_env(points, lambdas) -> dict:
+    """Env for probe points (x1, x2, x3, xi1, xi2, s) moved along the scaling
+    ray (x, lam xi, lam s): axis 0 runs over points, axis 1 over lambdas."""
+    pts = np.asarray(points, dtype=complex)
+    if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] != 6:
+        raise OracleError(
+            "probe points must form a non-empty (k, 6) array of "
+            f"(x1, x2, x3, xi1, xi2, s); got shape {pts.shape}"
+        )
+    lam = _check_lambdas(lambdas)
+    return {
+        VarId.X1: pts[:, 0].real[:, None],
+        VarId.X2: pts[:, 1].real[:, None],
+        VarId.X3: pts[:, 2].real[:, None],
+        VarId.XI1: pts[:, 3].real[:, None] * lam[None, :],
+        VarId.XI2: pts[:, 4].real[:, None] * lam[None, :],
+        VarId.S: pts[:, 5][:, None] * lam[None, :],
+    }
 
-    The composition tail is capped at |beta| <= beta_cap; the capped
-    part scales below the first uncancelled degree for beta_cap >=
-    order + 1, so it never pollutes the slope.
+
+def _jet_directions(degree: int) -> np.ndarray:
+    """degree + 1 unit directions in a coordinate plane, shape (degree + 1, 2).
+
+    The angles follow the van der Corput sequence in [0, pi) (0, pi/2,
+    pi/4, 3 pi/4, pi/8, ...), so the first d + 1 directions are well
+    spread for every d and recover all partials of total degree d.
+    """
+    vdc = [
+        sum(((j >> i) & 1) / 2 ** (i + 1) for i in range(j.bit_length()))
+        for j in range(degree + 1)
+    ]
+    angles = np.pi * np.array(vdc)
+    return np.stack([np.cos(angles), np.sin(angles)], axis=1)
+
+
+def _mixed_partials(jet: np.ndarray, dirs: np.ndarray, top: int) -> dict:
+    """{(b1, b2): d^beta f / beta!} for |beta| <= top from univariate jets.
+
+    ``jet[d, j]`` is the degree-d Taylor coefficient of f along
+    ``dirs[j]``, i.e. sum over |beta| = d of (d^beta f / beta!) u^beta;
+    the first d + 1 directions give a (d + 1) x (d + 1) interpolation
+    system for the d + 1 partials of degree d (Griewank, Utke & Walther,
+    Math. Comp. 69, 2000).
+    """
+    out = {}
+    for d in range(top + 1):
+        b1 = np.arange(d + 1)
+        u = dirs[: d + 1]
+        vander = u[:, :1] ** b1 * u[:, 1:] ** (d - b1)
+        coeffs = jet[d, : d + 1]
+        sol = np.linalg.solve(vander, coeffs.reshape(d + 1, -1)).reshape(coeffs.shape)
+        for i in range(d + 1):
+            out[(i, d - i)] = sol[i]
+    return out
+
+
+def _residual_values(exp: AdmittanceExpansion, env: dict, beta_cap: int) -> np.ndarray:
+    """Full symbol equation applied to the plain truncated sum, per probe.
+
+    R = sum_{|beta| <= beta_cap} (-i)^|beta| / beta! d_xi^beta y d_x^beta b
+        - a11_1 y - (d_x1(f1 y) + d_x2(f2 y)) - a12 - eta d_x3 y
+
+    with b = s alpha33^-1 y + a22_1 and f_mu = alpha_{mu 3} / alpha33. The
+    composition tail is capped at |beta| <= beta_cap; the capped part
+    scales below the first uncancelled degree for beta_cap >= order + 1,
+    so it never pollutes the slope. The derivatives come from Taylor jets
+    pushed through the term DAG: xi-jets of y, x-jets of b, f1 y and f2 y.
     """
     m = exp.medium
     A = systems_symbols(m)
@@ -176,33 +244,34 @@ def _residual_expr(exp: AdmittanceExpansion, beta_cap: int) -> Expr:
         y = y + t.expr
     y = simplify(y)
     b = simplify(_S * inv33 * y + A.a22.term(1))
-
-    dxi = {(0, 0): y}
-    dxb = {(0, 0): b}
-    acc = ZERO
-    for r in range(0, beta_cap + 1):
-        coeff_i = (-1j) ** r
-        for b1 in range(r + 1):
-            b2 = r - b1
-            if (b1, b2) not in dxi:
-                src = (b1 - 1, b2) if b1 else (b1, b2 - 1)
-                v = VarId.XI1 if b1 else VarId.XI2
-                dxi[(b1, b2)] = diff(dxi[src], v)
-            if (b1, b2) not in dxb:
-                src = (b1 - 1, b2) if b1 else (b1, b2 - 1)
-                v = VarId.X1 if b1 else VarId.X2
-                dxb[(b1, b2)] = diff(dxb[src], v)
-            cf = coeff_i / (math.factorial(b1) * math.factorial(b2))
-            acc = acc + mul(const(cf), mul(dxi[(b1, b2)], dxb[(b1, b2)]))
-
     f1 = simplify(m.alpha[0][2] * inv33)
     f2 = simplify(m.alpha[1][2] * inv33)
-    acc = acc - A.a11.term(1) * y
-    acc = acc - (diff(mul(f1, y), VarId.X1) + diff(mul(f2, y), VarId.X2))
-    acc = acc - (A.a12.term(1) + A.a12.term(0))
+
+    degree = max(beta_cap, 1)
+    dirs = _jet_directions(degree)
+    (y_xi,) = taylor_eval([y], env, {VarId.XI1: dirs[:, 0], VarId.XI2: dirs[:, 1]}, degree)
+    b_x, f1y_x, f2y_x = taylor_eval(
+        [b, mul(f1, y), mul(f2, y)], env, {VarId.X1: dirs[:, 0], VarId.X2: dirs[:, 1]}, degree
+    )
+    dy = _mixed_partials(y_xi, dirs, beta_cap)
+    db = _mixed_partials(b_x, dirs, beta_cap)
+    acc = 0
+    for r in range(beta_cap + 1):
+        for b1 in range(r + 1):
+            beta = (b1, r - b1)
+            cf = (-1j) ** r * (math.factorial(b1) * math.factorial(r - b1))
+            acc = acc + cf * (dy[beta] * db[beta])
+
+    yv = y_xi[0, 0]
+    acc = acc - eval_expr(A.a11.term(1), env) * yv
+    acc = acc - (
+        _mixed_partials(f1y_x, dirs, 1)[(1, 0)] + _mixed_partials(f2y_x, dirs, 1)[(0, 1)]
+    )
+    acc = acc - eval_expr(A.a12.term(1) + A.a12.term(0), env)
     if exp.eta:
-        acc = acc - diff(y, VarId.X3)
-    return simplify(acc)
+        (y_x3,) = taylor_eval([y], env, {VarId.X3: [1.0]}, 1)
+        acc = acc - y_x3[1, 0]
+    return acc
 
 
 def riccati_residual(
@@ -216,24 +285,18 @@ def riccati_residual(
 
     With terms through degree -N the equation cancels down to degree
     -N + 1, so |residual| ~ lam^-N; the report carries the fitted slope
-    against the expectation -N.
+    against the expectation -N. ``beta_cap`` (default N + 1) caps the
+    order of the composition tail.
     """
     if beta_cap is None:
         beta_cap = exp.order + 1
+    if beta_cap < 0:
+        raise OracleError(f"beta_cap must be >= 0, got {beta_cap}")
     if points is None:
         points = draw_probe_points(exp.medium, 6, rng)
-    resid = _residual_expr(exp, beta_cap)
-    pts = np.asarray(points, dtype=complex)
+    env = _scaling_env(points, lambdas)
     lam = np.asarray(lambdas, dtype=float)
-    env = {
-        VarId.X1: pts[:, 0].real[:, None],
-        VarId.X2: pts[:, 1].real[:, None],
-        VarId.X3: pts[:, 2].real[:, None],
-        VarId.XI1: pts[:, 3].real[:, None] * lam[None, :],
-        VarId.XI2: pts[:, 4].real[:, None] * lam[None, :],
-        VarId.S: pts[:, 5][:, None] * lam[None, :],
-    }
-    vals = np.asarray(eval_expr(resid, env))
+    vals = _residual_values(exp, env, beta_cap)
     rms = np.sqrt(np.mean(np.abs(vals) ** 2, axis=0))
     slope, intercept, dev = fit_loglog(lam, rms)
     return ResidualReport(
@@ -264,6 +327,7 @@ class QuadRoots:
 
 
 def _constant_value(e: Expr, m: MediumSpec) -> complex:
+    """Value of a field of a homogeneous medium (taken at the box midpoint)."""
     env = {
         VarId.X1: 0.5 * (m.box[0][0] + m.box[0][1]),
         VarId.X2: 0.5 * (m.box[1][0] + m.box[1][1]),
@@ -346,11 +410,12 @@ class GridOracleResult:
 
 
 def _grid_field(e: Expr, grid: TransverseGrid, x3: float) -> np.ndarray:
+    """Values of a medium field on the grid at depth x3 (read-only view)."""
     X1g, X2g = grid.x_mesh()
     env = {VarId.X1: X1g, VarId.X2: X2g, VarId.X3: complex(x3)}
     return np.broadcast_to(
         np.asarray(eval_expr(e, env), dtype=np.complex128), X1g.shape
-    ).copy()
+    )
 
 
 def _check_grid_periodic(m: MediumSpec, grid: TransverseGrid):
@@ -536,17 +601,7 @@ class OrderClaimReport:
 
 
 def _scaling_rms(expr: Expr, points, lambdas):
-    pts = np.asarray(points, dtype=complex)
-    lam = np.asarray(lambdas, dtype=float)
-    env = {
-        VarId.X1: pts[:, 0].real[:, None],
-        VarId.X2: pts[:, 1].real[:, None],
-        VarId.X3: pts[:, 2].real[:, None],
-        VarId.XI1: pts[:, 3].real[:, None] * lam[None, :],
-        VarId.XI2: pts[:, 4].real[:, None] * lam[None, :],
-        VarId.S: pts[:, 5][:, None] * lam[None, :],
-    }
-    vals = np.asarray(eval_expr(expr, env))
+    vals = np.asarray(eval_expr(expr, _scaling_env(points, lambdas)))
     return np.sqrt(np.mean(np.abs(vals) ** 2, axis=0))
 
 

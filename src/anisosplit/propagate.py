@@ -21,10 +21,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .expr import Expr, VarId, eval_expr, free_vars, recip, simplify
+from .expr import VarId, free_vars, recip, simplify
 from .medium import MediumSpec, is_depth_independent, is_homogeneous
 from .expansion import SplitSymbols
-from .oracle import quad_oracle
+from .oracle import _constant_value, _grid_field, quad_oracle
 from .symbols import (
     TransverseGrid,
     _kernel_rows,
@@ -100,14 +100,6 @@ def _coeff_exprs(m: MediumSpec) -> dict:
     return m._cache("coeff_exprs", build)
 
 
-def _field(e: Expr, grid: TransverseGrid, x3: float) -> np.ndarray:
-    X1g, X2g = grid.x_mesh()
-    env = {VarId.X1: X1g, VarId.X2: X2g, VarId.X3: complex(x3)}
-    return np.broadcast_to(
-        np.asarray(eval_expr(e, env), dtype=np.complex128), X1g.shape
-    )
-
-
 def apply_systems_operator(m: MediumSpec, grid: TransverseGrid, s, x3, v3, p):
     """A(x3) applied to (v3, p) with exact spectral transverse derivatives."""
     s = complex(s)
@@ -117,12 +109,12 @@ def apply_systems_operator(m: MediumSpec, grid: TransverseGrid, s, x3, v3, p):
 
     d1p = spectral_derivative(p, grid, 1)
     d2p = spectral_derivative(p, grid, 2)
-    flux1 = _field(c["Q"][0][0], grid, x3) * d1p + _field(c["Q"][0][1], grid, x3) * d2p
-    flux2 = _field(c["Q"][1][0], grid, x3) * d1p + _field(c["Q"][1][1], grid, x3) * d2p
+    flux1 = _grid_field(c["Q"][0][0], grid, x3) * d1p + _grid_field(c["Q"][0][1], grid, x3) * d2p
+    flux2 = _grid_field(c["Q"][1][0], grid, x3) * d1p + _grid_field(c["Q"][1][1], grid, x3) * d2p
     r1 = (
-        spectral_derivative(_field(c["f1"], grid, x3) * v3, grid, 1)
-        + spectral_derivative(_field(c["f2"], grid, x3) * v3, grid, 2)
-        + s * _field(c["kappa"], grid, x3) * p
+        spectral_derivative(_grid_field(c["f1"], grid, x3) * v3, grid, 1)
+        + spectral_derivative(_grid_field(c["f2"], grid, x3) * v3, grid, 2)
+        + s * _grid_field(c["kappa"], grid, x3) * p
         - (
             spectral_derivative(flux1, grid, 1)
             + spectral_derivative(flux2, grid, 2)
@@ -130,9 +122,9 @@ def apply_systems_operator(m: MediumSpec, grid: TransverseGrid, s, x3, v3, p):
         / s
     )
     r2 = (
-        s * _field(c["inv33"], grid, x3) * v3
-        + _field(c["g1"], grid, x3) * d1p
-        + _field(c["g2"], grid, x3) * d2p
+        s * _grid_field(c["inv33"], grid, x3) * v3
+        + _grid_field(c["g1"], grid, x3) * d1p
+        + _grid_field(c["g2"], grid, x3) * d2p
     )
     return r1, r2
 
@@ -156,7 +148,7 @@ def build_rhs(m: MediumSpec, grid: TransverseGrid, s, x3, q=None, f=None):
     alpha = c["alpha"]
 
     def afield(i, j):
-        return _field(alpha[i][j], grid, x3)
+        return _grid_field(alpha[i][j], grid, x3)
 
     row1 = sum(afield(0, k) * fs[k] for k in range(3))
     row2 = sum(afield(1, k) * fs[k] for k in range(3))
@@ -165,10 +157,10 @@ def build_rhs(m: MediumSpec, grid: TransverseGrid, s, x3, q=None, f=None):
         spectral_derivative(row1, grid, 1) + spectral_derivative(row2, grid, 2)
     ) / s
     n1 = w + (
-        spectral_derivative(_field(c["f1"], grid, x3) * v2, grid, 1)
-        + spectral_derivative(_field(c["f2"], grid, x3) * v2, grid, 2)
+        spectral_derivative(_grid_field(c["f1"], grid, x3) * v2, grid, 1)
+        + spectral_derivative(_grid_field(c["f2"], grid, x3) * v2, grid, 2)
     )
-    n2 = _field(c["inv33"], grid, x3) * v2
+    n2 = _grid_field(c["inv33"], grid, x3) * v2
     return n1, n2
 
 
@@ -200,25 +192,16 @@ def _expm2x2(B: np.ndarray) -> np.ndarray:
     return out
 
 
-def _constant(e: Expr, m: MediumSpec) -> complex:
-    env = {
-        VarId.X1: 0.5 * (m.box[0][0] + m.box[0][1]),
-        VarId.X2: 0.5 * (m.box[1][0] + m.box[1][1]),
-        VarId.X3: 0.5 * (m.box[2][0] + m.box[2][1]),
-    }
-    return complex(eval_expr(e, env))
-
-
 def _mode_matrices(m: MediumSpec, grid: TransverseGrid, s: complex) -> np.ndarray:
     """Per-mode 2x2 systems matrices of a homogeneous medium, shape (n*n, 2, 2)."""
     c = _coeff_exprs(m)
     W1g, W2g = grid.xi_mesh()
     x1, x2 = W1g.ravel(), W2g.ravel()
-    f1, f2 = _constant(c["f1"], m), _constant(c["f2"], m)
-    g1, g2 = _constant(c["g1"], m), _constant(c["g2"], m)
-    inv33 = _constant(c["inv33"], m)
-    kap = _constant(c["kappa"], m)
-    Q = [[_constant(c["Q"][i][j], m) for j in range(2)] for i in range(2)]
+    f1, f2 = _constant_value(c["f1"], m), _constant_value(c["f2"], m)
+    g1, g2 = _constant_value(c["g1"], m), _constant_value(c["g2"], m)
+    inv33 = _constant_value(c["inv33"], m)
+    kap = _constant_value(c["kappa"], m)
+    Q = [[_constant_value(c["Q"][i][j], m) for j in range(2)] for i in range(2)]
     qform = Q[0][0] * x1 * x1 + (Q[0][1] + Q[1][0]) * x1 * x2 + Q[1][1] * x2 * x2
     A = np.zeros((x1.size, 2, 2), dtype=np.complex128)
     A[:, 0, 0] = 1j * (x1 * f1 + x2 * f2)

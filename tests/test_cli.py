@@ -163,6 +163,16 @@ def test_residual_csv_layout(tmp_path):
     assert len(lines) == 1 + 3  # one order, three lambdas
 
 
+def test_residual_through_order_three(tmp_path):
+    out = tmp_path / "o"
+    cfg = _cfg(tmp_path, HET.replace("orders = 1\n", "orders = 1, 2, 3\n"))
+    assert run(["residual", cfg, "--out", str(out)]) == 0
+    rows = [l.split(",") for l in (out / "residual.csv").read_text().splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == [1, 1, 1, 2, 2, 2, 3, 3, 3]
+    for r in rows:
+        assert abs(float(r[3]) + int(r[0])) <= 0.3
+
+
 def test_oracle_quad_on_heterogeneous_fails(tmp_path):
     code = run(["oracle", "quad", _cfg(tmp_path, HET), "--out", str(tmp_path / "o")])
     assert code == 1

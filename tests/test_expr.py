@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -37,6 +38,7 @@ from anisosplit.expr import (
     sin_,
     sqrt_,
     sub,
+    taylor_eval,
     to_text,
 )
 
@@ -372,3 +374,119 @@ def test_equal_variable_sets_share_one_object():
     assert a.free_vars is b.free_vars
     assert sin_(X2).free_vars is X2.free_vars
     assert len(expr_module._FREE_VARS) <= 64
+
+
+# ---------------------------------------------------------------------------
+# Taylor-mode evaluation against repeated symbolic differentiation
+
+_JET_DIRS = np.array([[1.0, 0.0], [0.6, 0.8], [-0.3, 1.2]])
+_JET_DEGREE = 4
+
+_JET_CASES = {
+    "add": add(mul(X1, X2), sin_(X1)),
+    "sub": sub(ipow(X1, 2), mul(X2, XI1)),
+    "mul": mul(add(mul(X1, X2), const(2.0)), add(sin_(X1), X2)),
+    "div": div(add(mul(X1, X1), X2), add(cos_(X2), add(X1, const(3.0)))),
+    "recip": recip(add(X1, add(mul(X2, X2), const(2.0)))),
+    "pow": ipow(add(mul(X1, X2), ONE), 5),
+    "pow_negative": ipow(add(X1, add(mul(const(2.0), X2), const(3.0))), -3),
+    "sqrt": sqrt_(add(mul(X1, X1), add(X2, const(3.0)))),
+    "exp": exp_(mul(X1, X2)),
+    "sin": sin_(add(mul(X1, X2), X1)),
+    "cos": cos_(sub(X1, mul(X2, X2))),
+    "neg": neg(mul(X1, exp_(X2))),
+    # XI1 is not seeded: these nodes mix plain values into jets
+    "plain_mix": add(
+        sub(mul(add(X1, mul(const(3.0), XI1)), sin_(XI1)), div(XI1, X2)),
+        sub(recip(add(XI1, X1)), sub(XI1, X1)),
+    ),
+    "plain_divisor": div(sin_(X1), add(XI1, const(2.0))),
+    "plain_numerator": div(cos_(XI1), add(X2, const(2.0))),
+}
+
+
+def _jet_env(rng, n=7):
+    return {
+        VarId.X1: rng.uniform(0.3, 1.5, n),
+        VarId.X2: rng.uniform(0.3, 1.5, n),
+        VarId.XI1: rng.uniform(0.5, 1.0, n),
+    }
+
+
+def _directional_coefficients(e, env, u, degree):
+    # c_k = (u . grad)^k e / k!, by repeated symbolic diff
+    out, g = [], e
+    for k in range(degree + 1):
+        v = np.broadcast_to(np.asarray(eval_expr(g, env)), (len(env[VarId.X1]),))
+        out.append(v / math.factorial(k))
+        g = add(mul(const(u[0]), diff(g, VarId.X1)), mul(const(u[1]), diff(g, VarId.X2)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("case", sorted(_JET_CASES))
+def test_taylor_eval_matches_repeated_diff(case):
+    e = _JET_CASES[case]
+    env = _jet_env(np.random.default_rng(41))
+    seeds = {VarId.X1: _JET_DIRS[:, 0], VarId.X2: _JET_DIRS[:, 1]}
+    (jet,) = taylor_eval([e], env, seeds, _JET_DEGREE)
+    assert jet.shape == (_JET_DEGREE + 1, len(_JET_DIRS), 7)
+    for d, u in enumerate(_JET_DIRS):
+        want = _directional_coefficients(e, env, u, _JET_DEGREE)
+        for k in range(_JET_DEGREE + 1):
+            scale = np.max(np.abs(want[k]))
+            assert np.max(np.abs(jet[k, d] - want[k])) <= 1e-12 * scale, (case, d, k)
+
+
+def test_taylor_eval_root_without_seeded_variables():
+    env = _jet_env(np.random.default_rng(42))
+    e = mul(sin_(XI1), XI1)
+    jet, other = taylor_eval([e, X1], env, {VarId.X1: [1.0, 0.5]}, 3)
+    assert jet.shape == (4, 2, 7)
+    assert np.array_equal(jet[0, 0], eval_expr(e, env))
+    assert np.array_equal(jet[0, 1], eval_expr(e, env))
+    assert not np.any(jet[1:])
+    assert np.array_equal(other[1], np.broadcast_to([[1.0], [0.5]], (2, 7)))
+
+
+def test_taylor_eval_zeroth_coefficient_is_eval_expr():
+    rng = np.random.default_rng(43)
+    env = {v: ENV[v] + rng.uniform(-0.1, 0.1, 5) for v in ENV}
+    seeds = {VarId.XI1: [1.0, 0.0], VarId.S: [0.5, 1.0]}
+    for _ in range(20):
+        e = _rand_expr(rng)
+        (jet,) = taylor_eval([e], env, seeds, 2)
+        want = np.broadcast_to(np.asarray(eval_expr(e, env)), (5,))
+        assert np.array_equal(jet[0, 0], want) and np.array_equal(jet[0, 1], want)
+
+
+def test_taylor_eval_zero_base_positive_power():
+    (jet,) = taylor_eval([ipow(X1, 3)], {VarId.X1: 0.0}, {VarId.X1: [2.0]}, 4)
+    assert np.array_equal(jet[:, 0], [0, 0, 0, 8, 0])
+
+
+@pytest.mark.parametrize(
+    "e, value, error",
+    [
+        (recip(X1), 0.0, DivisionByZeroError),
+        (div(XI1, X1), 0.0, DivisionByZeroError),
+        (div(X1, sub(X1, XI1)), 1.1, DivisionByZeroError),
+        (ipow(X1, -2), 0.0, DivisionByZeroError),
+        (sqrt_(X1), -4.0, SqrtDomainError),
+        (sqrt_(X1), 0.0, SqrtDomainError),
+    ],
+)
+def test_taylor_eval_raises_like_eval_expr(e, value, error):
+    env = {VarId.X1: value, VarId.XI1: 1.1}
+    with pytest.raises(error):
+        eval_expr(e, env)
+    with pytest.raises(error):
+        taylor_eval([e], env, {VarId.X1: [1.0]}, 3)
+
+
+def test_taylor_eval_argument_checks():
+    with pytest.raises(ValueError):
+        taylor_eval([X1], {VarId.X1: 1.0}, {VarId.X1: [1.0]}, -1)
+    with pytest.raises(ValueError):
+        taylor_eval([X1], {VarId.X1: 1.0, VarId.X2: 1.0}, {VarId.X1: [1.0], VarId.X2: [1.0, 0.0]}, 1)
+    with pytest.raises(UnboundVariableError):
+        taylor_eval([add(X1, X2)], {VarId.X1: 1.0}, {VarId.X1: [1.0]}, 1)

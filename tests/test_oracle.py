@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,20 @@ from anisosplit import (
     order_claim_check,
     quad_oracle,
     riccati_residual,
+    taylor_eval,
 )
 from anisosplit import presets
-from anisosplit.oracle import DEFAULT_LAMBDAS, draw_probe_points, fit_loglog
+from anisosplit.oracle import (
+    DEFAULT_LAMBDAS,
+    _jet_directions,
+    _mixed_partials,
+    _scaling_env,
+    draw_probe_points,
+    fit_loglog,
+)
+from anisosplit.symbols import x_derivative, xi_derivative
 
-from helpers import dft2_matrix, field_rel
+from helpers import dft2_matrix, field_rel, symbolic_residual_rms
 
 TAU = 2 * np.pi
 
@@ -209,3 +220,66 @@ def test_order_claim_depth_free_split(hom_split):
 
 def test_default_lambda_grid_is_dyadic():
     assert DEFAULT_LAMBDAS == (4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
+
+
+# ---------------------------------------------------------------------------
+# Taylor-mode residual
+
+
+def test_fit_loglog_needs_distinct_positive_scales():
+    with pytest.raises(OracleError):
+        fit_loglog([4.0, 4.0, 4.0], [1.0, 2.0, 3.0])
+    with pytest.raises(OracleError):
+        fit_loglog([0.0, 4.0, 8.0], [1.0, 2.0, 3.0])
+    with pytest.raises(OracleError):
+        fit_loglog([-4.0, 4.0], [1.0, 2.0])
+    with pytest.raises(OracleError):
+        fit_loglog([4.0, 8.0], [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("points", [[], [(0.1, 0.2, 0.3, 1.0, 0.0)], np.zeros((2, 6, 1))])
+def test_riccati_residual_rejects_bad_probe_sets(het_medium, points):
+    with pytest.raises(OracleError):
+        riccati_residual(expand(het_medium, 1, 0, 1), points=points, lambdas=[4.0, 16.0])
+
+
+def test_riccati_residual_rejects_negative_beta_cap(het_medium):
+    pts = draw_probe_points(het_medium, 2, np.random.default_rng(9))
+    with pytest.raises(OracleError):
+        riccati_residual(expand(het_medium, 1, 0, 1), points=pts, beta_cap=-1)
+
+
+@pytest.mark.parametrize("space", ["xi", "x"])
+def test_mixed_partials_from_jets_match_symbolic_derivatives(het_medium, space):
+    y = expand(het_medium, 1, 1, 1).term(-1)
+    env = _scaling_env(draw_probe_points(het_medium, 5, np.random.default_rng(8)), [1.0, 3.0])
+    dirs = _jet_directions(4)
+    if space == "xi":
+        seeds, derivative = {VarId.XI1: dirs[:, 0], VarId.XI2: dirs[:, 1]}, xi_derivative
+    else:
+        seeds, derivative = {VarId.X1: dirs[:, 0], VarId.X2: dirs[:, 1]}, x_derivative
+    (jet,) = taylor_eval([y], env, seeds, 4)
+    parts = _mixed_partials(jet, dirs, 4)
+    assert len(parts) == 15
+    for beta, got in parts.items():
+        want = eval_expr(derivative(y, beta), env) / (
+            math.factorial(beta[0]) * math.factorial(beta[1])
+        )
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), beta
+
+
+@pytest.mark.parametrize("eta", [0, 1])
+@pytest.mark.parametrize("order", [1, 2])
+def test_riccati_residual_matches_symbolic_oracle(het_medium, eta, order):
+    exp = expand(het_medium, 1, eta, order)
+    lam = np.asarray(DEFAULT_LAMBDAS)
+    for seed in (202, 11):
+        pts = draw_probe_points(het_medium, 6, np.random.default_rng(seed))
+        rep = riccati_residual(exp, points=pts)
+        want = symbolic_residual_rms(exp, pts, lam)
+        rel = np.abs(np.asarray(rep.rms) - want) / want
+        # the cancellation floor grows like lam^(order + 1) * eps
+        assert np.all(rel[lam <= 64] <= 1e-9), rel
+        assert np.all(rel <= 1e-6), rel
+        slope, _, _ = fit_loglog(lam, want)
+        assert abs(rep.slope - slope) < 5e-4
