@@ -88,10 +88,12 @@ def _read_config(path: str) -> configparser.ConfigParser:
     return cp
 
 
-def _section(cfg, name) -> dict:
-    if not cfg.has_section(name):
+def _section(cfg, name, required=False) -> dict:
+    if cfg.has_section(name):
+        return dict(cfg.items(name))
+    if required:
         raise ConfigError(f"missing required section [{name}]")
-    return dict(cfg.items(name))
+    return {}
 
 
 def _get(data: dict, key: str, default=None, cast=str):
@@ -205,7 +207,7 @@ def _load_medium_checked(cfg):
     from .expr import ParseError
     from .medium import MediumError, load_medium
 
-    sec = _section(cfg, "medium")
+    sec = _section(cfg, "medium", required=True)
     try:
         return load_medium(sec)
     except ParseError as exc:
@@ -219,7 +221,7 @@ def _load_medium_checked(cfg):
 def _load_grid(cfg):
     from .symbols import TransverseGrid
 
-    sec = dict(cfg.items("grid")) if cfg.has_section("grid") else {}
+    sec = _section(cfg, "grid")
     tau = 6.283185307179586
     return TransverseGrid(
         n=_get(sec, "n", 16, int),
@@ -229,7 +231,7 @@ def _load_grid(cfg):
 
 
 def _expansion_params(cfg):
-    sec = dict(cfg.items("expansion")) if cfg.has_section("expansion") else {}
+    sec = _section(cfg, "expansion")
     order = _get(sec, "order", 2, int)
     eta = _get(sec, "eta", 0, int)
     sign_txt = _get(sec, "sign", "both", str).strip()
@@ -243,20 +245,10 @@ def _expansion_params(cfg):
     return order, eta, signs, points
 
 
-def _probe_env(points):
-    import numpy as np
+def _load_split(m, order, eta):
+    from .expansion import expand, split_symbols
 
-    from .expr import VarId
-
-    pts = np.asarray(points, dtype=complex)
-    return {
-        VarId.X1: pts[:, 0].real,
-        VarId.X2: pts[:, 1].real,
-        VarId.X3: pts[:, 2].real,
-        VarId.XI1: pts[:, 3].real,
-        VarId.XI2: pts[:, 4].real,
-        VarId.S: pts[:, 5],
-    }
+    return split_symbols(expand(m, 1, eta, order), expand(m, -1, eta, order))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +275,7 @@ def _cmd_expand(cfg, em, seed, kind):
 
     from .expansion import expand
     from .expr import eval_expr, to_text
-    from .oracle import draw_probe_points
+    from .oracle import _probe_env, draw_probe_points
 
     m = _load_medium_checked(cfg)
     order, eta, signs, n_points = _expansion_params(cfg)
@@ -320,25 +312,27 @@ def _cmd_residual(cfg, em, seed, kind):
 
     m = _load_medium_checked(cfg)
     _, eta, signs, _ = _expansion_params(cfg)
-    sec = dict(cfg.items("residual")) if cfg.has_section("residual") else {}
+    sec = _section(cfg, "residual")
     lambdas = _get(sec, "lambdas", list(DEFAULT_LAMBDAS), _float_list)
     n_points = _get(sec, "points", 6, int)
     orders = _get(sec, "orders", [1, 2, 3], _int_list)
     sign = signs[0]
     points = draw_probe_points(m, n_points, np.random.default_rng(seed))
     rows = []
+    failed = False
     for order in orders:
         exp = expand(m, sign, eta, order)
         rep = riccati_residual(exp, points=points, lambdas=lambdas)
         for lam, rms in zip(rep.lambdas, rep.rms):
             rows.append([order, lam, rms, rep.slope])
         print(rep.describe())
+        failed = failed or not rep.passed
     em.csv("residual.csv", ["order", "lambda", "residual", "slope"], rows)
-    return 0
+    return 1 if failed else 0
 
 
 def _cmd_oracle(cfg, em, seed, kind):
-    sec = dict(cfg.items("oracle")) if cfg.has_section("oracle") else {}
+    sec = _section(cfg, "oracle")
     kind = kind or _get(sec, "kind", "", str).strip()
     if kind == "quad":
         return _oracle_quad(cfg, em, seed, sec)
@@ -436,15 +430,14 @@ def _oracle_grid(cfg, em, seed, sec):
 def _cmd_order_claim(cfg, em, seed, kind):
     import numpy as np
 
-    from .expansion import expand, split_symbols
     from .oracle import DEFAULT_LAMBDAS, draw_probe_points, order_claim_check
 
     m = _load_medium_checked(cfg)
     order, eta, _, _ = _expansion_params(cfg)
-    sec = dict(cfg.items("residual")) if cfg.has_section("residual") else {}
+    sec = _section(cfg, "residual")
     lambdas = _get(sec, "lambdas", list(DEFAULT_LAMBDAS), _float_list)
     n_points = _get(sec, "points", 6, int)
-    split = split_symbols(expand(m, 1, eta, order), expand(m, -1, eta, order))
+    split = _load_split(m, order, eta)
     points = draw_probe_points(m, n_points, np.random.default_rng(seed))
     rep = order_claim_check(split, points=points, lambdas=lambdas)
     print(rep.describe())
@@ -492,15 +485,14 @@ def _parse_norm_kind(text):
 def _cmd_normalize(cfg, em, seed, kind):
     import numpy as np
 
-    from .expansion import expand, split_symbols
-    from .expr import to_text
+    from .expr import eval_expr, to_text
     from .normalization import apply_normalization
-    from .oracle import draw_probe_points
+    from .oracle import _probe_env, draw_probe_points
 
     m = _load_medium_checked(cfg)
     order, eta, _, n_points = _expansion_params(cfg)
     spec = _parse_norm_kind(kind)
-    split = split_symbols(expand(m, 1, eta, order), expand(m, -1, eta, order))
+    split = _load_split(m, order, eta)
     out = apply_normalization(split, spec)
     env = _probe_env(draw_probe_points(m, max(n_points, 4), np.random.default_rng(seed)))
     rows = []
@@ -510,8 +502,6 @@ def _cmd_normalize(cfg, em, seed, kind):
         ("g_minus", split.g_minus, out.g_minus),
     ):
         for d in sorted(set(before.terms) | set(after.terms), reverse=True):
-            from .expr import eval_expr
-
             va = np.atleast_1d(eval_expr(before.term(d), env))
             vb = np.atleast_1d(eval_expr(after.term(d), env))
             rows.append(
@@ -543,14 +533,13 @@ def _cmd_normalize(cfg, em, seed, kind):
 def _cmd_propagate(cfg, em, seed, kind):
     import numpy as np
 
-    from .expansion import expand, split_symbols
     from .expr import ExprError, VarId, eval_expr, parse
     from .propagate import full_solve, oneway_solve
     from .symbols import random_smooth_field
 
     m = _load_medium_checked(cfg)
     grid = _load_grid(cfg)
-    sec = _section(cfg, "propagation")
+    sec = _section(cfg, "propagation", required=True)
     a = _get(sec, "a", 0.0, float)
     b = _get(sec, "b", None, float)
     steps = _get(sec, "steps", 64, int)
@@ -596,7 +585,7 @@ def _cmd_propagate(cfg, em, seed, kind):
     elif solver == "oneway":
         order, eta, _, _ = _expansion_params(cfg)
         sign = _sign_value(_get(sec, "sign", "+", str))
-        split = split_symbols(expand(m, 1, eta, order), expand(m, -1, eta, order))
+        split = _load_split(m, order, eta)
         u = initial("u")
         recs = oneway_solve(
             split,
@@ -645,7 +634,7 @@ def run(argv=None) -> int:
 
     try:
         cfg = _read_config(config_path)
-        run_sec = dict(cfg.items("run")) if cfg.has_section("run") else {}
+        run_sec = _section(cfg, "run")
         seed = args.seed if args.seed is not None else _get(run_sec, "seed", 0, int)
         out_dir = Path(args.out or _get(run_sec, "out", "out", str))
         em = _Emitter(out_dir)

@@ -48,6 +48,7 @@ from .symbols import (
     PolyhomSymbol,
     SymbolError,
     SymbolTerm,
+    _d3_symbol,
     _multi_indices,
     compose,
     compose_degree_part,
@@ -135,13 +136,16 @@ def leading_term(m: MediumSpec, sign: int) -> SymbolTerm:
 # the degree collector
 
 
-def _b_terms(m: MediumSpec, y_terms: dict) -> dict:
-    """Graded symbol of s alpha33^-1 y + i xi_mu alpha_{3 mu} alpha33^-1."""
+def _generator_terms(m: MediumSpec, y_terms: dict) -> dict:
+    """Graded generator symbol a21 y + a22, i.e.
+    s alpha33^-1 y + i xi_mu alpha_{3 mu} alpha33^-1.
+
+    Maps degree -> expression: y_j contributes at degree j + 1, and a22
+    joins the degree-1 slot.
+    """
     A = systems_symbols(m)
-    inv33s = simplify(_S * recip(m.alpha[2][2]))
-    out = {}
-    for j, yj in y_terms.items():
-        out[j + 1] = simplify(mul(inv33s, yj))
+    a21 = A.a21.term(1)
+    out = {j + 1: simplify(mul(a21, yj)) for j, yj in y_terms.items()}
     out[1] = simplify(out.get(1, ZERO) + A.a22.term(1))
     return out
 
@@ -154,7 +158,7 @@ def riccati_degree_part(m: MediumSpec, eta: int, y_terms: dict, d: int) -> Expr:
     (for d = -n) the inhomogeneity that determines y_{-n-1}.
     """
     A = systems_symbols(m)
-    acc = compose_degree_part(y_terms, _b_terms(m, y_terms), d)
+    acc = compose_degree_part(y_terms, _generator_terms(m, y_terms), d)
     acc = acc - compose_degree_part(A.a11.terms, y_terms, d)
     acc = acc - A.a12.term(d)
     if eta and d in y_terms:
@@ -343,19 +347,6 @@ class SplitSymbols:
         return self.g_plus if sign > 0 else self.g_minus
 
 
-def _g_from_expansion(exp: AdmittanceExpansion) -> PolyhomSymbol:
-    m = exp.medium
-    inv33 = recip(m.alpha[2][2])
-    a22_sym = simplify(const(1j) * (_XI1 * m.alpha[2][0] + _XI2 * m.alpha[2][1]) * inv33)
-    terms = {}
-    for t in exp.terms:
-        e = simplify(_S * inv33 * t.expr)
-        d = t.degree + 1
-        terms[d] = simplify(terms[d] + e) if d in terms else e
-    terms[1] = simplify(terms.get(1, ZERO) + a22_sym)
-    return PolyhomSymbol(terms, floor=1 - exp.order)
-
-
 def split_symbols(plus: AdmittanceExpansion, minus: AdmittanceExpansion) -> SplitSymbols:
     """Assemble the splitting symbols from the two branches."""
     if plus.sign != 1 or minus.sign != -1:
@@ -373,19 +364,12 @@ def split_symbols(plus: AdmittanceExpansion, minus: AdmittanceExpansion) -> Spli
             PolyhomSymbol({0: const(1)}, floor=floor_ell),
         ),
     )
-    d3_ell = tuple(
-        tuple(
-            PolyhomSymbol(
-                {d: simplify(diff(e, VarId.X3)) for d, e in entry.terms.items()},
-                floor=entry.low_degree,
-            )
-            for entry in row
-        )
-        for row in ell
-    )
-    g_plus = _g_from_expansion(plus)
-    g_minus = _g_from_expansion(minus)
+    d3_ell = tuple(tuple(_d3_symbol(entry) for entry in row) for row in ell)
     floor_p = 1 - order
+    g_plus, g_minus = (
+        PolyhomSymbol(_generator_terms(branch.medium, branch.term_map()), floor=floor_p)
+        for branch in (plus, minus)
+    )
     p = tuple(
         tuple(
             compose(ell[i][j], (g_plus, g_minus)[j], floor_p)

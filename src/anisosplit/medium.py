@@ -306,6 +306,37 @@ def schur(m: MediumSpec) -> SchurData:
     return m._cache("schur", build)
 
 
+@dataclass(frozen=True)
+class _Coefficients:
+    """Simplified coefficient fields of the first-order depth system.
+
+    f[mu] = alpha_{mu 3} / alpha33, g[mu] = alpha_{3 mu} / alpha33,
+    inv33 = alpha33^-1, kappa, and the Schur complement Q.
+    """
+
+    kappa: Expr
+    inv33: Expr
+    f: tuple
+    g: tuple
+    Q: tuple
+
+
+def _coefficients(m: MediumSpec) -> _Coefficients:
+    """The medium's coefficient record, built once and cached on it."""
+
+    def build():
+        inv33 = recip(m.alpha[2][2])
+        return _Coefficients(
+            kappa=simplify(m.kappa),
+            inv33=simplify(inv33),
+            f=tuple(simplify(m.alpha[mu][2] * inv33) for mu in range(2)),
+            g=tuple(simplify(m.alpha[2][mu] * inv33) for mu in range(2)),
+            Q=schur(m).Q,
+        )
+
+    return m._cache("coefficients", build)
+
+
 def _x_dependence(m: MediumSpec):
     fv = set(free_vars(m.kappa))
     for row in m.alpha:

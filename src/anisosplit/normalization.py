@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import VarId, const, diff, eval_expr, mul, neg, recip, simplify
+from .expr import VarId, const, eval_expr, mul, neg, recip, simplify
 from .expansion import SplitSymbols
-from .symbols import PolyhomSymbol, compose, compose_degree_part
+from .symbols import PolyhomSymbol, _d3_symbol, compose, compose_degree_part
 
 __all__ = [
     "NormalizationError",
@@ -115,13 +115,6 @@ class NormalizationSpec:
                 PolyhomSymbol({0: const(self.mprime)}, floor=floor),
             )
         return (split.ell[0][0], split.ell[0][1])
-
-
-def _d3_symbol(sym: PolyhomSymbol) -> PolyhomSymbol:
-    return PolyhomSymbol(
-        {d: simplify(diff(e, VarId.X3)) for d, e in sym.terms.items()},
-        floor=sym.low_degree,
-    )
 
 
 def apply_normalization_symbols(

@@ -141,9 +141,19 @@ def draw_probe_points(m: MediumSpec, count: int, rng=None):
 # residual scaling
 
 
+# Residual rms at or below this fraction of the summands' rms is float64
+# rounding of an exact cancellation (see ResidualReport.at_rounding_level).
+_ROUNDING_RTOL = 64 * np.finfo(float).eps
+
+
 @dataclass(frozen=True)
 class ResidualReport:
-    """Scaling diagnostics for the truncated admittance symbol."""
+    """Scaling diagnostics for the truncated admittance symbol.
+
+    ``term_rms`` is, per scale, the rms over probes of the summed
+    magnitudes of the equation's summands: the size of what the
+    residual cancels.
+    """
 
     order: int
     eta: int
@@ -155,36 +165,65 @@ class ResidualReport:
     fit_max_dev: float
     expected_slope: float
     slope_tol: float = 0.3
+    term_rms: tuple = ()
+
+    @property
+    def at_rounding_level(self) -> bool:
+        """True when rms <= 64 eps * term_rms at every scale.
+
+        The residual is then float64 rounding of an exact cancellation,
+        as for a homogeneous medium, whose truncated sum solves the
+        symbol equation exactly; its slope (about +1, the growth of the
+        summands) says nothing about the order. Measured: 0.6-1.1 eps on
+        the homogeneous presets and demos/example.cfg; at least 2e10 eps
+        at some scale on every heterogeneous preset through order 3.
+        """
+        return bool(self.term_rms) and all(
+            r <= _ROUNDING_RTOL * t for r, t in zip(self.rms, self.term_rms)
+        )
 
     @property
     def passed(self) -> bool:
-        return abs(self.slope - self.expected_slope) <= self.slope_tol
+        """The fitted slope matches the order, or nothing is left to fit."""
+        slope_ok = abs(self.slope - self.expected_slope) <= self.slope_tol
+        return slope_ok or self.at_rounding_level
 
     def describe(self) -> str:
         status = "ok" if self.passed else "FAIL"
+        floor = ", at float rounding level" if self.at_rounding_level else ""
         return (
             f"residual slope {self.slope:+.3f} (expected {self.expected_slope:+.1f} "
-            f"+- {self.slope_tol}), fit dev {self.fit_max_dev:.2e} [{status}]"
+            f"+- {self.slope_tol}), fit dev {self.fit_max_dev:.2e}{floor} [{status}]"
         )
 
 
-def _scaling_env(points, lambdas) -> dict:
-    """Env for probe points (x1, x2, x3, xi1, xi2, s) moved along the scaling
-    ray (x, lam xi, lam s): axis 0 runs over points, axis 1 over lambdas."""
+def _probe_env(points) -> dict:
+    """Env for probe points (x1, x2, x3, xi1, xi2, s), one entry per point."""
     pts = np.asarray(points, dtype=complex)
     if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] != 6:
         raise OracleError(
             "probe points must form a non-empty (k, 6) array of "
             f"(x1, x2, x3, xi1, xi2, s); got shape {pts.shape}"
         )
-    lam = _check_lambdas(lambdas)
     return {
-        VarId.X1: pts[:, 0].real[:, None],
-        VarId.X2: pts[:, 1].real[:, None],
-        VarId.X3: pts[:, 2].real[:, None],
-        VarId.XI1: pts[:, 3].real[:, None] * lam[None, :],
-        VarId.XI2: pts[:, 4].real[:, None] * lam[None, :],
-        VarId.S: pts[:, 5][:, None] * lam[None, :],
+        VarId.X1: pts[:, 0].real,
+        VarId.X2: pts[:, 1].real,
+        VarId.X3: pts[:, 2].real,
+        VarId.XI1: pts[:, 3].real,
+        VarId.XI2: pts[:, 4].real,
+        VarId.S: pts[:, 5],
+    }
+
+
+def _scaling_env(points, lambdas) -> dict:
+    """Env for probe points moved along the scaling ray (x, lam xi, lam s):
+    axis 0 runs over points, axis 1 over lambdas."""
+    env = _probe_env(points)
+    lam = _check_lambdas(lambdas)
+    scaled = (VarId.XI1, VarId.XI2, VarId.S)
+    return {
+        v: vals[:, None] * lam[None, :] if v in scaled else vals[:, None]
+        for v, vals in env.items()
     }
 
 
@@ -224,8 +263,9 @@ def _mixed_partials(jet: np.ndarray, dirs: np.ndarray, top: int) -> dict:
     return out
 
 
-def _residual_values(exp: AdmittanceExpansion, env: dict, beta_cap: int) -> np.ndarray:
-    """Full symbol equation applied to the plain truncated sum, per probe.
+def _residual_values(exp: AdmittanceExpansion, env: dict, beta_cap: int):
+    """Full symbol equation applied to the plain truncated sum, per probe,
+    and the summed magnitudes of its summands.
 
     R = sum_{|beta| <= beta_cap} (-i)^|beta| / beta! d_xi^beta y d_x^beta b
         - a11_1 y - (d_x1(f1 y) + d_x2(f2 y)) - a12 - eta d_x3 y
@@ -256,22 +296,28 @@ def _residual_values(exp: AdmittanceExpansion, env: dict, beta_cap: int) -> np.n
     dy = _mixed_partials(y_xi, dirs, beta_cap)
     db = _mixed_partials(b_x, dirs, beta_cap)
     acc = 0
+    size = 0
     for r in range(beta_cap + 1):
         for b1 in range(r + 1):
             beta = (b1, r - b1)
             cf = (-1j) ** r * (math.factorial(b1) * math.factorial(r - b1))
-            acc = acc + cf * (dy[beta] * db[beta])
+            term = cf * (dy[beta] * db[beta])
+            acc = acc + term
+            size = size + np.abs(term)
 
     yv = y_xi[0, 0]
-    acc = acc - eval_expr(A.a11.term(1), env) * yv
-    acc = acc - (
-        _mixed_partials(f1y_x, dirs, 1)[(1, 0)] + _mixed_partials(f2y_x, dirs, 1)[(0, 1)]
-    )
-    acc = acc - eval_expr(A.a12.term(1) + A.a12.term(0), env)
+    rest = [
+        eval_expr(A.a11.term(1), env) * yv,
+        _mixed_partials(f1y_x, dirs, 1)[(1, 0)] + _mixed_partials(f2y_x, dirs, 1)[(0, 1)],
+        eval_expr(A.a12.term(1) + A.a12.term(0), env),
+    ]
     if exp.eta:
         (y_x3,) = taylor_eval([y], env, {VarId.X3: [1.0]}, 1)
-        acc = acc - y_x3[1, 0]
-    return acc
+        rest.append(y_x3[1, 0])
+    for term in rest:
+        acc = acc - term
+        size = size + np.abs(term)
+    return acc, size
 
 
 def riccati_residual(
@@ -296,8 +342,9 @@ def riccati_residual(
         points = draw_probe_points(exp.medium, 6, rng)
     env = _scaling_env(points, lambdas)
     lam = np.asarray(lambdas, dtype=float)
-    vals = _residual_values(exp, env, beta_cap)
+    vals, size = _residual_values(exp, env, beta_cap)
     rms = np.sqrt(np.mean(np.abs(vals) ** 2, axis=0))
+    term_rms = np.sqrt(np.mean(size**2, axis=0))
     slope, intercept, dev = fit_loglog(lam, rms)
     return ResidualReport(
         order=exp.order,
@@ -309,6 +356,7 @@ def riccati_residual(
         intercept=intercept,
         fit_max_dev=dev,
         expected_slope=float(-exp.order),
+        term_rms=tuple(float(v) for v in term_rms),
     )
 
 

@@ -1,7 +1,7 @@
 """Depth evolution: the full two-component system and the split one-way
 equations.
 
-The transform-domain system is d3 F = -A(x3) F + N for F = (v3, p),
+The transform-domain system is d3 F = -A(x3) F for F = (v3, p),
 with A the 2x2 block operator quantizing the systems symbols. The full
 solver steps this with classical RK4 using exact spectral derivatives
 on the transverse torus (or, for homogeneous media, an exact per-mode
@@ -9,33 +9,30 @@ on the transverse torus (or, for homogeneous media, an exact per-mode
 quantized split generator of the chosen branch.
 
 Conventions: depth increases downward, the + branch decays with
-increasing depth for Re s > 0. Sources enter through ``build_rhs``
-which maps physical (q, f) forcing into the (v3, p) components.
+increasing depth for Re s > 0.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
-from .expr import VarId, free_vars, recip, simplify
-from .medium import MediumSpec, is_depth_independent, is_homogeneous
+from .medium import MediumSpec, _coefficients, is_depth_independent, is_homogeneous
 from .expansion import SplitSymbols
 from .oracle import _constant_value, _grid_field, quad_oracle
 from .symbols import (
     TransverseGrid,
+    _action,
     _kernel_rows,
+    _symbol_total,
     quantize_apply,
     spectral_derivative,
 )
 
 __all__ = [
     "PropagationError",
-    "Wavefield",
-    "build_rhs",
     "apply_systems_operator",
     "full_solve",
     "oneway_solve",
@@ -48,73 +45,21 @@ class PropagationError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Wavefield:
-    """One scalar grid field tagged with its role and transform point."""
-
-    values: np.ndarray
-    grid: TransverseGrid
-    component: str = "p"
-    x3: float = 0.0
-    s: complex = 1.0 + 0j
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
-        if v.shape != (self.grid.n, self.grid.n):
-            raise PropagationError(
-                f"values shape {v.shape} does not match grid {self.grid.n}"
-            )
-        object.__setattr__(self, "values", v)
-
-    def with_values(self, values, x3=None):
-        return replace(
-            self, values=values, x3=self.x3 if x3 is None else float(x3)
-        )
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
-
-
-# ---------------------------------------------------------------------------
-# coefficient fields
-
-
-def _coeff_exprs(m: MediumSpec) -> dict:
-    def build():
-        from .medium import schur
-
-        inv33 = recip(m.alpha[2][2])
-        sd = schur(m)
-        return {
-            "kappa": simplify(m.kappa),
-            "inv33": simplify(inv33),
-            "f1": simplify(m.alpha[0][2] * inv33),
-            "f2": simplify(m.alpha[1][2] * inv33),
-            "g1": simplify(m.alpha[2][0] * inv33),
-            "g2": simplify(m.alpha[2][1] * inv33),
-            "Q": sd.Q,
-            "alpha": m.alpha,
-        }
-
-    return m._cache("coeff_exprs", build)
-
-
 def apply_systems_operator(m: MediumSpec, grid: TransverseGrid, s, x3, v3, p):
     """A(x3) applied to (v3, p) with exact spectral transverse derivatives."""
     s = complex(s)
-    c = _coeff_exprs(m)
+    c = _coefficients(m)
     v3 = np.asarray(v3, dtype=np.complex128)
     p = np.asarray(p, dtype=np.complex128)
 
     d1p = spectral_derivative(p, grid, 1)
     d2p = spectral_derivative(p, grid, 2)
-    flux1 = _grid_field(c["Q"][0][0], grid, x3) * d1p + _grid_field(c["Q"][0][1], grid, x3) * d2p
-    flux2 = _grid_field(c["Q"][1][0], grid, x3) * d1p + _grid_field(c["Q"][1][1], grid, x3) * d2p
+    flux1 = _grid_field(c.Q[0][0], grid, x3) * d1p + _grid_field(c.Q[0][1], grid, x3) * d2p
+    flux2 = _grid_field(c.Q[1][0], grid, x3) * d1p + _grid_field(c.Q[1][1], grid, x3) * d2p
     r1 = (
-        spectral_derivative(_grid_field(c["f1"], grid, x3) * v3, grid, 1)
-        + spectral_derivative(_grid_field(c["f2"], grid, x3) * v3, grid, 2)
-        + s * _grid_field(c["kappa"], grid, x3) * p
+        spectral_derivative(_grid_field(c.f[0], grid, x3) * v3, grid, 1)
+        + spectral_derivative(_grid_field(c.f[1], grid, x3) * v3, grid, 2)
+        + s * _grid_field(c.kappa, grid, x3) * p
         - (
             spectral_derivative(flux1, grid, 1)
             + spectral_derivative(flux2, grid, 2)
@@ -122,46 +67,77 @@ def apply_systems_operator(m: MediumSpec, grid: TransverseGrid, s, x3, v3, p):
         / s
     )
     r2 = (
-        s * _grid_field(c["inv33"], grid, x3) * v3
-        + _grid_field(c["g1"], grid, x3) * d1p
-        + _grid_field(c["g2"], grid, x3) * d2p
+        s * _grid_field(c.inv33, grid, x3) * v3
+        + _grid_field(c.g[0], grid, x3) * d1p
+        + _grid_field(c.g[1], grid, x3) * d2p
     )
     return r1, r2
 
 
-def build_rhs(m: MediumSpec, grid: TransverseGrid, s, x3, q=None, f=None):
-    """Map physical forcing (q, f1, f2, f3) to the (v3, p) source pair.
+# ---------------------------------------------------------------------------
+# depth marching
 
-    q is the injection-rate term and f the force density; either may be
-    None (zero). Returns (n1, n2) to be added to the right side of
-    d3 F = -A F + N.
-    """
-    s = complex(s)
-    zero = np.zeros((grid.n, grid.n), dtype=np.complex128)
-    q = zero if q is None else np.asarray(q, dtype=np.complex128)
-    fs = [zero, zero, zero]
-    if f is not None:
-        fs = [zero if fi is None else np.asarray(fi, dtype=np.complex128) for fi in f]
-        if len(fs) != 3:
-            raise PropagationError("f must have three components")
-    c = _coeff_exprs(m)
-    alpha = c["alpha"]
 
-    def afield(i, j):
-        return _grid_field(alpha[i][j], grid, x3)
+def _segments(a: float, b: float, record):
+    depths = [float(a), float(b)]
+    if record:
+        lo, hi = min(a, b), max(a, b)
+        for d in record:
+            d = float(d)
+            if not lo - 1e-12 <= d <= hi + 1e-12:
+                raise PropagationError(f"record depth {d} outside [{lo}, {hi}]")
+            depths.append(d)
+    uniq = sorted(set(depths), reverse=b < a)
+    return uniq
 
-    row1 = sum(afield(0, k) * fs[k] for k in range(3))
-    row2 = sum(afield(1, k) * fs[k] for k in range(3))
-    v2 = sum(afield(2, k) * fs[k] for k in range(3))
-    w = q - (
-        spectral_derivative(row1, grid, 1) + spectral_derivative(row2, grid, 2)
-    ) / s
-    n1 = w + (
-        spectral_derivative(_grid_field(c["f1"], grid, x3) * v2, grid, 1)
-        + spectral_derivative(_grid_field(c["f2"], grid, x3) * v2, grid, 2)
+
+def _guard(fields, base):
+    norm = np.max([np.linalg.norm(f) for f in fields])
+    if not np.isfinite(norm) or norm > 1e8 * base:
+        raise PropagationError("field norm blew up during depth stepping")
+
+
+def _rk4_step(rhs, x3, h, fields):
+    """One classical RK4 step of d3 F = -rhs(x3, F) over a tuple of arrays."""
+    k1 = rhs(x3, fields)
+    k2 = rhs(x3 + h / 2, tuple(f - h / 2 * k for f, k in zip(fields, k1)))
+    k3 = rhs(x3 + h / 2, tuple(f - h / 2 * k for f, k in zip(fields, k2)))
+    k4 = rhs(x3 + h, tuple(f - h * k for f, k in zip(fields, k3)))
+    return tuple(
+        f - h / 6 * (q1 + 2 * q2 + 2 * q3 + q4)
+        for f, q1, q2, q3, q4 in zip(fields, k1, k2, k3, k4)
     )
-    n2 = _grid_field(c["inv33"], grid, x3) * v2
-    return n1, n2
+
+
+def _march(fields, a, b, record, steps, rhs=None, propagator=None):
+    """Carry a tuple of grid fields from depth a to depth b.
+
+    The interval is cut at the record depths. Each segment is crossed
+    either by ``propagator(d0, d1, fields)`` in one step or, with
+    ``rhs``, by classical RK4 steps, ``steps`` of them shared among the
+    segments in proportion to their length. The field norm is guarded
+    after every step. Returns [(x3, *fields)] at a, the record depths,
+    and b.
+    """
+    fields = tuple(np.array(f, dtype=np.complex128) for f in fields)
+    base = np.max([np.linalg.norm(f) for f in fields]) + 1.0
+    depths = _segments(a, b, record)
+    out = [(depths[0], *fields)]
+    total = abs(b - a)
+    for d0, d1 in zip(depths, depths[1:]):
+        if propagator is not None:
+            fields = propagator(d0, d1, fields)
+            _guard(fields, base)
+        else:
+            seg_steps = max(1, round(steps * abs(d1 - d0) / total)) if total else 1
+            h = (d1 - d0) / seg_steps
+            x3 = d0
+            for _ in range(seg_steps):
+                fields = _rk4_step(rhs, x3, h, fields)
+                x3 += h
+                _guard(fields, base)
+        out.append((d1, *fields))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +170,14 @@ def _expm2x2(B: np.ndarray) -> np.ndarray:
 
 def _mode_matrices(m: MediumSpec, grid: TransverseGrid, s: complex) -> np.ndarray:
     """Per-mode 2x2 systems matrices of a homogeneous medium, shape (n*n, 2, 2)."""
-    c = _coeff_exprs(m)
+    c = _coefficients(m)
     W1g, W2g = grid.xi_mesh()
     x1, x2 = W1g.ravel(), W2g.ravel()
-    f1, f2 = _constant_value(c["f1"], m), _constant_value(c["f2"], m)
-    g1, g2 = _constant_value(c["g1"], m), _constant_value(c["g2"], m)
-    inv33 = _constant_value(c["inv33"], m)
-    kap = _constant_value(c["kappa"], m)
-    Q = [[_constant_value(c["Q"][i][j], m) for j in range(2)] for i in range(2)]
+    f1, f2 = (_constant_value(e, m) for e in c.f)
+    g1, g2 = (_constant_value(e, m) for e in c.g)
+    inv33 = _constant_value(c.inv33, m)
+    kap = _constant_value(c.kappa, m)
+    Q = [[_constant_value(c.Q[i][j], m) for j in range(2)] for i in range(2)]
     qform = Q[0][0] * x1 * x1 + (Q[0][1] + Q[1][0]) * x1 * x2 + Q[1][1] * x2 * x2
     A = np.zeros((x1.size, 2, 2), dtype=np.complex128)
     A[:, 0, 0] = 1j * (x1 * f1 + x2 * f2)
@@ -209,19 +185,6 @@ def _mode_matrices(m: MediumSpec, grid: TransverseGrid, s: complex) -> np.ndarra
     A[:, 1, 0] = s * inv33
     A[:, 1, 1] = 1j * (x1 * g1 + x2 * g2)
     return A
-
-
-def _segments(a: float, b: float, record):
-    depths = [float(a), float(b)]
-    if record:
-        lo, hi = min(a, b), max(a, b)
-        for d in record:
-            d = float(d)
-            if not lo - 1e-12 <= d <= hi + 1e-12:
-                raise PropagationError(f"record depth {d} outside [{lo}, {hi}]")
-            depths.append(d)
-    uniq = sorted(set(depths), reverse=b < a)
-    return uniq
 
 
 def full_solve(
@@ -254,54 +217,25 @@ def full_solve(
     if method == "auto":
         method = "exact" if is_homogeneous(m) else "rk4"
 
-    v3 = np.asarray(v3, dtype=np.complex128).copy()
-    p = np.asarray(p, dtype=np.complex128).copy()
-    base = max(np.linalg.norm(v3), np.linalg.norm(p)) + 1.0
-    depths = _segments(a, b, record)
-    out = [(depths[0], v3.copy(), p.copy())]
-    total = abs(b - a)
+    if method == "rk4":
 
-    if method == "exact":
-        modes = _mode_matrices(m, grid, s)
-        for d0, d1 in zip(depths, depths[1:]):
-            E = _expm2x2(-(d1 - d0) * modes)
-            vh = np.fft.fft2(v3).ravel()
-            ph = np.fft.fft2(p).ravel()
-            vh, ph = (
-                E[:, 0, 0] * vh + E[:, 0, 1] * ph,
-                E[:, 1, 0] * vh + E[:, 1, 1] * ph,
-            )
-            v3 = np.fft.ifft2(vh.reshape(grid.n, grid.n))
-            p = np.fft.ifft2(ph.reshape(grid.n, grid.n))
-            _guard(v3, p, base)
-            out.append((d1, v3.copy(), p.copy()))
-        return out
+        def systems(x3, fields):
+            return apply_systems_operator(m, grid, s, x3, *fields)
 
-    for d0, d1 in zip(depths, depths[1:]):
-        seg_steps = max(1, round(steps * abs(d1 - d0) / total)) if total else 1
-        h = (d1 - d0) / seg_steps
-        x3 = d0
-        for _ in range(seg_steps):
-            k1 = apply_systems_operator(m, grid, s, x3, v3, p)
-            k2 = apply_systems_operator(
-                m, grid, s, x3 + h / 2, v3 - h / 2 * k1[0], p - h / 2 * k1[1]
-            )
-            k3 = apply_systems_operator(
-                m, grid, s, x3 + h / 2, v3 - h / 2 * k2[0], p - h / 2 * k2[1]
-            )
-            k4 = apply_systems_operator(m, grid, s, x3 + h, v3 - h * k3[0], p - h * k3[1])
-            v3 = v3 - h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            p = p - h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            x3 += h
-            _guard(v3, p, base)
-        out.append((d1, v3.copy(), p.copy()))
-    return out
+        return _march((v3, p), a, b, record, steps, rhs=systems)
 
+    modes = _mode_matrices(m, grid, s)
 
-def _guard(v3, p, base):
-    norm = max(np.linalg.norm(v3), np.linalg.norm(p))
-    if not np.isfinite(norm) or norm > 1e8 * base:
-        raise PropagationError("field norm blew up during depth stepping")
+    def exact(d0, d1, fields):
+        E = _expm2x2(-(d1 - d0) * modes)
+        vh, ph = (np.fft.fft2(f).ravel() for f in fields)
+        vh, ph = (
+            E[:, 0, 0] * vh + E[:, 0, 1] * ph,
+            E[:, 1, 0] * vh + E[:, 1, 1] * ph,
+        )
+        return tuple(np.fft.ifft2(f.reshape(grid.n, grid.n)) for f in (vh, ph))
+
+    return _march((v3, p), a, b, record, steps, propagator=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -385,54 +319,30 @@ def oneway_solve(
     if steps < 1:
         raise PropagationError("steps must be positive")
 
-    u = np.asarray(u, dtype=np.complex128).copy()
-    base = np.linalg.norm(u) + 1.0
-    depths = _segments(a, b, record)
-    out = [(depths[0], u.copy())]
-    total = abs(b - a)
+    cache = _KernelCache(g, grid, s)
     depth_free = is_depth_independent(split.medium)
 
+    def kernel(x3):
+        return cache.at(0.0 if depth_free else x3)
+
     if method == "expmid":
-        cache = _KernelCache(g, grid, s)
-        for d0, d1 in zip(depths, depths[1:]):
-            mid = 0.0 if depth_free else 0.5 * (d0 + d1)
-            E = scipy.linalg.expm(-(d1 - d0) * cache.at(mid))
-            u = (E @ u.ravel()).reshape(grid.n, grid.n)
-            _guard_one(u, base)
-            out.append((d1, u.copy()))
-        return out
 
-    cache = _KernelCache(g, grid, s)
-    fv = free_vars(simplify(g.total()))
-    fast = not (fv & {VarId.X1, VarId.X2}) or not (fv & {VarId.XI1, VarId.XI2})
+        def expmid(d0, d1, fields):
+            E = scipy.linalg.expm(-(d1 - d0) * kernel(0.5 * (d0 + d1)))
+            return ((E @ fields[0].ravel()).reshape(grid.n, grid.n),)
 
-    def act(x3, field):
+        return _march((u,), a, b, record, steps, propagator=expmid)
+
+    fast = _action(_symbol_total(g)) != "kernel"
+
+    def act(x3, fields):
+        (field,) = fields
         if fast:
             # pointwise or pure-multiplier symbol: cheaper than a kernel matrix
-            return quantize_apply(g, field, grid, x3, s)
-        mat = cache.at(0.0 if depth_free else x3)
-        return (mat @ field.ravel()).reshape(field.shape)
+            return (quantize_apply(g, field, grid, x3, s),)
+        return ((kernel(x3) @ field.ravel()).reshape(field.shape),)
 
-    for d0, d1 in zip(depths, depths[1:]):
-        seg_steps = max(1, round(steps * abs(d1 - d0) / total)) if total else 1
-        h = (d1 - d0) / seg_steps
-        x3 = d0
-        for _ in range(seg_steps):
-            k1 = act(x3, u)
-            k2 = act(x3 + h / 2, u - h / 2 * k1)
-            k3 = act(x3 + h / 2, u - h / 2 * k2)
-            k4 = act(x3 + h, u - h * k3)
-            u = u - h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            x3 += h
-            _guard_one(u, base)
-        out.append((d1, u.copy()))
-    return out
-
-
-def _guard_one(u, base):
-    norm = np.linalg.norm(u)
-    if not np.isfinite(norm) or norm > 1e8 * base:
-        raise PropagationError("field norm blew up during one-way stepping")
+    return _march((u,), a, b, record, steps, rhs=act)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .expr import (
     simplify,
     variable,
 )
-from .medium import MediumSpec, schur
+from .medium import MediumSpec, _coefficients, schur
 
 __all__ = [
     "SymbolTerm",
@@ -193,6 +193,14 @@ def x_derivative(e: Expr, beta) -> Expr:
     return e
 
 
+def _d3_symbol(sym: PolyhomSymbol) -> PolyhomSymbol:
+    """Termwise depth derivative d/dx3 (degrees and floor unchanged)."""
+    return PolyhomSymbol(
+        {d: simplify(diff(e, VarId.X3)) for d, e in sym.terms.items()},
+        floor=sym.low_degree,
+    )
+
+
 def _multi_indices(total):
     return [(i, total - i) for i in range(total + 1)]
 
@@ -245,36 +253,41 @@ def systems_symbols(m: MediumSpec) -> SymbolMatrix22:
 
     Exactly six homogeneous components are nonzero in general:
     a11 degree 1 and 0, a12 degree 1 and 0, a21 degree 1, a22 degree 1.
-    For homogeneous media the degree-0 pieces fold away to empty.
+    For homogeneous media the degree-0 pieces fold away to empty. Built
+    once per medium from its coefficient record and cached on it.
     """
-    xi1, xi2, s = variable(VarId.XI1), variable(VarId.XI2), variable(VarId.S)
-    inv33 = recip(m.alpha[2][2])
-    i = const(1j)
 
-    f1 = simplify(m.alpha[0][2] * inv33)  # alpha_{13}/alpha_33
-    f2 = simplify(m.alpha[1][2] * inv33)
-    a11_1 = simplify(i * (xi1 * f1 + xi2 * f2))
-    a11_0 = simplify(diff(f1, VarId.X1) + diff(f2, VarId.X2))
+    def build():
+        xi1, xi2, s = variable(VarId.XI1), variable(VarId.XI2), variable(VarId.S)
+        c = _coefficients(m)
+        i = const(1j)
 
-    sd = schur(m)
-    qform = ZERO
-    for mu in range(2):
-        for nu in range(2):
-            xim = xi1 if mu == 0 else xi2
-            xin = xi1 if nu == 0 else xi2
-            qform = qform + sd.Q[mu][nu] * xim * xin
-    a12_1 = simplify(s * m.kappa + recip(s) * qform)
-    a12_0 = simplify(const(-1) * recip(s) * i * (sd.dQ[0] * xi1 + sd.dQ[1] * xi2))
+        a11_1 = simplify(i * (xi1 * c.f[0] + xi2 * c.f[1]))
+        a11_0 = simplify(diff(c.f[0], VarId.X1) + diff(c.f[1], VarId.X2))
 
-    a21_1 = simplify(s * inv33)
-    a22_1 = simplify(i * (xi1 * m.alpha[2][0] + xi2 * m.alpha[2][1]) * inv33)
+        dQ = schur(m).dQ
+        qform = ZERO
+        for mu in range(2):
+            for nu in range(2):
+                xim = xi1 if mu == 0 else xi2
+                xin = xi1 if nu == 0 else xi2
+                qform = qform + c.Q[mu][nu] * xim * xin
+        a12_1 = simplify(s * c.kappa + recip(s) * qform)
+        a12_0 = simplify(const(-1) * recip(s) * i * (dQ[0] * xi1 + dQ[1] * xi2))
 
-    return SymbolMatrix22(
-        a11=PolyhomSymbol({1: a11_1, 0: a11_0}, floor=0),
-        a12=PolyhomSymbol({1: a12_1, 0: a12_0}, floor=0),
-        a21=PolyhomSymbol({1: a21_1}, floor=1),
-        a22=PolyhomSymbol({1: a22_1}, floor=1),
-    )
+        a21_1 = simplify(s * c.inv33)
+        # one inv33 factor outside the sum, not i xi_mu g_mu: the expansion
+        # terms, and so the text `anisosplit expand` writes, follow this form
+        a22_1 = simplify(i * (xi1 * m.alpha[2][0] + xi2 * m.alpha[2][1]) * c.inv33)
+
+        return SymbolMatrix22(
+            a11=PolyhomSymbol({1: a11_1, 0: a11_0}, floor=0),
+            a12=PolyhomSymbol({1: a12_1, 0: a12_0}, floor=0),
+            a21=PolyhomSymbol({1: a21_1}, floor=1),
+            a22=PolyhomSymbol({1: a22_1}, floor=1),
+        )
+
+    return m._cache("systems_symbols", build)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +349,18 @@ def _symbol_total(sym) -> Expr:
     for e in _term_exprs(sym):
         acc = acc + e
     return acc
+
+
+def _action(total: Expr) -> str:
+    """How a symbol with this total acts on grid fields: "pointwise" when
+    it is free of xi, "multiplier" (a Fourier multiplier) when it is free
+    of x, else "kernel" (the dense quantization kernel)."""
+    fv = free_vars(total)
+    if not (fv & {VarId.XI1, VarId.XI2}):
+        return "pointwise"
+    if not (fv & {VarId.X1, VarId.X2}):
+        return "multiplier"
+    return "kernel"
 
 
 # Entries per row block of a kernel build: small enough that the block's
@@ -401,29 +426,27 @@ def _hat(values, grid):
 def quantize_apply(sym, field, grid: TransverseGrid, x3, s):
     """Apply the quantized symbol to a grid field or a stack of them.
 
-    ``field`` is an (n, n) complex array, a (k, n, n) stack of k fields
-    (the dense kernel is then built once for all of them), or an object
-    with an (n, n) ``values`` array, returned in kind. Fast paths: a
+    ``field`` is an (n, n) complex array or a (k, n, n) stack of k fields
+    (the dense kernel is then built once for all of them). Fast paths: a
     symbol free of xi acts by pointwise multiplication, one free of x by
     a Fourier multiplier; the general case goes through the dense
     kernel. All paths project out the Nyquist row/column of the input
     spectrum first.
     """
-    wrapped = hasattr(field, "values") and not isinstance(field, np.ndarray)
-    values = np.asarray(field.values if wrapped else field, dtype=np.complex128)
+    values = np.asarray(field, dtype=np.complex128)
     n = grid.n
     if values.shape[-2:] != (n, n) or values.ndim not in (2, 3):
         raise SymbolError(f"field shape {values.shape} does not match grid {n}")
     total = _symbol_total(sym)
-    fv = free_vars(total)
+    action = _action(total)
     uhat = _hat(values, grid)
 
-    if not (fv & {VarId.XI1, VarId.XI2}):
+    if action == "pointwise":
         X1g, X2g = grid.x_mesh()
         env = {VarId.X1: X1g, VarId.X2: X2g, VarId.X3: complex(x3), VarId.S: complex(s)}
         coeff = np.broadcast_to(np.asarray(eval_expr(total, env)), values.shape)
         out = coeff * np.fft.ifft2(uhat)
-    elif not (fv & {VarId.X1, VarId.X2}):
+    elif action == "multiplier":
         W1g, W2g = grid.xi_mesh()
         env = {VarId.XI1: W1g, VarId.XI2: W2g, VarId.X3: complex(x3), VarId.S: complex(s)}
         mult = np.broadcast_to(np.asarray(eval_expr(total, env)), values.shape)
@@ -431,11 +454,6 @@ def quantize_apply(sym, field, grid: TransverseGrid, x3, s):
     else:
         mat = quantize_matrix(sym, grid, x3, s)
         out = (mat @ uhat.reshape(-1, n * n).T).T.reshape(values.shape)
-
-    if wrapped:
-        return field.__class__(
-            values=out, grid=grid, component=field.component, x3=field.x3, s=field.s
-        )
     return out
 
 

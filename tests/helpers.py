@@ -8,22 +8,9 @@ import numpy as np
 
 from anisosplit import VarId, const, diff, eval_expr, simplify, systems_symbols, variable
 from anisosplit.expr import ZERO, mul, recip
-from anisosplit.oracle import _scaling_env
+from anisosplit.oracle import _probe_env as probe_env, _scaling_env
 
 _S = variable(VarId.S)
-
-
-def probe_env(points) -> dict:
-    """Vectorized environment for a list of (x1, x2, x3, xi1, xi2, s)."""
-    pts = np.asarray(points, dtype=complex)
-    return {
-        VarId.X1: pts[:, 0].real,
-        VarId.X2: pts[:, 1].real,
-        VarId.X3: pts[:, 2].real,
-        VarId.XI1: pts[:, 3].real,
-        VarId.XI2: pts[:, 4].real,
-        VarId.S: pts[:, 5],
-    }
 
 
 def eval_at(expr, points) -> np.ndarray:

@@ -173,6 +173,24 @@ def test_residual_through_order_three(tmp_path):
         assert abs(float(r[3]) + int(r[0])) <= 0.3
 
 
+def test_residual_example_config_passes(tmp_path, capsys):
+    example = Path(__file__).resolve().parents[1] / "demos" / "example.cfg"
+    assert run(["residual", str(example), "--out", str(tmp_path / "o")]) == 0
+    out = capsys.readouterr().out
+    assert "[FAIL]" not in out and out.count("[ok]") == 2
+
+
+def test_residual_failed_check_exits_one(tmp_path, monkeypatch):
+    from anisosplit.oracle import ResidualReport
+
+    monkeypatch.setattr(ResidualReport, "passed", property(lambda self: False))
+    out = tmp_path / "o"
+    assert run(["residual", _cfg(tmp_path, HET), "--out", str(out)]) == 1
+    man, outs = _outputs(out)
+    assert man["status"] == "failed"
+    assert "residual.csv" in outs
+
+
 def test_oracle_quad_on_heterogeneous_fails(tmp_path):
     code = run(["oracle", "quad", _cfg(tmp_path, HET), "--out", str(tmp_path / "o")])
     assert code == 1

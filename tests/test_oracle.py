@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -82,6 +83,32 @@ def test_residual_report_describe(het_medium):
     )
     text = rep.describe()
     assert "slope" in text
+
+
+def test_residual_of_exact_sum_passes_at_rounding_level(hom_medium):
+    # homogeneous medium: the truncated sum solves the equation exactly, so
+    # the residual is rounding that grows like the summands (slope +1)
+    pts = draw_probe_points(hom_medium, 4, np.random.default_rng(5))
+    rep = riccati_residual(expand(hom_medium, 1, 0, 2), points=pts, lambdas=[4.0, 16.0, 64.0])
+    assert rep.slope == pytest.approx(1.0, abs=0.01)
+    assert rep.at_rounding_level
+    assert rep.passed
+    assert "rounding" in rep.describe() and "[ok]" in rep.describe()
+
+
+def test_rounding_rule_does_not_excuse_a_real_residual(het_medium):
+    pts = draw_probe_points(het_medium, 4, np.random.default_rng(4))
+    rep = riccati_residual(expand(het_medium, 1, 1, 1), points=pts, lambdas=[4.0, 16.0, 64.0])
+    assert not rep.at_rounding_level
+    bad = replace(rep, expected_slope=-3.0)
+    assert not bad.passed
+    assert "[FAIL]" in bad.describe()
+    # the rule holds only when every scale is at rounding level
+    eps = np.finfo(float).eps
+    mixed = replace(bad, rms=(eps, eps, 1e-3), term_rms=(1.0, 1.0, 1.0))
+    assert not mixed.at_rounding_level
+    assert replace(mixed, rms=(eps, eps, eps)).passed
+    assert not replace(mixed, term_rms=()).at_rounding_level
 
 
 def test_quad_oracle_matches_numpy_roots(hom_medium):

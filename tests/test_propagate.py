@@ -4,9 +4,7 @@ import pytest
 from anisosplit import (
     PropagationError,
     TransverseGrid,
-    Wavefield,
     apply_systems_operator,
-    build_rhs,
     decompose_homogeneous,
     full_solve,
     oneway_solve,
@@ -27,62 +25,6 @@ TAU = 2 * np.pi
 @pytest.fixture(scope="module")
 def grid8():
     return TransverseGrid(8, TAU, TAU)
-
-
-def test_wavefield_shape_check(grid8):
-    with pytest.raises(PropagationError):
-        Wavefield(values=np.zeros((4, 4)), grid=grid8)
-    w = Wavefield(values=np.zeros((8, 8)), grid=grid8, component="v3")
-    assert w.values.dtype == np.complex128
-    assert w.norm == 0.0
-    w2 = w.with_values(np.ones((8, 8)), x3=0.5)
-    assert w2.x3 == 0.5
-    assert w2.component == "v3"
-
-
-def test_wavefield_round_trips_through_quantize(grid8):
-    rng = np.random.default_rng(1)
-    w = Wavefield(values=random_smooth_field(grid8, rng), grid=grid8, s=1.2 + 0.1j)
-    from anisosplit import parse
-
-    out = quantize_apply(parse("sin(x1)"), w, grid8, 0.0, w.s)
-    assert isinstance(out, Wavefield)
-    assert out.component == w.component
-    X1g, _ = grid8.x_mesh()
-    assert field_rel(out.values, np.sin(X1g) * w.values) <= 1e-12
-
-
-def test_build_rhs_injection_only_passes_through(grid8):
-    m = presets.unit_isotropic()
-    rng = np.random.default_rng(2)
-    q = random_smooth_field(grid8, rng)
-    n1, n2 = build_rhs(m, grid8, 1.3 + 0.2j, 0.0, q=q)
-    assert field_rel(n1, q) <= 1e-14
-    assert np.max(np.abs(n2)) == 0.0
-
-
-def test_build_rhs_vertical_force_unit_medium(grid8):
-    # alpha = I: f3 contributes only v2 = f3, so n1 = 0, n2 = f3
-    m = presets.unit_isotropic()
-    rng = np.random.default_rng(3)
-    f3 = random_smooth_field(grid8, rng)
-    n1, n2 = build_rhs(m, grid8, 1.0, 0.0, f=(None, None, f3))
-    assert np.max(np.abs(n1)) <= 1e-14
-    assert field_rel(n2, f3) <= 1e-14
-
-
-def test_build_rhs_transverse_force_is_divergence(grid8):
-    # alpha = I: f1 enters as -s^-1 d1 f1 in the first slot only
-    m = presets.unit_isotropic()
-    s = 1.7 - 0.4j
-    rng = np.random.default_rng(4)
-    f1 = random_smooth_field(grid8, rng)
-    n1, n2 = build_rhs(m, grid8, s, 0.0, f=(f1, None, None))
-    from anisosplit import spectral_derivative
-
-    want = -spectral_derivative(f1, grid8, 1) / s
-    assert field_rel(n1, want) <= 1e-13
-    assert np.max(np.abs(n2)) == 0.0
 
 
 def test_apply_systems_operator_matches_mode_matrices(grid8):
@@ -268,3 +210,69 @@ def test_rk4_blowup_guard(grid8):
     p = random_smooth_field(grid8, rng)
     with pytest.raises(PropagationError, match="blew up|blow|diverg"):
         full_solve(m, grid8, 30.0, v3, p, 0.0, 100.0, steps=8, method="rk4")
+
+
+@pytest.mark.parametrize("method", ["rk4", "expmid"])
+def test_oneway_records_requested_depths(grid8, hom_split, method):
+    rng = np.random.default_rng(17)
+    u = random_smooth_field(grid8, rng)
+    recs = oneway_solve(
+        hom_split, 1, grid8, 1.2, u, 0.0, 0.5, steps=10, method=method, record=[0.3, 0.1]
+    )
+    assert [r[0] for r in recs] == [0.0, 0.1, 0.3, 0.5]
+    assert all(len(r) == 2 and r[1].shape == (8, 8) for r in recs)
+    assert field_rel(recs[0][1], u) == 0.0
+    with pytest.raises(PropagationError):
+        oneway_solve(hom_split, 1, grid8, 1.2, u, 0.0, 0.5, method=method, record=[0.7])
+
+
+@pytest.mark.parametrize("method", ["rk4", "expmid"])
+def test_oneway_blowup_guard(grid8, hom_split, method):
+    # the up-going generator has negative real part, so marching it down
+    # grows the field like exp(|Re G| x3); the guard must trip
+    rng = np.random.default_rng(18)
+    u = random_smooth_field(grid8, rng)
+    with pytest.raises(PropagationError, match="blew up"):
+        oneway_solve(hom_split, -1, grid8, 30.0, u, 0.0, 1.0, steps=8, method=method)
+
+
+def _reference_rk4(rhs, u, a, b, steps):
+    # reference: classical RK4 written out for one array, one segment
+    h = (b - a) / steps
+    x3 = a
+    for _ in range(steps):
+        k1 = rhs(x3, u)
+        k2 = rhs(x3 + h / 2, u - h / 2 * k1)
+        k3 = rhs(x3 + h / 2, u - h / 2 * k2)
+        k4 = rhs(x3 + h, u - h * k3)
+        u = u - h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        x3 += h
+    return u
+
+
+def test_shared_rk4_is_bit_identical_to_per_solver_loops(grid8, het_split):
+    m = het_split.medium
+    s = 2.0 + 0.5j
+    rng = np.random.default_rng(19)
+    v3 = random_smooth_field(grid8, rng)
+    p = random_smooth_field(grid8, rng)
+
+    def systems(x3, f):
+        return np.stack(apply_systems_operator(m, grid8, s, x3, f[0], f[1]))
+
+    want = _reference_rk4(systems, np.stack([v3, p]), 0.0, 0.3, 6)
+    _, vg, pg = full_solve(m, grid8, s, v3, p, 0.0, 0.3, steps=6, method="rk4")[-1]
+    assert np.array_equal(np.stack([vg, pg]), want)
+
+    g = het_split.g_symbol(1)
+    u = random_smooth_field(grid8, rng)
+    kernels = {}
+
+    def one_way(x3, f):
+        if x3 not in kernels:
+            kernels[x3] = _physical_kernel(g, grid8, x3, s)
+        return (kernels[x3] @ f.ravel()).reshape(f.shape)
+
+    want = _reference_rk4(one_way, u, 0.0, 0.3, 6)
+    _, got = oneway_solve(het_split, 1, grid8, s, u, 0.0, 0.3, steps=6, method="rk4")[-1]
+    assert np.array_equal(got, want)
