@@ -316,18 +316,18 @@ def _cmd_residual(cfg, em, seed, kind):
     lambdas = _get(sec, "lambdas", list(DEFAULT_LAMBDAS), _float_list)
     n_points = _get(sec, "points", 6, int)
     orders = _get(sec, "orders", [1, 2, 3], _int_list)
-    sign = signs[0]
     points = draw_probe_points(m, n_points, np.random.default_rng(seed))
     rows = []
     failed = False
-    for order in orders:
-        exp = expand(m, sign, eta, order)
-        rep = riccati_residual(exp, points=points, lambdas=lambdas)
-        for lam, rms in zip(rep.lambdas, rep.rms):
-            rows.append([order, lam, rms, rep.slope])
-        print(rep.describe())
-        failed = failed or not rep.passed
-    em.csv("residual.csv", ["order", "lambda", "residual", "slope"], rows)
+    for sign in signs:
+        for order in orders:
+            exp = expand(m, sign, eta, order)
+            rep = riccati_residual(exp, points=points, lambdas=lambdas)
+            for lam, rms in zip(rep.lambdas, rep.rms):
+                rows.append([order, lam, rms, rep.slope, sign])
+            print(f"sign {sign:+d} order {order}: {rep.describe()}")
+            failed = failed or not rep.passed
+    em.csv("residual.csv", ["order", "lambda", "residual", "slope", "sign"], rows)
     return 1 if failed else 0
 
 

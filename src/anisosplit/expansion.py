@@ -3,14 +3,13 @@
 The admittance operator maps the pressure trace to the vertical velocity
 trace and satisfies an operator Riccati equation driven by the 2x2
 systems symbols. Its symbol y has a polyhomogeneous expansion
-y ~ y_0 + y_-1 + ... with y_d homogeneous of degree d in (xi, s). This
-module builds the expansion two independent ways:
-
-* a generic degree collector that extracts the degree -n part of the
-  full symbol equation and solves for the next term (the ground truth
-  used by ``expand``), and
-* the boxed closed-form recursion (``closed_form_step``), kept as a
-  cross-check.
+y ~ y_0 + y_-1 + ... with y_d homogeneous of degree d in (xi, s). A
+generic degree collector extracts the degree -n part of the full symbol
+equation and solves for the next term. ``expand`` runs it on
+``SymbolForm``s, sums of rho^(d/2) P_d with rho = s^2 kappa + Qt xi.xi
+and P_d free of rho^(1/2): the recursion never differentiates a square
+root, and each term's expression is built once, when its form is
+lowered. The step functions also accept and return plain expressions.
 
 The switch eta in {0, 1} selects the approximate (eta=0, depth
 derivative of the splitting dropped) or true-amplitude (eta=1)
@@ -25,7 +24,8 @@ real part, i.e. exp(-x3 G^+) decays with increasing depth.
 
 from __future__ import annotations
 
-import math
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .expr import (
@@ -33,29 +33,25 @@ from .expr import (
     VarId,
     ZERO,
     const,
-    diff,
-    ipow,
-    mul,
-    neg,
     node_count,
     recip,
     simplify,
     sqrt_,
     variable,
 )
-from .medium import MediumSpec, schur
+from .medium import MediumSpec
 from .symbols import (
     PolyhomSymbol,
-    SymbolError,
+    SymbolForm,
     SymbolTerm,
     _d3_symbol,
-    _multi_indices,
+    _partial,
+    _tidy,
     compose,
     compose_degree_part,
     homogeneity_check,
+    radicand,
     systems_symbols,
-    x_derivative,
-    xi_derivative,
 )
 
 __all__ = [
@@ -66,7 +62,6 @@ __all__ = [
     "leading_term",
     "riccati_degree_part",
     "collector_step",
-    "closed_form_step",
     "expand",
     "split_symbols",
     "MAX_ORDER",
@@ -92,14 +87,8 @@ def gamma1(m: MediumSpec) -> SymbolTerm:
     """
 
     def build():
-        sd = schur(m)
-        xis = (_XI1, _XI2)
-        form = ZERO
-        for mu in range(2):
-            for nu in range(2):
-                form = form + sd.Qt[mu][nu] * xis[mu] * xis[nu]
-        rad = ipow(_S, 2) * m.kappa + form
-        return SymbolTerm(simplify(sqrt_(m.alpha[2][2]) * sqrt_(rad)), 1)
+        rho = radicand(m).expr
+        return SymbolTerm(simplify(sqrt_(m.alpha[2][2]) * sqrt_(rho)), 1)
 
     return m._cache("gamma1", build)
 
@@ -136,108 +125,88 @@ def leading_term(m: MediumSpec, sign: int) -> SymbolTerm:
 # the degree collector
 
 
-def _generator_terms(m: MediumSpec, y_terms: dict) -> dict:
+@dataclass(frozen=True)
+class _Kit:
+    """The recursion's fixed inputs in one term type (Expr or SymbolForm):
+    the graded systems symbols and alpha33 / (2 gamma1)."""
+
+    a11: dict
+    a12: dict
+    a21: object
+    a22: object
+    a33_over_2gamma: object
+
+
+def _kit(m: MediumSpec, forms: bool) -> _Kit:
+    """The medium's recursion inputs as expressions, or lifted to forms."""
+
+    def build():
+        A = systems_symbols(m)
+        kit = _Kit(
+            a11=A.a11.terms,
+            a12=A.a12.terms,
+            a21=A.a21.term(1),
+            a22=A.a22.term(1),
+            a33_over_2gamma=m.alpha[2][2] * recip(const(2) * gamma1(m).expr),
+        )
+        if not forms:
+            return kit
+        rho = radicand(m)
+
+        def lift(e):
+            return SymbolForm.lift(rho, e)
+
+        return _Kit(
+            a11={d: lift(e) for d, e in kit.a11.items()},
+            a12={d: lift(e) for d, e in kit.a12.items()},
+            a21=lift(kit.a21),
+            a22=lift(kit.a22),
+            a33_over_2gamma=lift(kit.a33_over_2gamma),
+        )
+
+    return m._cache("form_kit" if forms else "expr_kit", build)
+
+
+def _uses_forms(y_terms: dict) -> bool:
+    return any(isinstance(t, SymbolForm) for t in y_terms.values())
+
+
+def _generator_terms(kit: _Kit, y_terms: dict) -> dict:
     """Graded generator symbol a21 y + a22, i.e.
     s alpha33^-1 y + i xi_mu alpha_{3 mu} alpha33^-1.
 
-    Maps degree -> expression: y_j contributes at degree j + 1, and a22
+    Maps degree -> term: y_j contributes at degree j + 1, and a22
     joins the degree-1 slot.
     """
-    A = systems_symbols(m)
-    a21 = A.a21.term(1)
-    out = {j + 1: simplify(mul(a21, yj)) for j, yj in y_terms.items()}
-    out[1] = simplify(out.get(1, ZERO) + A.a22.term(1))
+    out = {j + 1: _tidy(kit.a21 * yj) for j, yj in y_terms.items()}
+    out[1] = _tidy(out.get(1, ZERO) + kit.a22)
     return out
 
 
-def riccati_degree_part(m: MediumSpec, eta: int, y_terms: dict, d: int) -> Expr:
+def riccati_degree_part(m: MediumSpec, eta: int, y_terms: dict, d: int):
     """Degree-d part of the full admittance symbol equation.
 
     With y complete through all retained degrees this evaluates to ~0
     for every cancelled degree; with terms through degree -n it gives
-    (for d = -n) the inhomogeneity that determines y_{-n-1}.
+    (for d = -n) the inhomogeneity that determines y_{-n-1}. The terms
+    are all expressions or all SymbolForms; the result has their type.
     """
-    A = systems_symbols(m)
-    acc = compose_degree_part(y_terms, _generator_terms(m, y_terms), d)
-    acc = acc - compose_degree_part(A.a11.terms, y_terms, d)
-    acc = acc - A.a12.term(d)
+    kit = _kit(m, _uses_forms(y_terms))
+    acc = compose_degree_part(y_terms, _generator_terms(kit, y_terms), d)
+    acc = acc - compose_degree_part(kit.a11, y_terms, d)
+    acc = acc - kit.a12.get(d, ZERO)
     if eta and d in y_terms:
-        acc = acc - diff(y_terms[d], VarId.X3)
-    return simplify(acc)
+        acc = acc - _partial(y_terms[d], VarId.X3)
+    return _tidy(acc)
 
 
-def collector_step(m: MediumSpec, eta: int, sign: int, y_terms: dict, n: int) -> Expr:
-    """Solve the degree -n balance for y_{-n-1} (generic path)."""
+def collector_step(m: MediumSpec, eta: int, sign: int, y_terms: dict, n: int):
+    """Solve the degree -n balance for y_{-n-1} (expressions in,
+    expression out; SymbolForms in, SymbolForm out)."""
     _check_sign(sign)
     e = riccati_degree_part(m, eta, y_terms, -n)
-    g = gamma1(m)
-    pref = simplify(mul(const(-sign), m.alpha[2][2] * recip(const(2) * g.expr)))
-    return simplify(mul(pref, e))
-
-
-# ---------------------------------------------------------------------------
-# the closed-form recursion (independent of the collector)
-
-
-def closed_form_step(m: MediumSpec, eta: int, sign: int, y_terms: dict, n: int) -> Expr:
-    """Boxed recursion for y_{-n-1} given terms through degree -n.
-
-    n = 0 uses the first-correction formula (with the divergence of the
-    Schur complement); n >= 1 uses the general one with the quadratic
-    sum over y_j y_k and the multi-index tail.
-    """
-    _check_sign(sign)
-    if n < 0 or any(j < -n or j > 0 for j in y_terms):
-        raise ExpansionError("closed_form_step needs exactly the terms y_0 .. y_{-n}")
-    a33 = m.alpha[2][2]
-    inv33 = recip(a33)
-    f1 = simplify(m.alpha[0][2] * inv33)
-    f2 = simplify(m.alpha[1][2] * inv33)
-    a22_sym = simplify(const(1j) * (_XI1 * m.alpha[2][0] + _XI2 * m.alpha[2][1]) * inv33)
-    g = gamma1(m)
-    pref = simplify(mul(const(sign), a33 * recip(const(2) * g.expr)))
-
-    def transport(y):
-        t = diff(mul(f1, y), VarId.X1) + diff(mul(f2, y), VarId.X2)
-        if eta:
-            t = t + diff(y, VarId.X3)
-        return t
-
-    if n == 0:
-        sd = schur(m)
-        y0 = y_terms[0]
-        brace = neg(recip(_S) * const(1j) * (sd.dQ[0] * _XI1 + sd.dQ[1] * _XI2))
-        brace = brace + transport(y0)
-        b1 = simplify(_S * inv33 * y0 + a22_sym)
-        for beta in _multi_indices(1):
-            tail = mul(const(-1j), mul(xi_derivative(y0, beta), x_derivative(b1, beta)))
-            brace = brace - tail
-        return simplify(mul(pref, brace))
-
-    brace = transport(y_terms[-n])
-    quad = ZERO
-    for j in range(-n, 0):
-        k = -n - 1 - j
-        if -n <= k <= -1:
-            quad = quad + mul(y_terms[j], y_terms[k])
-    brace = brace - simplify(_S * inv33 * quad)
-    for kk in range(1, n + 2):
-        coeff_i = (-1j) ** kk
-        for beta in _multi_indices(kk):
-            bfact = math.factorial(beta[0]) * math.factorial(beta[1])
-            for j in range(-n, 1):
-                mdeg = kk - n - 1 - j
-                if mdeg < -n or mdeg > 0:
-                    continue
-                inner = simplify(_S * inv33 * y_terms[mdeg])
-                if mdeg == 0:
-                    inner = simplify(inner + a22_sym)
-                tail = mul(
-                    const(coeff_i / bfact),
-                    mul(xi_derivative(y_terms[j], beta), x_derivative(inner, beta)),
-                )
-                brace = brace - tail
-    return simplify(mul(pref, brace))
+    pref = _tidy(const(-sign) * _kit(m, _uses_forms(y_terms)).a33_over_2gamma)
+    return _tidy(pref * e)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +215,12 @@ def closed_form_step(m: MediumSpec, eta: int, sign: int, y_terms: dict, n: int) 
 
 @dataclass(frozen=True, eq=False)
 class AdmittanceExpansion:
-    """Terms y_0 .. y_{-order} of one branch, with eta baked in."""
+    """Terms y_0 .. y_{-order} of one branch, with eta baked in.
+
+    ``terms`` holds each term as one expression; ``forms`` holds the
+    same terms as SymbolForms (the leading term lifted from its
+    expression).
+    """
 
     medium: MediumSpec
     sign: int
@@ -254,6 +228,7 @@ class AdmittanceExpansion:
     order: int
     gamma1: SymbolTerm
     terms: tuple  # SymbolTerm, degrees 0, -1, ..., -order
+    forms: tuple  # SymbolForm, the same degrees
 
     def term(self, degree: int) -> Expr:
         for t in self.terms:
@@ -272,46 +247,74 @@ class AdmittanceExpansion:
         return PolyhomSymbol(self.term_map(trunc), floor=-trunc)
 
 
+@contextmanager
+def _cyclic_gc_paused():
+    """Pause the cyclic garbage collector while terms are built.
+
+    An expansion allocates hundreds of thousands of long-lived nodes, and
+    every full collection rescans all of them: about a fifth of an
+    order-5 expand. Reference counting still frees acyclic garbage.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def expand(
     m: MediumSpec,
     sign: int,
     eta: int,
     order: int,
     *,
-    node_cap: int = 200_000,
+    node_cap: int = 1_500_000,
     check_terms: bool = True,
 ) -> AdmittanceExpansion:
     """Build the admittance expansion to the requested order.
 
-    Terms come from the degree collector; each is simplified, capped in
-    DAG size, and (by default) smoke-tested for homogeneity at its
-    declared degree. ``closed_form_step`` is deliberately not used here
-    so the two paths stay independent.
+    The collector runs on SymbolForms; each correction is lowered to one
+    expression once, capped in DAG size, and (by default) smoke-tested
+    for homogeneity at its declared degree. The leading term is
+    ``leading_term``'s expression itself.
     """
     _check_sign(sign)
     if eta not in (0, 1):
         raise ExpansionError("eta must be 0 or 1")
     if not 0 <= order <= MAX_ORDER:
         raise ExpansionError(f"order must be between 0 and {MAX_ORDER}")
-    g = gamma1(m)
-    y_terms = {0: leading_term(m, sign).expr}
-    for n in range(order):
-        nxt = collector_step(m, eta, sign, y_terms, n)
-        size = node_count(nxt)
-        if size > node_cap:
-            raise ExpansionError(
-                f"term of degree {-n - 1} has {size} nodes (cap {node_cap})"
-            )
-        if check_terms:
-            rep = homogeneity_check(SymbolTerm(nxt, -n - 1), trials=4, tol=1e-7, box=m.box)
-            if not rep.passed:
+    y0 = leading_term(m, sign).expr
+    forms = {0: SymbolForm.lift(radicand(m), y0)}
+    terms = [SymbolTerm(y0, 0)]
+    with _cyclic_gc_paused():
+        for n in range(order):
+            form = collector_step(m, eta, sign, forms, n)
+            nxt = form.lower()
+            size = node_count(nxt)
+            if size > node_cap:
                 raise ExpansionError(
-                    f"degree {-n - 1} term failed the homogeneity smoke test "
-                    f"(max rel error {rep.max_rel_error:.3e})"
+                    f"term of degree {-n - 1} has {size} nodes (cap {node_cap})"
                 )
-        y_terms[-n - 1] = nxt
-    terms = tuple(SymbolTerm(y_terms[-k], -k) for k in range(order + 1))
-    return AdmittanceExpansion(medium=m, sign=sign, eta=eta, order=order, gamma1=g, terms=terms)
+            if check_terms:
+                rep = homogeneity_check(SymbolTerm(nxt, -n - 1), trials=4, tol=1e-7, box=m.box)
+                if not rep.passed:
+                    raise ExpansionError(
+                        f"degree {-n - 1} term failed the homogeneity smoke test "
+                        f"(max rel error {rep.max_rel_error:.3e})"
+                    )
+            forms[-n - 1] = form
+            terms.append(SymbolTerm(nxt, -n - 1))
+    return AdmittanceExpansion(
+        medium=m,
+        sign=sign,
+        eta=eta,
+        order=order,
+        gamma1=gamma1(m),
+        terms=tuple(terms),
+        forms=tuple(forms.values()),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +350,18 @@ class SplitSymbols:
         return self.g_plus if sign > 0 else self.g_minus
 
 
+def _generator_symbol(branch: AdmittanceExpansion, floor: int, monomials: bool) -> PolyhomSymbol:
+    """g = a21 y + a22 of one branch. The top term comes from the
+    expressions, like the leading term; the lower ones are lowered from
+    the forms a21 y_j (see ``SymbolForm.lower`` for ``monomials``)."""
+    m = branch.medium
+    g = _generator_terms(_kit(m, False), {0: branch.term(0)})
+    a21 = _kit(m, True).a21
+    for t, f in zip(branch.terms[1:], branch.forms[1:]):
+        g[t.degree + 1] = (a21 * f).lower(monomials=monomials)
+    return PolyhomSymbol(g, floor=floor)
+
+
 def split_symbols(plus: AdmittanceExpansion, minus: AdmittanceExpansion) -> SplitSymbols:
     """Assemble the splitting symbols from the two branches."""
     if plus.sign != 1 or minus.sign != -1:
@@ -366,15 +381,13 @@ def split_symbols(plus: AdmittanceExpansion, minus: AdmittanceExpansion) -> Spli
     )
     d3_ell = tuple(tuple(_d3_symbol(entry) for entry in row) for row in ell)
     floor_p = 1 - order
-    g_plus, g_minus = (
-        PolyhomSymbol(_generator_terms(branch.medium, branch.term_map()), floor=floor_p)
-        for branch in (plus, minus)
-    )
+    # g+- are quantized, so they get the lowering with few nodes that
+    # depend on both x and xi; p is composed symbolically, so it gets the
+    # compact one (the same values, a much smaller derivative DAG)
+    g_plus, g_minus = (_generator_symbol(b, floor_p, True) for b in (plus, minus))
+    compact = [_generator_symbol(b, floor_p, False) for b in (plus, minus)]
     p = tuple(
-        tuple(
-            compose(ell[i][j], (g_plus, g_minus)[j], floor_p)
-            for j in range(2)
-        )
+        tuple(compose(ell[i][j], compact[j], floor_p) for j in range(2))
         for i in range(2)
     )
     return SplitSymbols(

@@ -83,6 +83,10 @@ class VarId(Enum):
     XI2 = "xi2"
     S = "s"
 
+    # members are singletons compared by identity; Enum's own hash is a
+    # Python-level call, and variable sets are hashed on every new node
+    __hash__ = object.__hash__
+
 
 class ExprError(Exception):
     """Base class for expression kernel errors."""
@@ -141,33 +145,36 @@ class Expr:
                 fv = fv | a.free_vars
         # at most 2^6 distinct sets exist; share one object per set
         self.free_vars = _FREE_VARS.setdefault(fv, fv)
-        self._dcache = {}
+        self._dcache = None  # {VarId: derivative}, made on first use
         self._simp = None
 
     # Operator sugar so formulas read naturally in the calculus modules.
+    # An operand that is neither an Expr nor a number is left to its own
+    # type's reflected operator (NotImplemented), so other term types can
+    # combine with expressions.
     def __add__(self, other):
-        return add(self, _as_expr(other))
+        return add(self, other) if _coercible(other) else NotImplemented
 
     def __radd__(self, other):
-        return add(_as_expr(other), self)
+        return add(other, self) if _coercible(other) else NotImplemented
 
     def __sub__(self, other):
-        return sub(self, _as_expr(other))
+        return sub(self, other) if _coercible(other) else NotImplemented
 
     def __rsub__(self, other):
-        return sub(_as_expr(other), self)
+        return sub(other, self) if _coercible(other) else NotImplemented
 
     def __mul__(self, other):
-        return mul(self, _as_expr(other))
+        return mul(self, other) if _coercible(other) else NotImplemented
 
     def __rmul__(self, other):
-        return mul(_as_expr(other), self)
+        return mul(other, self) if _coercible(other) else NotImplemented
 
     def __truediv__(self, other):
-        return div(self, _as_expr(other))
+        return div(self, other) if _coercible(other) else NotImplemented
 
     def __rtruediv__(self, other):
-        return div(_as_expr(other), self)
+        return div(other, self) if _coercible(other) else NotImplemented
 
     def __neg__(self):
         return neg(self)
@@ -179,19 +186,43 @@ class Expr:
         return f"Expr({to_text(self)})"
 
 
-_intern: "weakref.WeakValueDictionary[tuple, Expr]" = weakref.WeakValueDictionary()
 _FREE_VARS: "dict[frozenset, frozenset]" = {}
+
+
+class _InternRef(weakref.ref):
+    """Weak reference to an interned node that knows its table key."""
+
+    __slots__ = ("key",)
+
+
+def _forget(ref):
+    # called when an interned node dies; a newer node may hold the key
+    if _intern.get(ref.key) is ref:
+        del _intern[ref.key]
+
+
+# key -> weak reference to the one node with that structure (a plain dict
+# of keyed weak references: a WeakValueDictionary costs about twice as much
+# per insertion, and node construction is the expansion's inner loop)
+_intern: "dict[tuple, _InternRef]" = {}
 
 
 def _node(op, args, data=None):
     # Key holds child references, so identity-based equality of the tuple
     # is structural equality of the tree.
     key = (op, data, args)
-    node = _intern.get(key)
+    ref = _intern.get(key)
+    node = None if ref is None else ref()
     if node is None:
         node = Expr(op, args, data)
-        _intern[key] = node
+        ref = _InternRef(node, _forget)
+        ref.key = key
+        _intern[key] = ref
     return node
+
+
+def _coercible(v) -> bool:
+    return isinstance(v, (Expr, int, float, complex))
 
 
 def _as_expr(v):
@@ -430,23 +461,37 @@ def _postorder(root):
         if emit:
             out.append(node)
             continue
-        i = id(node)
-        if i in seen:
+        if node in seen:
             continue
-        seen.add(i)
+        seen.add(node)
         stack.append((node, True))
         for a in node.args:
             stack.append((a, False))
     return out
 
 
-def _consumer_counts(order):
-    # per node id, how many argument slots of the nodes in ``order`` read it
+def _walk(roots):
+    """(order, nref): the nodes reachable from ``roots``, each after its
+    arguments (shared nodes once), and per node the number of argument
+    slots of those nodes that read it. Nodes hash by identity, so they
+    key the dicts themselves."""
+    order = []
     nref = {}
-    for node in order:
+    seen = set()
+    stack = [(r, False) for r in reversed(roots)]
+    while stack:
+        node, emit = stack.pop()
+        if emit:
+            order.append(node)
+            continue
+        if node in seen:
+            continue
+        seen.add(node)
+        stack.append((node, True))
         for a in node.args:
-            nref[id(a)] = nref.get(id(a), 0) + 1
-    return nref
+            nref[a] = nref.get(a, 0) + 1
+            stack.append((a, False))
+    return order, nref
 
 
 def _coerce_value(v):
@@ -469,30 +514,54 @@ def eval_expr(e: Expr, env: dict):
         if not isinstance(k, VarId):
             raise TypeError("env keys must be VarId")
         bound[k] = _coerce_value(v)
-    order = _postorder(e)
-    nref = _consumer_counts(order)
+    order, nref = _walk([e])
     vals = {}
-    root_id = id(e)
-    for node in order:
+    _run(order, nref, {e}, bound, vals)
+    return vals[e]
+
+
+def _consumer_counts(nodes):
+    # per node, how many argument slots of ``nodes`` read it
+    nref = {}
+    for node in nodes:
+        for a in node.args:
+            nref[a] = nref.get(a, 0) + 1
+    return nref
+
+
+def _run(nodes, nref, keep, bound, vals):
+    """Evaluate ``nodes`` (each after its arguments) into ``vals``.
+
+    ``vals`` maps nodes to values and may already hold the values of
+    arguments outside ``nodes``. ``nref`` counts, per node, the argument
+    slots of ``nodes`` that read it; it is consumed, and a value is
+    freed after its last reader unless the node is in ``keep``.
+    """
+    for node in nodes:
         op = node.op
-        if op == "const":
+        args = node.args
+        # the arithmetic ops inline (the same operations _EVAL applies)
+        if op == "mul":
+            v = vals[args[0]] * vals[args[1]]
+        elif op == "add":
+            v = vals[args[0]] + vals[args[1]]
+        elif op == "const":
             v = node.data
+        elif op == "sub":
+            v = vals[args[0]] - vals[args[1]]
         elif op == "var":
             try:
                 v = bound[node.data]
             except KeyError:
                 raise UnboundVariableError(f"variable {node.data.value} is unbound") from None
         else:
-            cv = [vals[id(a)] for a in node.args]
-            v = _EVAL[op](node, cv)
-        vals[id(node)] = v
-        for a in node.args:
-            i = id(a)
-            r = nref[i] - 1
-            nref[i] = r
-            if r == 0 and i != root_id:
-                del vals[i]  # free intermediates eagerly
-    return vals[root_id]
+            v = _EVAL[op](node, [vals[a] for a in args])
+        vals[node] = v
+        for a in args:
+            r = nref[a] - 1
+            nref[a] = r
+            if r == 0 and a not in keep:
+                del vals[a]  # free intermediates eagerly
 
 
 # ---------------------------------------------------------------------------
@@ -693,14 +762,8 @@ def taylor_eval(roots, env: dict, seeds: dict, degree: int) -> list:
         return jet
 
     roots = list(roots)
-    order, seen = [], set()
-    for r in roots:
-        for node in _postorder(r):
-            if id(node) not in seen:
-                seen.add(id(node))
-                order.append(node)
-    nref = _consumer_counts(order)
-    keep = {id(r) for r in roots}
+    order, nref = _walk(roots)
+    keep = set(roots)
     vals = {}
     for node in order:
         op = node.op
@@ -712,21 +775,18 @@ def taylor_eval(roots, env: dict, seeds: dict, degree: int) -> list:
                 raise UnboundVariableError(f"variable {node.data.value} is unbound")
             v = seed_jet(node.data) if is_jet else bound[node.data]
         else:
-            cv = [vals[id(a)] for a in node.args]
+            cv = [vals[a] for a in node.args]
             if is_jet:
                 jets = [not seeded.isdisjoint(a.free_vars) for a in node.args]
                 v = _jet_op(node, cv, jets)
             else:
                 v = _EVAL[op](node, cv)
-        vals[id(node)] = v
+        vals[node] = v
         for a in node.args:
-            i = id(a)
-            nref[i] -= 1
-            if nref[i] == 0 and i not in keep:
-                del vals[i]
-    return [
-        lift(vals[id(r)]) if seeded.isdisjoint(r.free_vars) else vals[id(r)] for r in roots
-    ]
+            nref[a] -= 1
+            if nref[a] == 0 and a not in keep:
+                del vals[a]
+    return [lift(vals[r]) if seeded.isdisjoint(r.free_vars) else vals[r] for r in roots]
 
 
 # ---------------------------------------------------------------------------
@@ -741,45 +801,63 @@ def diff(e: Expr, v: VarId) -> Expr:
     """
     if not isinstance(v, VarId):
         raise TypeError("diff expects a VarId")
-    for node in _postorder(e):
+    if v not in e.free_vars:
+        return ZERO
+    if e._dcache is not None and v in e._dcache:
+        return e._dcache[v]
+    # post-order over the nodes that depend on v and have no cached
+    # derivative yet; a node free of v has derivative ZERO, never cached
+    order = []
+    seen = set()
+    stack = [(e, False)]
+    while stack:
+        node, emit = stack.pop()
+        if emit:
+            order.append(node)
+            continue
         cache = node._dcache
-        if v in cache:
+        if (cache is not None and v in cache) or node in seen:
             continue
-        if v not in node.free_vars:
-            cache[v] = ZERO
-            continue
+        seen.add(node)
+        stack.append((node, True))
+        for a in node.args:
+            if v in a.free_vars:
+                stack.append((a, False))
+    for node in order:
         op = node.op
         if op == "var":
-            cache[v] = ONE
-            continue
-        a = node.args[0]
-        da = a._dcache[v]
-        if op == "neg":
-            d = neg(da)
-        elif op == "sqrt":
-            d = div(da, mul(const(2), node))
-        elif op == "exp":
-            d = mul(node, da)
-        elif op == "sin":
-            d = mul(cos_(a), da)
-        elif op == "cos":
-            d = neg(mul(sin_(a), da))
-        elif op == "recip":
-            d = neg(div(da, ipow(a, 2)))
-        elif op == "pow":
-            d = mul(const(node.data), mul(ipow(a, node.data - 1), da))
+            d = ONE
         else:
-            b = node.args[1]
-            db = b._dcache[v]
-            if op == "add":
-                d = add(da, db)
-            elif op == "sub":
-                d = sub(da, db)
-            elif op == "mul":
-                d = add(mul(da, b), mul(a, db))
-            else:  # div
-                d = div(sub(mul(da, b), mul(a, db)), ipow(b, 2))
-        cache[v] = d
+            a = node.args[0]
+            da = a._dcache[v] if v in a.free_vars else ZERO
+            if op == "neg":
+                d = neg(da)
+            elif op == "sqrt":
+                d = div(da, mul(const(2), node))
+            elif op == "exp":
+                d = mul(node, da)
+            elif op == "sin":
+                d = mul(cos_(a), da)
+            elif op == "cos":
+                d = neg(mul(sin_(a), da))
+            elif op == "recip":
+                d = neg(div(da, ipow(a, 2)))
+            elif op == "pow":
+                d = mul(const(node.data), mul(ipow(a, node.data - 1), da))
+            else:
+                b = node.args[1]
+                db = b._dcache[v] if v in b.free_vars else ZERO
+                if op == "add":
+                    d = add(da, db)
+                elif op == "sub":
+                    d = sub(da, db)
+                elif op == "mul":
+                    d = add(mul(da, b), mul(a, db))
+                else:  # div
+                    d = div(sub(mul(da, b), mul(a, db)), ipow(b, 2))
+        if node._dcache is None:
+            node._dcache = {}
+        node._dcache[v] = d
     return e._dcache[v]
 
 
@@ -863,10 +941,9 @@ def simplify(e: Expr) -> Expr:
         if emit:
             order.append(node)
             continue
-        i = id(node)
-        if i in seen or node._simp is not None:
+        if node in seen or node._simp is not None:
             continue
-        seen.add(i)
+        seen.add(node)
         stack.append((node, True))
         for a in node.args:
             stack.append((a, False))
@@ -1106,12 +1183,11 @@ def to_text(e: Expr) -> str:
     text is built once and reused by all of its consumers; a node's text
     is dropped as soon as its last consumer has been rendered.
     """
-    order = _postorder(e)
-    nref = _consumer_counts(order)
-    done = {}  # id(node) -> (unparenthesized text, precedence)
+    order, nref = _walk([e])
+    done = {}  # node -> (unparenthesized text, precedence)
 
     def arg(a, ctx):
-        text, prec = done[id(a)]
+        text, prec = done[a]
         return f"({text})" if prec < ctx else text
 
     for node in order:
@@ -1138,10 +1214,9 @@ def to_text(e: Expr) -> str:
             p = _PREC[op]
             text = arg(node.args[0], p) + _BINARY_SYM[op] + arg(node.args[1], p + 1)
             prec = p
-        done[id(node)] = (text, prec)
+        done[node] = (text, prec)
         for a in node.args:
-            i = id(a)
-            nref[i] -= 1
-            if nref[i] == 0:
-                del done[i]
-    return done[id(e)][0]
+            nref[a] -= 1
+            if nref[a] == 0:
+                del done[a]
+    return done[e][0]

@@ -328,8 +328,17 @@ def oneway_solve(
     if method == "expmid":
 
         def expmid(d0, d1, fields):
-            E = scipy.linalg.expm(-(d1 - d0) * kernel(0.5 * (d0 + d1)))
-            return ((E @ fields[0].ravel()).reshape(grid.n, grid.n),)
+            K = kernel(0.5 * (d0 + d1))
+            # an exponentially growing segment overflows inside expm's own
+            # products, before the blow-up guard can look at the field
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    u1 = scipy.linalg.expm(-(d1 - d0) * K) @ fields[0].ravel()
+            except FloatingPointError as exc:
+                raise PropagationError(
+                    f"segment exponential over [{d0}, {d1}] overflowed ({exc})"
+                ) from None
+            return (u1.reshape(grid.n, grid.n),)
 
         return _march((u,), a, b, record, steps, propagator=expmid)
 

@@ -22,22 +22,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import (
+    ONE,
     Expr,
     VarId,
     ZERO,
+    _consumer_counts,
+    _postorder,
+    _run,
+    _walk,
     const,
     diff,
     eval_expr,
     free_vars,
+    ipow,
     mul,
+    neg,
     recip,
     simplify,
+    sqrt_,
     variable,
 )
 from .medium import MediumSpec, _coefficients, schur
 
 __all__ = [
     "SymbolTerm",
+    "SymbolForm",
     "PolyhomSymbol",
     "SymbolMatrix22",
     "TransverseGrid",
@@ -175,21 +184,36 @@ class SymbolMatrix22:
 # derivatives in the calculus
 
 
-def xi_derivative(e: Expr, beta) -> Expr:
+def _partial(t, v: VarId):
+    """One partial derivative of a term, an Expr or a SymbolForm."""
+    return t.diff(v) if isinstance(t, SymbolForm) else diff(t, v)
+
+
+def _is_zero(t) -> bool:
+    """Exact zero of a term, an Expr or a SymbolForm."""
+    return not t.terms if isinstance(t, SymbolForm) else _is_zero_expr(t)
+
+
+def _tidy(t):
+    """Simplify an Expr; a SymbolForm is already in normal form."""
+    return simplify(t) if isinstance(t, Expr) else t
+
+
+def xi_derivative(e, beta):
     b1, b2 = beta
     for _ in range(b1):
-        e = diff(e, VarId.XI1)
+        e = _partial(e, VarId.XI1)
     for _ in range(b2):
-        e = diff(e, VarId.XI2)
+        e = _partial(e, VarId.XI2)
     return e
 
 
-def x_derivative(e: Expr, beta) -> Expr:
+def x_derivative(e, beta):
     b1, b2 = beta
     for _ in range(b1):
-        e = diff(e, VarId.X1)
+        e = _partial(e, VarId.X1)
     for _ in range(b2):
-        e = diff(e, VarId.X2)
+        e = _partial(e, VarId.X2)
     return e
 
 
@@ -205,11 +229,13 @@ def _multi_indices(total):
     return [(i, total - i) for i in range(total + 1)]
 
 
-def compose_degree_part(p_terms, q_terms, d) -> Expr:
+def compose_degree_part(p_terms, q_terms, d):
     """Degree-d part of the composition of two graded term maps.
 
-    ``p_terms``/``q_terms`` map degree -> expression. Collects every
-    (1/beta!) d_xi^beta p_j * ((1/i) d_x)^beta q_k with j - |beta| + k = d.
+    ``p_terms``/``q_terms`` map degree -> term, all Exprs or all
+    SymbolForms. Collects every (1/beta!) d_xi^beta p_j *
+    ((1/i) d_x)^beta q_k with j - |beta| + k = d; the result has the
+    terms' type, or is ZERO when nothing contributes.
     """
     acc = ZERO
     for j, pj in p_terms.items():
@@ -221,14 +247,14 @@ def compose_degree_part(p_terms, q_terms, d) -> Expr:
                 continue  # x-independent right factor: only beta = 0 survives
             for beta in _multi_indices(r):
                 dp = xi_derivative(pj, beta)
-                if _is_zero_expr(dp):
+                if _is_zero(dp):
                     continue
                 dq = x_derivative(qk, beta)
-                if _is_zero_expr(dq):
+                if _is_zero(dq):
                     continue
                 coeff = (-1j) ** r / (math.factorial(beta[0]) * math.factorial(beta[1]))
-                acc = acc + mul(const(coeff), mul(dp, dq))
-    return simplify(acc)
+                acc = acc + const(coeff) * (dp * dq)
+    return _tidy(acc)
 
 
 def compose(p: PolyhomSymbol, q: PolyhomSymbol, floor) -> PolyhomSymbol:
@@ -288,6 +314,257 @@ def systems_symbols(m: MediumSpec) -> SymbolMatrix22:
         )
 
     return m._cache("systems_symbols", build)
+
+
+# ---------------------------------------------------------------------------
+# the rho-graded normal form
+
+_NOT_A_FORM = "expression is not a sum of rho^(d/2) times rho-free expressions"
+_XI1, _XI2, _S = (variable(v) for v in (VarId.XI1, VarId.XI2, VarId.S))
+# the exponent slot of a monomial key (a, b, c) of xi1^a xi2^b s^c
+_MONO_SLOT = {VarId.XI1: 0, VarId.XI2: 1, VarId.S: 2}
+_XI_S_VARS = frozenset(_MONO_SLOT)
+_X12 = frozenset((VarId.X1, VarId.X2))
+_XI12 = frozenset((VarId.XI1, VarId.XI2))
+
+
+def _accumulate(out: dict, key, term: Expr):
+    out[key] = out[key] + term if key in out else term
+
+
+def _monomial_map(e: Expr) -> dict:
+    """{(a, b, c): x-only coefficient of xi1^a xi2^b s^c} of a rho-free
+    expression (a polynomial in xi, Laurent in s). Raises SymbolError
+    for anything else."""
+    maps = {}
+    for node in _postorder(e):
+        op = node.op
+        if not (node.free_vars & _XI_S_VARS):
+            out = {(0, 0, 0): node}
+        elif op == "var":
+            key = [0, 0, 0]
+            key[_MONO_SLOT[node.data]] = 1
+            out = {tuple(key): ONE}
+        else:
+            args = [maps[a] for a in node.args]
+            if op in ("add", "sub"):
+                out = dict(args[0])
+                for key, c in args[1].items():
+                    _accumulate(out, key, c if op == "add" else neg(c))
+            elif op == "neg":
+                out = {key: neg(c) for key, c in args[0].items()}
+            elif op == "mul":
+                out = _monomial_product(args[0], args[1])
+            elif op == "pow" and node.data >= 0:
+                out = {(0, 0, 0): ONE}
+                for _ in range(node.data):
+                    out = _monomial_product(out, args[0])
+            elif op in ("pow", "recip") and len(args[0]) == 1:
+                n = -1 if op == "recip" else node.data
+                ((key, c),) = args[0].items()
+                out = {tuple(n * p for p in key): ipow(c, n)}
+            else:
+                raise SymbolError(_NOT_A_FORM)
+        maps[node] = out
+    return maps[e]
+
+
+def _monomial_product(p: dict, q: dict) -> dict:
+    out = {}
+    for k1, c1 in p.items():
+        for k2, c2 in q.items():
+            _accumulate(out, tuple(a + b for a, b in zip(k1, k2)), mul(c1, c2))
+    return out
+
+
+class Radicand:
+    """rho = s^2 kappa + Qt xi.xi of one medium, so gamma1 = alpha33^(1/2) rho^(1/2).
+
+    ``expr`` is rho as one simplified expression and ``root`` its square
+    root, shared by gamma1 and by every lowered form.
+    """
+
+    def __init__(self, kappa: Expr, Qt):
+        xis = (_XI1, _XI2)
+        form = ZERO
+        for mu in range(2):
+            for nu in range(2):
+                form = form + Qt[mu][nu] * xis[mu] * xis[nu]
+        self.expr = simplify(ipow(_S, 2) * kappa + form)
+        self.root = sqrt_(self.expr)
+        self._grad = {}
+
+    def grad(self, v: VarId) -> Expr:
+        """d rho / dv, cached."""
+        if v not in self._grad:
+            self._grad[v] = diff(self.expr, v)
+        return self._grad[v]
+
+    def power(self, d: int) -> Expr:
+        """rho^(d/2) as one node."""
+        return ipow(self.expr, d // 2) if d % 2 == 0 else ipow(self.root, d)
+
+
+def radicand(m: MediumSpec) -> Radicand:
+    """The medium's Radicand, built once and cached on it."""
+    return m._cache("radicand", lambda: Radicand(m.kappa, schur(m).Qt))
+
+
+class SymbolForm:
+    """A symbol term graded by powers of rho^(1/2).
+
+    ``terms`` maps a grade d to an expression P_d free of rho^(1/2) (a
+    polynomial in xi, Laurent in s, with x-dependent coefficients); the
+    form stands for sum_d rho^(d/2) P_d, rho the medium's Radicand. The
+    admittance terms' only irrational (xi, s)-dependence is a power of
+    rho^(1/2), so +, -, * and ``diff`` act by closed rules: products add
+    grades, like grades merge, and d rho^(d/2) = (d/2) rho^(d/2 - 1) d rho
+    moves a part two grades down. No square root is differentiated and
+    no quotient rule runs; ``lower`` builds the one expression. Grades
+    are not unique (rho^(d/2) = rho * rho^(d/2 - 1)); exact-zero parts
+    are dropped.
+    """
+
+    __slots__ = ("rho", "terms", "_dcache")
+
+    def __init__(self, rho: Radicand, terms: dict):
+        self.rho = rho
+        self.terms = {d: p for d, p in terms.items() if not _is_zero_expr(p)}
+        self._dcache = {}
+
+    @classmethod
+    def lift(cls, rho: Radicand, e: Expr) -> "SymbolForm":
+        """The form of an expression in which rho^(1/2) occurs only as
+        ``rho.root``, under +, -, *, / and integer powers (a divisor or a
+        negative power with it must have a single grade). Anything else
+        raises SymbolError."""
+        forms = {}
+        for node in _postorder(e):
+            args = [forms[a] for a in node.args]
+            op = node.op
+            if node is rho.root:
+                f = cls(rho, {1: ONE})
+            elif all(a.terms.keys() <= {0} for a in args):
+                f = cls(rho, {0: node})
+            elif op == "add":
+                f = args[0] + args[1]
+            elif op == "sub":
+                f = args[0] - args[1]
+            elif op == "mul":
+                f = args[0] * args[1]
+            elif op == "neg":
+                f = -args[0]
+            elif op == "div":
+                f = args[0] * args[1]._power(-1)
+            elif op == "recip":
+                f = args[0]._power(-1)
+            elif op == "pow":
+                f = args[0]._power(node.data)
+            else:
+                raise SymbolError(_NOT_A_FORM)
+            forms[node] = f
+        return forms[e]
+
+    def _power(self, n: int) -> "SymbolForm":
+        if len(self.terms) == 1:
+            ((d, p),) = self.terms.items()
+            return SymbolForm(self.rho, {n * d: ipow(p, n)})
+        if n < 0:
+            raise SymbolError(_NOT_A_FORM)
+        out = SymbolForm(self.rho, {0: ONE})
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def _operand(self, other):
+        if isinstance(other, SymbolForm):
+            if other.rho is not self.rho:
+                raise SymbolError("forms over different media do not combine")
+            return other
+        if isinstance(other, (int, float, complex)):
+            other = const(other)
+        if isinstance(other, Expr):
+            return SymbolForm.lift(self.rho, other)
+        return None
+
+    def __add__(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        out = dict(self.terms)
+        for d, p in o.terms.items():
+            _accumulate(out, d, p)
+        return SymbolForm(self.rho, out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return SymbolForm(self.rho, {d: neg(p) for d, p in self.terms.items()})
+
+    def __sub__(self, other):
+        o = self._operand(other)
+        return NotImplemented if o is None else self + (-o)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        out = {}
+        for d1, p1 in self.terms.items():
+            for d2, p2 in o.terms.items():
+                _accumulate(out, d1 + d2, mul(p1, p2))
+        return SymbolForm(self.rho, out)
+
+    __rmul__ = __mul__
+
+    def diff(self, v: VarId) -> "SymbolForm":
+        """d/dv, cached per variable: each P_d by ``diff``, and
+        d rho^(d/2) = (d/2) rho^(d/2 - 1) d rho one grade pair down."""
+        if v not in self._dcache:
+            out = {}
+            grad = self.rho.grad(v)
+            for d, p in self.terms.items():
+                _accumulate(out, d, diff(p, v))
+                if d and not _is_zero_expr(grad):
+                    _accumulate(out, d - 2, mul(const(d / 2), mul(p, grad)))
+            self._dcache[v] = SymbolForm(self.rho, out)
+        return self._dcache[v]
+
+    @property
+    def free_vars(self) -> frozenset:
+        fv = set()
+        for d, p in self.terms.items():
+            fv |= p.free_vars
+            if d:
+                fv |= self.rho.expr.free_vars
+        return frozenset(fv)
+
+    def lower(self, monomials: bool = False) -> Expr:
+        """The form as one expression, sum over d of rho^(d/2) P_d, each
+        rho^(d/2) one shared node.
+
+        With ``monomials`` each P_d is first expanded into x-only
+        coefficients of xi1^a xi2^b s^c and rebuilt as the sum over (a, b)
+        of xi1^a xi2^b (sum over c of coeff s^c). That costs more x-only
+        nodes but leaves about two nodes per (d, a, b) that depend on
+        both x and xi, the nodes a quantized kernel evaluates once per
+        kernel entry (x-only ones once per grid row).
+        """
+        acc = ZERO
+        for d in sorted(self.terms):
+            p = self.terms[d]
+            if monomials:
+                by_xi = {}
+                for (a, b, c), k in sorted(_monomial_map(p).items()):
+                    _accumulate(by_xi, (a, b), mul(k, ipow(_S, c)))
+                p = ZERO
+                for (a, b), inner in by_xi.items():
+                    p = p + inner * (ipow(_XI1, a) * ipow(_XI2, b))
+            acc = acc + self.rho.power(d) * p
+        return acc
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +649,11 @@ def _kernel_rows(sym, grid: TransverseGrid, x3, s, out: np.ndarray):
     """Fill ``out`` (n^2 x n^2) with the quantized symbol, one row block
     of the x-grid at a time, yielding each finished block (a view).
 
-    A caller may overwrite a yielded block in place before resuming, so
-    a row-wise transform is applied while the block is still in cache.
+    Nodes of the symbol free of xi or free of x are evaluated once, on
+    the whole x-grid or xi-lattice; only nodes that depend on both are
+    evaluated per block, reading row slices of the others. A caller may
+    overwrite a yielded block in place before resuming, so a row-wise
+    transform is applied while the block is still in cache.
     """
     total = _symbol_total(sym)
     n = grid.n
@@ -382,20 +662,35 @@ def _kernel_rows(sym, grid: TransverseGrid, x3, s, out: np.ndarray):
     x1, x2 = X1g.ravel(), X2g.ravel()
     w1, w2 = W1g.ravel(), W2g.ravel()
     nyquist = ~grid.nyquist_mask().ravel()
+    bound = {
+        VarId.X1: x1[:, None].astype(np.complex128),
+        VarId.X2: x2[:, None].astype(np.complex128),
+        VarId.X3: complex(x3),
+        VarId.XI1: w1[None, :].astype(np.complex128),
+        VarId.XI2: w2[None, :].astype(np.complex128),
+        VarId.S: complex(s),
+    }
+    order, _ = _walk([total])
+    mixed = [nd for nd in order if nd.free_vars & _X12 and nd.free_vars & _XI12]
+    fixed = [nd for nd in order if not (nd.free_vars & _X12 and nd.free_vars & _XI12)]
+    mixed_set = set(mixed)
+    read = {a for nd in mixed for a in nd.args if a not in mixed_set}
+    read.add(total)
+    whole = {}
+    _run(fixed, _consumer_counts(fixed), read, bound, whole)
+    mixed_reads = _consumer_counts(mixed)
     rows = max(1, _BLOCK_ENTRIES // (n * n))
     for r0 in range(0, n * n, rows):
         r1 = min(r0 + rows, n * n)
-        env = {
-            VarId.X1: x1[r0:r1, None],
-            VarId.X2: x2[r0:r1, None],
-            VarId.X3: complex(x3),
-            VarId.XI1: w1[None, :],
-            VarId.XI2: w2[None, :],
-            VarId.S: complex(s),
+        vals = {
+            nd: v[r0:r1] if np.ndim(v) == 2 and v.shape[0] == n * n else v
+            for nd, v in whole.items()
+            if nd in read
         }
+        _run(mixed, dict(mixed_reads), {total}, bound, vals)
         phase = np.exp(1j * (np.outer(x1[r0:r1], w1) + np.outer(x2[r0:r1], w2))) / n**2
         block = out[r0:r1]
-        np.multiply(eval_expr(total, env), phase, out=block)
+        np.multiply(vals[total], phase, out=block)
         block[:, nyquist] = 0.0
         yield block
 

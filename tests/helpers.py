@@ -6,10 +6,30 @@ import math
 
 import numpy as np
 
-from anisosplit import VarId, const, diff, eval_expr, simplify, systems_symbols, variable
-from anisosplit.expr import ZERO, mul, recip
-from anisosplit.oracle import _probe_env as probe_env, _scaling_env
+from anisosplit import (
+    ExpansionError,
+    VarId,
+    const,
+    diff,
+    eval_expr,
+    gamma1,
+    schur,
+    simplify,
+    systems_symbols,
+    taylor_eval,
+    variable,
+)
+from anisosplit.expr import ZERO, free_vars, mul, neg, recip
+from anisosplit.oracle import (
+    _jet_directions,
+    _mixed_partials,
+    _probe_env as probe_env,
+    _scaling_env,
+)
+from anisosplit.symbols import _multi_indices, x_derivative, xi_derivative
 
+_XI1 = variable(VarId.XI1)
+_XI2 = variable(VarId.XI2)
 _S = variable(VarId.S)
 
 
@@ -110,3 +130,186 @@ def symbolic_residual_rms(exp, points, lambdas, beta_cap=None):
     env = _scaling_env(points, lambdas)
     vals = np.asarray(eval_expr(residual_expr(exp, beta_cap), env))
     return np.sqrt(np.mean(np.abs(vals) ** 2, axis=0))
+
+
+# ---------------------------------------------------------------------------
+# the expression collector and the closed-form recursion: value oracles for
+# the form-based collector that ``expand`` runs
+
+
+def _is_zero_expr(e) -> bool:
+    return e.op == "const" and e.data == 0
+
+
+def oracle_compose_degree_part(p_terms, q_terms, d):
+    """Degree-d part of the composition of two graded expression maps."""
+    acc = ZERO
+    for j, pj in p_terms.items():
+        for k, qk in q_terms.items():
+            r = j + k - d
+            if r < 0:
+                continue
+            if r > 0 and not (free_vars(qk) & {VarId.X1, VarId.X2}):
+                continue  # x-independent right factor: only beta = 0 survives
+            for beta in _multi_indices(r):
+                dp = xi_derivative(pj, beta)
+                if _is_zero_expr(dp):
+                    continue
+                dq = x_derivative(qk, beta)
+                if _is_zero_expr(dq):
+                    continue
+                coeff = (-1j) ** r / (math.factorial(beta[0]) * math.factorial(beta[1]))
+                acc = acc + mul(const(coeff), mul(dp, dq))
+    return simplify(acc)
+
+
+def _oracle_generator_terms(m, y_terms: dict) -> dict:
+    A = systems_symbols(m)
+    a21 = A.a21.term(1)
+    out = {j + 1: simplify(mul(a21, yj)) for j, yj in y_terms.items()}
+    out[1] = simplify(out.get(1, ZERO) + A.a22.term(1))
+    return out
+
+
+def oracle_riccati_degree_part(m, eta: int, y_terms: dict, d: int):
+    A = systems_symbols(m)
+    acc = oracle_compose_degree_part(y_terms, _oracle_generator_terms(m, y_terms), d)
+    acc = acc - oracle_compose_degree_part(A.a11.terms, y_terms, d)
+    acc = acc - A.a12.term(d)
+    if eta and d in y_terms:
+        acc = acc - diff(y_terms[d], VarId.X3)
+    return simplify(acc)
+
+
+def oracle_collector_step(m, eta: int, sign: int, y_terms: dict, n: int):
+    """The expression collector: solve the degree -n balance for y_{-n-1}."""
+    e = oracle_riccati_degree_part(m, eta, y_terms, -n)
+    g = gamma1(m)
+    pref = simplify(mul(const(-sign), m.alpha[2][2] * recip(const(2) * g.expr)))
+    return simplify(mul(pref, e))
+
+
+def oracle_terms(m, sign: int, eta: int, order: int) -> dict:
+    """{degree: expression} of y_0 .. y_-order from the expression collector."""
+    from anisosplit import leading_term
+
+    terms = {0: leading_term(m, sign).expr}
+    for n in range(order):
+        terms[-n - 1] = oracle_collector_step(m, eta, sign, terms, n)
+    return terms
+
+
+def closed_form_step(m, eta: int, sign: int, y_terms: dict, n: int):
+    """Boxed recursion for y_{-n-1} given terms through degree -n.
+
+    n = 0 uses the first-correction formula (with the divergence of the
+    Schur complement); n >= 1 uses the general one with the quadratic
+    sum over y_j y_k and the multi-index tail.
+    """
+    if n < 0 or any(j < -n or j > 0 for j in y_terms):
+        raise ExpansionError("closed_form_step needs exactly the terms y_0 .. y_{-n}")
+    a33 = m.alpha[2][2]
+    inv33 = recip(a33)
+    f1 = simplify(m.alpha[0][2] * inv33)
+    f2 = simplify(m.alpha[1][2] * inv33)
+    a22_sym = simplify(const(1j) * (_XI1 * m.alpha[2][0] + _XI2 * m.alpha[2][1]) * inv33)
+    g = gamma1(m)
+    pref = simplify(mul(const(sign), a33 * recip(const(2) * g.expr)))
+
+    def transport(y):
+        t = diff(mul(f1, y), VarId.X1) + diff(mul(f2, y), VarId.X2)
+        if eta:
+            t = t + diff(y, VarId.X3)
+        return t
+
+    if n == 0:
+        sd = schur(m)
+        y0 = y_terms[0]
+        brace = neg(recip(_S) * const(1j) * (sd.dQ[0] * _XI1 + sd.dQ[1] * _XI2))
+        brace = brace + transport(y0)
+        b1 = simplify(_S * inv33 * y0 + a22_sym)
+        for beta in _multi_indices(1):
+            tail = mul(const(-1j), mul(xi_derivative(y0, beta), x_derivative(b1, beta)))
+            brace = brace - tail
+        return simplify(mul(pref, brace))
+
+    brace = transport(y_terms[-n])
+    quad = ZERO
+    for j in range(-n, 0):
+        k = -n - 1 - j
+        if -n <= k <= -1:
+            quad = quad + mul(y_terms[j], y_terms[k])
+    brace = brace - simplify(_S * inv33 * quad)
+    for kk in range(1, n + 2):
+        coeff_i = (-1j) ** kk
+        for beta in _multi_indices(kk):
+            bfact = math.factorial(beta[0]) * math.factorial(beta[1])
+            for j in range(-n, 1):
+                mdeg = kk - n - 1 - j
+                if mdeg < -n or mdeg > 0:
+                    continue
+                inner = simplify(_S * inv33 * y_terms[mdeg])
+                if mdeg == 0:
+                    inner = simplify(inner + a22_sym)
+                tail = mul(
+                    const(coeff_i / bfact),
+                    mul(xi_derivative(y_terms[j], beta), x_derivative(inner, beta)),
+                )
+                brace = brace - tail
+    return simplify(mul(pref, brace))
+
+
+def closed_form_values(m, eta: int, sign: int, y_terms: dict, n: int, points):
+    """``closed_form_step``'s formula evaluated at probe points, every
+    derivative taken from Taylor jets (``taylor_eval``) instead of a
+    symbolic derivative DAG, so it reaches orders whose symbolic closed
+    form is too large to build."""
+    env = probe_env(points)
+    a33 = m.alpha[2][2]
+    inv33 = recip(a33)
+    f = [simplify(m.alpha[mu][2] * inv33) for mu in range(2)]
+    a22 = simplify(const(1j) * (_XI1 * m.alpha[2][0] + _XI2 * m.alpha[2][1]) * inv33)
+    pref = eval_expr(mul(const(sign), a33 * recip(const(2) * gamma1(m).expr)), env)
+
+    def partials(e, xi: bool, top: int) -> dict:
+        # {beta: d^beta e / beta!} for |beta| <= top, in xi or in (x1, x2)
+        dirs = _jet_directions(max(top, 1))
+        u, v = (VarId.XI1, VarId.XI2) if xi else (VarId.X1, VarId.X2)
+        (jet,) = taylor_eval([e], env, {u: dirs[:, 0], v: dirs[:, 1]}, max(top, 1))
+        return _mixed_partials(jet, dirs, top)
+
+    # inner_k = s alpha33^-1 y_k (+ a22 for k = 0) needs x-partials up to
+    # order n + 1 + k and y_j xi-partials up to n + 1 + j. The largest
+    # terms, inner_-n and y_-n, need only first partials: one jet pass
+    # along the unit directions x1, x2, xi1, xi2, x3 gives them, with the
+    # transport products f_mu y_-n
+    y = y_terms[-n]
+    inner = {
+        k: simplify(_S * inv33 * y_terms[k] + (a22 if k == 0 else ZERO)) for k in range(-n, 1)
+    }
+    seeds = dict(zip((VarId.X1, VarId.X2, VarId.XI1, VarId.XI2, VarId.X3), np.eye(5)))
+    jin, jf0, jf1, jy = taylor_eval([inner[-n], mul(f[0], y), mul(f[1], y), y], env, seeds, 1)
+    dinner = {-n: {(0, 0): jin[0, 0], (1, 0): jin[1, 0], (0, 1): jin[1, 1]}}
+    dy = {-n: {(0, 0): jy[0, 0], (1, 0): jy[1, 2], (0, 1): jy[1, 3]}}
+    for k in range(-n + 1, 1):
+        dinner[k] = partials(inner[k], False, n + 1 + k)
+        dy[k] = partials(y_terms[k], True, n + 1 + k)
+
+    brace = jf0[1, 0] + jf1[1, 1]  # transport
+    if eta:
+        brace = brace + jy[1, 4]
+    if n == 0:
+        sd = schur(m)
+        brace = brace - eval_expr(recip(_S) * const(1j) * (sd.dQ[0] * _XI1 + sd.dQ[1] * _XI2), env)
+    yv = {j: eval_expr(y_terms[j], env) for j in range(-n, 0)}
+    quad = sum(yv[j] * yv[-n - 1 - j] for j in range(-n, 0))
+    brace = brace - eval_expr(_S * inv33, env) * quad
+    for j in range(-n, 1):
+        for k in range(-n, 1):
+            kk = k + n + 1 + j
+            if kk < 1:
+                continue
+            for beta in _multi_indices(kk):
+                bfact = math.factorial(beta[0]) * math.factorial(beta[1])
+                brace = brace - (-1j) ** kk * bfact * dy[j][beta] * dinner[k][beta]
+    return pref * brace

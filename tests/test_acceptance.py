@@ -14,7 +14,6 @@ from anisosplit import (
     TransverseGrid,
     VarId,
     apply_normalization,
-    closed_form_step,
     collector_step,
     decompose_homogeneous,
     eval_expr,
@@ -42,7 +41,7 @@ from anisosplit.oracle import (
 )
 from anisosplit.symbols import x_derivative, xi_derivative
 
-from helpers import eval_at, probe_env, rel_err
+from helpers import closed_form_step, eval_at, probe_env, rel_err
 
 TAU = 2 * np.pi
 

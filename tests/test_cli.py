@@ -159,8 +159,8 @@ def test_residual_csv_layout(tmp_path):
     out = tmp_path / "o"
     assert run(["residual", _cfg(tmp_path, HET), "--out", str(out)]) == 0
     lines = (out / "residual.csv").read_text().splitlines()
-    assert lines[0] == "order,lambda,residual,slope"
-    assert len(lines) == 1 + 3  # one order, three lambdas
+    assert lines[0] == "order,lambda,residual,slope,sign"
+    assert len(lines) == 1 + 3  # one sign, one order, three lambdas
 
 
 def test_residual_through_order_three(tmp_path):
@@ -173,11 +173,30 @@ def test_residual_through_order_three(tmp_path):
         assert abs(float(r[3]) + int(r[0])) <= 0.3
 
 
+def test_residual_checks_every_configured_sign(tmp_path, monkeypatch):
+    import dataclasses
+
+    from anisosplit import oracle
+
+    real = oracle.riccati_residual
+
+    def up_going_fails(exp, **kw):
+        rep = real(exp, **kw)
+        return dataclasses.replace(rep, slope=5.0) if exp.sign < 0 else rep
+
+    cfg = _cfg(tmp_path, HET.replace("sign = +\n", "sign = both\n"))
+    assert run(["residual", cfg, "--out", str(tmp_path / "a")]) == 0
+    rows = [l.split(",") for l in (tmp_path / "a" / "residual.csv").read_text().splitlines()[1:]]
+    assert [r[4] for r in rows] == ["1"] * 3 + ["-1"] * 3
+    monkeypatch.setattr(oracle, "riccati_residual", up_going_fails)
+    assert run(["residual", cfg, "--out", str(tmp_path / "b")]) == 1
+
+
 def test_residual_example_config_passes(tmp_path, capsys):
     example = Path(__file__).resolve().parents[1] / "demos" / "example.cfg"
     assert run(["residual", str(example), "--out", str(tmp_path / "o")]) == 0
     out = capsys.readouterr().out
-    assert "[FAIL]" not in out and out.count("[ok]") == 2
+    assert "[FAIL]" not in out and out.count("[ok]") == 4  # two signs, two orders
 
 
 def test_residual_failed_check_exits_one(tmp_path, monkeypatch):

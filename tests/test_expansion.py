@@ -4,7 +4,6 @@ import pytest
 from anisosplit import (
     ExpansionError,
     VarId,
-    closed_form_step,
     collector_step,
     eval_expr,
     expand,
@@ -19,7 +18,7 @@ from anisosplit import presets
 from anisosplit.expr import ZERO, diff, mul, parse, recip, sub
 from anisosplit.oracle import depth_derivative_leading, draw_probe_points
 
-from helpers import eval_at, probe_env, rel_err
+from helpers import closed_form_step, closed_form_values, eval_at, probe_env, rel_err
 
 
 def test_gamma_known_value():
@@ -182,6 +181,24 @@ def test_collector_equals_closed_form():
             scale = np.maximum(np.abs(va), 1e-30)
             assert np.max(np.abs(va - vb) / scale) <= 1e-8, f"sign {sign} step {n}"
             terms[-n - 1] = a_step
+
+
+def test_collector_equals_closed_form_to_order_six():
+    # the collector's terms against the closed-form recursion through
+    # y_-6; the closed form takes its derivatives from Taylor jets (the
+    # symbolic one needs millions of nodes past order 4), and agrees with
+    # the symbolic closed form where both are cheap
+    m = presets.dual_path_medium()
+    pts = draw_probe_points(m, 12, np.random.default_rng(7))
+    exp = expand(m, 1, 1, 6, check_terms=False)
+    terms = exp.term_map()
+    for n in range(6):
+        known = {d: terms[d] for d in range(0, -n - 1, -1)}
+        got = closed_form_values(m, 1, 1, known, n, pts)
+        assert rel_err(got, eval_at(terms[-n - 1], pts)) <= 1e-8, f"step {n}"
+        if n <= 2:
+            symbolic = eval_at(closed_form_step(m, 1, 1, known, n), pts)
+            assert rel_err(got, symbolic) <= 1e-12, f"step {n}"
 
 
 def test_eta_shifts_first_correction(het_medium):

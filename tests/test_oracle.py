@@ -96,6 +96,24 @@ def test_residual_of_exact_sum_passes_at_rounding_level(hom_medium):
     assert "rounding" in rep.describe() and "[ok]" in rep.describe()
 
 
+def test_order_four_residual_fits_from_lambda_eight():
+    # lam = 4 is pre-asymptotic at order 4 (local slope about -8.6 to
+    # lam = 8), so from order 4 on the fit starts at lam = 8
+    m = presets.heterogeneous_full()
+    pts = draw_probe_points(m, 6, np.random.default_rng(202))
+    rep = riccati_residual(expand(m, 1, 0, 4), points=pts, lambdas=DEFAULT_LAMBDAS)
+    assert rep.fit_from == 8.0 and rep.lambdas == DEFAULT_LAMBDAS
+    assert abs(rep.slope + 4.0) <= 0.3 and rep.passed
+    assert "fit over lam >= 8" in rep.describe()
+    allfit, _, _ = fit_loglog(rep.lambdas, rep.rms)
+    assert abs(allfit + 4.0) > 0.3  # what the fit over every scale gave
+    # below order 4 every scale is fitted, and the text is unchanged
+    low = riccati_residual(expand(m, 1, 0, 3), points=pts, lambdas=DEFAULT_LAMBDAS)
+    assert low.fit_from == 4.0
+    assert low.slope == fit_loglog(low.lambdas, low.rms)[0]
+    assert "fit over" not in low.describe()
+
+
 def test_rounding_rule_does_not_excuse_a_real_residual(het_medium):
     pts = draw_probe_points(het_medium, 4, np.random.default_rng(4))
     rep = riccati_residual(expand(het_medium, 1, 1, 1), points=pts, lambdas=[4.0, 16.0, 64.0])

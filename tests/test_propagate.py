@@ -236,6 +236,19 @@ def test_oneway_blowup_guard(grid8, hom_split, method):
         oneway_solve(hom_split, -1, grid8, 30.0, u, 0.0, 1.0, steps=8, method=method)
 
 
+def test_expmid_overflow_is_typed_error(grid8, hom_split):
+    # over 100 depth units the up-going segment exponential overflows
+    # inside expm's own products, before the guard sees the field: it must
+    # surface as PropagationError, with no numpy warning on the way
+    import warnings
+
+    u = random_smooth_field(grid8, np.random.default_rng(18))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PropagationError, match="overflowed"):
+            oneway_solve(hom_split, -1, grid8, 30.0, u, 0.0, 100.0, method="expmid")
+
+
 def _reference_rk4(rhs, u, a, b, steps):
     # reference: classical RK4 written out for one array, one segment
     h = (b - a) / steps
