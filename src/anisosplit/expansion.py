@@ -26,14 +26,16 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 from .expr import (
     Expr,
     VarId,
     ZERO,
+    _eval_walked,
+    _walk,
     const,
-    node_count,
     recip,
     simplify,
     sqrt_,
@@ -45,11 +47,11 @@ from .symbols import (
     SymbolForm,
     SymbolTerm,
     _d3_symbol,
+    _homogeneity_check,
     _partial,
     _tidy,
     compose,
     compose_degree_part,
-    homogeneity_check,
     radicand,
     systems_symbols,
 )
@@ -264,6 +266,24 @@ def _cyclic_gc_paused():
             gc.enable()
 
 
+def _check_term(e: Expr, degree: int, node_cap: int, smoke_test: bool, box):
+    """Cap a term's DAG size and, with ``smoke_test``, check its
+    homogeneity, both from one walk of the DAG."""
+    walk = _walk([e])
+    size = len(walk[0])
+    if size > node_cap:
+        raise ExpansionError(f"term of degree {degree} has {size} nodes (cap {node_cap})")
+    if smoke_test:
+        rep = _homogeneity_check(
+            SymbolTerm(e, degree), partial(_eval_walked, e, walk), 4, 1e-7, None, box
+        )
+        if not rep.passed:
+            raise ExpansionError(
+                f"degree {degree} term failed the homogeneity smoke test "
+                f"(max rel error {rep.max_rel_error:.3e})"
+            )
+
+
 def expand(
     m: MediumSpec,
     sign: int,
@@ -292,18 +312,7 @@ def expand(
         for n in range(order):
             form = collector_step(m, eta, sign, forms, n)
             nxt = form.lower()
-            size = node_count(nxt)
-            if size > node_cap:
-                raise ExpansionError(
-                    f"term of degree {-n - 1} has {size} nodes (cap {node_cap})"
-                )
-            if check_terms:
-                rep = homogeneity_check(SymbolTerm(nxt, -n - 1), trials=4, tol=1e-7, box=m.box)
-                if not rep.passed:
-                    raise ExpansionError(
-                        f"degree {-n - 1} term failed the homogeneity smoke test "
-                        f"(max rel error {rep.max_rel_error:.3e})"
-                    )
+            _check_term(nxt, -n - 1, node_cap, check_terms, m.box)
             forms[-n - 1] = form
             terms.append(SymbolTerm(nxt, -n - 1))
     return AdmittanceExpansion(
@@ -329,7 +338,11 @@ class SplitSymbols:
     composition matrix (row 0 the admittance symbols, row 1 ones),
     d3_ell its entrywise depth derivative, and p the entrywise
     composition ell o diag(g_plus, g_minus). Leading degrees: p has top
-    degree 1 while d3_ell has top degree 0, one order lower.
+    degree 1 while d3_ell has top degree 0, one order lower. The
+    marchers read only g+- and ell, so d3_ell and p are built on first
+    access and kept. p is composed from ``g_compact``: g+- written for
+    symbolic composition (the same values as g+-), truncated one degree
+    above the floor of ell.
     """
 
     medium: MediumSpec
@@ -338,8 +351,18 @@ class SplitSymbols:
     g_plus: PolyhomSymbol
     g_minus: PolyhomSymbol
     ell: tuple
-    d3_ell: tuple
-    p: tuple
+    g_compact: tuple = field(repr=False)
+
+    @cached_property
+    def d3_ell(self) -> tuple:
+        return tuple(tuple(_d3_symbol(entry) for entry in row) for row in self.ell)
+
+    @cached_property
+    def p(self) -> tuple:
+        return tuple(
+            tuple(compose(e, g, e.low_degree + 1) for e, g in zip(row, self.g_compact))
+            for row in self.ell
+        )
 
     def y_symbol(self, sign: int) -> PolyhomSymbol:
         _check_sign(sign)
@@ -379,17 +402,11 @@ def split_symbols(plus: AdmittanceExpansion, minus: AdmittanceExpansion) -> Spli
             PolyhomSymbol({0: const(1)}, floor=floor_ell),
         ),
     )
-    d3_ell = tuple(tuple(_d3_symbol(entry) for entry in row) for row in ell)
     floor_p = 1 - order
     # g+- are quantized, so they get the lowering with few nodes that
     # depend on both x and xi; p is composed symbolically, so it gets the
     # compact one (the same values, a much smaller derivative DAG)
     g_plus, g_minus = (_generator_symbol(b, floor_p, True) for b in (plus, minus))
-    compact = [_generator_symbol(b, floor_p, False) for b in (plus, minus)]
-    p = tuple(
-        tuple(compose(ell[i][j], compact[j], floor_p) for j in range(2))
-        for i in range(2)
-    )
     return SplitSymbols(
         medium=plus.medium,
         eta=plus.eta,
@@ -397,6 +414,5 @@ def split_symbols(plus: AdmittanceExpansion, minus: AdmittanceExpansion) -> Spli
         g_plus=g_plus,
         g_minus=g_minus,
         ell=ell,
-        d3_ell=d3_ell,
-        p=p,
+        g_compact=tuple(_generator_symbol(b, floor_p, False) for b in (plus, minus)),
     )

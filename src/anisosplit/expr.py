@@ -520,6 +520,14 @@ def eval_expr(e: Expr, env: dict):
     return vals[e]
 
 
+def _eval_walked(e: Expr, walk, env: dict):
+    """``eval_expr(e, env)`` given ``walk = _walk([e])``, which it consumes."""
+    order, nref = walk
+    vals = {}
+    _run(order, nref, {e}, {k: _coerce_value(v) for k, v in env.items()}, vals)
+    return vals[e]
+
+
 def _consumer_counts(nodes):
     # per node, how many argument slots of ``nodes`` read it
     nref = {}

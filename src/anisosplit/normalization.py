@@ -141,12 +141,6 @@ def apply_normalization_symbols(
         tuple(compose(split.ell[i][j], inv[j], floor_l) for j in range(2))
         for i in range(2)
     )
-    d3_ell_out = tuple(tuple(_d3_symbol(e) for e in row) for row in ell_out)
-    floor_p = 1 + floor_l
-    p_out = tuple(
-        tuple(compose(ell_out[i][j], g_out[j], floor_p) for j in range(2))
-        for i in range(2)
-    )
     return SplitSymbols(
         medium=split.medium,
         eta=split.eta,
@@ -154,8 +148,7 @@ def apply_normalization_symbols(
         g_plus=g_out[0],
         g_minus=g_out[1],
         ell=ell_out,
-        d3_ell=d3_ell_out,
-        p=p_out,
+        g_compact=tuple(g_out),
     )
 
 

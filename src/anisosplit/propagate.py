@@ -24,6 +24,7 @@ from .expansion import SplitSymbols
 from .oracle import _constant_value, _grid_field, quad_oracle
 from .symbols import (
     TransverseGrid,
+    _KernelPlan,
     _action,
     _kernel_rows,
     _symbol_total,
@@ -243,8 +244,8 @@ def full_solve(
 
 
 def _physical_kernel(sym, grid: TransverseGrid, x3, s) -> np.ndarray:
-    """Quantized symbol composed with the forward 2D DFT: grid values in,
-    grid values out.
+    """Quantized symbol (or its kernel plan) composed with the forward 2D
+    DFT: grid values in, grid values out.
 
     The DFT matrix kron(F, F) is symmetric, so right-multiplying by it is
     an fft2 of each kernel row; each row block is transformed in place
@@ -258,27 +259,30 @@ def _physical_kernel(sym, grid: TransverseGrid, x3, s) -> np.ndarray:
 
 
 class _KernelCache:
-    """Physical-to-physical generator matrices keyed by depth, small LRU.
+    """Physical-to-physical generator matrices keyed by depth.
 
     quantize_matrix maps a spectrum to grid values, so the stored
-    operator is its composition with the forward DFT.
+    operator is its composition with the forward DFT. An RK4 step reads
+    the kernel at its start depth (the previous step's end), twice the
+    one at its midpoint, and the one at its end, so two kernels cover
+    every reuse; the one read least recently is dropped before a third
+    is built. The symbol's kernel plan is made once, for every depth.
     """
 
-    def __init__(self, sym, grid, s, capacity=8):
-        self.sym = sym
+    def __init__(self, sym, grid, s):
+        self.plan = _KernelPlan(sym)
         self.grid = grid
         self.s = s
         self.store = OrderedDict()
-        self.capacity = capacity
 
     def at(self, x3: float) -> np.ndarray:
         key = round(float(x3), 12)
         got = self.store.get(key)
         if got is None:
-            got = _physical_kernel(self.sym, self.grid, x3, self.s)
-            self.store[key] = got
-            if len(self.store) > self.capacity:
+            if len(self.store) == 2:
                 self.store.popitem(last=False)
+            got = _physical_kernel(self.plan, self.grid, x3, self.s)
+            self.store[key] = got
         else:
             self.store.move_to_end(key)
         return got

@@ -26,6 +26,8 @@ from .expr import (
     Expr,
     VarId,
     ZERO,
+    DivisionByZeroError,
+    _EVAL,
     _consumer_counts,
     _postorder,
     _run,
@@ -40,6 +42,7 @@ from .expr import (
     recip,
     simplify,
     sqrt_,
+    sub,
     variable,
 )
 from .medium import MediumSpec, _coefficients, schur
@@ -645,52 +648,220 @@ def _action(total: Expr) -> str:
 _BLOCK_ENTRIES = 2**14
 
 
-def _kernel_rows(sym, grid: TransverseGrid, x3, s, out: np.ndarray):
-    """Fill ``out`` (n^2 x n^2) with the quantized symbol, one row block
-    of the x-grid at a time, yielding each finished block (a view).
+def _is_mixed(node: Expr) -> bool:
+    return bool(node.free_vars & _X12) and bool(node.free_vars & _XI12)
 
-    Nodes of the symbol free of xi or free of x are evaluated once, on
-    the whole x-grid or xi-lattice; only nodes that depend on both are
-    evaluated per block, reading row slices of the others. A caller may
-    overwrite a yielded block in place before resuming, so a row-wise
-    transform is applied while the block is still in cache.
+
+def _operand_factors(node: Expr, separated: dict):
+    """{xi key: x coefficient} of an operand, or None for a mixed node
+    that is not separable. A node free of xi is its own coefficient of
+    the empty key; a node free of x is the key of coefficient one."""
+    if node in separated:
+        return separated[node]
+    if _is_mixed(node):
+        return None
+    if node.free_vars & _XI12:
+        return {(node,): ONE}
+    return {(): node}
+
+
+def _separate(node: Expr, separated: dict, rank: dict):
+    """The separated form of a mixed node, or None.
+
+    A form maps a key, a tuple of xi-only nodes (in ``rank`` order)
+    standing for their product, to an x-only coefficient expression; the
+    node is the sum over keys of coefficient times product. Sums,
+    negation and products with a one-key side stay separable; a product
+    of two many-key forms would multiply their key counts, so it is not.
     """
-    total = _symbol_total(sym)
+    op = node.op
+    if op not in ("add", "sub", "neg", "mul"):
+        return None
+    forms = [_operand_factors(a, separated) for a in node.args]
+    if any(f is None for f in forms):
+        return None
+    if op == "neg":
+        return {k: neg(c) for k, c in forms[0].items()}
+    a, b = forms
+    if op == "mul":
+        if len(a) > 1 and len(b) > 1:
+            return None
+        out = {}
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                _accumulate(out, tuple(sorted(ka + kb, key=rank.__getitem__)), mul(ca, cb))
+    else:
+        out = dict(a)
+        for k, c in b.items():
+            if op == "add":
+                _accumulate(out, k, c)
+            else:
+                out[k] = sub(out[k], c) if k in out else neg(c)
+    return {k: c for k, c in out.items() if not _is_zero_expr(c)}
+
+
+def _xi_product(key) -> Expr:
+    acc = ONE
+    for f in key:
+        acc = mul(acc, f)
+    return acc
+
+
+class _KernelPlan:
+    """How a kernel build evaluates one symbol, worked out once per symbol.
+
+    Nodes free of xi or free of x are evaluated once per build, on the
+    x-grid or the xi-lattice. A node that depends on both is separable
+    when it is a signed sum of products whose factors are free of xi or
+    free of x (``_separate``); it stands for X(x) @ Xi(xi), with one
+    column of X and one row of Xi per key of its form. Only a separable
+    node read by a non-separable one, or at the root, is computed, once
+    per row block, as the matrix product X[rows] @ Xi. The remaining
+    mixed nodes are evaluated entry by entry, integer powers of a base
+    as products of the base or of one reciprocal of it.
+    """
+
+    def __init__(self, sym):
+        self.total = total = _symbol_total(sym)
+        order, _ = _walk([total])
+        rank = {nd: i for i, nd in enumerate(order)}
+        separated = {}
+        entrywise = []
+        for nd in order:
+            if _is_mixed(nd):
+                form = _separate(nd, separated, rank)
+                if form is None:
+                    entrywise.append(nd)
+                else:
+                    separated[nd] = form
+        # per row block: each entrywise node after the separable nodes it
+        # reads, each of those computed just before its first reader
+        self.program = []
+        self.factors = {}  # separable node -> ([x coefficient], [xi product])
+
+        def computed(nd):
+            if nd in separated and nd not in self.factors:
+                form = separated[nd]
+                self.factors[nd] = (list(form.values()), [_xi_product(k) for k in form])
+                self.program.append(nd)
+
+        for nd in entrywise:
+            for a in nd.args:
+                computed(a)
+            self.program.append(nd)
+        computed(total)
+        self.reads = _consumer_counts(entrywise)
+        # the fixed nodes a block reads, in DAG order
+        leaves = [a for nd in entrywise for a in nd.args if not _is_mixed(a)]
+        if not _is_mixed(total):
+            leaves.append(total)
+        leaves = list(dict.fromkeys(leaves))
+        self.row_leaves = [nd for nd in leaves if nd.free_vars & _X12]
+        self.other_leaves = [nd for nd in leaves if not nd.free_vars & _X12]
+        fixed = list(leaves)
+        for xs, xis in self.factors.values():
+            fixed += xs + xis
+        self.fixed = _walk(fixed)
+        self.fixed_keep = set(fixed)
+
+    def _block(self, vals: dict, factors: dict, r0: int, r1: int):
+        """The symbol on rows r0:r1 of the x-grid; ``vals`` holds the
+        leaves' values on those rows and receives the program's."""
+        nref = dict(self.reads)
+        powers = {}
+        for nd in self.program:
+            if nd in factors:
+                X, Xi = factors[nd]
+                vals[nd] = X[r0:r1] @ Xi
+                continue
+            op, args = nd.op, nd.args
+            if op == "mul":
+                v = vals[args[0]] * vals[args[1]]
+            elif op == "add":
+                v = vals[args[0]] + vals[args[1]]
+            elif op == "sub":
+                v = vals[args[0]] - vals[args[1]]
+            elif op == "pow":
+                # numpy's complex ** runs a scalar loop for most exponents
+                k = nd.data
+                chain = powers.get((args[0], k < 0))
+                if chain is None:
+                    base = vals[args[0]]
+                    if k < 0:
+                        if np.any(np.equal(base, 0)):
+                            raise DivisionByZeroError("zero base with negative exponent")
+                        base = 1.0 / base
+                    chain = powers[(args[0], k < 0)] = [base]
+                while len(chain) < abs(k):
+                    chain.append(chain[-1] * chain[0])
+                v = chain[abs(k) - 1]
+            else:
+                v = _EVAL[op](nd, [vals[a] for a in args])
+            vals[nd] = v
+            for a in args:
+                r = nref[a] - 1
+                nref[a] = r
+                if r == 0 and a is not self.total:
+                    del vals[a]
+        return vals[self.total]
+
+
+def _kernel_rows(sym, grid: TransverseGrid, x3, s, out: np.ndarray):
+    """Fill ``out`` (n^2 x n^2) with the quantized symbol (a symbol or
+    its ``_KernelPlan``), one row block of the x-grid at a time, yielding
+    each finished block (a view).
+
+    Nodes free of xi or free of x are evaluated once; separable x-and-xi
+    nodes become small matrix products and only the rest is evaluated
+    entry by entry (see ``_KernelPlan``). Separation and the power
+    chains reorder sums and products, so entries agree with a direct
+    evaluation of the symbol to rounding, not bit for bit; each entry
+    comes out the same whatever the block size. A caller may overwrite a
+    yielded block in place before resuming, so a row-wise transform is
+    applied while the block is still in cache.
+    """
+    plan = sym if isinstance(sym, _KernelPlan) else _KernelPlan(sym)
     n = grid.n
+    size = n * n
     X1g, X2g = grid.x_mesh()
-    W1g, W2g = grid.xi_mesh()
     x1, x2 = X1g.ravel(), X2g.ravel()
-    w1, w2 = W1g.ravel(), W2g.ravel()
-    nyquist = ~grid.nyquist_mask().ravel()
+    W1g, W2g = grid.xi_mesh()
     bound = {
         VarId.X1: x1[:, None].astype(np.complex128),
         VarId.X2: x2[:, None].astype(np.complex128),
         VarId.X3: complex(x3),
-        VarId.XI1: w1[None, :].astype(np.complex128),
-        VarId.XI2: w2[None, :].astype(np.complex128),
+        VarId.XI1: W1g.ravel()[None, :].astype(np.complex128),
+        VarId.XI2: W2g.ravel()[None, :].astype(np.complex128),
         VarId.S: complex(s),
     }
-    order, _ = _walk([total])
-    mixed = [nd for nd in order if nd.free_vars & _X12 and nd.free_vars & _XI12]
-    fixed = [nd for nd in order if not (nd.free_vars & _X12 and nd.free_vars & _XI12)]
-    mixed_set = set(mixed)
-    read = {a for nd in mixed for a in nd.args if a not in mixed_set}
-    read.add(total)
     whole = {}
-    _run(fixed, _consumer_counts(fixed), read, bound, whole)
-    mixed_reads = _consumer_counts(mixed)
-    rows = max(1, _BLOCK_ENTRIES // (n * n))
-    for r0 in range(0, n * n, rows):
-        r1 = min(r0 + rows, n * n)
-        vals = {
-            nd: v[r0:r1] if np.ndim(v) == 2 and v.shape[0] == n * n else v
-            for nd, v in whole.items()
-            if nd in read
-        }
-        _run(mixed, dict(mixed_reads), {total}, bound, vals)
-        phase = np.exp(1j * (np.outer(x1[r0:r1], w1) + np.outer(x2[r0:r1], w2))) / n**2
+    order, nref = plan.fixed
+    _run(order, dict(nref), plan.fixed_keep, bound, whole)
+    factors = {}
+    for nd, (xs, xis) in plan.factors.items():
+        X = np.empty((size, len(xs)), dtype=np.complex128)
+        Xi = np.empty((len(xis), size), dtype=np.complex128)
+        for j, (c, k) in enumerate(zip(xs, xis)):
+            X[:, j : j + 1] = whole[c]
+            Xi[j : j + 1] = whole[k]
+        factors[nd] = (X, Xi)
+    # exp(i x.xi) / n^2 is the product of a table over (x, xi1) and
+    # one over (x, xi2)
+    w1, w2 = grid.xi_axes()
+    e1 = np.exp(1j * np.outer(x1, w1)) / n**2
+    e2 = np.exp(1j * np.outer(x2, w2))
+    nyquist = ~grid.nyquist_mask().ravel()
+    other = {nd: whole[nd] for nd in plan.other_leaves}
+    step = max(1, _BLOCK_ENTRIES // size)
+    for r0 in range(0, size, step):
+        r1 = min(r0 + step, size)
+        vals = dict(other)
+        for nd in plan.row_leaves:
+            vals[nd] = whole[nd][r0:r1]
+        value = plan._block(vals, factors, r0, r1)
         block = out[r0:r1]
-        np.multiply(vals[total], phase, out=block)
+        np.multiply(e1[r0:r1, :, None], e2[r0:r1, None, :], out=block.reshape(-1, n, n))
+        block *= value
         block[:, nyquist] = 0.0
         yield block
 
@@ -704,7 +875,11 @@ def quantize_matrix(sym, grid: TransverseGrid, x3, s) -> np.ndarray:
 
     The result takes n^4 * 16 bytes (16 MB at n=32). It is built in row
     blocks of a fixed number of entries, so no other n^4-sized array is
-    allocated, and nothing is cached between calls.
+    allocated, and nothing is cached between calls. Parts of the symbol
+    that are sums of x-only times xi-only products are evaluated as
+    small matrix products, and integer powers as chains of products
+    (see ``_KernelPlan``), so entries match a direct evaluation of the
+    symbol to rounding (about 1e-15 norm-relative), not bit for bit.
     """
     n = grid.n
     out = np.empty((n * n, n * n), dtype=np.complex128)
@@ -806,6 +981,11 @@ def homogeneity_check(
     lam in {2, 5, 10}, and reports the worst relative mismatch. All
     trials and scales are evaluated together in one array pass.
     """
+    return _homogeneity_check(term, lambda env: eval_expr(term.expr, env), trials, tol, rng, box)
+
+
+def _homogeneity_check(term, evaluate, trials, tol, rng, box) -> HomogeneityReport:
+    """``homogeneity_check`` with the term evaluated by ``evaluate(env)``."""
     if rng is None:
         rng = np.random.default_rng(2024)
     if trials <= 0:
@@ -824,7 +1004,7 @@ def homogeneity_check(
     env = {v: p[:, k : k + 1].real for k, v in enumerate((VarId.X1, VarId.X2, VarId.X3))}
     for k, v in ((3, VarId.XI1), (4, VarId.XI2), (5, VarId.S)):
         env[v] = p[:, k : k + 1] * lam
-    vals = np.broadcast_to(eval_expr(term.expr, env), (trials, lam.size))
+    vals = np.broadcast_to(evaluate(env), (trials, lam.size))
     got = vals[:, 1:]
     want = lam[1:] ** term.degree * vals[:, :1]
     rel = np.abs(got - want) / np.maximum(np.abs(want), 1e-30)

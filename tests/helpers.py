@@ -26,7 +26,7 @@ from anisosplit.oracle import (
     _probe_env as probe_env,
     _scaling_env,
 )
-from anisosplit.symbols import _multi_indices, x_derivative, xi_derivative
+from anisosplit.symbols import _multi_indices, _symbol_total, x_derivative, xi_derivative
 
 _XI1 = variable(VarId.XI1)
 _XI2 = variable(VarId.XI2)
@@ -58,6 +58,26 @@ def dft2_matrix(n: int) -> np.ndarray:
     """Dense 2D DFT acting on C-order raveled (n, n) fields (test oracle)."""
     F = np.fft.fft(np.eye(n), axis=0)
     return np.kron(F, F)
+
+
+def single_shot_quantize(sym, grid, x3, s):
+    """``quantize_matrix`` by one broadcast evaluation of the symbol in
+    DAG order over all n^2 x n^2 entries (the kernel build's oracle)."""
+    n = grid.n
+    X1g, X2g = grid.x_mesh()
+    W1g, W2g = grid.xi_mesh()
+    x1, x2, w1, w2 = X1g.ravel(), X2g.ravel(), W1g.ravel(), W2g.ravel()
+    env = {
+        VarId.X1: x1[:, None],
+        VarId.X2: x2[:, None],
+        VarId.X3: complex(x3),
+        VarId.XI1: w1[None, :],
+        VarId.XI2: w2[None, :],
+        VarId.S: complex(s),
+    }
+    vals = np.broadcast_to(np.asarray(eval_expr(_symbol_total(sym), env)), (n * n, n * n))
+    phase = np.exp(1j * (np.outer(x1, w1) + np.outer(x2, w2))) / n**2
+    return np.where(grid.nyquist_mask().ravel()[None, :], vals * phase, 0.0)
 
 
 def random_points(rng, count: int, box=None):

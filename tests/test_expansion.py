@@ -293,6 +293,22 @@ def test_split_symbols_structure(het_split):
     assert sp.p[0][0].low_degree == 1 - sp.order
 
 
+def test_split_symbols_builds_p_and_d3_ell_on_first_access(het_expansion_pair):
+    from anisosplit.expansion import _generator_symbol
+    from anisosplit.symbols import _d3_symbol, compose
+
+    plus, minus = het_expansion_pair
+    sp = split_symbols(plus, minus)
+    assert "p" not in vars(sp) and "d3_ell" not in vars(sp)
+    # composed from the compact lowering of g+-, as when built eagerly
+    compact = _generator_symbol(minus, 1 - sp.order, False)
+    want = compose(sp.ell[0][1], compact, 1 - sp.order)
+    assert sp.p[0][1].terms.keys() == want.terms.keys()
+    assert all(sp.p[0][1].terms[d] is e for d, e in want.terms.items())
+    assert sp.p is sp.p
+    assert sp.d3_ell[0][0].terms == _d3_symbol(sp.ell[0][0]).terms
+
+
 def test_split_symbols_rejects_mismatched_pair(het_medium):
     plus = expand(het_medium, 1, 0, 1)
     minus_wrong_eta = expand(het_medium, -1, 1, 1)

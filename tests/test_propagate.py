@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from anisosplit import (
     systems_symbols,
 )
 from anisosplit import presets, quantize_matrix
+from anisosplit import propagate
 from anisosplit.propagate import _physical_kernel
 
 from helpers import dft2_matrix, field_rel
@@ -289,3 +292,22 @@ def test_shared_rk4_is_bit_identical_to_per_solver_loops(grid8, het_split):
     want = _reference_rk4(one_way, u, 0.0, 0.3, 6)
     _, got = oneway_solve(het_split, 1, grid8, s, u, 0.0, 0.3, steps=6, method="rk4")[-1]
     assert np.array_equal(got, want)
+
+
+def test_depth_varying_rk4_march_keeps_two_kernels(monkeypatch, grid8, het_split):
+    # 8 RK4 steps read kernels at 17 distinct depths (start, midpoint and
+    # end of each step, the end shared with the next step's start)
+    built = []
+    alive = []
+
+    def counting(sym, grid, x3, s):
+        k = _physical_kernel(sym, grid, x3, s)
+        built.append(x3)
+        alive.append(weakref.ref(k))
+        assert sum(r() is not None for r in alive) <= 2
+        return k
+
+    monkeypatch.setattr(propagate, "_physical_kernel", counting)
+    u = random_smooth_field(grid8, np.random.default_rng(23))
+    oneway_solve(het_split, 1, grid8, 2.0, u, 0.0, 0.5, steps=8, method="rk4")
+    assert len(built) == 17

@@ -16,13 +16,14 @@ from anisosplit import (
     quantize_matrix,
     random_smooth_field,
     spectral_derivative,
+    split_symbols,
     systems_symbols,
 )
 from anisosplit import expand, presets, symbols
-from anisosplit.expr import ZERO, diff, mul, sub
+from anisosplit.expr import DivisionByZeroError, SqrtDomainError, ZERO, diff, mul, sub
 from anisosplit.symbols import _BLOCK_ENTRIES, x_derivative, xi_derivative
 
-from helpers import field_rel, random_points, rel_err
+from helpers import field_rel, random_points, rel_err, single_shot_quantize
 
 TAU = 2 * np.pi
 
@@ -237,33 +238,74 @@ def test_quantize_matrix_consistent_with_apply():
 MIXED = "(2 + sin(x1)*cos(x2 + x3))*sqrt(s^2 + xi1^2 + 0.5*xi2^2) + 1i*xi1*cos(x1 - x2)/s"
 
 
-def _single_shot_quantize(sym, grid, x3, s):
-    # reference: all n^2 x n^2 entries in one broadcast evaluation
-    n = grid.n
-    X1g, X2g = grid.x_mesh()
-    W1g, W2g = grid.xi_mesh()
-    x1, x2, w1, w2 = X1g.ravel(), X2g.ravel(), W1g.ravel(), W2g.ravel()
-    env = {
-        VarId.X1: x1[:, None],
-        VarId.X2: x2[:, None],
-        VarId.X3: complex(x3),
-        VarId.XI1: w1[None, :],
-        VarId.XI2: w2[None, :],
-        VarId.S: complex(s),
-    }
-    vals = np.broadcast_to(np.asarray(eval_expr(sym, env)), (n * n, n * n))
-    phase = np.exp(1j * (np.outer(x1, w1) + np.outer(x2, w2))) / n**2
-    return np.where(grid.nyquist_mask().ravel()[None, :], vals * phase, 0.0)
-
-
 @pytest.mark.parametrize("n, several_blocks", [(8, False), (16, True), (32, True)])
-def test_blocked_quantize_matrix_equals_single_shot(n, several_blocks):
+def test_blocked_quantize_matrix_equals_single_shot(monkeypatch, n, several_blocks):
     # several_blocks: a row block holds fewer rows than the grid has
     assert (n**4 > _BLOCK_ENTRIES) == several_blocks
     grid = TransverseGrid(n, TAU, TAU)
     sym = parse(MIXED)
     got = quantize_matrix(sym, grid, 0.4, 1.3 + 0.2j)
-    assert np.array_equal(got, _single_shot_quantize(sym, grid, 0.4, 1.3 + 0.2j))
+    # separation reorders sums, so the DAG-order oracle agrees to rounding;
+    # the block size changes no entry
+    assert field_rel(got, single_shot_quantize(sym, grid, 0.4, 1.3 + 0.2j)) <= 1e-14
+    monkeypatch.setattr(symbols, "_BLOCK_ENTRIES", n**4)
+    assert np.array_equal(got, quantize_matrix(sym, grid, 0.4, 1.3 + 0.2j))
+
+
+@pytest.fixture(scope="module")
+def order2_splits():
+    splits = {}
+    for name in ("transverse_anisotropic", "heterogeneous_full", "dual_path_medium"):
+        m = getattr(presets, name)()
+        splits[name] = split_symbols(expand(m, 1, 1, 2), expand(m, -1, 1, 2))
+    return splits
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize(
+    "name, x3",
+    [("transverse_anisotropic", 0.0), ("heterogeneous_full", 0.3), ("dual_path_medium", 0.2)],
+)
+def test_separated_kernel_matches_single_shot_oracle(order2_splits, name, x3, n):
+    grid = TransverseGrid(n, TAU, TAU)
+    for sign in (1, -1):
+        g = order2_splits[name].g_symbol(sign)
+        got = quantize_matrix(g, grid, x3, 1.5 + 0.3j)
+        assert field_rel(got, single_shot_quantize(g, grid, x3, 1.5 + 0.3j)) <= 1e-14
+
+
+@pytest.mark.filterwarnings("error")
+def test_separated_kernel_of_order2_g_plus_has_few_entrywise_nodes(order2_splits):
+    plan = symbols._KernelPlan(order2_splits["transverse_anisotropic"].g_plus)
+    entrywise = [nd for nd in plan.program if nd not in plan.factors]
+    assert len(entrywise) <= 40
+    assert plan.factors  # the rest is separated
+
+
+@pytest.mark.filterwarnings("error")
+def test_kernel_without_separable_nodes_matches_oracle():
+    # every mixed node is a quotient, a power or a sum of those
+    sym = parse("((2 + cos(x1))/(s^2 + xi1^2 + xi2^2))^(-3) + (sin(x2 - x3)/(s + xi2^2))^3")
+    assert not symbols._KernelPlan(sym).factors
+    grid = TransverseGrid(16, TAU, TAU)
+    got = quantize_matrix(sym, grid, 0.2, 1.1 + 0.4j)
+    assert field_rel(got, single_shot_quantize(sym, grid, 0.2, 1.1 + 0.4j)) <= 1e-14
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("1/(x1 - xi1) + s", DivisionByZeroError),
+        ("(x1 - xi1)^(-3)", DivisionByZeroError),
+        ("sqrt(x1 - xi1 - 1)", SqrtDomainError),
+    ],
+)
+def test_kernel_build_raises_typed_evaluation_errors(text, error):
+    # x1 = xi1 = 0 and x1 = 0, xi1 = 1 are grid points
+    with pytest.raises(error):
+        quantize_matrix(parse(text), TransverseGrid(8, TAU, TAU), 0.0, 1.0)
 
 
 def test_quantize_apply_stack_matches_per_field():
