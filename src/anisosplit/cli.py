@@ -12,7 +12,14 @@ One executable wires config files to every operation:
     anisosplit propagate cfg         depth stepping, traces per depth
 
 Configs are INI-style; expression values are handed verbatim to the
-expression parser. Outputs land under --out as CSV files with fixed
+expression parser. Every key the command line reads is one row of
+``_KEYS``: (section, key, parse, default, check). ``_options`` reads one
+section through that table, and a subcommand reads only the sections it
+uses, each before its work starts; a value that fails its parse or its
+check is a config error. The keys of [medium] are
+``medium.MEDIUM_KEYS``, which ``load_medium`` parses. Each section or
+key that no row names prints one ``warning: unknown ...`` line on stderr
+and is otherwise ignored. Outputs land under --out as CSV files with fixed
 17-significant-digit scientific formatting plus a manifest.json listing
 every artifact with its content hash; identical config and seed give
 bit-identical outputs. Exit codes: 0 success, 1 a check or validation
@@ -25,33 +32,49 @@ import argparse
 import configparser
 import hashlib
 import json
-import os
+import math
 import sys
+from collections import namedtuple
 from pathlib import Path
+from types import SimpleNamespace
 
-SUBCOMMANDS = (
-    "medium-check",
-    "expand",
-    "residual",
-    "oracle",
-    "order-claim",
-    "normalize",
-    "propagate",
+import numpy as np
+import scipy
+
+from . import __version__, oracle
+from .expansion import MAX_ORDER, ExpansionError, expand, leading_term, split_symbols
+from .expr import ExprError, ParseError, VarId, eval_expr, free_vars, parse, to_text
+from .medium import MEDIUM_KEYS, MediumError, load_medium, validate
+from .normalization import NormalizationError, NormalizationSpec, apply_normalization
+from .oracle import (
+    DEFAULT_LAMBDAS,
+    OracleError,
+    _check_lambdas,
+    _probe_env,
+    draw_probe_points,
+    grid_riccati_oracle,
+    operator_distance,
+    order_claim_check,
+    quad_oracle,
 )
+from .propagate import PropagationError, full_solve, oneway_solve
+from .symbols import SymbolError, TransverseGrid, random_smooth_field
 
 
 class ConfigError(Exception):
     """Malformed or incomplete configuration (a usage error, exit 2)."""
 
 
-def _apply_thread_cap():
-    # Best-effort: BLAS pools honor these when they spawn lazily after
-    # import; a cap set here cannot shrink pools that already started.
-    cap = os.environ.get("ANISOSPLIT_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
+def _read_config(path: str) -> configparser.ConfigParser:
+    if not Path(path).is_file():
+        raise ConfigError(f"config file not found: {path}")
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        with open(path) as fh:
+            cp.read_file(fh)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config: {exc}") from None
+    return cp
 
 
 def _parse_args(argv):
@@ -59,7 +82,7 @@ def _parse_args(argv):
         prog="anisosplit",
         description="wave-splitting toolkit for anisotropic acoustic media",
     )
-    ap.add_argument("subcommand", choices=SUBCOMMANDS)
+    ap.add_argument("subcommand", choices=_HANDLERS)
     ap.add_argument(
         "rest",
         nargs="+",
@@ -76,41 +99,8 @@ def _parse_args(argv):
     return ap.parse_args(argv)
 
 
-def _read_config(path: str) -> configparser.ConfigParser:
-    if not Path(path).is_file():
-        raise ConfigError(f"config file not found: {path}")
-    cp = configparser.ConfigParser(interpolation=None)
-    try:
-        with open(path) as fh:
-            cp.read_file(fh)
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed config: {exc}") from None
-    return cp
-
-
-def _section(cfg, name, required=False) -> dict:
-    if cfg.has_section(name):
-        return dict(cfg.items(name))
-    if required:
-        raise ConfigError(f"missing required section [{name}]")
-    return {}
-
-
-def _get(data: dict, key: str, default=None, cast=str):
-    if key not in data:
-        if default is None:
-            raise ConfigError(f"missing required key '{key}'")
-        return default
-    try:
-        return cast(data[key])
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad value for '{key}': {exc}") from None
-
-
 def _complex_value(text: str) -> complex:
     """Constant through the expression DSL, so '1.2+0.4i' works."""
-    from .expr import ExprError, eval_expr, free_vars, parse
-
     try:
         e = parse(str(text))
     except ExprError as exc:
@@ -120,12 +110,8 @@ def _complex_value(text: str) -> complex:
     return complex(eval_expr(e, {}))
 
 
-def _float_list(text: str):
-    return [float(v) for v in str(text).split(",") if v.strip()]
-
-
-def _int_list(text: str):
-    return [int(v) for v in str(text).split(",") if v.strip()]
+def _list_of(cast):
+    return lambda text: [cast(v) for v in str(text).split(",") if v.strip()]
 
 
 def _sign_value(text: str) -> int:
@@ -135,6 +121,133 @@ def _sign_value(text: str) -> int:
     if t in ("-", "-1", "minus", "up"):
         return -1
     raise ConfigError(f"bad sign {t!r} (use + or -)")
+
+
+def _signs(text: str) -> tuple:
+    return (1, -1) if text.strip() == "both" else (_sign_value(text),)
+
+
+# ---------------------------------------------------------------------------
+# the config table. A check raises ValueError, or the library error of the
+# rule it reuses; a ConfigError it raises keeps its own message.
+
+
+def _at_least(low):
+    def check(value):
+        if value < low:
+            raise ValueError(f"must be at least {low}")
+
+    return check
+
+
+def _check_orders(orders):
+    if not orders:
+        raise ValueError("no orders given")
+    for order in orders:
+        if not 0 <= order <= MAX_ORDER:
+            raise ValueError(f"order {order} is not between 0 and {MAX_ORDER}")
+
+
+def _check_eta(eta):
+    if eta not in (0, 1):
+        raise ConfigError("eta must be 0 or 1")
+
+
+def _check_solver(solver):
+    if solver not in ("full", "oneway"):
+        raise ConfigError(f"unknown solver {solver!r} (use full or oneway)")
+
+
+def _grid_rule(field):
+    # TransverseGrid's own validation, of one field in an otherwise valid grid
+    return lambda value: TransverseGrid(**{"n": 4, "L1": 1.0, "L2": 1.0, field: value})
+
+
+def _check_field(e):
+    unbound = free_vars(e) - {VarId.X1, VarId.X2, VarId.X3, VarId.S}
+    if unbound:
+        names = ", ".join(sorted(v.value for v in unbound))
+        raise ValueError(f"{names} unbound: initial data may use x1, x2, x3 and s only")
+
+
+_REQUIRED = object()  # default of a key that must be given
+_REQUIRED_SECTIONS = ("medium", "propagation")
+# a default picked by the value of an earlier key of the same section
+_Per = namedtuple("_Per", "key values")
+
+# (section, key, parse, default, check); a parse that returns None gives
+# the default, as an absent key does
+_KEYS = (
+    # medium.load_medium parses these
+    *(("medium", key, str, None, None) for key in MEDIUM_KEYS),
+    ("grid", "n", int, 16, _grid_rule("n")),
+    ("grid", "l1", float, math.tau, _grid_rule("L1")),
+    ("grid", "l2", float, math.tau, _grid_rule("L2")),
+    ("expansion", "order", int, 2, lambda order: _check_orders([order])),
+    ("expansion", "eta", int, 0, _check_eta),
+    ("expansion", "sign", _signs, (1, -1), None),
+    ("expansion", "points", int, 4, _at_least(1)),
+    ("residual", "orders", _list_of(int), (1, 2, 3), _check_orders),
+    ("residual", "lambdas", _list_of(float), DEFAULT_LAMBDAS, _check_lambdas),
+    ("residual", "points", int, 6, _at_least(1)),
+    ("oracle", "kind", str.strip, "", None),
+    ("oracle", "s", _complex_value, _Per("kind", {"quad": 1 + 0j, "grid": 40 + 0j}), None),
+    ("oracle", "count", int, 100, _at_least(1)),
+    ("oracle", "gap_rtol", float, 1e-6, None),
+    ("oracle", "orders", _list_of(int), (0, 1, 2), _check_orders),
+    ("propagation", "a", float, 0.0, None),
+    ("propagation", "b", float, _REQUIRED, None),
+    ("propagation", "steps", int, 64, _at_least(1)),
+    ("propagation", "s", _complex_value, 1 + 0j, None),
+    ("propagation", "solver", str.strip, "full", _check_solver),
+    ("propagation", "method", lambda text: text.strip() or None,
+     _Per("solver", {"full": "auto", "oneway": "rk4"}), None),
+    ("propagation", "record_depths", _list_of(float), (), None),
+    ("propagation", "sign", _sign_value, 1, None),
+    ("propagation", "v3", parse, None, _check_field),
+    ("propagation", "p", parse, None, _check_field),
+    ("propagation", "u", parse, None, _check_field),
+    ("run", "seed", int, 0, _at_least(0)),
+    ("run", "out", str, "out", None),
+)
+_TABLE = {sec: {key: spec for s, key, *spec in _KEYS if s == sec} for sec, *_ in _KEYS}
+
+
+def _options(cfg, section, **overrides):
+    """Every ``_KEYS`` key of one config section as a typed attribute: a
+    given value (an override that is not None replaces the config text)
+    through the row's parse and check, any other at the row's default."""
+    if not cfg.has_section(section) and section in _REQUIRED_SECTIONS:
+        raise ConfigError(f"missing required section [{section}]")
+    raw = dict(cfg.items(section)) if cfg.has_section(section) else {}
+    raw.update((k, v) for k, v in overrides.items() if v is not None)
+    values = {}
+    for key, (parse_value, default, check) in _TABLE[section].items():
+        try:
+            value = parse_value(raw[key]) if key in raw else None
+            if value is not None and check is not None:
+                check(value)
+        except ExprError as exc:
+            raise ConfigError(f"bad expression for '{key}': {exc}") from None
+        except (ValueError, TypeError, OracleError, SymbolError) as exc:
+            raise ConfigError(f"bad value for '{key}': {exc}") from None
+        if value is None and default is _REQUIRED:
+            raise ConfigError(f"missing required key '{key}'")
+        if value is None:
+            per = isinstance(default, _Per)
+            value = default.values.get(values[default.key]) if per else default
+        values[key] = value
+    return SimpleNamespace(**values)
+
+
+def _warn_unknown(cfg):
+    for section in cfg.sections():
+        if section not in _TABLE:
+            print(f"warning: unknown section [{section}]", file=sys.stderr)
+            continue
+        for key in cfg[section]:
+            if key not in _TABLE[section]:
+                print(f"warning: unknown key '{key}' in [{section}]", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +299,9 @@ class _Emitter:
 
 
 def _versions():
-    import numpy
-    import scipy
-
-    from . import __version__
-
     return {
         "anisosplit": __version__,
-        "numpy": numpy.__version__,
+        "numpy": np.__version__,
         "scipy": scipy.__version__,
         "python": sys.version.split()[0],
     }
@@ -204,12 +312,9 @@ def _versions():
 
 
 def _load_medium_checked(cfg):
-    from .expr import ParseError
-    from .medium import MediumError, load_medium
-
-    sec = _section(cfg, "medium", required=True)
+    given = {k: v for k, v in vars(_options(cfg, "medium")).items() if v is not None}
     try:
-        return load_medium(sec)
+        return load_medium(given)
     except ParseError as exc:
         raise ConfigError(f"bad expression in [medium]: {exc}") from None
     except MediumError as exc:
@@ -218,36 +323,7 @@ def _load_medium_checked(cfg):
         raise ConfigError(f"bad [medium] section: {exc}") from None
 
 
-def _load_grid(cfg):
-    from .symbols import TransverseGrid
-
-    sec = _section(cfg, "grid")
-    tau = 6.283185307179586
-    return TransverseGrid(
-        n=_get(sec, "n", 16, int),
-        L1=_get(sec, "l1", tau, float),
-        L2=_get(sec, "l2", tau, float),
-    )
-
-
-def _expansion_params(cfg):
-    sec = _section(cfg, "expansion")
-    order = _get(sec, "order", 2, int)
-    eta = _get(sec, "eta", 0, int)
-    sign_txt = _get(sec, "sign", "both", str).strip()
-    points = _get(sec, "points", 4, int)
-    if sign_txt == "both":
-        signs = (1, -1)
-    else:
-        signs = (_sign_value(sign_txt),)
-    if eta not in (0, 1):
-        raise ConfigError("eta must be 0 or 1")
-    return order, eta, signs, points
-
-
 def _load_split(m, order, eta):
-    from .expansion import expand, split_symbols
-
     return split_symbols(expand(m, 1, eta, order), expand(m, -1, eta, order))
 
 
@@ -256,8 +332,6 @@ def _load_split(m, order, eta):
 
 
 def _cmd_medium_check(cfg, em, seed, kind):
-    from .medium import MediumError, validate
-
     try:
         m = _load_medium_checked(cfg)
     except MediumError as exc:
@@ -271,19 +345,14 @@ def _cmd_medium_check(cfg, em, seed, kind):
 
 
 def _cmd_expand(cfg, em, seed, kind):
-    import numpy as np
-
-    from .expansion import expand
-    from .expr import eval_expr, to_text
-    from .oracle import _probe_env, draw_probe_points
-
     m = _load_medium_checked(cfg)
-    order, eta, signs, n_points = _expansion_params(cfg)
+    ex = _options(cfg, "expansion")
+    n_points = ex.points
     points = draw_probe_points(m, n_points, np.random.default_rng(seed))
     env = _probe_env(points)
-    for sign in signs:
+    for sign in ex.sign:
         tag = "plus" if sign > 0 else "minus"
-        exp = expand(m, sign, eta, order)
+        exp = expand(m, sign, ex.eta, ex.order)
         header = ["degree"]
         for k in range(n_points):
             header += [f"pt{k}_re", f"pt{k}_im"]
@@ -300,29 +369,21 @@ def _cmd_expand(cfg, em, seed, kind):
             dump.append(f"degree {t.degree}:\n{to_text(t.expr)}\n")
         em.csv(f"expansion_{tag}.csv", header, rows)
         em.text(f"terms_{tag}.txt", "\n".join(dump))
-        print(f"sign {tag}: {order + 1} terms written")
+        print(f"sign {tag}: {ex.order + 1} terms written")
     return 0
 
 
 def _cmd_residual(cfg, em, seed, kind):
-    import numpy as np
-
-    from .expansion import expand
-    from .oracle import DEFAULT_LAMBDAS, draw_probe_points, riccati_residual
-
     m = _load_medium_checked(cfg)
-    _, eta, signs, _ = _expansion_params(cfg)
-    sec = _section(cfg, "residual")
-    lambdas = _get(sec, "lambdas", list(DEFAULT_LAMBDAS), _float_list)
-    n_points = _get(sec, "points", 6, int)
-    orders = _get(sec, "orders", [1, 2, 3], _int_list)
-    points = draw_probe_points(m, n_points, np.random.default_rng(seed))
+    ex = _options(cfg, "expansion")
+    res = _options(cfg, "residual")
+    points = draw_probe_points(m, res.points, np.random.default_rng(seed))
     rows = []
     failed = False
-    for sign in signs:
-        for order in orders:
-            exp = expand(m, sign, eta, order)
-            rep = riccati_residual(exp, points=points, lambdas=lambdas)
+    for sign in ex.sign:
+        for order in res.orders:
+            exp = expand(m, sign, ex.eta, order)
+            rep = oracle.riccati_residual(exp, points=points, lambdas=res.lambdas)
             for lam, rms in zip(rep.lambdas, rep.rms):
                 rows.append([order, lam, rms, rep.slope, sign])
             print(f"sign {sign:+d} order {order}: {rep.describe()}")
@@ -332,25 +393,17 @@ def _cmd_residual(cfg, em, seed, kind):
 
 
 def _cmd_oracle(cfg, em, seed, kind):
-    sec = _section(cfg, "oracle")
-    kind = kind or _get(sec, "kind", "", str).strip()
-    if kind == "quad":
-        return _oracle_quad(cfg, em, seed, sec)
-    if kind == "grid":
-        return _oracle_grid(cfg, em, seed, sec)
+    opts = _options(cfg, "oracle", kind=kind)
+    if opts.kind == "quad":
+        return _oracle_quad(cfg, em, seed, opts)
+    if opts.kind == "grid":
+        return _oracle_grid(cfg, em, seed, opts)
     raise ConfigError("oracle needs a kind: quad or grid")
 
 
-def _oracle_quad(cfg, em, seed, sec):
-    import numpy as np
-
-    from .expansion import leading_term
-    from .expr import VarId, eval_expr
-    from .oracle import quad_oracle
-
+def _oracle_quad(cfg, em, seed, opts):
     m = _load_medium_checked(cfg)
-    s = _get(sec, "s", 1.0 + 0j, _complex_value)
-    count = _get(sec, "count", 100, int)
+    s, count = opts.s, opts.count
     rng = np.random.default_rng(seed)
     xi = rng.uniform(-2.0, 2.0, size=(count, 2))
     roots = quad_oracle(m, xi, s)
@@ -403,16 +456,12 @@ def _oracle_quad(cfg, em, seed, sec):
     return 0
 
 
-def _oracle_grid(cfg, em, seed, sec):
-    from .expansion import expand
-    from .oracle import grid_riccati_oracle, operator_distance
-
+def _oracle_grid(cfg, em, seed, opts):
     m = _load_medium_checked(cfg)
-    grid = _load_grid(cfg)
-    s = _get(sec, "s", 40.0 + 0j, _complex_value)
-    gap_rtol = _get(sec, "gap_rtol", 1e-6, float)
-    orders = _get(sec, "orders", [0, 1, 2], _int_list)
-    result = grid_riccati_oracle(m, grid, s, gap_rtol=gap_rtol)
+    g = _options(cfg, "grid")
+    grid = TransverseGrid(g.n, g.l1, g.l2)
+    s, orders = opts.s, opts.orders
+    result = grid_riccati_oracle(m, grid, s, gap_rtol=opts.gap_rtol)
     print(
         f"gap {result.gap:.3e}, cond {result.cond_plus:.3e}/{result.cond_minus:.3e}, "
         f"riccati rel {result.riccati_rel_plus:.3e}/{result.riccati_rel_minus:.3e}"
@@ -428,18 +477,12 @@ def _oracle_grid(cfg, em, seed, sec):
 
 
 def _cmd_order_claim(cfg, em, seed, kind):
-    import numpy as np
-
-    from .oracle import DEFAULT_LAMBDAS, draw_probe_points, order_claim_check
-
     m = _load_medium_checked(cfg)
-    order, eta, _, _ = _expansion_params(cfg)
-    sec = _section(cfg, "residual")
-    lambdas = _get(sec, "lambdas", list(DEFAULT_LAMBDAS), _float_list)
-    n_points = _get(sec, "points", 6, int)
-    split = _load_split(m, order, eta)
-    points = draw_probe_points(m, n_points, np.random.default_rng(seed))
-    rep = order_claim_check(split, points=points, lambdas=lambdas)
+    ex = _options(cfg, "expansion")
+    res = _options(cfg, "residual")
+    split = _load_split(m, ex.order, ex.eta)
+    points = draw_probe_points(m, res.points, np.random.default_rng(seed))
+    rep = order_claim_check(split, points=points, lambdas=res.lambdas)
     print(rep.describe())
     rows = [
         ["p", "" if rep.p_slope is None else _fmt(rep.p_slope), _fmt(rep.p_expected)],
@@ -464,8 +507,6 @@ def _cmd_order_claim(cfg, em, seed, kind):
 
 
 def _parse_norm_kind(text):
-    from .normalization import NormalizationSpec
-
     if not text:
         raise ConfigError("normalize needs --kind constant:m,m' or --kind impedance")
     if text == "impedance":
@@ -483,18 +524,12 @@ def _parse_norm_kind(text):
 
 
 def _cmd_normalize(cfg, em, seed, kind):
-    import numpy as np
-
-    from .expr import eval_expr, to_text
-    from .normalization import apply_normalization
-    from .oracle import _probe_env, draw_probe_points
-
     m = _load_medium_checked(cfg)
-    order, eta, _, n_points = _expansion_params(cfg)
+    ex = _options(cfg, "expansion")
     spec = _parse_norm_kind(kind)
-    split = _load_split(m, order, eta)
+    split = _load_split(m, ex.order, ex.eta)
     out = apply_normalization(split, spec)
-    env = _probe_env(draw_probe_points(m, max(n_points, 4), np.random.default_rng(seed)))
+    env = _probe_env(draw_probe_points(m, max(ex.points, 4), np.random.default_rng(seed)))
     rows = []
     dump = []
     for tag, before, after in (
@@ -531,36 +566,21 @@ def _cmd_normalize(cfg, em, seed, kind):
 
 
 def _cmd_propagate(cfg, em, seed, kind):
-    import numpy as np
-
-    from .expr import ExprError, VarId, eval_expr, parse
-    from .propagate import full_solve, oneway_solve
-    from .symbols import random_smooth_field
-
     m = _load_medium_checked(cfg)
-    grid = _load_grid(cfg)
-    sec = _section(cfg, "propagation", required=True)
-    a = _get(sec, "a", 0.0, float)
-    b = _get(sec, "b", None, float)
-    steps = _get(sec, "steps", 64, int)
-    s = _get(sec, "s", 1.0 + 0j, _complex_value)
-    solver = _get(sec, "solver", "full", str).strip()
-    method = _get(sec, "method", "", str).strip()
-    record = _get(sec, "record_depths", [], _float_list)
+    g = _options(cfg, "grid")
+    grid = TransverseGrid(g.n, g.l1, g.l2)
+    pr = _options(cfg, "propagation")
+    march = dict(steps=pr.steps, method=pr.method, record=pr.record_depths)
     rng = np.random.default_rng(seed)
 
-    def initial(key):
-        if key in sec:
-            try:
-                e = parse(sec[key])
-            except ExprError as exc:
-                raise ConfigError(f"bad expression for '{key}': {exc}") from None
-            X1g, X2g = grid.x_mesh()
-            env = {VarId.X1: X1g, VarId.X2: X2g, VarId.X3: complex(a), VarId.S: s}
-            return np.broadcast_to(np.asarray(eval_expr(e, env)), X1g.shape).astype(
-                np.complex128
-            )
-        return random_smooth_field(grid, rng)
+    def initial(field):
+        if field is None:
+            return random_smooth_field(grid, rng)
+        X1g, X2g = grid.x_mesh()
+        env = {VarId.X1: X1g, VarId.X2: X2g, VarId.X3: complex(pr.a), VarId.S: pr.s}
+        return np.broadcast_to(np.asarray(eval_expr(field, env)), X1g.shape).astype(
+            np.complex128
+        )
 
     def emit(tagged_records, component):
         summary = []
@@ -573,37 +593,20 @@ def _cmd_propagate(cfg, em, seed, kind):
             summary.append([x3, float(np.linalg.norm(values))])
         em.csv(f"depths_{component}.csv", ["x3", "norm"], summary)
 
-    if solver == "full":
-        v3 = initial("v3")
-        p = initial("p")
-        recs = full_solve(
-            m, grid, s, v3, p, a, b, steps=steps, method=method or "auto", record=record
-        )
+    if pr.solver == "full":
+        v3 = initial(pr.v3)
+        p = initial(pr.p)
+        recs = full_solve(m, grid, pr.s, v3, p, pr.a, pr.b, **march)
         emit([(x3, v) for x3, v, _ in recs], "v3")
         emit([(x3, q) for x3, _, q in recs], "p")
         print(f"full solve: {len(recs)} depth snapshots")
-    elif solver == "oneway":
-        order, eta, _, _ = _expansion_params(cfg)
-        sign = _sign_value(_get(sec, "sign", "+", str))
-        split = _load_split(m, order, eta)
-        u = initial("u")
-        recs = oneway_solve(
-            split,
-            sign,
-            grid,
-            s,
-            u,
-            a,
-            b,
-            steps=steps,
-            method=method or "rk4",
-            record=record,
-        )
-        tag = "u_plus" if sign > 0 else "u_minus"
+    else:
+        ex = _options(cfg, "expansion")
+        split = _load_split(m, ex.order, ex.eta)
+        recs = oneway_solve(split, pr.sign, grid, pr.s, initial(pr.u), pr.a, pr.b, **march)
+        tag = "u_plus" if pr.sign > 0 else "u_minus"
         emit(recs, tag)
         print(f"one-way solve ({tag}): {len(recs)} depth snapshots")
-    else:
-        raise ConfigError(f"unknown solver {solver!r} (use full or oneway)")
     return 0
 
 
@@ -619,7 +622,6 @@ _HANDLERS = {
 
 
 def run(argv=None) -> int:
-    _apply_thread_cap()
     args = _parse_args(argv)
     kind = None
     rest = list(args.rest)
@@ -634,38 +636,25 @@ def run(argv=None) -> int:
 
     try:
         cfg = _read_config(config_path)
-        run_sec = _section(cfg, "run")
-        seed = args.seed if args.seed is not None else _get(run_sec, "seed", 0, int)
-        out_dir = Path(args.out or _get(run_sec, "out", "out", str))
-        em = _Emitter(out_dir)
+        _warn_unknown(cfg)
+        opts = _options(cfg, "run", seed=args.seed, out=args.out)
+        seed = opts.seed
+        em = _Emitter(Path(opts.out))
         code = _HANDLERS[args.subcommand](cfg, em, seed, kind)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # noqa: BLE001 - mapped to the exit contract below
-        from .expansion import ExpansionError
-        from .expr import ExprError
-        from .medium import MediumError
-        from .normalization import NormalizationError
-        from .oracle import OracleError
-        from .propagate import PropagationError
-        from .symbols import SymbolError
-
-        if isinstance(
-            exc,
-            (
-                MediumError,
-                OracleError,
-                PropagationError,
-                NormalizationError,
-                ExpansionError,
-                SymbolError,
-                ExprError,
-            ),
-        ):
-            print(f"check failed: {exc}", file=sys.stderr)
-            return 1
-        raise
+    except (
+        MediumError,
+        OracleError,
+        PropagationError,
+        NormalizationError,
+        ExpansionError,
+        SymbolError,
+        ExprError,
+    ) as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return 1
 
     em.manifest(
         {

@@ -364,10 +364,6 @@ class SplitSymbols:
             for row in self.ell
         )
 
-    def y_symbol(self, sign: int) -> PolyhomSymbol:
-        _check_sign(sign)
-        return self.ell[0][0] if sign > 0 else self.ell[0][1]
-
     def g_symbol(self, sign: int) -> PolyhomSymbol:
         _check_sign(sign)
         return self.g_plus if sign > 0 else self.g_minus

@@ -395,7 +395,7 @@ def free_vars(e: Expr) -> frozenset:
 
 def node_count(e: Expr) -> int:
     """Number of distinct DAG nodes reachable from e."""
-    return len(_postorder(e))
+    return len(_walk([e])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -450,24 +450,6 @@ _EVAL = {
     "cos": lambda n, v: np.cos(v[0]),
     "recip": _ev_recip,
 }
-
-
-def _postorder(root):
-    out = []
-    seen = set()
-    stack = [(root, False)]
-    while stack:
-        node, emit = stack.pop()
-        if emit:
-            out.append(node)
-            continue
-        if node in seen:
-            continue
-        seen.add(node)
-        stack.append((node, True))
-        for a in node.args:
-            stack.append((a, False))
-    return out
 
 
 def _walk(roots):

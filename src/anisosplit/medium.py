@@ -31,6 +31,7 @@ from .expr import (
 __all__ = [
     "MediumSpec",
     "MediumError",
+    "MEDIUM_KEYS",
     "ValidationReport",
     "SchurData",
     "load_medium",
@@ -43,6 +44,7 @@ __all__ = [
 _XVARS = (VarId.X1, VarId.X2, VarId.X3)
 _DEFAULT_BOX = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
 _DEFAULT_BOUNDS = {"kappa0": 1e-8, "kappa1": 1e8, "rho0": 1e-8, "rho1": 1e8}
+MEDIUM_KEYS = ("kappa", "alpha", "rho", *_DEFAULT_BOUNDS, "box")
 
 
 class MediumError(Exception):
@@ -123,9 +125,10 @@ def load_medium(section) -> MediumSpec:
     comma-separated row-major list of 9 expressions. Optional bound
     overrides ``kappa0 kappa1 rho0 rho1`` and a ``box`` of six floats
     (x1min,x1max,x2min,x2max,x3min,x3max). The result is validated on a
-    5^3 lattice over the box; violations raise MediumError.
+    5^3 lattice over the box; violations raise MediumError. Keys outside
+    ``MEDIUM_KEYS`` are ignored.
     """
-    data = dict(section)
+    data = {key: section[key] for key in MEDIUM_KEYS if key in section}
     try:
         kappa = _as_medium_expr(data["kappa"])
     except KeyError:

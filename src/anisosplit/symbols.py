@@ -29,7 +29,6 @@ from .expr import (
     DivisionByZeroError,
     _EVAL,
     _consumer_counts,
-    _postorder,
     _run,
     _walk,
     const,
@@ -340,7 +339,7 @@ def _monomial_map(e: Expr) -> dict:
     expression (a polynomial in xi, Laurent in s). Raises SymbolError
     for anything else."""
     maps = {}
-    for node in _postorder(e):
+    for node in _walk([e])[0]:
         op = node.op
         if not (node.free_vars & _XI_S_VARS):
             out = {(0, 0, 0): node}
@@ -442,7 +441,7 @@ class SymbolForm:
         negative power with it must have a single grade). Anything else
         raises SymbolError."""
         forms = {}
-        for node in _postorder(e):
+        for node in _walk([e])[0]:
             args = [forms[a] for a in node.args]
             op = node.op
             if node is rho.root:

@@ -349,3 +349,97 @@ u = sin(x1)
 def test_propagate_requires_b(tmp_path):
     cfg = _cfg(tmp_path, HOM + "\n[propagation]\na = 0\n")
     assert run(["propagate", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+PROPAGATION = "\n[propagation]\na = 0\nb = 0.4\nsteps = 4\ns = 1.2\n"
+
+
+def test_zero_probe_count_is_config_error(tmp_path, capsys):
+    cfg = _cfg(tmp_path, HOM.replace("count = 20", "count = 0"))
+    assert run(["oracle", "quad", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "error: bad value for 'count':" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text,extra", [("seed = -1", []), ("seed = 11", ["--seed", "-1"])], ids=["config", "flag"]
+)
+def test_negative_seed_is_config_error(tmp_path, capsys, text, extra):
+    cfg = _cfg(tmp_path, HOM.replace("seed = 11", text))
+    assert run(["expand", cfg, "--out", str(tmp_path / "o"), *extra]) == 2
+    assert "error: bad value for 'seed':" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        (["expand"], HOM.replace("order = 1", "order = 9")),
+        (["residual"], HET.replace("orders = 1\n", "orders = 1, 9\n")),
+        (["oracle", "grid"], HOM.replace("n = 8", "n = 12")),
+        (["propagate"], HOM + PROPAGATION.replace("steps = 4", "steps = 0")),
+        (["expand"], HOM.replace("points = 3", "points = 0")),
+        (["residual"], HET.replace("lambdas = 4,16,64", "lambdas =")),
+        (["propagate"], HOM + PROPAGATION + "v3 = sin(x1) + xi1\n"),
+        (["oracle", "grid"], HOM.replace("count = 20", "orders =")),
+    ],
+    ids=["order", "orders", "grid-n", "steps", "points", "lambdas", "unbound-field", "no-orders"],
+)
+def test_out_of_range_values_exit_two_before_any_work(tmp_path, capsys, argv, text):
+    out = tmp_path / "o"
+    assert run([*argv, _cfg(tmp_path, text), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "check failed" not in captured.err
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
+
+
+def test_unread_section_values_do_not_change_exit_code(tmp_path):
+    text = HOM + "\n[residual]\norders = x\n" + PROPAGATION.replace("steps = 4", "steps = 0")
+    assert run(["expand", _cfg(tmp_path, text), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_subcommand_dependent_defaults():
+    import configparser
+
+    from anisosplit.cli import _options
+
+    cp = configparser.ConfigParser()
+    cp.read_string("[propagation]\nb = 1\n")
+    assert _options(cp, "oracle", kind="quad").s == 1
+    assert _options(cp, "oracle", kind="grid").s == 40
+    assert _options(cp, "propagation").method == "auto"
+    cp.set("propagation", "solver", "oneway")
+    assert _options(cp, "propagation").method == "rk4"
+
+
+@pytest.mark.parametrize(
+    "typo,warning",
+    [
+        (("order = 1\n", "order = 1\nordre = 3\n"), "warning: unknown key 'ordre' in [expansion]"),
+        (("[run]", "[expansions]\norder = 3\n\n[run]"), "warning: unknown section [expansions]"),
+    ],
+    ids=["key", "section"],
+)
+def test_unknown_key_or_section_warns_and_runs_unchanged(tmp_path, capsys, typo, warning):
+    assert run(["expand", _cfg(tmp_path, HOM, "a.ini"), "--out", str(tmp_path / "a")]) == 0
+    assert capsys.readouterr().err == ""
+    typoed = _cfg(tmp_path, HOM.replace(*typo), "b.ini")
+    assert run(["expand", typoed, "--out", str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().err.splitlines() == [warning]
+    assert _outputs(tmp_path / "a")[1] == _outputs(tmp_path / "b")[1]
+
+
+def test_example_config_has_no_unknown_keys(capsys):
+    from anisosplit.cli import _read_config, _warn_unknown
+
+    _warn_unknown(_read_config(str(Path(__file__).resolve().parents[1] / "demos" / "example.cfg")))
+    assert capsys.readouterr().err == ""
+
+
+def test_readme_key_table_matches_cli_table():
+    from anisosplit.cli import _KEYS
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    documented = set()
+    for section, keys in re.findall(r"^\| `\[(\w+)\]` \| ([^|]*) \|", readme, re.M):
+        documented |= {(section, key) for key in re.findall(r"`(\w+)`", keys)}
+    assert documented == {(section, key) for section, key, *_ in _KEYS}

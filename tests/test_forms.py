@@ -161,12 +161,12 @@ def test_lift_round_trips_and_rejects_non_forms():
 def test_split_generators_use_few_mixed_nodes():
     # the generators are lowered in monomial shape: few nodes depend on
     # both x and xi, which is what a quantized kernel pays per entry
-    from anisosplit.expr import _postorder
+    from anisosplit.expr import _walk
     from anisosplit.symbols import _symbol_total
 
     m = presets.transverse_anisotropic()
     sp = split_symbols(expand(m, 1, 1, 2), expand(m, -1, 1, 2))
-    nodes = _postorder(_symbol_total(sp.g_plus))
+    nodes = _walk([_symbol_total(sp.g_plus)])[0]
     x, xi = {VarId.X1, VarId.X2}, {VarId.XI1, VarId.XI2}
     mixed = sum(1 for n in nodes if n.free_vars & x and n.free_vars & xi)
     assert mixed <= 200
