@@ -50,6 +50,7 @@ from .oracle import (
     DEFAULT_LAMBDAS,
     OracleError,
     _check_lambdas,
+    _check_s,
     _probe_env,
     draw_probe_points,
     grid_riccati_oracle,
@@ -57,7 +58,7 @@ from .oracle import (
     order_claim_check,
     quad_oracle,
 )
-from .propagate import PropagationError, full_solve, oneway_solve
+from .propagate import PropagationError, _check_method, _segments, full_solve, oneway_solve
 from .symbols import SymbolError, TransverseGrid, random_smooth_field
 
 
@@ -174,6 +175,8 @@ _REQUIRED = object()  # default of a key that must be given
 _REQUIRED_SECTIONS = ("medium", "propagation")
 # a default picked by the value of an earlier key of the same section
 _Per = namedtuple("_Per", "key values")
+# a check that also reads earlier keys of the same section
+_Reads = namedtuple("_Reads", "keys check")
 
 # (section, key, parse, default, check); a parse that returns None gives
 # the default, as an absent key does
@@ -191,7 +194,7 @@ _KEYS = (
     ("residual", "lambdas", _list_of(float), DEFAULT_LAMBDAS, _check_lambdas),
     ("residual", "points", int, 6, _at_least(1)),
     ("oracle", "kind", str.strip, "", None),
-    ("oracle", "s", _complex_value, _Per("kind", {"quad": 1 + 0j, "grid": 40 + 0j}), None),
+    ("oracle", "s", _complex_value, _Per("kind", {"quad": 1 + 0j, "grid": 40 + 0j}), _check_s),
     ("oracle", "count", int, 100, _at_least(1)),
     ("oracle", "gap_rtol", float, 1e-6, None),
     ("oracle", "orders", _list_of(int), (0, 1, 2), _check_orders),
@@ -201,8 +204,10 @@ _KEYS = (
     ("propagation", "s", _complex_value, 1 + 0j, None),
     ("propagation", "solver", str.strip, "full", _check_solver),
     ("propagation", "method", lambda text: text.strip() or None,
-     _Per("solver", {"full": "auto", "oneway": "rk4"}), None),
-    ("propagation", "record_depths", _list_of(float), (), None),
+     _Per("solver", {"full": "auto", "oneway": "rk4"}),
+     _Reads(("solver",), lambda method, solver: _check_method(solver, method))),
+    ("propagation", "record_depths", _list_of(float), (),
+     _Reads(("a", "b"), lambda record, a, b: _segments(a, b, record))),
     ("propagation", "sign", _sign_value, 1, None),
     ("propagation", "v3", parse, None, _check_field),
     ("propagation", "p", parse, None, _check_field),
@@ -225,11 +230,13 @@ def _options(cfg, section, **overrides):
     for key, (parse_value, default, check) in _TABLE[section].items():
         try:
             value = parse_value(raw[key]) if key in raw else None
-            if value is not None and check is not None:
+            if value is not None and isinstance(check, _Reads):
+                check.check(value, *(values[k] for k in check.keys))
+            elif value is not None and check is not None:
                 check(value)
         except ExprError as exc:
             raise ConfigError(f"bad expression for '{key}': {exc}") from None
-        except (ValueError, TypeError, OracleError, SymbolError) as exc:
+        except (ValueError, TypeError, OracleError, PropagationError, SymbolError) as exc:
             raise ConfigError(f"bad value for '{key}': {exc}") from None
         if value is None and default is _REQUIRED:
             raise ConfigError(f"missing required key '{key}'")

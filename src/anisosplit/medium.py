@@ -340,6 +340,16 @@ def _coefficients(m: MediumSpec) -> _Coefficients:
     return m._cache("coefficients", build)
 
 
+def _constant_value(e: Expr, m: MediumSpec) -> complex:
+    """Value of a field of a homogeneous medium (taken at the box midpoint)."""
+    env = {
+        VarId.X1: 0.5 * (m.box[0][0] + m.box[0][1]),
+        VarId.X2: 0.5 * (m.box[1][0] + m.box[1][1]),
+        VarId.X3: 0.5 * (m.box[2][0] + m.box[2][1]),
+    }
+    return complex(eval_expr(e, env))
+
+
 def _x_dependence(m: MediumSpec):
     fv = set(free_vars(m.kappa))
     for row in m.alpha:

@@ -90,22 +90,18 @@ class NormalizationSpec:
 
     kind "constant": n+ = m, n- = mprime (nonzero complex constants).
     kind "impedance": n+- = y+- taken from the split being transformed
-    (admittance power p = 1). eta, when given, must agree with the split
-    it is applied to; None inherits the split's flavor.
+    (admittance power p = 1). The transform uses the split's own eta.
     """
 
     kind: str
     m: complex = 1.0 + 0j
     mprime: complex = 1.0 + 0j
-    eta: int | None = None
 
     def __post_init__(self):
         if self.kind not in ("constant", "impedance"):
             raise NormalizationError(f"unknown normalization kind {self.kind!r}")
         if self.kind == "constant" and (self.m == 0 or self.mprime == 0):
             raise NormalizationError("constant gauge factors must be nonzero")
-        if self.eta not in (None, 0, 1):
-            raise NormalizationError("eta must be 0 or 1")
 
     def diagonal(self, split: SplitSymbols):
         if self.kind == "constant":
@@ -154,10 +150,6 @@ def apply_normalization_symbols(
 
 def apply_normalization(split: SplitSymbols, spec: NormalizationSpec) -> SplitSymbols:
     """Transform a split by a stock gauge choice."""
-    if spec.eta is not None and spec.eta != split.eta:
-        raise NormalizationError(
-            f"gauge eta={spec.eta} does not match the split's eta={split.eta}"
-        )
     n_plus, n_minus = spec.diagonal(split)
     if n_plus.is_zero or n_minus.is_zero:
         raise NormalizationError("gauge diagonal must be invertible")

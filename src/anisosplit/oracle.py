@@ -39,7 +39,7 @@ from .expr import (
     taylor_eval,
     variable,
 )
-from .medium import MediumSpec, is_depth_independent, is_homogeneous, schur
+from .medium import MediumSpec, _constant_value, is_depth_independent, is_homogeneous, schur
 from .expansion import AdmittanceExpansion, SplitSymbols, gamma1
 from .symbols import (
     SymbolTerm,
@@ -85,6 +85,12 @@ class GlancingIncidenceError(OracleError):
 
 class SpectralGapError(OracleError):
     """The discrete systems operator has eigenvalues too close to Re = 0."""
+
+
+def _check_s(s):
+    """Both oracles need s (a value or an array) in the open right half plane."""
+    if np.any(np.real(s) <= 0):
+        raise OracleError("s must lie in the open right half plane")
 
 
 def _check_lambdas(lambdas) -> np.ndarray:
@@ -341,20 +347,15 @@ def riccati_residual(
     points=None,
     lambdas=DEFAULT_LAMBDAS,
     rng=None,
-    beta_cap=None,
 ) -> ResidualReport:
     """Measure the symbol-equation residual along the scaling ray.
 
     With terms through degree -N the equation cancels down to degree
     -N + 1, so |residual| ~ lam^-N; the report carries the fitted slope
     against the expectation -N (fitted from lam = 8 on for N >= 4, see
-    ``ResidualReport``). ``beta_cap`` (default N + 1) caps the
-    order of the composition tail.
+    ``ResidualReport``). The composition tail is capped at order N + 1.
     """
-    if beta_cap is None:
-        beta_cap = exp.order + 1
-    if beta_cap < 0:
-        raise OracleError(f"beta_cap must be >= 0, got {beta_cap}")
+    beta_cap = exp.order + 1
     if points is None:
         points = draw_probe_points(exp.medium, 6, rng)
     env = _scaling_env(points, lambdas)
@@ -395,16 +396,6 @@ class QuadRoots:
     g_minus: np.ndarray
 
 
-def _constant_value(e: Expr, m: MediumSpec) -> complex:
-    """Value of a field of a homogeneous medium (taken at the box midpoint)."""
-    env = {
-        VarId.X1: 0.5 * (m.box[0][0] + m.box[0][1]),
-        VarId.X2: 0.5 * (m.box[1][0] + m.box[1][1]),
-        VarId.X3: 0.5 * (m.box[2][0] + m.box[2][1]),
-    }
-    return complex(eval_expr(e, env))
-
-
 def quad_oracle(m: MediumSpec, xi, s) -> QuadRoots:
     """Admittance of a homogeneous medium from the scalar quadratic.
 
@@ -420,8 +411,7 @@ def quad_oracle(m: MediumSpec, xi, s) -> QuadRoots:
     if xi_arr.shape[-1] != 2:
         raise OracleError("xi must have two components")
     s_arr = np.broadcast_to(np.asarray(s, dtype=complex), (xi_arr.shape[0],)).copy()
-    if np.any(s_arr.real <= 0):
-        raise OracleError("s must lie in the open right half plane")
+    _check_s(s_arr)
 
     a = [[_constant_value(m.alpha[i][j], m) for j in range(3)] for i in range(3)]
     kap = _constant_value(m.kappa, m)
@@ -460,6 +450,10 @@ def quad_oracle(m: MediumSpec, xi, s) -> QuadRoots:
 # ---------------------------------------------------------------------------
 # grid oracle
 
+# largest condition number of a family's eigenbasis that the grid oracle
+# inverts
+_COND_CAP = 1e10
+
 
 @dataclass(frozen=True)
 class GridOracleResult:
@@ -476,15 +470,6 @@ class GridOracleResult:
     riccati_rel_plus: float
     riccati_rel_minus: float
     blocks: tuple  # (A11, A12, A21, A22)
-
-
-def _grid_field(e: Expr, grid: TransverseGrid, x3: float) -> np.ndarray:
-    """Values of a medium field on the grid at depth x3 (read-only view)."""
-    X1g, X2g = grid.x_mesh()
-    env = {VarId.X1: X1g, VarId.X2: X2g, VarId.X3: complex(x3)}
-    return np.broadcast_to(
-        np.asarray(eval_expr(e, env), dtype=np.complex128), X1g.shape
-    )
 
 
 def _check_grid_periodic(m: MediumSpec, grid: TransverseGrid):
@@ -524,7 +509,6 @@ def grid_riccati_oracle(
     grid: TransverseGrid,
     s,
     gap_rtol: float = 1e-6,
-    cond_cap: float = 1e10,
 ) -> GridOracleResult:
     """Matrix admittance from the invariant subspaces of the discrete
     systems operator.
@@ -539,8 +523,7 @@ def grid_riccati_oracle(
     if not is_depth_independent(m):
         raise OracleError("grid oracle needs a depth-independent medium")
     s = complex(s)
-    if s.real <= 0:
-        raise OracleError("s must lie in the open right half plane")
+    _check_s(s)
     _check_grid_periodic(m, grid)
 
     n = grid.n
@@ -549,7 +532,7 @@ def grid_riccati_oracle(
     D2 = np.kron(np.eye(n), _derivative_matrix(n, grid.L2))
 
     def dg(e):
-        return np.diag(_grid_field(e, grid, 0.0).ravel())
+        return np.diag(grid.sample(e, 0.0, s).ravel())
 
     inv33 = recip(m.alpha[2][2])
     sd = schur(m)
@@ -583,8 +566,8 @@ def grid_riccati_oracle(
         W = phi[:N, mask]
         V = phi[N:, mask]
         cond = float(np.linalg.cond(V))
-        if cond > cond_cap:
-            raise OracleError(f"eigenbasis condition {cond:.3e} exceeds {cond_cap:.1e}")
+        if cond > _COND_CAP:
+            raise OracleError(f"eigenbasis condition {cond:.3e} exceeds {_COND_CAP:.1e}")
         Y = W @ np.linalg.inv(V)
         t1 = Y @ A21 @ Y
         t2 = Y @ A22

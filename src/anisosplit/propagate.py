@@ -14,23 +14,13 @@ increasing depth for Re s > 0.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
 import scipy.linalg
 
-from .medium import MediumSpec, _coefficients, is_depth_independent, is_homogeneous
+from .medium import MediumSpec, _coefficients, _constant_value, is_homogeneous
 from .expansion import SplitSymbols
-from .oracle import _constant_value, _grid_field, quad_oracle
-from .symbols import (
-    TransverseGrid,
-    _KernelPlan,
-    _action,
-    _kernel_rows,
-    _symbol_total,
-    quantize_apply,
-    spectral_derivative,
-)
+from .oracle import quad_oracle
+from .symbols import TransverseGrid, quantize_apply, spectral_derivative
 
 __all__ = [
     "PropagationError",
@@ -55,12 +45,12 @@ def apply_systems_operator(m: MediumSpec, grid: TransverseGrid, s, x3, v3, p):
 
     d1p = spectral_derivative(p, grid, 1)
     d2p = spectral_derivative(p, grid, 2)
-    flux1 = _grid_field(c.Q[0][0], grid, x3) * d1p + _grid_field(c.Q[0][1], grid, x3) * d2p
-    flux2 = _grid_field(c.Q[1][0], grid, x3) * d1p + _grid_field(c.Q[1][1], grid, x3) * d2p
+    flux1 = grid.sample(c.Q[0][0], x3, s) * d1p + grid.sample(c.Q[0][1], x3, s) * d2p
+    flux2 = grid.sample(c.Q[1][0], x3, s) * d1p + grid.sample(c.Q[1][1], x3, s) * d2p
     r1 = (
-        spectral_derivative(_grid_field(c.f[0], grid, x3) * v3, grid, 1)
-        + spectral_derivative(_grid_field(c.f[1], grid, x3) * v3, grid, 2)
-        + s * _grid_field(c.kappa, grid, x3) * p
+        spectral_derivative(grid.sample(c.f[0], x3, s) * v3, grid, 1)
+        + spectral_derivative(grid.sample(c.f[1], x3, s) * v3, grid, 2)
+        + s * grid.sample(c.kappa, x3, s) * p
         - (
             spectral_derivative(flux1, grid, 1)
             + spectral_derivative(flux2, grid, 2)
@@ -68,15 +58,24 @@ def apply_systems_operator(m: MediumSpec, grid: TransverseGrid, s, x3, v3, p):
         / s
     )
     r2 = (
-        s * _grid_field(c.inv33, grid, x3) * v3
-        + _grid_field(c.g[0], grid, x3) * d1p
-        + _grid_field(c.g[1], grid, x3) * d2p
+        s * grid.sample(c.inv33, x3, s) * v3
+        + grid.sample(c.g[0], x3, s) * d1p
+        + grid.sample(c.g[1], x3, s) * d2p
     )
     return r1, r2
 
 
 # ---------------------------------------------------------------------------
 # depth marching
+
+
+# the methods each solver takes
+_METHODS = {"full": ("auto", "rk4", "exact"), "oneway": ("rk4", "expmid")}
+
+
+def _check_method(solver: str, method):
+    if method not in _METHODS[solver]:
+        raise PropagationError(f"unknown method {method!r}")
 
 
 def _segments(a: float, b: float, record):
@@ -211,8 +210,7 @@ def full_solve(
     s = complex(s)
     if steps < 1:
         raise PropagationError("steps must be positive")
-    if method not in ("auto", "rk4", "exact"):
-        raise PropagationError(f"unknown method {method!r}")
+    _check_method("full", method)
     if method == "exact" and not is_homogeneous(m):
         raise PropagationError("exact stepping needs a homogeneous medium")
     if method == "auto":
@@ -241,51 +239,6 @@ def full_solve(
 
 # ---------------------------------------------------------------------------
 # one-way solve
-
-
-def _physical_kernel(sym, grid: TransverseGrid, x3, s) -> np.ndarray:
-    """Quantized symbol (or its kernel plan) composed with the forward 2D
-    DFT: grid values in, grid values out.
-
-    The DFT matrix kron(F, F) is symmetric, so right-multiplying by it is
-    an fft2 of each kernel row; each row block is transformed in place
-    as soon as it is built.
-    """
-    n = grid.n
-    out = np.empty((n * n, n * n), dtype=np.complex128)
-    for block in _kernel_rows(sym, grid, x3, s, out):
-        block[...] = np.fft.fft2(block.reshape(-1, n, n)).reshape(block.shape)
-    return out
-
-
-class _KernelCache:
-    """Physical-to-physical generator matrices keyed by depth.
-
-    quantize_matrix maps a spectrum to grid values, so the stored
-    operator is its composition with the forward DFT. An RK4 step reads
-    the kernel at its start depth (the previous step's end), twice the
-    one at its midpoint, and the one at its end, so two kernels cover
-    every reuse; the one read least recently is dropped before a third
-    is built. The symbol's kernel plan is made once, for every depth.
-    """
-
-    def __init__(self, sym, grid, s):
-        self.plan = _KernelPlan(sym)
-        self.grid = grid
-        self.s = s
-        self.store = OrderedDict()
-
-    def at(self, x3: float) -> np.ndarray:
-        key = round(float(x3), 12)
-        got = self.store.get(key)
-        if got is None:
-            if len(self.store) == 2:
-                self.store.popitem(last=False)
-            got = _physical_kernel(self.plan, self.grid, x3, self.s)
-            self.store[key] = got
-        else:
-            self.store.move_to_end(key)
-        return got
 
 
 def oneway_solve(
@@ -318,21 +271,16 @@ def oneway_solve(
                 f"trunc must be between 0 and the split order {split.order}"
             )
         g = g.truncate(1 - trunc)
-    if method not in ("rk4", "expmid"):
-        raise PropagationError(f"unknown method {method!r}")
+    _check_method("oneway", method)
     if steps < 1:
         raise PropagationError("steps must be positive")
 
-    cache = _KernelCache(g, grid, s)
-    depth_free = is_depth_independent(split.medium)
-
-    def kernel(x3):
-        return cache.at(0.0 if depth_free else x3)
+    op = grid.operator(g, s)
 
     if method == "expmid":
 
         def expmid(d0, d1, fields):
-            K = kernel(0.5 * (d0 + d1))
+            K = op.kernel(0.5 * (d0 + d1))
             # an exponentially growing segment overflows inside expm's own
             # products, before the blow-up guard can look at the field
             try:
@@ -346,14 +294,8 @@ def oneway_solve(
 
         return _march((u,), a, b, record, steps, propagator=expmid)
 
-    fast = _action(_symbol_total(g)) != "kernel"
-
     def act(x3, fields):
-        (field,) = fields
-        if fast:
-            # pointwise or pure-multiplier symbol: cheaper than a kernel matrix
-            return (quantize_apply(g, field, grid, x3, s),)
-        return ((kernel(x3) @ field.ravel()).reshape(field.shape),)
+        return (op.apply(fields[0], x3),)
 
     return _march((u,), a, b, record, steps, rhs=act)
 

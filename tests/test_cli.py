@@ -380,8 +380,14 @@ def test_negative_seed_is_config_error(tmp_path, capsys, text, extra):
         (["residual"], HET.replace("lambdas = 4,16,64", "lambdas =")),
         (["propagate"], HOM + PROPAGATION + "v3 = sin(x1) + xi1\n"),
         (["oracle", "grid"], HOM.replace("count = 20", "orders =")),
+        (["propagate"], HOM + PROPAGATION + "method = foo\n"),
+        (["propagate"], HOM + PROPAGATION + "record_depths = 0.2, 3\n"),
+        (["oracle", "quad"], HOM.replace("s = 1.2+0.4i", "s = -1")),
     ],
-    ids=["order", "orders", "grid-n", "steps", "points", "lambdas", "unbound-field", "no-orders"],
+    ids=[
+        "order", "orders", "grid-n", "steps", "points", "lambdas", "unbound-field", "no-orders",
+        "method", "record-depth", "oracle-s",
+    ],
 )
 def test_out_of_range_values_exit_two_before_any_work(tmp_path, capsys, argv, text):
     out = tmp_path / "o"

@@ -67,16 +67,6 @@ def test_spec_validation():
         NormalizationSpec(kind="constant", m=0)
     with pytest.raises(NormalizationError):
         NormalizationSpec(kind="constant", mprime=0)
-    with pytest.raises(NormalizationError):
-        NormalizationSpec(kind="constant", eta=3)
-
-
-def test_spec_eta_must_match_split(het_split):
-    spec = NormalizationSpec(kind="constant", m=2, mprime=3, eta=0)
-    with pytest.raises(NormalizationError, match="eta"):
-        apply_normalization(het_split, spec)  # split has eta=1
-    ok = NormalizationSpec(kind="constant", m=2, mprime=3, eta=1)
-    apply_normalization(het_split, ok)
 
 
 @pytest.mark.parametrize("eta", [0, 1])

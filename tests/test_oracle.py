@@ -288,12 +288,6 @@ def test_riccati_residual_rejects_bad_probe_sets(het_medium, points):
         riccati_residual(expand(het_medium, 1, 0, 1), points=points, lambdas=[4.0, 16.0])
 
 
-def test_riccati_residual_rejects_negative_beta_cap(het_medium):
-    pts = draw_probe_points(het_medium, 2, np.random.default_rng(9))
-    with pytest.raises(OracleError):
-        riccati_residual(expand(het_medium, 1, 0, 1), points=pts, beta_cap=-1)
-
-
 @pytest.mark.parametrize("space", ["xi", "x"])
 def test_mixed_partials_from_jets_match_symbolic_derivatives(het_medium, space):
     y = expand(het_medium, 1, 1, 1).term(-1)

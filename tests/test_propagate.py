@@ -6,6 +6,7 @@ import pytest
 from anisosplit import (
     PropagationError,
     TransverseGrid,
+    VarId,
     apply_systems_operator,
     decompose_homogeneous,
     full_solve,
@@ -17,8 +18,8 @@ from anisosplit import (
     systems_symbols,
 )
 from anisosplit import presets, quantize_matrix
-from anisosplit import propagate
-from anisosplit.propagate import _physical_kernel
+from anisosplit import symbols
+from anisosplit.symbols import _physical_kernel
 
 from helpers import dft2_matrix, field_rel
 
@@ -294,9 +295,7 @@ def test_shared_rk4_is_bit_identical_to_per_solver_loops(grid8, het_split):
     assert np.array_equal(got, want)
 
 
-def test_depth_varying_rk4_march_keeps_two_kernels(monkeypatch, grid8, het_split):
-    # 8 RK4 steps read kernels at 17 distinct depths (start, midpoint and
-    # end of each step, the end shared with the next step's start)
+def _count_kernel_builds(monkeypatch):
     built = []
     alive = []
 
@@ -307,7 +306,29 @@ def test_depth_varying_rk4_march_keeps_two_kernels(monkeypatch, grid8, het_split
         assert sum(r() is not None for r in alive) <= 2
         return k
 
-    monkeypatch.setattr(propagate, "_physical_kernel", counting)
+    monkeypatch.setattr(symbols, "_physical_kernel", counting)
+    return built
+
+
+def test_depth_varying_rk4_march_keeps_two_kernels(monkeypatch, grid8, het_split):
+    # 8 RK4 steps read kernels at 17 distinct depths (start, midpoint and
+    # end of each step, the end shared with the next step's start)
+    built = _count_kernel_builds(monkeypatch)
     u = random_smooth_field(grid8, np.random.default_rng(23))
     oneway_solve(het_split, 1, grid8, 2.0, u, 0.0, 0.5, steps=8, method="rk4")
     assert len(built) == 17
+
+
+def test_depth_free_rk4_march_builds_one_kernel(monkeypatch, grid8):
+    # a generator free of x3 that depends on both x and xi acts through
+    # its kernel, and one kernel serves every depth
+    from anisosplit import expand, split_symbols
+
+    m = presets.transverse_anisotropic()
+    sp = split_symbols(expand(m, 1, 0, 1), expand(m, -1, 0, 1))
+    free = sp.g_symbol(1).total().free_vars
+    assert VarId.X3 not in free and {VarId.X1, VarId.XI1} <= free
+    built = _count_kernel_builds(monkeypatch)
+    u = random_smooth_field(grid8, np.random.default_rng(24))
+    oneway_solve(sp, 1, grid8, 2.0, u, 0.0, 0.5, steps=8, method="rk4")
+    assert len(built) == 1
