@@ -583,11 +583,7 @@ def _cmd_propagate(cfg, em, seed, kind):
     def initial(field):
         if field is None:
             return random_smooth_field(grid, rng)
-        X1g, X2g = grid.x_mesh()
-        env = {VarId.X1: X1g, VarId.X2: X2g, VarId.X3: complex(pr.a), VarId.S: pr.s}
-        return np.broadcast_to(np.asarray(eval_expr(field, env)), X1g.shape).astype(
-            np.complex128
-        )
+        return grid.sample(field, pr.a, pr.s)
 
     def emit(tagged_records, component):
         summary = []

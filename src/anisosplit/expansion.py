@@ -9,7 +9,9 @@ equation and solves for the next term. ``expand`` runs it on
 ``SymbolForm``s, sums of rho^(d/2) P_d with rho = s^2 kappa + Qt xi.xi
 and P_d free of rho^(1/2): the recursion never differentiates a square
 root, and each term's expression is built once, when its form is
-lowered. The step functions also accept and return plain expressions.
+lowered. The step functions take and return SymbolForms; acceptance
+criterion 3 checks this collector, step by step, against the closed-form
+recursion.
 
 The switch eta in {0, 1} selects the approximate (eta=0, depth
 derivative of the splitting dropped) or true-amplitude (eta=1)
@@ -48,8 +50,6 @@ from .symbols import (
     SymbolTerm,
     _d3_symbol,
     _homogeneity_check,
-    _partial,
-    _tidy,
     compose,
     compose_degree_part,
     radicand,
@@ -129,86 +129,77 @@ def leading_term(m: MediumSpec, sign: int) -> SymbolTerm:
 
 @dataclass(frozen=True)
 class _Kit:
-    """The recursion's fixed inputs in one term type (Expr or SymbolForm):
-    the graded systems symbols and alpha33 / (2 gamma1)."""
+    """The recursion's fixed inputs as SymbolForms: the graded systems
+    symbols and alpha33 / (2 gamma1)."""
 
     a11: dict
     a12: dict
-    a21: object
-    a22: object
-    a33_over_2gamma: object
+    a21: SymbolForm
+    a22: SymbolForm
+    a33_over_2gamma: SymbolForm
 
 
-def _kit(m: MediumSpec, forms: bool) -> _Kit:
-    """The medium's recursion inputs as expressions, or lifted to forms."""
+def _kit(m: MediumSpec) -> _Kit:
+    """The medium's recursion inputs lifted to forms, built once per medium."""
 
     def build():
         A = systems_symbols(m)
-        kit = _Kit(
-            a11=A.a11.terms,
-            a12=A.a12.terms,
-            a21=A.a21.term(1),
-            a22=A.a22.term(1),
-            a33_over_2gamma=m.alpha[2][2] * recip(const(2) * gamma1(m).expr),
-        )
-        if not forms:
-            return kit
         rho = radicand(m)
 
         def lift(e):
             return SymbolForm.lift(rho, e)
 
         return _Kit(
-            a11={d: lift(e) for d, e in kit.a11.items()},
-            a12={d: lift(e) for d, e in kit.a12.items()},
-            a21=lift(kit.a21),
-            a22=lift(kit.a22),
-            a33_over_2gamma=lift(kit.a33_over_2gamma),
+            a11={d: lift(e) for d, e in A.a11.terms.items()},
+            a12={d: lift(e) for d, e in A.a12.terms.items()},
+            a21=lift(A.a21.term(1)),
+            a22=lift(A.a22.term(1)),
+            a33_over_2gamma=lift(m.alpha[2][2] * recip(const(2) * gamma1(m).expr)),
         )
 
-    return m._cache("form_kit" if forms else "expr_kit", build)
-
-
-def _uses_forms(y_terms: dict) -> bool:
-    return any(isinstance(t, SymbolForm) for t in y_terms.values())
+    return m._cache("form_kit", build)
 
 
 def _generator_terms(kit: _Kit, y_terms: dict) -> dict:
     """Graded generator symbol a21 y + a22, i.e.
     s alpha33^-1 y + i xi_mu alpha_{3 mu} alpha33^-1.
 
-    Maps degree -> term: y_j contributes at degree j + 1, and a22
+    Maps degree -> form: y_j contributes at degree j + 1, and a22
     joins the degree-1 slot.
     """
-    out = {j + 1: _tidy(kit.a21 * yj) for j, yj in y_terms.items()}
-    out[1] = _tidy(out.get(1, ZERO) + kit.a22)
+    out = {j + 1: kit.a21 * yj for j, yj in y_terms.items()}
+    out[1] = out.get(1, ZERO) + kit.a22
     return out
 
 
-def riccati_degree_part(m: MediumSpec, eta: int, y_terms: dict, d: int):
+def riccati_degree_part(m: MediumSpec, eta: int, y_terms: dict, d: int) -> SymbolForm:
     """Degree-d part of the full admittance symbol equation.
 
-    With y complete through all retained degrees this evaluates to ~0
-    for every cancelled degree; with terms through degree -n it gives
-    (for d = -n) the inhomogeneity that determines y_{-n-1}. The terms
-    are all expressions or all SymbolForms; the result has their type.
+    ``y_terms`` maps degree -> SymbolForm (as in ``AdmittanceExpansion.forms``).
+    With y complete through all retained degrees the result evaluates
+    to ~0 for every cancelled degree; with terms through degree -n it
+    gives (for d = -n) the inhomogeneity that determines y_{-n-1}.
+    Above degree 1 nothing contributes and the result is the zero form.
     """
-    kit = _kit(m, _uses_forms(y_terms))
-    acc = compose_degree_part(y_terms, _generator_terms(kit, y_terms), d)
+    kit = _kit(m)
+    acc = SymbolForm(radicand(m), {})
+    acc = acc + compose_degree_part(y_terms, _generator_terms(kit, y_terms), d)
     acc = acc - compose_degree_part(kit.a11, y_terms, d)
     acc = acc - kit.a12.get(d, ZERO)
     if eta and d in y_terms:
-        acc = acc - _partial(y_terms[d], VarId.X3)
-    return _tidy(acc)
+        acc = acc - y_terms[d].diff(VarId.X3)
+    return acc
 
 
-def collector_step(m: MediumSpec, eta: int, sign: int, y_terms: dict, n: int):
-    """Solve the degree -n balance for y_{-n-1} (expressions in,
-    expression out; SymbolForms in, SymbolForm out)."""
+def collector_step(m: MediumSpec, eta: int, sign: int, y_terms: dict, n: int) -> SymbolForm:
+    """Solve the degree -n balance for y_{-n-1}, SymbolForms in and out.
+
+    This is the collector ``expand`` runs; the test suite checks it
+    against the closed-form recursion (acceptance criterion 3).
+    """
     _check_sign(sign)
     e = riccati_degree_part(m, eta, y_terms, -n)
-    pref = _tidy(const(-sign) * _kit(m, _uses_forms(y_terms)).a33_over_2gamma)
-    return _tidy(pref * e)
+    return (-sign) * _kit(m).a33_over_2gamma * e
 
 
 # ---------------------------------------------------------------------------
@@ -370,12 +361,13 @@ class SplitSymbols:
 
 
 def _generator_symbol(branch: AdmittanceExpansion, floor: int, monomials: bool) -> PolyhomSymbol:
-    """g = a21 y + a22 of one branch. The top term comes from the
+    """g = a21 y + a22 of one branch. The top term is built from the
     expressions, like the leading term; the lower ones are lowered from
     the forms a21 y_j (see ``SymbolForm.lower`` for ``monomials``)."""
     m = branch.medium
-    g = _generator_terms(_kit(m, False), {0: branch.term(0)})
-    a21 = _kit(m, True).a21
+    A = systems_symbols(m)
+    g = {1: simplify(simplify(A.a21.term(1) * branch.term(0)) + A.a22.term(1))}
+    a21 = _kit(m).a21
     for t, f in zip(branch.terms[1:], branch.forms[1:]):
         g[t.degree + 1] = (a21 * f).lower(monomials=monomials)
     return PolyhomSymbol(g, floor=floor)

@@ -27,8 +27,6 @@ from .expr import (
     Expr,
     VarId,
     ZERO,
-    DivisionByZeroError,
-    _EVAL,
     _consumer_counts,
     _run,
     _walk,
@@ -715,11 +713,12 @@ class _KernelPlan:
     x-grid or the xi-lattice. A node that depends on both is separable
     when it is a signed sum of products whose factors are free of xi or
     free of x (``_separate``); it stands for X(x) @ Xi(xi), with one
-    column of X and one row of Xi per key of its form. Only a separable
-    node read by a non-separable one, or at the root, is computed, once
-    per row block, as the matrix product X[rows] @ Xi. The remaining
-    mixed nodes are evaluated entry by entry, integer powers of a base
-    as products of the base or of one reciprocal of it.
+    column of X and one row of Xi per key of its form. ``factors`` holds
+    the separable nodes read by a non-separable one or at the root; each
+    row block computes them as matrix products X[rows] @ Xi, then runs
+    ``entrywise``, the remaining mixed nodes in DAG order, through
+    ``expr._run`` with power chains. ``reads`` counts their argument
+    slots.
     """
 
     def __init__(self, sym):
@@ -727,7 +726,7 @@ class _KernelPlan:
         order, _ = _walk([total])
         rank = {nd: i for i, nd in enumerate(order)}
         separated = {}
-        entrywise = []
+        self.entrywise = entrywise = []
         for nd in order:
             if _is_mixed(nd):
                 form = _separate(nd, separated, rank)
@@ -735,28 +734,15 @@ class _KernelPlan:
                     entrywise.append(nd)
                 else:
                     separated[nd] = form
-        # per row block: each entrywise node after the separable nodes it
-        # reads, each of those computed just before its first reader
-        self.program = []
+        read = [a for nd in entrywise for a in nd.args] + [total]
         self.factors = {}  # separable node -> ([x coefficient], [xi product])
-
-        def computed(nd):
-            if nd in separated and nd not in self.factors:
+        for nd in dict.fromkeys(read):
+            if nd in separated:
                 form = separated[nd]
                 self.factors[nd] = (list(form.values()), [_xi_product(k) for k in form])
-                self.program.append(nd)
-
-        for nd in entrywise:
-            for a in nd.args:
-                computed(a)
-            self.program.append(nd)
-        computed(total)
         self.reads = _consumer_counts(entrywise)
         # the fixed nodes a block reads, in DAG order
-        leaves = [a for nd in entrywise for a in nd.args if not _is_mixed(a)]
-        if not _is_mixed(total):
-            leaves.append(total)
-        leaves = list(dict.fromkeys(leaves))
+        leaves = list(dict.fromkeys(a for a in read if not _is_mixed(a)))
         self.row_leaves = [nd for nd in leaves if nd.free_vars & _X12]
         self.other_leaves = [nd for nd in leaves if not nd.free_vars & _X12]
         fixed = list(leaves)
@@ -764,47 +750,6 @@ class _KernelPlan:
             fixed += xs + xis
         self.fixed = _walk(fixed)
         self.fixed_keep = set(fixed)
-
-    def _block(self, vals: dict, factors: dict, r0: int, r1: int):
-        """The symbol on rows r0:r1 of the x-grid; ``vals`` holds the
-        leaves' values on those rows and receives the program's."""
-        nref = dict(self.reads)
-        powers = {}
-        for nd in self.program:
-            if nd in factors:
-                X, Xi = factors[nd]
-                vals[nd] = X[r0:r1] @ Xi
-                continue
-            op, args = nd.op, nd.args
-            if op == "mul":
-                v = vals[args[0]] * vals[args[1]]
-            elif op == "add":
-                v = vals[args[0]] + vals[args[1]]
-            elif op == "sub":
-                v = vals[args[0]] - vals[args[1]]
-            elif op == "pow":
-                # numpy's complex ** runs a scalar loop for most exponents
-                k = nd.data
-                chain = powers.get((args[0], k < 0))
-                if chain is None:
-                    base = vals[args[0]]
-                    if k < 0:
-                        if np.any(np.equal(base, 0)):
-                            raise DivisionByZeroError("zero base with negative exponent")
-                        base = 1.0 / base
-                    chain = powers[(args[0], k < 0)] = [base]
-                while len(chain) < abs(k):
-                    chain.append(chain[-1] * chain[0])
-                v = chain[abs(k) - 1]
-            else:
-                v = _EVAL[op](nd, [vals[a] for a in args])
-            vals[nd] = v
-            for a in args:
-                r = nref[a] - 1
-                nref[a] = r
-                if r == 0 and a is not self.total:
-                    del vals[a]
-        return vals[self.total]
 
 
 def _kernel_rows(sym, grid: TransverseGrid, x3, s, out: np.ndarray):
@@ -859,10 +804,12 @@ def _kernel_rows(sym, grid: TransverseGrid, x3, s, out: np.ndarray):
         vals = dict(other)
         for nd in plan.row_leaves:
             vals[nd] = whole[nd][r0:r1]
-        value = plan._block(vals, factors, r0, r1)
+        for nd, (X, Xi) in factors.items():
+            vals[nd] = X[r0:r1] @ Xi
+        _run(plan.entrywise, dict(plan.reads), {plan.total}, bound, vals, power_chains=True)
         block = out[r0:r1]
         np.multiply(e1[r0:r1, :, None], e2[r0:r1, None, :], out=block.reshape(-1, n, n))
-        block *= value
+        block *= vals[plan.total]
         block[:, nyquist] = 0.0
         yield block
 

@@ -15,7 +15,9 @@ quad and grid, normalize with the impedance and a constant gauge, and
 propagate with the full solver and the one-way rk4 (+) and expmid (-)
 methods), and the same except the oracle on ``HET`` of
 ``tests/test_cli.py`` at grid n = 8, order 2, both signs, with a
-[propagation] section. Not collected by pytest.
+[propagation] section. On ``HET`` the full solver and the one-way rk4
+(+) method run once more with ``INITIAL_DATA``, so the evaluator of
+initial-data expressions is covered too. Not collected by pytest.
 """
 
 from __future__ import annotations
@@ -57,10 +59,19 @@ SUBCOMMANDS = (
     ("normalize-constant", ["normalize", "--kind", "constant:2,0.5"]),
 )
 
+# initial data as expressions of x1, x2, x3 and s, in place of random fields
+INITIAL_DATA = {
+    "v3": "sin(x1)*cos(2*x2) + 0.1*x3",
+    "p": "exp(0.3*cos(x1 - x2))/s",
+    "u": "cos(x1) + 0.2i*sin(x2)*s",
+}
+
 PROPAGATIONS = (
     ("propagate-full", {"solver": "full"}),
     ("oneway-rk4-plus", {"solver": "oneway", "method": "rk4", "sign": "+"}),
     ("oneway-expmid-minus", {"solver": "oneway", "method": "expmid", "sign": "-"}),
+    ("propagate-full-initial", {"solver": "full", **INITIAL_DATA}),
+    ("oneway-rk4-plus-initial", {"solver": "oneway", "method": "rk4", "sign": "+", **INITIAL_DATA}),
 )
 
 
@@ -90,6 +101,8 @@ def _runs(tmp: Path):
                 continue
             yield f"{tag}/{name}", [*argv, cfg]
         for name, keys in PROPAGATIONS:
+            if tag != "het" and name.endswith("-initial"):
+                continue
             cp = configparser.ConfigParser(interpolation=None)
             cp.read_string(text)
             for key, value in keys.items():

@@ -324,6 +324,36 @@ p = cos(x1)*sin(x2)
     assert len(lines) == 1 + 64
 
 
+def _trace(path, n):
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    values = np.empty((n, n), dtype=np.complex128)
+    values[rows[:, 0].astype(int), rows[:, 1].astype(int)] = rows[:, 2] + 1j * rows[:, 3]
+    return values
+
+
+def test_propagate_initial_data_is_the_expression_on_the_grid(tmp_path):
+    v3, p = "sin(x1)*cos(2*x2) + 0.1*x3", "exp(0.3*cos(x1 - x2))/s"
+    text = HET + f"""
+[grid]
+n = 8
+
+[propagation]
+a = 0.1
+b = 0.2
+steps = 2
+s = 2+0.5i
+solver = full
+v3 = {v3}
+p = {p}
+"""
+    out = tmp_path / "o"
+    assert run(["propagate", _cfg(tmp_path, text), "--out", str(out)]) == 0
+    grid = anisosplit.TransverseGrid(8, 2 * np.pi, 2 * np.pi)
+    for name, e in (("v3", v3), ("p", p)):
+        want = grid.sample(anisosplit.parse(e), 0.1, 2 + 0.5j)
+        assert np.array_equal(_trace(out / f"trace_{name}_00.csv", 8), want)
+
+
 def test_propagate_oneway(tmp_path):
     cfg = _cfg(
         tmp_path,

@@ -3,6 +3,7 @@ import pytest
 
 from anisosplit import (
     ExpansionError,
+    SymbolForm,
     VarId,
     collector_step,
     eval_expr,
@@ -17,6 +18,7 @@ from anisosplit import (
 from anisosplit import presets
 from anisosplit.expr import ZERO, diff, mul, parse, recip, sub
 from anisosplit.oracle import depth_derivative_leading, draw_probe_points
+from anisosplit.symbols import radicand
 
 from helpers import closed_form_step, closed_form_values, eval_at, probe_env, rel_err
 
@@ -151,13 +153,20 @@ def test_per_degree_balance(het_medium, eta, het_expansion_pair):
         exp = het_expansion_pair[0]
     else:
         exp = expand(het_medium, 1, eta, order)
-    terms = {t.degree: t.expr for t in exp.terms}
+    terms = {t.degree: f for t, f in zip(exp.terms, exp.forms)}
     pts = draw_probe_points(het_medium, 20, np.random.default_rng(6))
     env = probe_env(pts)
     for d in range(1, 1 - order, -1):
         bal = riccati_degree_part(het_medium, eta, terms, d)
-        vals = np.broadcast_to(np.asarray(eval_expr(bal, env)), (len(pts),))
+        vals = np.broadcast_to(np.asarray(eval_expr(bal.lower(), env)), (len(pts),))
         assert np.max(np.abs(vals)) <= 1e-8, f"degree {d} balance"
+
+
+def test_degree_part_above_the_top_is_the_zero_form(het_medium, het_expansion_pair):
+    exp = het_expansion_pair[0]
+    terms = {t.degree: f for t, f in zip(exp.terms, exp.forms)}
+    bal = riccati_degree_part(het_medium, 1, terms, 2)
+    assert isinstance(bal, SymbolForm) and not bal.terms
 
 
 def test_homogeneous_corrections_vanish(hom_medium):
@@ -172,11 +181,11 @@ def test_collector_equals_closed_form():
     pts = draw_probe_points(m, 40, np.random.default_rng(7))
     env = probe_env(pts)
     for sign in (1, -1):
-        terms = {0: leading_term(m, sign).expr}
+        terms = {0: SymbolForm.lift(radicand(m), leading_term(m, sign).expr)}
         for n in range(0, 3):
             a_step = collector_step(m, 1, sign, terms, n)
-            b_step = closed_form_step(m, 1, sign, terms, n)
-            va = np.broadcast_to(np.asarray(eval_expr(a_step, env)), (len(pts),))
+            b_step = closed_form_step(m, 1, sign, {d: f.lower() for d, f in terms.items()}, n)
+            va = np.broadcast_to(np.asarray(eval_expr(a_step.lower(), env)), (len(pts),))
             vb = np.broadcast_to(np.asarray(eval_expr(b_step, env)), (len(pts),))
             scale = np.maximum(np.abs(va), 1e-30)
             assert np.max(np.abs(va - vb) / scale) <= 1e-8, f"sign {sign} step {n}"

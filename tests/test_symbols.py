@@ -278,8 +278,7 @@ def test_separated_kernel_matches_single_shot_oracle(order2_splits, name, x3, n)
 @pytest.mark.filterwarnings("error")
 def test_separated_kernel_of_order2_g_plus_has_few_entrywise_nodes(order2_splits):
     plan = symbols._KernelPlan(order2_splits["transverse_anisotropic"].g_plus)
-    entrywise = [nd for nd in plan.program if nd not in plan.factors]
-    assert len(entrywise) <= 40
+    assert len(plan.entrywise) <= 40
     assert plan.factors  # the rest is separated
 
 
