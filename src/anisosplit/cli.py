@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import importlib.metadata
 import json
 import math
 import sys
@@ -39,7 +40,6 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
-import scipy
 
 from . import __version__, oracle
 from .expansion import MAX_ORDER, ExpansionError, expand, leading_term, split_symbols
@@ -309,7 +309,7 @@ def _versions():
     return {
         "anisosplit": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": importlib.metadata.version("scipy"),
         "python": sys.version.split()[0],
     }
 

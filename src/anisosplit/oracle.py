@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .expr import (
     Expr,
@@ -97,7 +96,7 @@ def _check_lambdas(lambdas) -> np.ndarray:
     lam = np.asarray(lambdas, dtype=float)
     if lam.ndim != 1 or not np.all(np.isfinite(lam) & (lam > 0)):
         raise OracleError("scales must be a flat sequence of finite positive numbers")
-    if np.unique(lam).size < 2:
+    if len(set(lam.tolist())) < 2:
         raise OracleError("need at least two distinct scales for a slope fit")
     return lam
 
@@ -364,7 +363,7 @@ def riccati_residual(
     rms = np.sqrt(np.mean(np.abs(vals) ** 2, axis=0))
     term_rms = np.sqrt(np.mean(size**2, axis=0))
     fit = np.ones(lam.shape, dtype=bool)
-    if exp.order >= _WINDOW_ORDER and np.unique(lam[lam >= _FIT_FROM]).size >= 2:
+    if exp.order >= _WINDOW_ORDER and len(set(lam[lam >= _FIT_FROM].tolist())) >= 2:
         fit = lam >= _FIT_FROM
     slope, intercept, dev = fit_loglog(lam[fit], rms[fit])
     return ResidualReport(
@@ -549,7 +548,7 @@ def grid_riccati_oracle(
     A22 = dg(simplify(m.alpha[2][0] * inv33)) @ D1 + dg(simplify(m.alpha[2][1] * inv33)) @ D2
 
     A = np.block([[A11, A12], [A21, A22]])
-    lam, phi = scipy.linalg.eig(A)
+    lam, phi = np.linalg.eig(A)
     scale = float(np.max(np.abs(lam)))
     gap = float(np.min(np.abs(lam.real)))
     if gap < gap_rtol * scale:

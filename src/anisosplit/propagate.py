@@ -14,8 +14,9 @@ increasing depth for Re s > 0.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
-import scipy.linalg
 
 from .medium import MediumSpec, _coefficients, _constant_value, is_homogeneous
 from .expansion import SplitSymbols
@@ -241,6 +242,21 @@ def full_solve(
 # one-way solve
 
 
+@contextmanager
+def _overflow_typed(d0, d1):
+    """Raise a segment exponential's floating-point overflow as
+    PropagationError: an exponentially growing segment overflows inside
+    the exponential itself, before the blow-up guard can look at the
+    field."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise PropagationError(
+            f"segment exponential over [{d0}, {d1}] overflowed ({exc})"
+        ) from None
+
+
 def oneway_solve(
     split: SplitSymbols,
     sign: int,
@@ -260,8 +276,9 @@ def oneway_solve(
     to ``trunc`` correction orders). method "rk4" steps the quantized
     action; "expmid" applies the exact exponential of the frozen
     midpoint kernel per segment (midpoint-frozen, so exact only for
-    depth-independent media). Returns (x3, u) snapshots as in
-    ``full_solve``.
+    depth-independent media), which for a Fourier-multiplier generator
+    is the diagonal exp(-h G(xi)) on the spectrum. Returns (x3, u)
+    snapshots as in ``full_solve``.
     """
     s = complex(s)
     g = split.g_symbol(sign)
@@ -277,19 +294,28 @@ def oneway_solve(
 
     op = grid.operator(g, s)
 
+    if method == "expmid" and op.kind == "multiplier":
+        keep = grid.nyquist_mask()
+
+        def diagonal(d0, d1, fields):
+            # the projected kernel annihilates the Nyquist row/column, so
+            # its exponential passes those modes through unchanged
+            g_mid = np.where(keep, op.multiplier(0.5 * (d0 + d1)), 0.0)
+            with _overflow_typed(d0, d1):
+                u1 = np.fft.ifft2(np.exp(-(d1 - d0) * g_mid) * np.fft.fft2(fields[0]))
+            return (u1,)
+
+        return _march((u,), a, b, record, steps, propagator=diagonal)
+
     if method == "expmid":
+        # scipy.linalg takes 0.2-0.4 s to import, and only a
+        # segment exponential of a dense kernel needs it
+        import scipy.linalg
 
         def expmid(d0, d1, fields):
             K = op.kernel(0.5 * (d0 + d1))
-            # an exponentially growing segment overflows inside expm's own
-            # products, before the blow-up guard can look at the field
-            try:
-                with np.errstate(over="raise", invalid="raise"):
-                    u1 = scipy.linalg.expm(-(d1 - d0) * K) @ fields[0].ravel()
-            except FloatingPointError as exc:
-                raise PropagationError(
-                    f"segment exponential over [{d0}, {d1}] overflowed ({exc})"
-                ) from None
+            with _overflow_typed(d0, d1):
+                u1 = scipy.linalg.expm(-(d1 - d0) * K) @ fields[0].ravel()
             return (u1.reshape(grid.n, grid.n),)
 
         return _march((u,), a, b, record, steps, propagator=expmid)

@@ -859,11 +859,12 @@ class _GridOperator:
     multiplier; otherwise through its physical kernel. Every path
     projects out the Nyquist row/column of the input spectrum.
 
-    ``kernel`` serves any symbol, since a segment exponential needs the
-    matrix. The kernel plan is made on first need, and the two kernels
-    read last are kept: an RK4 step reads its start depth (the previous
-    step's end), its midpoint twice and its end. A symbol free of x3 has
-    one kernel for every depth.
+    ``kernel`` serves any symbol, since a dense segment exponential needs
+    the matrix; ``multiplier`` gives a Fourier multiplier's values on the
+    spectrum, whose exponential is diagonal. The kernel plan is made on
+    first need, and the two kernels read last are kept: an RK4 step reads
+    its start depth (the previous step's end), its midpoint twice and its
+    end. A symbol free of x3 has one kernel for every depth.
     """
 
     def __init__(self, sym, grid: TransverseGrid, s):
@@ -908,9 +909,14 @@ class _GridOperator:
         uhat = np.where(self.grid.nyquist_mask(), np.fft.fft2(values), 0.0)
         if self.kind == "pointwise":
             return self.grid.sample(self.total, x3, self.s) * np.fft.ifft2(uhat)
+        return np.fft.ifft2(self.multiplier(x3) * uhat)
+
+    def multiplier(self, x3) -> np.ndarray:
+        """A Fourier multiplier's values on the (n, n) xi-mesh at depth x3,
+        Nyquist row/column included."""
         W1g, W2g = self.grid.xi_mesh()
         env = {VarId.XI1: W1g, VarId.XI2: W2g, VarId.X3: complex(x3), VarId.S: self.s}
-        return np.fft.ifft2(np.asarray(eval_expr(self.total, env)) * uhat)
+        return np.asarray(eval_expr(self.total, env))
 
 
 def quantize_apply(sym, field, grid: TransverseGrid, x3, s):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import anisosplit
 from anisosplit.cli import run
@@ -132,6 +133,7 @@ def test_manifest_version_matches_package_metadata(tmp_path):
     run(["expand", _cfg(tmp_path, HOM), "--out", str(out)])
     man, _ = _outputs(out)
     assert man["versions"]["anisosplit"] == declared
+    assert man["versions"]["scipy"] == scipy.__version__
 
 
 def test_identical_config_and_seed_bit_identical(tmp_path):

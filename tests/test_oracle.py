@@ -45,6 +45,8 @@ def test_fit_loglog_recovers_power_law():
 def test_fit_loglog_needs_two_scales():
     with pytest.raises(OracleError):
         fit_loglog([4.0], [1.0])
+    with pytest.raises(OracleError, match="two distinct scales"):
+        fit_loglog([4.0, 4.0], [1.0, 2.0])
 
 
 def test_draw_probe_points_ranges(het_medium):
@@ -190,6 +192,24 @@ def test_grid_oracle_transverse_medium():
     assert res.gap > 0
     assert res.riccati_rel_plus <= 1e-8
     assert res.cond_plus < 1e6
+
+
+@pytest.mark.parametrize(
+    "medium, s",
+    [(presets.homogeneous_anisotropic, 1.2 + 0.4j), (presets.transverse_anisotropic, 40.0)],
+)
+def test_grid_oracle_matches_scipy_eig(medium, s):
+    # the oracle's eigensolver against scipy's, on the oracle's own blocks
+    import scipy.linalg
+
+    res = grid_riccati_oracle(medium(), TransverseGrid(8, TAU, TAU), s)
+    lam, phi = scipy.linalg.eig(np.block([list(res.blocks[:2]), list(res.blocks[2:])]))
+    nearest = np.min(np.abs(lam[:, None] - res.eigenvalues[None, :]), axis=1)
+    assert np.max(nearest) <= 1e-12 * np.max(np.abs(lam))
+    N = res.y_plus.shape[0]
+    for mask, got in ((lam.real > 0, res.y_plus), (lam.real < 0, res.y_minus)):
+        want = phi[:N, mask] @ np.linalg.inv(phi[N:, mask])
+        assert field_rel(got, want) <= 1e-12
 
 
 def test_grid_oracle_rejects_depth_dependence(het_medium):

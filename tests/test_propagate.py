@@ -240,10 +240,35 @@ def test_oneway_blowup_guard(grid8, hom_split, method):
         oneway_solve(hom_split, -1, grid8, 30.0, u, 0.0, 1.0, steps=8, method=method)
 
 
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_expmid_multiplier_matches_dense_exponential(hom_split, monkeypatch, n, sign):
+    # a Fourier-multiplier generator steps by its diagonal exponential:
+    # the same segment map as expm of the projected kernel, Nyquist modes
+    # of the input included, with no kernel built
+    import scipy.linalg
+
+    grid = TransverseGrid(n, TAU, TAU)
+    s = 1.2 + 0.4j
+    rng = np.random.default_rng(19)
+    u = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a, b = 0.1, 0.6
+    op = grid.operator(hom_split.g_symbol(sign), s)
+    assert op.kind == "multiplier"
+    want = scipy.linalg.expm(-(b - a) * op.kernel(0.5 * (a + b))) @ u.ravel()
+
+    def no_kernel(*args):
+        raise AssertionError("a multiplier segment built a kernel")
+
+    monkeypatch.setattr(symbols, "_physical_kernel", no_kernel)
+    _, got = oneway_solve(hom_split, sign, grid, s, u, a, b, method="expmid")[-1]
+    assert field_rel(got.ravel(), want) <= 1e-13
+
+
 def test_expmid_overflow_is_typed_error(grid8, hom_split):
     # over 100 depth units the up-going segment exponential overflows
-    # inside expm's own products, before the guard sees the field: it must
-    # surface as PropagationError, with no numpy warning on the way
+    # inside the exponential itself, before the guard sees the field: it
+    # must surface as PropagationError, with no numpy warning on the way
     import warnings
 
     u = random_smooth_field(grid8, np.random.default_rng(18))
@@ -251,6 +276,23 @@ def test_expmid_overflow_is_typed_error(grid8, hom_split):
         warnings.simplefilter("error")
         with pytest.raises(PropagationError, match="overflowed"):
             oneway_solve(hom_split, -1, grid8, 30.0, u, 0.0, 100.0, method="expmid")
+
+
+def test_expmid_kernel_overflow_is_typed_error(grid8):
+    # the same on an x-dependent generator, whose dense expm overflows
+    # inside its own products
+    import warnings
+
+    from anisosplit import expand, split_symbols
+
+    m = presets.transverse_anisotropic()
+    sp = split_symbols(expand(m, 1, 0, 1), expand(m, -1, 0, 1))
+    assert grid8.operator(sp.g_symbol(-1), 30.0).kind == "kernel"
+    u = random_smooth_field(grid8, np.random.default_rng(18))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PropagationError, match="overflowed"):
+            oneway_solve(sp, -1, grid8, 30.0, u, 0.0, 100.0, method="expmid")
 
 
 def _reference_rk4(rhs, u, a, b, steps):
