@@ -554,20 +554,18 @@ def _cmd_normalize(cfg, em, seed, kind):
                     float(np.max(np.abs(vb - va))),
                 ]
             )
-        dump.append(f"{tag} transformed terms:")
-        for d, e in after.terms.items():
-            dump.append(f"  degree {d}: {to_text(e)}")
+        dump.append(f"{tag} transformed terms:\n")
+        dump += [f"degree {d}:\n{to_text(e)}\n" for d, e in after.terms.items()]
     for i in range(2):
         for j in range(2):
-            dump.append(f"ell[{i}][{j}] transformed terms:")
-            for d, e in out.ell[i][j].terms.items():
-                dump.append(f"  degree {d}: {to_text(e)}")
+            dump.append(f"ell[{i}][{j}] transformed terms:\n")
+            dump += [f"degree {d}:\n{to_text(e)}\n" for d, e in out.ell[i][j].terms.items()]
     em.csv(
         "normalize.csv",
         ["entry", "degree", "rms_after", "max_change"],
         rows,
     )
-    em.text("gauge_terms.txt", "\n".join(dump) + "\n")
+    em.text("gauge_terms.txt", "\n".join(dump))
     print(f"gauge {spec.kind}: wrote {len(rows)} generator rows")
     return 0
 

@@ -983,8 +983,12 @@ def simplify(e: Expr) -> Expr:
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?(?P<imag>i)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()=;]))"
 )
+# a binding statement starts with a name followed by "="
+_BINDING_RE = re.compile(r"\s*=")
+# binding names: "_" and a decimal index, never a variable or function name
+_BIND_NAME_RE = re.compile(r"_[0-9]+")
 
 _FUNCTIONS = {"sqrt": sqrt_, "exp": exp_, "sin": sin_, "cos": cos_, "recip": recip}
 _VAR_NAMES = {v.value: v for v in VarId}
@@ -997,6 +1001,7 @@ class _Tokens:
         self.tok = None
         self.kind = None
         self.tok_pos = 0
+        self.names = None  # binding name -> node, once a binding is read
         self.advance()
 
     def advance(self):
@@ -1030,6 +1035,9 @@ class _Tokens:
         if self.kind != "op" or self.tok != ch:
             raise ParseError(f"expected {ch!r}", self.tok_pos)
         self.advance()
+
+    def at_binding(self):
+        return self.kind == "ident" and _BINDING_RE.match(self.text, self.pos) is not None
 
 
 def _parse_number(tok):
@@ -1111,9 +1119,14 @@ def _parse_atom(ts):
             ts.expect_op(")")
             return fn(arg)
         v = _VAR_NAMES.get(name)
-        if v is None:
-            raise ParseError(f"unknown identifier {name!r}", pos)
-        return variable(v)
+        if v is not None:
+            return variable(v)
+        bound = ts.names.get(name) if ts.names else None
+        if bound is not None:
+            return bound
+        if _BIND_NAME_RE.fullmatch(name):
+            raise ParseError(f"undefined name {name!r}", pos)
+        raise ParseError(f"unknown identifier {name!r}", pos)
     if ts.kind == "op" and ts.tok == "(":
         ts.advance()
         node = _parse_expr(ts)
@@ -1122,20 +1135,45 @@ def _parse_atom(ts):
     raise ParseError("expected a number, variable, function call, or '('", ts.tok_pos)
 
 
+def _parse_binding(ts):
+    name, pos = ts.tok, ts.tok_pos
+    if not _BIND_NAME_RE.fullmatch(name):
+        raise ParseError(f"cannot bind {name!r}: binding names are _1, _2, ...", pos)
+    if ts.names is None:
+        ts.names = {}
+    elif name in ts.names:
+        raise ParseError(f"name {name!r} is bound twice", pos)
+    ts.advance()
+    ts.expect_op("=")
+    node = _parse_expr(ts)
+    ts.expect_op(";")
+    ts.names[name] = node  # bound after its own expression is read
+
+
 def parse(text: str) -> Expr:
     """Parse DSL text into an expression tree.
 
     Grammar (EBNF; also documented in the README):
 
+        program  = { binding } expr ;
+        binding  = name "=" expr ";" ;
+        name     = "_" digit { digit } ;
         expr     = term { ("+" | "-") term } ;
         term     = unary { ("*" | "/") unary } ;
         unary    = "-" unary | power ;
         power    = atom [ "^" exponent ] ;
         exponent = [ "-" ] integer | "(" exponent ")" ;
-        atom     = number | variable | function "(" expr ")" | "(" expr ")" ;
+        atom     = number | variable | name | function "(" expr ")" | "(" expr ")" ;
         function = "sqrt" | "exp" | "sin" | "cos" | "recip" ;
         variable = "x1" | "x2" | "x3" | "xi1" | "xi2" | "s" ;
         number   = decimal or scientific literal, optional "i" suffix ;
+
+    A binding names the node of its expression for the statements after
+    it; ``to_text`` writes one per shared DAG node. Whitespace, newlines
+    included, is insignificant. A name used before or without its
+    binding, bound twice, or of another form than ``_1``, ``_2``, ...
+    is an error, and so are a binding after the result expression and a
+    program of bindings only.
 
     Errors carry the byte offset of the offending token; input nested
     deeper than the interpreter's recursion limit is a ``ParseError`` too.
@@ -1144,10 +1182,16 @@ def parse(text: str) -> Expr:
         raise TypeError("parse expects a string")
     ts = _Tokens(text)
     try:
+        while ts.at_binding():
+            _parse_binding(ts)
+        if ts.names and ts.kind == "end":
+            raise ParseError("expected the result expression after the bindings", ts.tok_pos)
         node = _parse_expr(ts)
     except RecursionError:
         raise ParseError("expression nested too deeply", ts.tok_pos) from None
     if ts.kind != "end":
+        if ts.at_binding():
+            raise ParseError("binding after the result expression", ts.tok_pos)
         raise ParseError(f"unexpected trailing input {ts.tok!r}", ts.tok_pos)
     return node
 
@@ -1191,12 +1235,20 @@ _BINARY_SYM = {"add": " + ", "sub": " - ", "mul": "*", "div": "/"}
 def to_text(e: Expr) -> str:
     """Render to DSL text; ``parse(to_text(e))`` is evaluation-equivalent.
 
-    Shared subtrees are printed in full at every use, but each DAG node's
-    text is built once and reused by all of its consumers; a node's text
-    is dropped as soon as its last consumer has been rendered.
+    Each non-leaf node read by two or more consumers is printed once, as
+    a binding line ``_k = <text>;`` in DAG post-order, and read by name
+    after that; every other node is printed inline at its one use. The
+    last line is the result expression. A DAG with no shared non-leaf
+    node prints as one expression, as a tree. The text grows with the
+    number of DAG nodes, not with the tree: for ``heterogeneous_full``
+    (+ branch, eta 1), y_-3 (6 055 nodes) prints to 45 KB and y_-4
+    (37 038 nodes) to 0.32 MB in 0.07 s on a 2-core machine, where
+    their trees print to 7.9 MB and 439 MB. A node's text is dropped as
+    soon as its last consumer is rendered.
     """
     order, nref = _walk([e])
-    done = {}  # node -> (unparenthesized text, precedence)
+    done = {}  # node -> (unparenthesized text or binding name, precedence)
+    lines = []
 
     def arg(a, ctx):
         text, prec = done[a]
@@ -1226,9 +1278,14 @@ def to_text(e: Expr) -> str:
             p = _PREC[op]
             text = arg(node.args[0], p) + _BINARY_SYM[op] + arg(node.args[1], p + 1)
             prec = p
+        if node.args and nref.get(node, 0) > 1:
+            name = f"_{len(lines) + 1}"
+            lines.append(f"{name} = {text};")
+            text, prec = name, 40
         done[node] = (text, prec)
         for a in node.args:
             nref[a] -= 1
             if nref[a] == 0:
                 del done[a]
-    return done[e][0]
+    lines.append(done[e][0])
+    return "\n".join(lines)

@@ -864,7 +864,8 @@ class _GridOperator:
     spectrum, whose exponential is diagonal. The kernel plan is made on
     first need, and the two kernels read last are kept: an RK4 step reads
     its start depth (the previous step's end), its midpoint twice and its
-    end. A symbol free of x3 has one kernel for every depth.
+    end. A symbol free of x3 has one kernel and one multiplier for every
+    depth, each evaluated once and kept in the same store.
     """
 
     def __init__(self, sym, grid: TransverseGrid, s):
@@ -913,10 +914,18 @@ class _GridOperator:
 
     def multiplier(self, x3) -> np.ndarray:
         """A Fourier multiplier's values on the (n, n) xi-mesh at depth x3,
-        Nyquist row/column included."""
-        W1g, W2g = self.grid.xi_mesh()
-        env = {VarId.XI1: W1g, VarId.XI2: W2g, VarId.X3: complex(x3), VarId.S: self.s}
-        return np.asarray(eval_expr(self.total, env))
+        Nyquist row/column included (read-only when kept)."""
+        got = self._kernels.get("multiplier") if self.depth_free else None
+        if got is None:
+            W1g, W2g = self.grid.xi_mesh()
+            env = {VarId.XI1: W1g, VarId.XI2: W2g, VarId.X3: complex(x3), VarId.S: self.s}
+            got = np.asarray(eval_expr(self.total, env))
+            if self.depth_free:
+                # beside the one depth-free kernel (key None), so neither
+                # is ever evicted
+                got.setflags(write=False)
+                self._kernels["multiplier"] = got
+        return got
 
 
 def quantize_apply(sym, field, grid: TransverseGrid, x3, s):

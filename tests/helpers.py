@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -78,6 +79,24 @@ def single_shot_quantize(sym, grid, x3, s):
     vals = np.broadcast_to(np.asarray(eval_expr(_symbol_total(sym), env)), (n * n, n * n))
     phase = np.exp(1j * (np.outer(x1, w1) + np.outer(x2, w2))) / n**2
     return np.where(grid.nyquist_mask().ravel()[None, :], vals * phase, 0.0)
+
+
+def term_blocks(text: str) -> list:
+    """The ``degree d:`` blocks of a CLI term file (``terms_*.txt``,
+    ``gauge_terms.txt``) as (section, degree, expression text) in file
+    order. A ``<name> transformed terms:`` line opens section ``<name>``;
+    blocks before any such line have section None."""
+    blocks = []
+    section = None
+    for line in text.splitlines():
+        head = re.fullmatch(r"degree (-?\d+):", line)
+        if head:
+            blocks.append((section, int(head.group(1)), []))
+        elif line.endswith(" transformed terms:"):
+            section = line[: -len(" transformed terms:")]
+        elif line:
+            blocks[-1][2].append(line)
+    return [(sec, d, "\n".join(lines)) for sec, d, lines in blocks]
 
 
 def random_points(rng, count: int, box=None):

@@ -1,3 +1,4 @@
+import configparser
 import hashlib
 import json
 import re
@@ -9,6 +10,7 @@ import scipy
 
 import anisosplit
 from anisosplit.cli import run
+from helpers import probe_env, term_blocks
 
 HOM = """
 [medium]
@@ -111,6 +113,62 @@ def test_expand_outputs_and_formatting(tmp_path):
     # 17 significant digits, scientific
     cell = lines[1].split(",")[1]
     assert re.fullmatch(r"-?\d\.\d{17}e[+-]\d+", cell)
+
+
+def _het_probe_env(points):
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_string(HET)
+    m = anisosplit.load_medium(cp["medium"])
+    return probe_env(anisosplit.draw_probe_points(m, points, np.random.default_rng(3)))
+
+
+def test_expand_term_files_parse_to_the_written_values(tmp_path):
+    out = tmp_path / "o"
+    text = HET.replace("order = 1\n", "order = 2\n").replace("sign = +\n", "sign = both\n")
+    assert run(["expand", _cfg(tmp_path, text), "--out", str(out)]) == 0
+    env = _het_probe_env(3)
+    for tag in ("plus", "minus"):
+        rows = (out / f"expansion_{tag}.csv").read_text().splitlines()[1:]
+        written = {int(r.split(",")[0]): [float(c) for c in r.split(",")[1:]] for r in rows}
+        blocks = term_blocks((out / f"terms_{tag}.txt").read_text())
+        assert [d for _, d, _ in blocks] == [0, -1, -2]
+        assert all(block.startswith("_1 = ") for _, _, block in blocks)  # shared nodes bound
+        for _, d, block in blocks:
+            v = np.broadcast_to(anisosplit.eval_expr(anisosplit.parse(block), env), (3,))
+            assert [float(f"{x:.17e}") for p in zip(v.real, v.imag) for x in p] == written[d]
+
+
+def test_normalize_gauge_terms_parse_to_the_written_values(tmp_path):
+    out = tmp_path / "o"
+    text = HET.replace("order = 1\n", "order = 2\n")
+    assert run(["normalize", "--kind", "impedance", _cfg(tmp_path, text), "--out", str(out)]) == 0
+    env = _het_probe_env(4)
+    rows = (out / "normalize.csv").read_text().splitlines()[1:]
+    rms = {(r.split(",")[0], int(r.split(",")[1])): float(r.split(",")[2]) for r in rows}
+    blocks = term_blocks((out / "gauge_terms.txt").read_text())
+    sections = {sec for sec, _, _ in blocks}
+    assert {"g_plus", "g_minus", "ell[0][0]", "ell[1][1]"} <= sections
+    checked = 0
+    for sec, d, block in blocks:
+        v = np.broadcast_to(anisosplit.eval_expr(anisosplit.parse(block), env), (4,))
+        assert np.all(np.isfinite(v))
+        if sec in ("g_plus", "g_minus"):
+            assert float(f"{float(np.sqrt(np.mean(np.abs(v) ** 2))):.17e}") == rms[(sec, d)]
+            checked += 1
+    assert checked >= 4
+
+
+def test_expand_order_four_writes_small_term_files(tmp_path):
+    out = tmp_path / "o"
+    text = HET.replace("order = 1\n", "order = 4\n")
+    assert run(["expand", _cfg(tmp_path, text), "--out", str(out)]) == 0
+    terms = out / "terms_plus.txt"
+    assert terms.stat().st_size < 2**20  # the tree text was hundreds of MB
+    _, d, block = term_blocks(terms.read_text())[-1]
+    assert d == -4
+    row = (out / "expansion_plus.csv").read_text().splitlines()[-1].split(",")
+    v = np.broadcast_to(anisosplit.eval_expr(anisosplit.parse(block), _het_probe_env(3)), (3,))
+    assert [float(f"{x:.17e}") for p in zip(v.real, v.imag) for x in p] == [float(c) for c in row[1:]]
 
 
 def test_manifest_hashes_every_output(tmp_path):

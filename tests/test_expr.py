@@ -1,12 +1,15 @@
+import configparser
 import math
 import os
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from anisosplit import expand, presets
+from anisosplit import draw_probe_points, expand, presets
 from anisosplit import expr as expr_module
 from anisosplit.expr import (
     ONE,
@@ -41,6 +44,8 @@ from anisosplit.expr import (
     taylor_eval,
     to_text,
 )
+import test_cli
+from helpers import probe_env
 
 ENV = {
     VarId.X1: 0.7,
@@ -326,12 +331,43 @@ def _recursive_to_text(e):
     return go(e, 0)
 
 
+def _assert_round_trip(e):
+    # the let-bound text reads back to a DAG that evaluates bit for bit
+    # like e, to the node the tree text reads to, and prints the same text
+    text = to_text(e)
+    back = parse(text)
+    assert back is parse(_recursive_to_text(e))
+    assert np.array_equal(eval_expr(back, ENV), eval_expr(e, ENV))
+    assert to_text(back) == text
+    return text
+
+
 @pytest.mark.parametrize("eta", [0, 1])
 def test_to_text_matches_recursive_printer_on_expansion_terms(eta):
+    # expansion terms share nodes, so they print with binding lines
     ex = expand(presets.heterogeneous_full(), 1, eta, 2)
     for k in range(3):
+        text = _assert_round_trip(ex.term(-k))
+        assert text.startswith("_1 = ")
+        assert len(text) < len(_recursive_to_text(ex.term(-k)))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("eta", [0, 1])
+def test_term_text_round_trip_through_order_four(sign, eta):
+    m = presets.heterogeneous_full()
+    env = probe_env(draw_probe_points(m, 8, np.random.default_rng(31)))
+    ex = expand(m, sign, eta, 4)
+    for k in range(5):
         term = ex.term(-k)
-        assert to_text(term) == _recursive_to_text(term)
+        start = time.perf_counter()
+        text = to_text(term)
+        elapsed = time.perf_counter() - start
+        back = parse(text)
+        assert np.array_equal(eval_expr(back, env), eval_expr(term, env))
+        assert to_text(back) == text
+    # y_-4: 37 038 nodes at eta 1, a 439 MB tree
+    assert len(text) <= 2**20 and elapsed < 1.0
 
 
 def test_to_text_matches_recursive_printer_on_every_op():
@@ -347,7 +383,6 @@ def test_to_text_matches_recursive_printer_on_every_op():
         sub(X1, sub(X2, S)),
         sub(sub(X1, X2), S),
         div(X1, div(X2, S)),
-        mul(shared, mul(shared, X2)),
         add(const(-2.5), mul(const(-3), X1)),
         add(const(2j), mul(const(-0.5j), S)),
         mul(const(1.5 - 2j), sqrt_(add(const(1 + 0.25j), XI1))),
@@ -359,9 +394,99 @@ def test_to_text_matches_recursive_printer_on_every_op():
         const(3 + 4j),
         const(1e-300),
     ]
+    # no shared non-leaf node (x1 is a shared leaf): printed as a tree
     for e in cases:
         assert to_text(e) == _recursive_to_text(e)
         assert eval_expr(parse(to_text(e)), ENV) == pytest.approx(eval_expr(e, ENV), rel=1e-12)
+    # a shared non-leaf node gets one binding line
+    text = _assert_round_trip(mul(shared, mul(shared, X2)))
+    assert text == "_1 = x1*s + sin(x2);\n_1*(_1*x2)"
+
+
+def test_to_text_binds_shared_nodes_in_post_order():
+    a = add(X1, S)
+    b = mul(a, sin_(a))
+    e = sub(mul(b, cos_(b)), neg(a))
+    text = _assert_round_trip(e)
+    assert text == "_1 = x1 + s;\n_2 = _1*sin(_1);\n_2*cos(_2) - -_1"
+
+
+def test_to_text_is_the_tree_text_without_shared_nodes():
+    rng = np.random.default_rng(7)
+    checked = 0
+    for _ in range(200):
+        e = _rand_expr(rng)
+        order, nref = expr_module._walk([e])
+        if all(nref.get(node, 0) < 2 for node in order if node.args):
+            assert to_text(e) == _recursive_to_text(e)
+            checked += 1
+    assert checked >= 50
+
+
+@pytest.mark.parametrize(
+    "text, offset, message",
+    [
+        ("_1 = x1 + s;\n_2*_1", 13, "undefined name '_2'"),
+        ("_1 = _1 + s;\n_1", 5, "undefined name '_1'"),
+        ("_1 = x1;\n_1 = s;\n_1", 9, "bound twice"),
+        ("x1 = 2;\nx1", 0, "cannot bind 'x1'"),
+        ("_1 = s;\nsqrt = 2;\n_1", 8, "cannot bind 'sqrt'"),
+        ("_1 = s;\nxi2 = _1;\n_1", 8, "cannot bind 'xi2'"),
+        ("_1 = s;\n_1*x1\n_2 = x2;", 14, "binding after the result"),
+        ("_1 = x1;\n_2 = _1*s;", 19, "expected the result"),
+        ("_1 = x1\n_2 = _1*s;\n_2", 8, "expected ';'"),
+    ],
+)
+def test_parse_binding_errors_carry_the_offset(text, offset, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert info.value.offset == offset
+    assert message in str(info.value)
+
+
+def test_parse_bindings_share_their_nodes():
+    e = parse("_1 = sin(x1) + s;\n_2 = _1^2;\n_2 - 3*_1")
+    a = add(sin_(X1), S)
+    assert e is sub(ipow(a, 2), mul(const(3), a))
+    # whitespace is insignificant: one line reads the same
+    assert parse("_1 = sin(x1) + s; _2 = _1^2; _2 - 3*_1") is e
+
+
+def _medium_fields():
+    """Every [medium] kappa, alpha entry and rho entry of the example
+    config and of the configs in tests/test_cli.py."""
+    root = Path(__file__).resolve().parent.parent
+    texts = [(root / "demos" / "example.cfg").read_text()]
+    texts += [v for v in vars(test_cli).values() if isinstance(v, str) and "[medium]" in v]
+    fields = []
+    for text in texts:
+        cp = configparser.ConfigParser(interpolation=None)
+        cp.read_string(text)
+        med = cp["medium"]
+        fields.append(med["kappa"])
+        for key in ("alpha", "rho"):
+            if key in med:
+                fields += [p.strip() for p in med[key].split(",")]
+    return fields
+
+
+def test_medium_fields_parse_as_before():
+    # the tree text of each field as the grammar without bindings read it
+    before = {
+        "1 + 0.2*sin(x1)*cos(x3)": "1 + 0.2*(sin(x1)*cos(x3))",
+        "2 + 0.2*sin(x1)*cos(x2)": "2 + 0.2*(sin(x1)*cos(x2))",
+        "0.4 + 0.1*sin(x3)": "0.4 + 0.1*sin(x3)",
+        "1.5 + 0.2*sin(x3)": "1.5 + 0.2*sin(x3)",
+    }
+    fields = _medium_fields()
+    assert set(before) <= set(fields)
+    for text in fields:
+        e = parse(text)
+        if text in before:
+            assert _recursive_to_text(e) == before[text]
+            assert to_text(e) == before[text]
+        else:
+            assert e is const(float(text))
 
 
 def test_to_text_deep_chain_at_default_recursion_limit():

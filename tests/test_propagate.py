@@ -374,3 +374,33 @@ def test_depth_free_rk4_march_builds_one_kernel(monkeypatch, grid8):
     u = random_smooth_field(grid8, np.random.default_rng(24))
     oneway_solve(sp, 1, grid8, 2.0, u, 0.0, 0.5, steps=8, method="rk4")
     assert len(built) == 1
+
+
+def test_depth_free_multiplier_is_evaluated_once_per_march(monkeypatch, grid8, hom_split):
+    # a generator free of x and x3 is one Fourier multiplier at every
+    # RK4 stage depth: evaluated once, with the same result bit for bit
+    from anisosplit.expr import eval_expr
+
+    s = 2.0 + 0.5j
+    g = hom_split.g_symbol(1)
+    total = g.total()
+    assert grid8.operator(g, s).kind == "multiplier" and VarId.X3 not in total.free_vars
+    W1g, W2g = grid8.xi_mesh()
+    keep = grid8.nyquist_mask()
+
+    def fresh(x3, f):
+        env = {VarId.XI1: W1g, VarId.XI2: W2g, VarId.X3: complex(x3), VarId.S: complex(s)}
+        return np.fft.ifft2(eval_expr(total, env) * np.where(keep, np.fft.fft2(f), 0.0))
+
+    u = random_smooth_field(grid8, np.random.default_rng(25))
+    want = _reference_rk4(fresh, u, 0.0, 0.5, 8)
+    calls = []
+
+    def counting(e, env):
+        calls.append(e)
+        return eval_expr(e, env)
+
+    monkeypatch.setattr(symbols, "eval_expr", counting)
+    _, got = oneway_solve(hom_split, 1, grid8, s, u, 0.0, 0.5, steps=8, method="rk4")[-1]
+    assert len(calls) == 1
+    assert np.array_equal(got, want)
