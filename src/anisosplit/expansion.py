@@ -26,15 +26,14 @@ real part, i.e. exp(-x3 G^+) decays with increasing depth.
 
 from __future__ import annotations
 
-import gc
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 
 from .expr import (
     Expr,
     VarId,
     ZERO,
+    _cyclic_gc_paused,
     _eval_walked,
     _walk,
     const,
@@ -240,23 +239,6 @@ class AdmittanceExpansion:
         return PolyhomSymbol(self.term_map(trunc), floor=-trunc)
 
 
-@contextmanager
-def _cyclic_gc_paused():
-    """Pause the cyclic garbage collector while terms are built.
-
-    An expansion allocates hundreds of thousands of long-lived nodes, and
-    every full collection rescans all of them: about a fifth of an
-    order-5 expand. Reference counting still frees acyclic garbage.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def _check_term(e: Expr, degree: int, node_cap: int, smoke_test: bool, box):
     """Cap a term's DAG size and, with ``smoke_test``, check its
     homogeneity, both from one walk of the DAG."""
@@ -331,9 +313,10 @@ class SplitSymbols:
     composition ell o diag(g_plus, g_minus). Leading degrees: p has top
     degree 1 while d3_ell has top degree 0, one order lower. The
     marchers read only g+- and ell, so d3_ell and p are built on first
-    access and kept. p is composed from ``g_compact``: g+- written for
-    symbolic composition (the same values as g+-), truncated one degree
-    above the floor of ell.
+    access and kept; p is truncated one degree above the floor of ell.
+    g+- are written once, in the compact form the expansion's terms
+    lower to, and serve both composition and quantization (a kernel
+    build separates their x-by-xi products itself).
     """
 
     medium: MediumSpec
@@ -342,7 +325,6 @@ class SplitSymbols:
     g_plus: PolyhomSymbol
     g_minus: PolyhomSymbol
     ell: tuple
-    g_compact: tuple = field(repr=False)
 
     @cached_property
     def d3_ell(self) -> tuple:
@@ -351,7 +333,7 @@ class SplitSymbols:
     @cached_property
     def p(self) -> tuple:
         return tuple(
-            tuple(compose(e, g, e.low_degree + 1) for e, g in zip(row, self.g_compact))
+            tuple(compose(e, g, e.low_degree + 1) for e, g in zip(row, (self.g_plus, self.g_minus)))
             for row in self.ell
         )
 
@@ -360,21 +342,26 @@ class SplitSymbols:
         return self.g_plus if sign > 0 else self.g_minus
 
 
-def _generator_symbol(branch: AdmittanceExpansion, floor: int, monomials: bool) -> PolyhomSymbol:
+def _generator_symbol(branch: AdmittanceExpansion, floor: int) -> PolyhomSymbol:
     """g = a21 y + a22 of one branch. The top term is built from the
-    expressions, like the leading term; the lower ones are lowered from
-    the forms a21 y_j (see ``SymbolForm.lower`` for ``monomials``)."""
+    expressions, like the leading term; the lower ones are lowered once
+    from the forms a21 y_j."""
     m = branch.medium
     A = systems_symbols(m)
     g = {1: simplify(simplify(A.a21.term(1) * branch.term(0)) + A.a22.term(1))}
     a21 = _kit(m).a21
     for t, f in zip(branch.terms[1:], branch.forms[1:]):
-        g[t.degree + 1] = (a21 * f).lower(monomials=monomials)
+        g[t.degree + 1] = (a21 * f).lower()
     return PolyhomSymbol(g, floor=floor)
 
 
 def split_symbols(plus: AdmittanceExpansion, minus: AdmittanceExpansion) -> SplitSymbols:
-    """Assemble the splitting symbols from the two branches."""
+    """Assemble the splitting symbols from the two branches.
+
+    Each generator g+- = a21 y+- + a22 is lowered once, term by term from
+    the branch's forms. The marchers quantize these very symbols, and
+    ``p`` and the gauge transforms compose them.
+    """
     if plus.sign != 1 or minus.sign != -1:
         raise ExpansionError("split_symbols expects (plus, minus) branches in that order")
     if plus.medium is not minus.medium:
@@ -390,11 +377,7 @@ def split_symbols(plus: AdmittanceExpansion, minus: AdmittanceExpansion) -> Spli
             PolyhomSymbol({0: const(1)}, floor=floor_ell),
         ),
     )
-    floor_p = 1 - order
-    # g+- are quantized, so they get the lowering with few nodes that
-    # depend on both x and xi; p is composed symbolically, so it gets the
-    # compact one (the same values, a much smaller derivative DAG)
-    g_plus, g_minus = (_generator_symbol(b, floor_p, True) for b in (plus, minus))
+    g_plus, g_minus = (_generator_symbol(b, 1 - order) for b in (plus, minus))
     return SplitSymbols(
         medium=plus.medium,
         eta=plus.eta,
@@ -402,5 +385,4 @@ def split_symbols(plus: AdmittanceExpansion, minus: AdmittanceExpansion) -> Spli
         g_plus=g_plus,
         g_minus=g_minus,
         ell=ell,
-        g_compact=tuple(_generator_symbol(b, floor_p, False) for b in (plus, minus)),
     )

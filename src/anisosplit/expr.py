@@ -26,9 +26,11 @@ per call.
 
 from __future__ import annotations
 
+import gc
 import math
 import re
 import weakref
+from contextlib import contextmanager
 from enum import Enum
 
 import numpy as np
@@ -219,6 +221,25 @@ def _node(op, args, data=None):
         ref.key = key
         _intern[key] = ref
     return node
+
+
+@contextmanager
+def _cyclic_gc_paused():
+    """Pause the cyclic garbage collector while many nodes are built.
+
+    An expansion or a kernel plan allocates hundreds of thousands of
+    long-lived nodes, and every full collection rescans all of them:
+    about a fifth of an order-5 expand and two fifths of the order-4
+    kernel plan of ``heterogeneous_full``. Reference counting still
+    frees acyclic garbage.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _coercible(v) -> bool:
@@ -1234,6 +1255,8 @@ _BINARY_SYM = {"add": " + ", "sub": " - ", "mul": "*", "div": "/"}
 
 def to_text(e: Expr) -> str:
     """Render to DSL text; ``parse(to_text(e))`` is evaluation-equivalent.
+    A reciprocal prints as ``recip(a)``, not as a division, so the
+    expansion terms read back as the very same DAG.
 
     Each non-leaf node read by two or more consumers is printed once, as
     a binding line ``_k = <text>;`` in DAG post-order, and read by name
@@ -1260,11 +1283,7 @@ def to_text(e: Expr) -> str:
             text, prec = _fmt_const(node.data)
         elif op == "var":
             text, prec = node.data.value, 40
-        elif op == "recip":
-            # printed as a division, so existing term files keep their text;
-            # parse reads it back to the same value
-            text, prec = "1/" + arg(node.args[0], _PREC["div"] + 1), _PREC["div"]
-        elif op in ("sqrt", "exp", "sin", "cos"):
+        elif op in ("sqrt", "exp", "sin", "cos", "recip"):
             text, prec = f"{op}({arg(node.args[0], 0)})", 40
         elif op == "neg":
             text = "-" + arg(node.args[0], _PREC["neg"] + 1)

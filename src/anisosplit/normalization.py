@@ -144,7 +144,6 @@ def apply_normalization_symbols(
         g_plus=g_out[0],
         g_minus=g_out[1],
         ell=ell_out,
-        g_compact=tuple(g_out),
     )
 
 

@@ -28,6 +28,7 @@ from .expr import (
     VarId,
     ZERO,
     _consumer_counts,
+    _cyclic_gc_paused,
     _run,
     _walk,
     const,
@@ -322,60 +323,12 @@ def systems_symbols(m: MediumSpec) -> SymbolMatrix22:
 
 _NOT_A_FORM = "expression is not a sum of rho^(d/2) times rho-free expressions"
 _XI1, _XI2, _S = (variable(v) for v in (VarId.XI1, VarId.XI2, VarId.S))
-# the exponent slot of a monomial key (a, b, c) of xi1^a xi2^b s^c
-_MONO_SLOT = {VarId.XI1: 0, VarId.XI2: 1, VarId.S: 2}
-_XI_S_VARS = frozenset(_MONO_SLOT)
 _X12 = frozenset((VarId.X1, VarId.X2))
 _XI12 = frozenset((VarId.XI1, VarId.XI2))
 
 
 def _accumulate(out: dict, key, term: Expr):
     out[key] = out[key] + term if key in out else term
-
-
-def _monomial_map(e: Expr) -> dict:
-    """{(a, b, c): x-only coefficient of xi1^a xi2^b s^c} of a rho-free
-    expression (a polynomial in xi, Laurent in s). Raises SymbolError
-    for anything else."""
-    maps = {}
-    for node in _walk([e])[0]:
-        op = node.op
-        if not (node.free_vars & _XI_S_VARS):
-            out = {(0, 0, 0): node}
-        elif op == "var":
-            key = [0, 0, 0]
-            key[_MONO_SLOT[node.data]] = 1
-            out = {tuple(key): ONE}
-        else:
-            args = [maps[a] for a in node.args]
-            if op in ("add", "sub"):
-                out = dict(args[0])
-                for key, c in args[1].items():
-                    _accumulate(out, key, c if op == "add" else neg(c))
-            elif op == "neg":
-                out = {key: neg(c) for key, c in args[0].items()}
-            elif op == "mul":
-                out = _monomial_product(args[0], args[1])
-            elif op == "pow" and node.data >= 0:
-                out = {(0, 0, 0): ONE}
-                for _ in range(node.data):
-                    out = _monomial_product(out, args[0])
-            elif op in ("pow", "recip") and len(args[0]) == 1:
-                n = -1 if op == "recip" else node.data
-                ((key, c),) = args[0].items()
-                out = {tuple(n * p for p in key): ipow(c, n)}
-            else:
-                raise SymbolError(_NOT_A_FORM)
-        maps[node] = out
-    return maps[e]
-
-
-def _monomial_product(p: dict, q: dict) -> dict:
-    out = {}
-    for k1, c1 in p.items():
-        for k2, c2 in q.items():
-            _accumulate(out, tuple(a + b for a, b in zip(k1, k2)), mul(c1, c2))
-    return out
 
 
 class Radicand:
@@ -543,28 +496,14 @@ class SymbolForm:
                 fv |= self.rho.expr.free_vars
         return frozenset(fv)
 
-    def lower(self, monomials: bool = False) -> Expr:
+    def lower(self) -> Expr:
         """The form as one expression, sum over d of rho^(d/2) P_d, each
-        rho^(d/2) one shared node.
-
-        With ``monomials`` each P_d is first expanded into x-only
-        coefficients of xi1^a xi2^b s^c and rebuilt as the sum over (a, b)
-        of xi1^a xi2^b (sum over c of coeff s^c). That costs more x-only
-        nodes but leaves about two nodes per (d, a, b) that depend on
-        both x and xi, the nodes a quantized kernel evaluates once per
-        kernel entry (x-only ones once per grid row).
-        """
+        rho^(d/2) one shared node. This one expression serves symbolic
+        composition and quantization alike: a kernel build separates the
+        x-by-xi products of each P_d itself (``_KernelPlan``)."""
         acc = ZERO
         for d in sorted(self.terms):
-            p = self.terms[d]
-            if monomials:
-                by_xi = {}
-                for (a, b, c), k in sorted(_monomial_map(p).items()):
-                    _accumulate(by_xi, (a, b), mul(k, ipow(_S, c)))
-                p = ZERO
-                for (a, b), inner in by_xi.items():
-                    p = p + inner * (ipow(_XI1, a) * ipow(_XI2, b))
-            acc = acc + self.rho.power(d) * p
+            acc = acc + self.rho.power(d) * self.terms[d]
         return acc
 
 
@@ -651,47 +590,48 @@ def _is_mixed(node: Expr) -> bool:
     return bool(node.free_vars & _X12) and bool(node.free_vars & _XI12)
 
 
-def _operand_factors(node: Expr, separated: dict):
-    """{xi key: x coefficient} of an operand, or None for a mixed node
-    that is not separable. A node free of xi is its own coefficient of
-    the empty key; a node free of x is the key of coefficient one."""
-    if node in separated:
-        return separated[node]
-    if _is_mixed(node):
-        return None
-    if node.free_vars & _XI12:
-        return {(node,): ONE}
-    return {(): node}
+def _form_product(p: dict, q: dict, rank: dict) -> dict:
+    out = {}
+    for (a1, b1, t1), c1 in p.items():
+        for (a2, b2, t2), c2 in q.items():
+            atoms = tuple(sorted(t1 + t2, key=rank.__getitem__)) if t1 and t2 else t1 or t2
+            _accumulate(out, (a1 + a2, b1 + b2, atoms), mul(c1, c2))
+    return out
 
 
-def _separate(node: Expr, separated: dict, rank: dict):
-    """The separated form of a mixed node, or None.
+def _separate(node: Expr, forms: dict, rank: dict):
+    """The separated form of a node that depends on xi, or None.
 
-    A form maps a key, a tuple of xi-only nodes (in ``rank`` order)
-    standing for their product, to an x-only coefficient expression; the
-    node is the sum over keys of coefficient times product. Sums,
-    negation and products with a one-key side stay separable; a product
-    of two many-key forms would multiply their key counts, so it is not.
+    A form maps a key (a, b, atoms) to a coefficient expression free of
+    xi; the key stands for xi1^a xi2^b times the product of ``atoms``,
+    xi-only nodes that are not polynomial in xi, in DAG (``rank``)
+    order, and the node is the sum over keys of coefficient times key.
+    Sums, negation, products and non-negative integer powers of
+    separable operands are expanded; any other xi-only node is an atom
+    of its own. A quotient, reciprocal or negative power of a node that
+    depends on x and xi is never separated, so its zero check runs entry
+    by entry.
     """
     op = node.op
-    if op not in ("add", "sub", "neg", "mul"):
-        return None
-    forms = [_operand_factors(a, separated) for a in node.args]
-    if any(f is None for f in forms):
-        return None
+    if op == "var":
+        return {(1, 0, ()) if node.data is VarId.XI1 else (0, 1, ()): ONE}
+    # an operand free of xi is its own coefficient of the empty key; one
+    # that depends on xi and is not separable has no form (None)
+    args = [forms.get(a) if a.free_vars & _XI12 else {(0, 0, ()): a} for a in node.args]
+    expands = op in ("add", "sub", "neg", "mul") or (op == "pow" and node.data > 0)
+    if not expands or any(f is None for f in args):
+        return None if node.free_vars & _X12 else {(0, 0, (node,)): ONE}
     if op == "neg":
-        return {k: neg(c) for k, c in forms[0].items()}
-    a, b = forms
-    if op == "mul":
-        if len(a) > 1 and len(b) > 1:
-            return None
-        out = {}
-        for ka, ca in a.items():
-            for kb, cb in b.items():
-                _accumulate(out, tuple(sorted(ka + kb, key=rank.__getitem__)), mul(ca, cb))
+        return {k: neg(c) for k, c in args[0].items()}
+    if op == "pow":
+        out = args[0]
+        for _ in range(node.data - 1):
+            out = _form_product(out, args[0], rank)
+    elif op == "mul":
+        out = _form_product(args[0], args[1], rank)
     else:
-        out = dict(a)
-        for k, c in b.items():
+        out = dict(args[0])
+        for k, c in args[1].items():
             if op == "add":
                 _accumulate(out, k, c)
             else:
@@ -700,8 +640,9 @@ def _separate(node: Expr, separated: dict, rank: dict):
 
 
 def _xi_product(key) -> Expr:
-    acc = ONE
-    for f in key:
+    a, b, atoms = key
+    acc = mul(ipow(_XI1, a), ipow(_XI2, b))
+    for f in atoms:
         acc = mul(acc, f)
     return acc
 
@@ -710,12 +651,16 @@ class _KernelPlan:
     """How a kernel build evaluates one symbol, worked out once per symbol.
 
     Nodes free of xi or free of x are evaluated once per build, on the
-    x-grid or the xi-lattice. A node that depends on both is separable
-    when it is a signed sum of products whose factors are free of xi or
-    free of x (``_separate``); it stands for X(x) @ Xi(xi), with one
-    column of X and one row of Xi per key of its form. ``factors`` holds
-    the separable nodes read by a non-separable one or at the root; each
-    row block computes them as matrix products X[rows] @ Xi, then runs
+    x-grid or the xi-lattice. Every node that depends on xi is held, when
+    it can be, in separated form (``_separate``): a sum over keys
+    xi1^a xi2^b (times xi-only atoms such as a square root free of x) of
+    xi-free coefficients, with products and non-negative powers expanded.
+    This is the one place that decides how a symbol is written for its
+    kernel, so any symbol, as lowered or composed, gets the separation. A
+    separable node that depends on x and xi stands for X(x) @ Xi(xi),
+    one column of X and one row of Xi per key. ``factors`` holds the
+    separable nodes read by a non-separable one or at the root; each row
+    block computes them as matrix products X[rows] @ Xi, then runs
     ``entrywise``, the remaining mixed nodes in DAG order, through
     ``expr._run`` with power chains. ``reads`` counts their argument
     slots.
@@ -725,20 +670,21 @@ class _KernelPlan:
         self.total = total = _symbol_total(sym)
         order, _ = _walk([total])
         rank = {nd: i for i, nd in enumerate(order)}
-        separated = {}
+        forms = {}
         self.entrywise = entrywise = []
-        for nd in order:
-            if _is_mixed(nd):
-                form = _separate(nd, separated, rank)
-                if form is None:
-                    entrywise.append(nd)
-                else:
-                    separated[nd] = form
+        with _cyclic_gc_paused():
+            for nd in order:
+                if nd.free_vars & _XI12:
+                    form = _separate(nd, forms, rank)
+                    if form is None:
+                        entrywise.append(nd)
+                    else:
+                        forms[nd] = form
         read = [a for nd in entrywise for a in nd.args] + [total]
         self.factors = {}  # separable node -> ([x coefficient], [xi product])
         for nd in dict.fromkeys(read):
-            if nd in separated:
-                form = separated[nd]
+            if _is_mixed(nd) and nd in forms:
+                form = forms[nd]
                 self.factors[nd] = (list(form.values()), [_xi_product(k) for k in form])
         self.reads = _consumer_counts(entrywise)
         # the fixed nodes a block reads, in DAG order

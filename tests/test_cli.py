@@ -539,3 +539,13 @@ def test_readme_key_table_matches_cli_table():
     for section, keys in re.findall(r"^\| `\[(\w+)\]` \| ([^|]*) \|", readme, re.M):
         documented |= {(section, key) for key in re.findall(r"`(\w+)`", keys)}
     assert documented == {(section, key) for section, key, *_ in _KEYS}
+
+
+def test_fingerprint_runs_cover_every_subcommand(tmp_path):
+    # tests/cli_fingerprint.py is the byte-identity check of refactors;
+    # a subcommand it never runs could change its output unseen
+    from anisosplit.cli import _HANDLERS
+    from cli_fingerprint import _runs
+
+    covered = {argv[0] for _, argv in _runs(tmp_path)}
+    assert covered >= set(_HANDLERS)

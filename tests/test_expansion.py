@@ -303,15 +303,13 @@ def test_split_symbols_structure(het_split):
 
 
 def test_split_symbols_builds_p_and_d3_ell_on_first_access(het_expansion_pair):
-    from anisosplit.expansion import _generator_symbol
     from anisosplit.symbols import _d3_symbol, compose
 
     plus, minus = het_expansion_pair
     sp = split_symbols(plus, minus)
     assert "p" not in vars(sp) and "d3_ell" not in vars(sp)
-    # composed from the compact lowering of g+-, as when built eagerly
-    compact = _generator_symbol(minus, 1 - sp.order, False)
-    want = compose(sp.ell[0][1], compact, 1 - sp.order)
+    # composed from g+- themselves, as when built eagerly
+    want = compose(sp.ell[0][1], sp.g_minus, 1 - sp.order)
     assert sp.p[0][1].terms.keys() == want.terms.keys()
     assert all(sp.p[0][1].terms[d] is e for d, e in want.terms.items())
     assert sp.p is sp.p

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anisosplit import draw_probe_points, expand, presets
+from anisosplit import expand, presets
 from anisosplit import expr as expr_module
 from anisosplit.expr import (
     ONE,
@@ -45,7 +45,6 @@ from anisosplit.expr import (
     to_text,
 )
 import test_cli
-from helpers import probe_env
 
 ENV = {
     VarId.X1: 0.7,
@@ -312,9 +311,7 @@ def _recursive_to_text(e):
             text, prec = fmt_const(node.data)
         elif op == "var":
             text, prec = node.data.value, 40
-        elif op == "recip":
-            text, prec = "1/" + go(node.args[0], 21), 20
-        elif op in ("sqrt", "exp", "sin", "cos"):
+        elif op in ("sqrt", "exp", "sin", "cos", "recip"):
             text, prec = f"{op}({go(node.args[0], 0)})", 40
         elif op == "neg":
             text, prec = "-" + go(node.args[0], 26), 25
@@ -355,17 +352,13 @@ def test_to_text_matches_recursive_printer_on_expansion_terms(eta):
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("eta", [0, 1])
 def test_term_text_round_trip_through_order_four(sign, eta):
-    m = presets.heterogeneous_full()
-    env = probe_env(draw_probe_points(m, 8, np.random.default_rng(31)))
-    ex = expand(m, sign, eta, 4)
+    ex = expand(presets.heterogeneous_full(), sign, eta, 4)
     for k in range(5):
         term = ex.term(-k)
         start = time.perf_counter()
         text = to_text(term)
         elapsed = time.perf_counter() - start
-        back = parse(text)
-        assert np.array_equal(eval_expr(back, env), eval_expr(term, env))
-        assert to_text(back) == text
+        assert parse(text) is term
     # y_-4: 37 038 nodes at eta 1, a 439 MB tree
     assert len(text) <= 2**20 and elapsed < 1.0
 

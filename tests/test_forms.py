@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from anisosplit import SymbolError, SymbolForm, VarId, eval_expr, expand, schur, split_symbols
+from anisosplit import SymbolError, SymbolForm, VarId, eval_expr, expand, schur
 from anisosplit import presets
 from anisosplit.expr import ZERO, diff, exp_, mul, parse, recip, sqrt_
 from anisosplit.oracle import draw_probe_points
@@ -133,13 +133,6 @@ def test_form_products_and_sums_match_expressions(het_forms):
         assert rel_err(_values(form.lower(), env), _values(expr, env)) <= 1e-12
 
 
-def test_monomial_lowering_matches_lowering(het_forms):
-    env = probe_env(draw_probe_points(presets.heterogeneous_full(), 25, np.random.default_rng(6)))
-    for f in het_forms:
-        got = _values(f.lower(monomials=True), env)
-        assert rel_err(got, _values(f.lower(), env)) <= 1e-12
-
-
 def test_lift_round_trips_and_rejects_non_forms():
     m = presets.heterogeneous_full()
     rho = radicand(m)
@@ -152,21 +145,3 @@ def test_lift_round_trips_and_rejects_non_forms():
     for bad in (exp_(rho.root), sqrt_(rho.root), recip(rho.root + parse("xi1"))):
         with pytest.raises(SymbolError):
             SymbolForm.lift(rho, bad)
-    # the monomial lowering needs polynomials in xi, Laurent in s
-    for text in ("exp(xi1)", "sqrt(xi1 + 2)", "1/(xi1 + s)"):
-        with pytest.raises(SymbolError):
-            SymbolForm.lift(rho, parse(text)).lower(monomials=True)
-
-
-def test_split_generators_use_few_mixed_nodes():
-    # the generators are lowered in monomial shape: few nodes depend on
-    # both x and xi, which is what a quantized kernel pays per entry
-    from anisosplit.expr import _walk
-    from anisosplit.symbols import _symbol_total
-
-    m = presets.transverse_anisotropic()
-    sp = split_symbols(expand(m, 1, 1, 2), expand(m, -1, 1, 2))
-    nodes = _walk([_symbol_total(sp.g_plus)])[0]
-    x, xi = {VarId.X1, VarId.X2}, {VarId.XI1, VarId.XI2}
-    mixed = sum(1 for n in nodes if n.free_vars & x and n.free_vars & xi)
-    assert mixed <= 200

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -282,6 +286,79 @@ def test_separated_kernel_of_order2_g_plus_has_few_entrywise_nodes(order2_splits
     assert plan.factors  # the rest is separated
 
 
+def _plan_shape(sym):
+    """(entrywise nodes, total rank of the factors) of a symbol's plan."""
+    plan = symbols._KernelPlan(sym)
+    return len(plan.entrywise), sum(len(xs) for xs, _ in plan.factors.values())
+
+
+def test_kernel_plans_of_order2_generators_are_small(order2_splits):
+    # g+- are lowered once, compactly; the plan separates their x-by-xi
+    # products itself, so few nodes are evaluated per kernel entry
+    bounds = {"transverse_anisotropic": 40, "heterogeneous_full": 40, "dual_path_medium": 42}
+    for name, bound in bounds.items():
+        for sign in (1, -1):
+            entrywise, _ = _plan_shape(order2_splits[name].g_symbol(sign))
+            assert entrywise <= bound, (name, sign)
+
+
+def test_kernel_plans_of_order3_generators_are_small():
+    m = presets.heterogeneous_full()
+    sp = split_symbols(expand(m, 1, 1, 3), expand(m, -1, 1, 3))
+    for sign in (1, -1):
+        entrywise, rank = _plan_shape(sp.g_symbol(sign))
+        assert entrywise <= 60 and rank <= 190
+
+
+def test_kernel_plan_of_admittance_series_is_small():
+    # a symbol no one wrote for its kernel gets the same separation
+    series = expand(presets.transverse_anisotropic(), 1, 1, 2).series(2)
+    assert _plan_shape(series)[0] <= 40
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(cos(x1)*xi1 + sin(x2)*xi2 + s)*(x1*xi1^2 + xi2)",
+        "exp(xi1)*x1",
+        "sqrt(xi1^2 + 2)*cos(x1)",
+    ],
+)
+def test_kernel_of_xi_polynomials_and_atoms_separates_fully(text):
+    # products of many-key forms expand; a xi-only node that is not a
+    # polynomial is one atom of the key
+    sym = parse(text)
+    assert not symbols._KernelPlan(sym).entrywise
+    grid = TransverseGrid(16, TAU, TAU)
+    got = quantize_matrix(sym, grid, 0.2, 1.1 + 0.4j)
+    assert field_rel(got, single_shot_quantize(sym, grid, 0.2, 1.1 + 0.4j)) <= 1e-14
+
+
+DETERMINISM = """
+import hashlib
+import numpy as np
+from anisosplit import TransverseGrid, expand, presets, quantize_matrix, split_symbols
+m = presets.heterogeneous_full()
+g = split_symbols(expand(m, 1, 1, 2), expand(m, -1, 1, 2)).g_plus
+K = quantize_matrix(g, TransverseGrid(8, 2 * np.pi, 2 * np.pi), 0.3, 1.5 + 0.3j)
+print(hashlib.sha256(K.tobytes()).hexdigest())
+"""
+
+
+def test_kernel_is_the_same_in_fresh_processes():
+    # a column order taken from id() or from set iteration would differ
+    # between processes, and so would the rounding of the kernel
+    hashes = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "PYTHONHASHSEED": seed}
+        out = subprocess.run(
+            [sys.executable, "-c", DETERMINISM], capture_output=True, text=True, check=True, env=env
+        )
+        hashes.append(out.stdout.strip())
+    assert len(hashes[0]) == 64 and hashes[0] == hashes[1]
+
+
 @pytest.mark.filterwarnings("error")
 def test_kernel_without_separable_nodes_matches_oracle():
     # every mixed node is a quotient, a power or a sum of those
@@ -298,6 +375,8 @@ def test_kernel_without_separable_nodes_matches_oracle():
     [
         ("1/(x1 - xi1) + s", DivisionByZeroError),
         ("(x1 - xi1)^(-3)", DivisionByZeroError),
+        # expanding the product must not cancel a divisor that depends on xi
+        ("(x1 - xi1)*(x1 - xi1)^(-1) + s", DivisionByZeroError),
         ("sqrt(x1 - xi1 - 1)", SqrtDomainError),
     ],
 )
