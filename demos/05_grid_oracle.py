@@ -2,8 +2,11 @@
 
 For a depth-independent medium the admittance operator can be computed
 non-perturbatively: discretize the transverse directions, build the
-2n^2 x 2n^2 systems matrix, and split its spectrum. Successive
-truncations of the symbol expansion must approach that operator.
+2n^2 x 2n^2 systems matrix, and split its spectrum with the matrix sign
+function: the projectors (I +- sign A)/2 span the down- and up-going
+invariant subspaces, and each admittance is read off its projector.
+Successive truncations of the symbol expansion must approach that
+operator.
 """
 
 import numpy as np

@@ -38,7 +38,14 @@ from .expr import (
     taylor_eval,
     variable,
 )
-from .medium import MediumSpec, _constant_value, is_depth_independent, is_homogeneous, schur
+from .medium import (
+    MediumSpec,
+    _coefficients,
+    _constant_value,
+    is_depth_independent,
+    is_homogeneous,
+    schur,
+)
 from .expansion import AdmittanceExpansion, SplitSymbols, gamma1
 from .symbols import (
     SymbolTerm,
@@ -449,9 +456,13 @@ def quad_oracle(m: MediumSpec, xi, s) -> QuadRoots:
 # ---------------------------------------------------------------------------
 # grid oracle
 
-# largest condition number of a family's eigenbasis that the grid oracle
+# largest condition number of the matrix I +- S22 that the grid oracle
 # inverts
 _COND_CAP = 1e10
+# Newton steps the sign iteration may take before it gives up: the
+# oracle's matrix at n = 16, s = 40 takes four, and an eigenvalue
+# 1e-6 |lam| off the imaginary axis (the default gap) about 22
+_SIGN_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -503,6 +514,52 @@ def _derivative_matrix(n: int, L: float) -> np.ndarray:
     return np.fft.ifft((1j * w)[:, None] * F, axis=0)
 
 
+def _matrix_sign(X: np.ndarray) -> np.ndarray:
+    """sign(X) by the scaled Newton iteration X <- (mu X + (mu X)^-1) / 2.
+
+    Frobenius-norm scaling mu = sqrt(|X^-1| / |X|) until the relative step
+    falls below 1e-2, and Higham's stopping test (Functions of Matrices,
+    Alg. 5.14): |X_new - X| <= sqrt(tol |X_new| / |X^-1|) with tol = n eps,
+    or a relative step that stops halving once unscaled. X is consumed:
+    each step overwrites the inverse's buffer with the update. Raises
+    SpectralGapError on a singular iterate (an eigenvalue on or at the
+    imaginary axis) or when the iteration does not converge.
+    """
+    tol = X.shape[0] * np.finfo(float).eps
+    scale = True
+    last = math.inf
+    for _ in range(_SIGN_MAX_ITER):
+        try:
+            Y = np.linalg.inv(X)
+        except np.linalg.LinAlgError:
+            raise SpectralGapError(
+                "singular iterate in the sign iteration: an eigenvalue lies on "
+                "the imaginary axis"
+            ) from None
+        norm_x, norm_y = np.linalg.norm(X), np.linalg.norm(Y)
+        if not math.isfinite(norm_y):
+            break
+        mu = math.sqrt(norm_y / norm_x) if scale else 1.0
+        # Y becomes the new iterate and X the step, in the two buffers
+        Y *= 0.5 / mu
+        X *= 0.5 * mu
+        Y += X
+        X *= 2.0 / mu
+        X -= Y
+        step, norm_new = np.linalg.norm(X), np.linalg.norm(Y)
+        X = Y
+        rel = step / norm_new
+        if scale and rel <= 1e-2:
+            scale = False
+        if step <= math.sqrt(tol * norm_new / norm_y) or (not scale and rel > last / 2):
+            return X
+        last = rel
+    raise SpectralGapError(
+        f"sign iteration did not converge in {_SIGN_MAX_ITER} steps: the "
+        "spectrum crowds the imaginary axis"
+    )
+
+
 def grid_riccati_oracle(
     m: MediumSpec,
     grid: TransverseGrid,
@@ -515,9 +572,19 @@ def grid_riccati_oracle(
     Needs a depth-independent medium whose fields are periodic over the
     grid box. The flattened operator A acts on (v3, p) stacked; modes
     evolve like exp(-lam x3), so eigenvalues with Re lam > 0 make up the
-    + (down-going) family. Y = W V^-1 with W the v3 rows and V the p
-    rows of the family's eigenvectors. Raises on a thin spectral gap,
-    unequal family sizes, or an ill-conditioned eigenbasis.
+    + (down-going) family. The spectral projectors (I +- S)/2 of the
+    matrix sign S = sign(A) (``_matrix_sign``) span the two invariant
+    subspaces; their last N = n^2 columns give
+    Y+- = W V^-1 = +-S12 (I +- S22)^-1 with no eigenvectors. The family
+    eigenvalues are those of A21 Y+- + A22, and ``cond_plus`` /
+    ``cond_minus`` are the 2-norm condition numbers of I +- S22. On
+    ``transverse_anisotropic`` at n = 16 and s = 40 (A is 512 x 512) a
+    call takes 0.5-0.65 s on one core of a 2-core x86 host: four
+    512 x 512 inverses (0.26 s) and two 256 x 256 eigenvalue solves
+    (0.2 s); a dense eigendecomposition of A took 1.0-1.25 s.
+    Raises SpectralGapError on a thin spectral gap or a failed sign
+    iteration, and OracleError on unequal family sizes or an
+    ill-conditioned I +- S22.
     """
     if not is_depth_independent(m):
         raise OracleError("grid oracle needs a depth-independent medium")
@@ -529,54 +596,55 @@ def grid_riccati_oracle(
     N = n * n
     D1 = np.kron(_derivative_matrix(n, grid.L1), np.eye(n))
     D2 = np.kron(np.eye(n), _derivative_matrix(n, grid.L2))
+    c = _coefficients(m)
 
-    def dg(e):
-        return np.diag(grid.sample(e, 0.0, s).ravel())
+    def sample(e):
+        return grid.sample(e, 0.0, s).ravel()
 
-    inv33 = recip(m.alpha[2][2])
-    sd = schur(m)
-    f1 = dg(simplify(m.alpha[0][2] * inv33))
-    f2 = dg(simplify(m.alpha[1][2] * inv33))
-    A11 = D1 @ f1 + D2 @ f2
-    A12 = s * dg(m.kappa) - (
-        D1 @ dg(sd.Q[0][0]) @ D1
-        + D1 @ dg(sd.Q[0][1]) @ D2
-        + D2 @ dg(sd.Q[1][0]) @ D1
-        + D2 @ dg(sd.Q[1][1]) @ D2
+    Q = [[sample(c.Q[i][j]) for j in range(2)] for i in range(2)]
+    A11 = D1 * sample(c.f[0]) + D2 * sample(c.f[1])
+    A12 = np.diag(s * sample(c.kappa)) - (
+        (D1 * Q[0][0]) @ D1 + (D1 * Q[0][1]) @ D2 + (D2 * Q[1][0]) @ D1 + (D2 * Q[1][1]) @ D2
     ) / s
-    A21 = s * dg(inv33)
-    A22 = dg(simplify(m.alpha[2][0] * inv33)) @ D1 + dg(simplify(m.alpha[2][1] * inv33)) @ D2
+    a21 = s * sample(c.inv33)
+    A21 = np.diag(a21)
+    A22 = sample(c.g[0])[:, None] * D1 + sample(c.g[1])[:, None] * D2
 
-    A = np.block([[A11, A12], [A21, A22]])
-    lam, phi = np.linalg.eig(A)
+    S = _matrix_sign(np.block([[A11, A12], [A21, A22]]))
+    plus = (2 * N + round(float(np.trace(S).real))) // 2
+    if plus != N:
+        raise OracleError(f"family sizes {plus} / {2 * N - plus} are not equal")
+    S12 = S[:N, N:]
+    S22 = S[N:, N:]
+    eye = np.eye(N)
+
+    def family(sign):
+        V = eye + sign * S22
+        cond = float(np.linalg.cond(V))
+        if cond > _COND_CAP:
+            raise OracleError(
+                f"I {'+' if sign > 0 else '-'} S22 condition {cond:.3e} exceeds {_COND_CAP:.1e}"
+            )
+        Y = sign * np.linalg.solve(V.T, S12.T).T
+        lam = np.linalg.eigvals(a21[:, None] * Y + A22)
+        t1 = (Y * a21) @ Y
+        t2 = Y @ A22
+        t3 = A11 @ Y
+        resid = t1 + t2 - t3 - A12
+        denom = sum(np.linalg.norm(t) for t in (t1, t2, t3, A12)) + 1e-300
+        return Y, lam, cond, float(np.linalg.norm(resid) / denom)
+
+    y_plus, lam_p, cond_p, rel_p = family(1)
+    y_minus, lam_m, cond_m, rel_m = family(-1)
+    lam = np.concatenate([lam_p, lam_m])
     scale = float(np.max(np.abs(lam)))
     gap = float(np.min(np.abs(lam.real)))
     if gap < gap_rtol * scale:
         raise SpectralGapError(
             f"eigenvalue within {gap:.3e} of the imaginary axis (scale {scale:.3e})"
         )
-    pos = lam.real > 0
-    if int(np.sum(pos)) != N:
-        raise OracleError(
-            f"family sizes {int(np.sum(pos))} / {int(np.sum(~pos))} are not equal"
-        )
-
-    def family(mask):
-        W = phi[:N, mask]
-        V = phi[N:, mask]
-        cond = float(np.linalg.cond(V))
-        if cond > _COND_CAP:
-            raise OracleError(f"eigenbasis condition {cond:.3e} exceeds {_COND_CAP:.1e}")
-        Y = W @ np.linalg.inv(V)
-        t1 = Y @ A21 @ Y
-        t2 = Y @ A22
-        t3 = A11 @ Y
-        resid = t1 + t2 - t3 - A12
-        denom = sum(np.linalg.norm(t) for t in (t1, t2, t3, A12)) + 1e-300
-        return Y, cond, float(np.linalg.norm(resid) / denom)
-
-    y_plus, cond_p, rel_p = family(pos)
-    y_minus, cond_m, rel_m = family(~pos)
+    if np.any(lam_p.real <= 0) or np.any(lam_m.real >= 0):
+        raise SpectralGapError("the sign split put an eigenvalue in the wrong family")
     return GridOracleResult(
         grid=grid,
         s=s,

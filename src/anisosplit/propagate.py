@@ -14,14 +14,16 @@ increasing depth for Re s > 0.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from contextlib import contextmanager
 
 import numpy as np
 
 from .medium import MediumSpec, _coefficients, _constant_value, is_homogeneous
 from .expansion import SplitSymbols
+from .expr import VarId
 from .oracle import quad_oracle
-from .symbols import TransverseGrid, quantize_apply, spectral_derivative
+from .symbols import TransverseGrid, _kept_by_depth, quantize_apply, spectral_derivative
 
 __all__ = [
     "PropagationError",
@@ -37,33 +39,54 @@ class PropagationError(Exception):
     pass
 
 
-def apply_systems_operator(m: MediumSpec, grid: TransverseGrid, s, x3, v3, p):
-    """A(x3) applied to (v3, p) with exact spectral transverse derivatives."""
-    s = complex(s)
+def _coefficient_sampler(m: MediumSpec, grid: TransverseGrid, s: complex):
+    """The ten coefficient fields of A(x3) on the x-grid, as a function of
+    depth: (kappa, inv33, f1, f2, g1, g2, Q11, Q12, Q21, Q22).
+
+    The samples at the two depths read last are kept (``_kept_by_depth``);
+    a medium free of x3 is sampled once for every depth.
+    """
     c = _coefficients(m)
+    fields = (c.kappa, c.inv33, *c.f, *c.g, *c.Q[0], *c.Q[1])
+    depth_free = not any(VarId.X3 in e.free_vars for e in fields)
+    kept = OrderedDict()
+
+    def at(x3):
+        return _kept_by_depth(
+            kept, x3, depth_free, lambda: tuple(grid.sample(e, x3, s) for e in fields)
+        )
+
+    return at
+
+
+def _systems_action(coeffs, grid: TransverseGrid, s: complex, v3, p):
+    """A applied to (v3, p) from the sampled coefficient fields."""
+    kappa, inv33, f1, f2, g1, g2, q11, q12, q21, q22 = coeffs
     v3 = np.asarray(v3, dtype=np.complex128)
     p = np.asarray(p, dtype=np.complex128)
 
     d1p = spectral_derivative(p, grid, 1)
     d2p = spectral_derivative(p, grid, 2)
-    flux1 = grid.sample(c.Q[0][0], x3, s) * d1p + grid.sample(c.Q[0][1], x3, s) * d2p
-    flux2 = grid.sample(c.Q[1][0], x3, s) * d1p + grid.sample(c.Q[1][1], x3, s) * d2p
+    flux1 = q11 * d1p + q12 * d2p
+    flux2 = q21 * d1p + q22 * d2p
     r1 = (
-        spectral_derivative(grid.sample(c.f[0], x3, s) * v3, grid, 1)
-        + spectral_derivative(grid.sample(c.f[1], x3, s) * v3, grid, 2)
-        + s * grid.sample(c.kappa, x3, s) * p
+        spectral_derivative(f1 * v3, grid, 1)
+        + spectral_derivative(f2 * v3, grid, 2)
+        + s * kappa * p
         - (
             spectral_derivative(flux1, grid, 1)
             + spectral_derivative(flux2, grid, 2)
         )
         / s
     )
-    r2 = (
-        s * grid.sample(c.inv33, x3, s) * v3
-        + grid.sample(c.g[0], x3, s) * d1p
-        + grid.sample(c.g[1], x3, s) * d2p
-    )
+    r2 = s * inv33 * v3 + g1 * d1p + g2 * d2p
     return r1, r2
+
+
+def apply_systems_operator(m: MediumSpec, grid: TransverseGrid, s, x3, v3, p):
+    """A(x3) applied to (v3, p) with exact spectral transverse derivatives."""
+    s = complex(s)
+    return _systems_action(_coefficient_sampler(m, grid, s)(x3), grid, s, v3, p)
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +241,10 @@ def full_solve(
         method = "exact" if is_homogeneous(m) else "rk4"
 
     if method == "rk4":
+        coeffs = _coefficient_sampler(m, grid, s)
 
         def systems(x3, fields):
-            return apply_systems_operator(m, grid, s, x3, *fields)
+            return _systems_action(coeffs(x3), grid, s, *fields)
 
         return _march((v3, p), a, b, record, steps, rhs=systems)
 

@@ -797,6 +797,22 @@ def _physical_kernel(sym, grid: TransverseGrid, x3, s) -> np.ndarray:
     return out
 
 
+def _kept_by_depth(store: OrderedDict, x3, depth_free: bool, build):
+    """``build()`` for depth x3, kept in ``store`` beside the value read
+    before it: an RK4 step reads its start depth (the previous step's
+    end), its midpoint twice and its end. A depth-free value is built
+    once, under the key None."""
+    key = None if depth_free else round(float(x3), 12)
+    got = store.get(key)
+    if got is None:
+        if len(store) == 2:
+            store.popitem(last=False)
+        got = store[key] = build()
+    else:
+        store.move_to_end(key)
+    return got
+
+
 class _GridOperator:
     """A quantized symbol acting on grid fields at a fixed s.
 
@@ -808,10 +824,10 @@ class _GridOperator:
     ``kernel`` serves any symbol, since a dense segment exponential needs
     the matrix; ``multiplier`` gives a Fourier multiplier's values on the
     spectrum, whose exponential is diagonal. The kernel plan is made on
-    first need, and the two kernels read last are kept: an RK4 step reads
-    its start depth (the previous step's end), its midpoint twice and its
-    end. A symbol free of x3 has one kernel and one multiplier for every
-    depth, each evaluated once and kept in the same store.
+    first need, and the two kernels read last are kept
+    (``_kept_by_depth``). A symbol free of x3 has one kernel and one
+    multiplier for every depth, each evaluated once and kept in the same
+    store.
     """
 
     def __init__(self, sym, grid: TransverseGrid, s):
@@ -829,17 +845,13 @@ class _GridOperator:
 
     def kernel(self, x3) -> np.ndarray:
         """The n^2 x n^2 physical kernel at depth x3 (``_physical_kernel``)."""
-        key = None if self.depth_free else round(float(x3), 12)
-        got = self._kernels.get(key)
-        if got is None:
+
+        def build():
             if self._plan is None:
                 self._plan = _KernelPlan(self.sym)
-            if len(self._kernels) == 2:
-                self._kernels.popitem(last=False)
-            got = self._kernels[key] = _physical_kernel(self._plan, self.grid, x3, self.s)
-        else:
-            self._kernels.move_to_end(key)
-        return got
+            return _physical_kernel(self._plan, self.grid, x3, self.s)
+
+        return _kept_by_depth(self._kernels, x3, self.depth_free, build)
 
     def apply(self, field, x3) -> np.ndarray:
         """The operator at depth x3 applied to an (n, n) field, or to each

@@ -81,6 +81,21 @@ def single_shot_quantize(sym, grid, x3, s):
     return np.where(grid.nyquist_mask().ravel()[None, :], vals * phase, 0.0)
 
 
+def eig_grid_admittance(blocks):
+    """The grid oracle's admittances by a dense eigendecomposition of the
+    stacked systems matrix [[A11, A12], [A21, A22]]: each family's
+    Y = W V^-1 from the v3 rows W and p rows V of its eigenvectors, the
+    + family having Re lam > 0. Returns (eigenvalues, Y+, Y-)."""
+    A11, A12, A21, A22 = blocks
+    lam, phi = np.linalg.eig(np.block([[A11, A12], [A21, A22]]))
+    N = A11.shape[0]
+
+    def family(mask):
+        return phi[:N, mask] @ np.linalg.inv(phi[N:, mask])
+
+    return lam, family(lam.real > 0), family(lam.real < 0)
+
+
 def term_blocks(text: str) -> list:
     """The ``degree d:`` blocks of a CLI term file (``terms_*.txt``,
     ``gauge_terms.txt``) as (section, degree, expression text) in file

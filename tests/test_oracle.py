@@ -6,6 +6,7 @@ import pytest
 
 from anisosplit import (
     OracleError,
+    SpectralGapError,
     TransverseGrid,
     VarId,
     eval_expr,
@@ -17,10 +18,11 @@ from anisosplit import (
     riccati_residual,
     taylor_eval,
 )
-from anisosplit import presets
+from anisosplit import oracle, presets
 from anisosplit.oracle import (
     DEFAULT_LAMBDAS,
     _jet_directions,
+    _matrix_sign,
     _mixed_partials,
     _scaling_env,
     draw_probe_points,
@@ -28,7 +30,7 @@ from anisosplit.oracle import (
 )
 from anisosplit.symbols import x_derivative, xi_derivative
 
-from helpers import dft2_matrix, field_rel, symbolic_residual_rms
+from helpers import dft2_matrix, eig_grid_admittance, field_rel, symbolic_residual_rms
 
 TAU = 2 * np.pi
 
@@ -199,7 +201,8 @@ def test_grid_oracle_transverse_medium():
     [(presets.homogeneous_anisotropic, 1.2 + 0.4j), (presets.transverse_anisotropic, 40.0)],
 )
 def test_grid_oracle_matches_scipy_eig(medium, s):
-    # the oracle's eigensolver against scipy's, on the oracle's own blocks
+    # the oracle's sign-function split against scipy's eigensolver, on the
+    # oracle's own blocks
     import scipy.linalg
 
     res = grid_riccati_oracle(medium(), TransverseGrid(8, TAU, TAU), s)
@@ -210,6 +213,53 @@ def test_grid_oracle_matches_scipy_eig(medium, s):
     for mask, got in ((lam.real > 0, res.y_plus), (lam.real < 0, res.y_minus)):
         want = phi[:N, mask] @ np.linalg.inv(phi[N:, mask])
         assert field_rel(got, want) <= 1e-12
+
+
+def test_grid_oracle_matches_eig_reference_at_benchmark_size():
+    # the sign-function split against a dense eigendecomposition of the
+    # same 512 x 512 matrix (n = 16)
+    m = presets.transverse_anisotropic()
+    res = grid_riccati_oracle(m, TransverseGrid(16, TAU, TAU), 40.0)
+    lam, y_plus, y_minus = eig_grid_admittance(res.blocks)
+    assert field_rel(res.y_plus, y_plus) <= 1e-10
+    assert field_rel(res.y_minus, y_minus) <= 1e-10
+    assert res.eigenvalues.shape == lam.shape
+    nearest = np.min(np.abs(lam[:, None] - res.eigenvalues[None, :]), axis=1)
+    assert np.max(nearest) <= 1e-10 * np.max(np.abs(lam))
+    assert res.riccati_rel_plus <= 1e-13
+    assert res.riccati_rel_minus <= 1e-13
+
+
+def test_matrix_sign_of_a_diagonalizable_matrix():
+    rng = np.random.default_rng(31)
+    lam = np.concatenate([rng.uniform(0.1, 3.0, 5), -rng.uniform(0.1, 3.0, 4)])
+    lam = lam + 1j * rng.uniform(-5.0, 5.0, lam.size)
+    V = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    want = V @ np.diag(np.sign(lam.real)) @ np.linalg.inv(V)
+    got = _matrix_sign(V @ np.diag(lam) @ np.linalg.inv(V))
+    assert field_rel(got, want) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+def test_grid_oracle_thin_gap_is_typed(hom_medium):
+    with pytest.raises(SpectralGapError):
+        grid_riccati_oracle(hom_medium, TransverseGrid(8, TAU, TAU), 1.2 + 0.4j, gap_rtol=1.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("diagonal", [(1.0, -1.0, 1j), (1.0, 0.0, -1.0)])
+def test_matrix_sign_failures_are_typed(diagonal):
+    # an eigenvalue on the imaginary axis makes a later iterate singular;
+    # a singular matrix fails at the first inverse
+    with pytest.raises(SpectralGapError):
+        _matrix_sign(np.diag(np.array(diagonal, dtype=complex)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_matrix_sign_gives_up_at_the_iteration_cap(monkeypatch):
+    monkeypatch.setattr(oracle, "_SIGN_MAX_ITER", 1)
+    with pytest.raises(SpectralGapError, match="converge"):
+        _matrix_sign(np.diag(np.array([3.0, -0.5 + 2j], dtype=complex)))
 
 
 def test_grid_oracle_rejects_depth_dependence(het_medium):

@@ -337,6 +337,30 @@ def test_shared_rk4_is_bit_identical_to_per_solver_loops(grid8, het_split):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize(
+    "medium, depths", [(presets.transverse_anisotropic, 1), (presets.heterogeneous_full, 9)]
+)
+def test_full_solve_samples_each_coefficient_once_per_depth(monkeypatch, grid8, medium, depths):
+    # a 4-step rk4 march reads 9 distinct stage depths; each of the ten
+    # coefficient fields is sampled once at each, or once in all for a
+    # medium free of x3
+    m = medium()
+    rng = np.random.default_rng(29)
+    v3 = random_smooth_field(grid8, rng)
+    p = random_smooth_field(grid8, rng)
+    sample = TransverseGrid.sample
+    calls = []
+
+    def counting(self, e, x3, s):
+        calls.append(x3)
+        return sample(self, e, x3, s)
+
+    monkeypatch.setattr(TransverseGrid, "sample", counting)
+    full_solve(m, grid8, 2.0 + 0.5j, v3, p, 0.0, 0.3, steps=4, method="rk4")
+    assert len(calls) == 10 * depths
+    assert len(set(calls)) == depths
+
+
 def _count_kernel_builds(monkeypatch):
     built = []
     alive = []
