@@ -14,16 +14,14 @@ increasing depth for Re s > 0.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from contextlib import contextmanager
 
 import numpy as np
 
 from .medium import MediumSpec, _coefficients, _constant_value, is_homogeneous
 from .expansion import SplitSymbols
-from .expr import VarId
 from .oracle import quad_oracle
-from .symbols import TransverseGrid, _kept_by_depth, quantize_apply, spectral_derivative
+from .symbols import TransverseGrid, quantize_apply, spectral_derivative
 
 __all__ = [
     "PropagationError",
@@ -43,20 +41,13 @@ def _coefficient_sampler(m: MediumSpec, grid: TransverseGrid, s: complex):
     """The ten coefficient fields of A(x3) on the x-grid, as a function of
     depth: (kappa, inv33, f1, f2, g1, g2, Q11, Q12, Q21, Q22).
 
-    The samples at the two depths read last are kept (``_kept_by_depth``);
-    a medium free of x3 is sampled once for every depth.
+    Each field is a pointwise grid operator, which keeps its samples at
+    the two depths read last (``_GridOperator.values``); a field free of
+    x3 is sampled once for every depth.
     """
     c = _coefficients(m)
-    fields = (c.kappa, c.inv33, *c.f, *c.g, *c.Q[0], *c.Q[1])
-    depth_free = not any(VarId.X3 in e.free_vars for e in fields)
-    kept = OrderedDict()
-
-    def at(x3):
-        return _kept_by_depth(
-            kept, x3, depth_free, lambda: tuple(grid.sample(e, x3, s) for e in fields)
-        )
-
-    return at
+    ops = [grid.operator(e, s) for e in (c.kappa, c.inv33, *c.f, *c.g, *c.Q[0], *c.Q[1])]
+    return lambda x3: tuple(op.values(x3) for op in ops)
 
 
 def _systems_action(coeffs, grid: TransverseGrid, s: complex, v3, p):
@@ -324,7 +315,7 @@ def oneway_solve(
         def diagonal(d0, d1, fields):
             # the projected kernel annihilates the Nyquist row/column, so
             # its exponential passes those modes through unchanged
-            g_mid = np.where(keep, op.multiplier(0.5 * (d0 + d1)), 0.0)
+            g_mid = np.where(keep, op.values(0.5 * (d0 + d1)), 0.0)
             with _overflow_typed(d0, d1):
                 u1 = np.fft.ifft2(np.exp(-(d1 - d0) * g_mid) * np.fft.fft2(fields[0]))
             return (u1,)
@@ -337,7 +328,7 @@ def oneway_solve(
         import scipy.linalg
 
         def expmid(d0, d1, fields):
-            K = op.kernel(0.5 * (d0 + d1))
+            K = op.values(0.5 * (d0 + d1))
             with _overflow_typed(d0, d1):
                 u1 = scipy.linalg.expm(-(d1 - d0) * K) @ fields[0].ravel()
             return (u1.reshape(grid.n, grid.n),)

@@ -57,7 +57,6 @@ __all__ = [
     "compose",
     "compose_degree_part",
     "quantize_apply",
-    "quantize_matrix",
     "homogeneity_check",
     "HomogeneityReport",
     "xi_derivative",
@@ -157,15 +156,6 @@ class PolyhomSymbol:
             {d + degree_shift: simplify(mul(factor, e)) for d, e in self.terms.items()},
             floor=self.low_degree + degree_shift,
         )
-
-    def eval(self, env):
-        vals = [eval_expr(e, env) for e in self.terms.values()]
-        if not vals:
-            return 0j
-        acc = vals[0]
-        for v in vals[1:]:
-            acc = acc + v
-        return acc
 
     def __repr__(self):
         degs = ", ".join(str(d) for d in self.terms)
@@ -564,26 +554,23 @@ class TransverseGrid:
         return _GridOperator(sym, self, s)
 
 
-def _term_exprs(sym):
+def _symbol_total(sym) -> Expr:
+    """The plain sum of a PolyhomSymbol's terms, a SymbolTerm's expression
+    or an Expr itself."""
     if isinstance(sym, PolyhomSymbol):
-        return list(sym.terms.values())
+        return sym.total()
     if isinstance(sym, SymbolTerm):
-        return [sym.expr]
+        return sym.expr
     if isinstance(sym, Expr):
-        return [sym]
+        return sym
     raise SymbolError(f"cannot quantize {type(sym).__name__}")
 
 
-def _symbol_total(sym) -> Expr:
-    acc = ZERO
-    for e in _term_exprs(sym):
-        acc = acc + e
-    return acc
-
-
 # Entries per row block of a kernel build: small enough that the block's
-# intermediates stay in cache, large enough to amortize per-block overhead.
-_BLOCK_ENTRIES = 2**14
+# intermediates stay in cache, and that each 64 KB block temporary stays
+# under glibc's default 128 KB mmap threshold, so blocks reuse heap memory
+# instead of mapping and unmapping fresh pages each time.
+_BLOCK_ENTRIES = 2**12
 
 
 def _is_mixed(node: Expr) -> bool:
@@ -698,23 +685,29 @@ class _KernelPlan:
         self.fixed_keep = set(fixed)
 
 
-def _kernel_rows(sym, grid: TransverseGrid, x3, s, out: np.ndarray):
-    """Fill ``out`` (n^2 x n^2) with the quantized symbol (a symbol or
-    its ``_KernelPlan``), one row block of the x-grid at a time, yielding
-    each finished block (a view).
+def _physical_kernel(sym, grid: TransverseGrid, x3, s) -> np.ndarray:
+    """The quantized symbol (or its ``_KernelPlan``) at fixed (x3, s)
+    composed with the forward 2D DFT, as a dense n^2 x n^2 matrix: grid
+    values in, grid values out.
+
+    Row index flattens the x-grid. The spectral matrix, whose column
+    index flattens the xi-lattice, has zero Nyquist columns; the DFT
+    matrix kron(F, F) is symmetric, so right-multiplying by it is an fft2
+    of each row. The result takes n^4 * 16 bytes (16 MB at n=32). It is
+    built in row blocks of a fixed number of entries, each transformed
+    as soon as it is filled, so no other n^4-sized array is allocated.
 
     Nodes free of xi or free of x are evaluated once; separable x-and-xi
     nodes become small matrix products and only the rest is evaluated
     entry by entry (see ``_KernelPlan``). Separation and the power
     chains reorder sums and products, so entries agree with a direct
-    evaluation of the symbol to rounding, not bit for bit; each entry
-    comes out the same whatever the block size. A caller may overwrite a
-    yielded block in place before resuming, so a row-wise transform is
-    applied while the block is still in cache.
+    evaluation of the symbol to rounding (about 1e-15 norm-relative), not
+    bit for bit; each entry comes out the same whatever the block size.
     """
     plan = sym if isinstance(sym, _KernelPlan) else _KernelPlan(sym)
     n = grid.n
     size = n * n
+    out = np.empty((size, size), dtype=np.complex128)
     X1g, X2g = grid.x_mesh()
     x1, x2 = X1g.ravel(), X2g.ravel()
     W1g, W2g = grid.xi_mesh()
@@ -757,42 +750,6 @@ def _kernel_rows(sym, grid: TransverseGrid, x3, s, out: np.ndarray):
         np.multiply(e1[r0:r1, :, None], e2[r0:r1, None, :], out=block.reshape(-1, n, n))
         block *= vals[plan.total]
         block[:, nyquist] = 0.0
-        yield block
-
-
-def quantize_matrix(sym, grid: TransverseGrid, x3, s) -> np.ndarray:
-    """Dense n^2 x n^2 matrix of the quantized symbol at fixed (x3, s).
-
-    Row index flattens the x-grid, column index the xi-lattice; Nyquist
-    columns are zero. Applying it to a flattened FFT of a field realizes
-    the operator.
-
-    The result takes n^4 * 16 bytes (16 MB at n=32). It is built in row
-    blocks of a fixed number of entries, so no other n^4-sized array is
-    allocated, and nothing is cached between calls. Parts of the symbol
-    that are sums of x-only times xi-only products are evaluated as
-    small matrix products, and integer powers as chains of products
-    (see ``_KernelPlan``), so entries match a direct evaluation of the
-    symbol to rounding (about 1e-15 norm-relative), not bit for bit.
-    """
-    n = grid.n
-    out = np.empty((n * n, n * n), dtype=np.complex128)
-    for _ in _kernel_rows(sym, grid, x3, s, out):
-        pass
-    return out
-
-
-def _physical_kernel(sym, grid: TransverseGrid, x3, s) -> np.ndarray:
-    """Quantized symbol (or its kernel plan) composed with the forward 2D
-    DFT: grid values in, grid values out.
-
-    The DFT matrix kron(F, F) is symmetric, so right-multiplying by it is
-    an fft2 of each kernel row; each row block is transformed in place
-    as soon as it is built.
-    """
-    n = grid.n
-    out = np.empty((n * n, n * n), dtype=np.complex128)
-    for block in _kernel_rows(sym, grid, x3, s, out):
         block[...] = np.fft.fft2(block.reshape(-1, n, n)).reshape(block.shape)
     return out
 
@@ -821,17 +778,15 @@ class _GridOperator:
     multiplier; otherwise through its physical kernel. Every path
     projects out the Nyquist row/column of the input spectrum.
 
-    ``kernel`` serves any symbol, since a dense segment exponential needs
-    the matrix; ``multiplier`` gives a Fourier multiplier's values on the
-    spectrum, whose exponential is diagonal. The kernel plan is made on
-    first need, and the two kernels read last are kept
-    (``_kept_by_depth``). A symbol free of x3 has one kernel and one
-    multiplier for every depth, each evaluated once and kept in the same
-    store.
+    ``values(x3)`` is what it acts by at depth x3: a pointwise symbol's
+    samples on the x-grid, a Fourier multiplier's values on the xi-mesh,
+    Nyquist row/column included, or the physical kernel, the matrix a
+    dense segment exponential needs. The values at the two depths read
+    last are kept (``_kept_by_depth``); a symbol free of x3 is evaluated
+    once for every depth. The kernel plan is made on first need.
     """
 
     def __init__(self, sym, grid: TransverseGrid, s):
-        self.sym = sym
         self.grid = grid
         self.s = complex(s)
         self.total = total = _symbol_total(sym)
@@ -841,17 +796,23 @@ class _GridOperator:
             self.kind = "multiplier" if total.free_vars & _XI12 else "pointwise"
         self.depth_free = VarId.X3 not in total.free_vars
         self._plan = None
-        self._kernels = OrderedDict()
+        self._kept = OrderedDict()
 
-    def kernel(self, x3) -> np.ndarray:
-        """The n^2 x n^2 physical kernel at depth x3 (``_physical_kernel``)."""
+    def values(self, x3) -> np.ndarray:
+        """What the operator acts by at depth x3 (see the class)."""
 
         def build():
+            if self.kind == "pointwise":
+                return self.grid.sample(self.total, x3, self.s)
+            if self.kind == "multiplier":
+                W1g, W2g = self.grid.xi_mesh()
+                env = {VarId.XI1: W1g, VarId.XI2: W2g, VarId.X3: complex(x3), VarId.S: self.s}
+                return np.asarray(eval_expr(self.total, env))
             if self._plan is None:
-                self._plan = _KernelPlan(self.sym)
+                self._plan = _KernelPlan(self.total)
             return _physical_kernel(self._plan, self.grid, x3, self.s)
 
-        return _kept_by_depth(self._kernels, x3, self.depth_free, build)
+        return _kept_by_depth(self._kept, x3, self.depth_free, build)
 
     def apply(self, field, x3) -> np.ndarray:
         """The operator at depth x3 applied to an (n, n) field, or to each
@@ -861,29 +822,14 @@ class _GridOperator:
         if values.shape[-2:] != (n, n) or values.ndim not in (2, 3):
             raise SymbolError(f"field shape {values.shape} does not match grid {n}")
         if self.kind == "kernel":
-            K = self.kernel(x3)
+            K = self.values(x3)
             if values.ndim == 2:
                 return (K @ values.ravel()).reshape(values.shape)
             return (K @ values.reshape(-1, n * n).T).T.reshape(values.shape)
         uhat = np.where(self.grid.nyquist_mask(), np.fft.fft2(values), 0.0)
         if self.kind == "pointwise":
-            return self.grid.sample(self.total, x3, self.s) * np.fft.ifft2(uhat)
-        return np.fft.ifft2(self.multiplier(x3) * uhat)
-
-    def multiplier(self, x3) -> np.ndarray:
-        """A Fourier multiplier's values on the (n, n) xi-mesh at depth x3,
-        Nyquist row/column included (read-only when kept)."""
-        got = self._kernels.get("multiplier") if self.depth_free else None
-        if got is None:
-            W1g, W2g = self.grid.xi_mesh()
-            env = {VarId.XI1: W1g, VarId.XI2: W2g, VarId.X3: complex(x3), VarId.S: self.s}
-            got = np.asarray(eval_expr(self.total, env))
-            if self.depth_free:
-                # beside the one depth-free kernel (key None), so neither
-                # is ever evicted
-                got.setflags(write=False)
-                self._kernels["multiplier"] = got
-        return got
+            return self.values(x3) * np.fft.ifft2(uhat)
+        return np.fft.ifft2(self.values(x3) * uhat)
 
 
 def quantize_apply(sym, field, grid: TransverseGrid, x3, s):
@@ -892,9 +838,7 @@ def quantize_apply(sym, field, grid: TransverseGrid, x3, s):
     ``field`` is an (n, n) complex array or a (k, n, n) stack of k
     fields. A symbol free of xi acts by pointwise multiplication, one
     free of x by a Fourier multiplier, any other through its physical
-    kernel (``quantize_matrix`` composed with the forward DFT), built
-    once for all the fields; it matches the spectral product
-    ``quantize_matrix(sym) @ fft2(u)`` to about 1e-15 relative. See
+    kernel (``_physical_kernel``), built once for all the fields. See
     ``_GridOperator``.
     """
     return grid.operator(sym, s).apply(field, x3)

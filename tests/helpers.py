@@ -62,8 +62,9 @@ def dft2_matrix(n: int) -> np.ndarray:
 
 
 def single_shot_quantize(sym, grid, x3, s):
-    """``quantize_matrix`` by one broadcast evaluation of the symbol in
-    DAG order over all n^2 x n^2 entries (the kernel build's oracle)."""
+    """The spectral matrix of the quantized symbol (rows over the x-grid,
+    columns over the xi-lattice, Nyquist columns zero) by one broadcast
+    evaluation of the symbol in DAG order over all n^2 x n^2 entries."""
     n = grid.n
     X1g, X2g = grid.x_mesh()
     W1g, W2g = grid.xi_mesh()
@@ -79,6 +80,13 @@ def single_shot_quantize(sym, grid, x3, s):
     vals = np.broadcast_to(np.asarray(eval_expr(_symbol_total(sym), env)), (n * n, n * n))
     phase = np.exp(1j * (np.outer(x1, w1) + np.outer(x2, w2))) / n**2
     return np.where(grid.nyquist_mask().ravel()[None, :], vals * phase, 0.0)
+
+
+def single_shot_kernel(sym, grid, x3, s):
+    """``_physical_kernel`` by ``single_shot_quantize`` followed by an fft2
+    of each row (the kernel build's oracle)."""
+    q = single_shot_quantize(sym, grid, x3, s)
+    return np.fft.fft2(q.reshape(-1, grid.n, grid.n)).reshape(q.shape)
 
 
 def eig_grid_admittance(blocks):

@@ -30,7 +30,7 @@ from anisosplit.oracle import (
 )
 from anisosplit.symbols import x_derivative, xi_derivative
 
-from helpers import dft2_matrix, eig_grid_admittance, field_rel, symbolic_residual_rms
+from helpers import eig_grid_admittance, field_rel, single_shot_kernel, symbolic_residual_rms
 
 TAU = 2 * np.pi
 
@@ -292,20 +292,16 @@ def test_grid_oracle_rejects_left_half_plane(hom_medium):
 def test_operator_distance_zero_for_matching_operator(hom_medium):
     grid = TransverseGrid(8, TAU, TAU)
     s = 1.0 + 0.1j
-    from anisosplit import quantize_matrix
-
     exp = expand(hom_medium, 1, 0, 0)
-    mat = quantize_matrix(exp.series(0), grid, 0.0, s) @ dft2_matrix(grid.n)
+    mat = single_shot_kernel(exp.series(0), grid, 0.0, s)
     assert operator_distance(exp.series(0), mat, grid, s) <= 1e-12
 
 
 def test_operator_distance_detects_scaling(hom_medium):
     grid = TransverseGrid(8, TAU, TAU)
     s = 1.0 + 0.1j
-    from anisosplit import quantize_matrix
-
     exp = expand(hom_medium, 1, 0, 0)
-    mat = 1.01 * (quantize_matrix(exp.series(0), grid, 0.0, s) @ dft2_matrix(grid.n))
+    mat = 1.01 * single_shot_kernel(exp.series(0), grid, 0.0, s)
     d = operator_distance(exp.series(0), mat, grid, s)
     assert 0.005 <= d <= 0.02
 

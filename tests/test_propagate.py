@@ -17,11 +17,11 @@ from anisosplit import (
     recompose,
     systems_symbols,
 )
-from anisosplit import presets, quantize_matrix
+from anisosplit import presets
 from anisosplit import symbols
 from anisosplit.symbols import _physical_kernel
 
-from helpers import dft2_matrix, field_rel
+from helpers import dft2_matrix, field_rel, single_shot_quantize
 
 TAU = 2 * np.pi
 
@@ -157,7 +157,7 @@ def test_physical_kernel_matches_dense_dft_product(het_split, n):
     grid = TransverseGrid(n, TAU, TAU)
     g = het_split.g_symbol(1)
     s = 1.5 + 0.3j
-    want = quantize_matrix(g, grid, 0.25, s) @ dft2_matrix(n)
+    want = single_shot_quantize(g, grid, 0.25, s) @ dft2_matrix(n)
     assert field_rel(_physical_kernel(g, grid, 0.25, s), want) <= 1e-13
 
 
@@ -255,7 +255,8 @@ def test_expmid_multiplier_matches_dense_exponential(hom_split, monkeypatch, n, 
     a, b = 0.1, 0.6
     op = grid.operator(hom_split.g_symbol(sign), s)
     assert op.kind == "multiplier"
-    want = scipy.linalg.expm(-(b - a) * op.kernel(0.5 * (a + b))) @ u.ravel()
+    K = _physical_kernel(hom_split.g_symbol(sign), grid, 0.5 * (a + b), s)
+    want = scipy.linalg.expm(-(b - a) * K) @ u.ravel()
 
     def no_kernel(*args):
         raise AssertionError("a multiplier segment built a kernel")
@@ -338,12 +339,20 @@ def test_shared_rk4_is_bit_identical_to_per_solver_loops(grid8, het_split):
 
 
 @pytest.mark.parametrize(
-    "medium, depths", [(presets.transverse_anisotropic, 1), (presets.heterogeneous_full, 9)]
+    "medium, depths, samples",
+    [
+        pytest.param(presets.transverse_anisotropic, 1, 10, id="transverse_anisotropic-1"),
+        pytest.param(presets.heterogeneous_full, 9, 90, id="heterogeneous_full-9"),
+        # six of its ten fields depend on x3
+        pytest.param(presets.depth_varying_unit_a33, 9, 6 * 9 + 4, id="depth_varying_unit_a33-9"),
+    ],
 )
-def test_full_solve_samples_each_coefficient_once_per_depth(monkeypatch, grid8, medium, depths):
+def test_full_solve_samples_each_coefficient_once_per_depth(
+    monkeypatch, grid8, medium, depths, samples
+):
     # a 4-step rk4 march reads 9 distinct stage depths; each of the ten
-    # coefficient fields is sampled once at each, or once in all for a
-    # medium free of x3
+    # coefficient fields is sampled once at each, or once in all if it
+    # is free of x3
     m = medium()
     rng = np.random.default_rng(29)
     v3 = random_smooth_field(grid8, rng)
@@ -357,7 +366,7 @@ def test_full_solve_samples_each_coefficient_once_per_depth(monkeypatch, grid8, 
 
     monkeypatch.setattr(TransverseGrid, "sample", counting)
     full_solve(m, grid8, 2.0 + 0.5j, v3, p, 0.0, 0.3, steps=4, method="rk4")
-    assert len(calls) == 10 * depths
+    assert len(calls) == samples
     assert len(set(calls)) == depths
 
 
@@ -400,23 +409,22 @@ def test_depth_free_rk4_march_builds_one_kernel(monkeypatch, grid8):
     assert len(built) == 1
 
 
-def test_depth_free_multiplier_is_evaluated_once_per_march(monkeypatch, grid8, hom_split):
-    # a generator free of x and x3 is one Fourier multiplier at every
-    # RK4 stage depth: evaluated once, with the same result bit for bit
+def _march_counting_multiplier(monkeypatch, grid, split, s, u):
+    """An 8-step rk4 march of a split's Fourier-multiplier g+ over
+    [0, 0.5]: how often the multiplier is evaluated, the march's result,
+    and the same march with the multiplier evaluated afresh at every
+    stage."""
     from anisosplit.expr import eval_expr
 
-    s = 2.0 + 0.5j
-    g = hom_split.g_symbol(1)
-    total = g.total()
-    assert grid8.operator(g, s).kind == "multiplier" and VarId.X3 not in total.free_vars
-    W1g, W2g = grid8.xi_mesh()
-    keep = grid8.nyquist_mask()
+    total = split.g_symbol(1).total()
+    assert grid.operator(total, s).kind == "multiplier"
+    W1g, W2g = grid.xi_mesh()
+    keep = grid.nyquist_mask()
 
     def fresh(x3, f):
         env = {VarId.XI1: W1g, VarId.XI2: W2g, VarId.X3: complex(x3), VarId.S: complex(s)}
         return np.fft.ifft2(eval_expr(total, env) * np.where(keep, np.fft.fft2(f), 0.0))
 
-    u = random_smooth_field(grid8, np.random.default_rng(25))
     want = _reference_rk4(fresh, u, 0.0, 0.5, 8)
     calls = []
 
@@ -425,6 +433,32 @@ def test_depth_free_multiplier_is_evaluated_once_per_march(monkeypatch, grid8, h
         return eval_expr(e, env)
 
     monkeypatch.setattr(symbols, "eval_expr", counting)
-    _, got = oneway_solve(hom_split, 1, grid8, s, u, 0.0, 0.5, steps=8, method="rk4")[-1]
-    assert len(calls) == 1
+    _, got = oneway_solve(split, 1, grid, s, u, 0.0, 0.5, steps=8, method="rk4")[-1]
+    return len(calls), got, want
+
+
+def test_depth_free_multiplier_is_evaluated_once_per_march(monkeypatch, grid8, hom_split):
+    # a generator free of x and x3 is one Fourier multiplier at every
+    # RK4 stage depth: evaluated once, with the same result bit for bit
+    assert VarId.X3 not in hom_split.g_symbol(1).total().free_vars
+    u = random_smooth_field(grid8, np.random.default_rng(25))
+    calls, got, want = _march_counting_multiplier(monkeypatch, grid8, hom_split, 2.0 + 0.5j, u)
+    assert calls == 1
+    assert np.array_equal(got, want)
+
+
+def test_depth_varying_multiplier_is_evaluated_once_per_depth(monkeypatch, grid8):
+    # a medium that varies with x3 only has a g+ free of x that varies
+    # with depth: 8 RK4 steps read it at 17 distinct depths, each
+    # evaluated once, with the same result bit for bit
+    from anisosplit import expand, load_medium, split_symbols
+
+    box = f"0,{presets.TAU!r},0,{presets.TAU!r},0,{presets.TAU!r}"
+    alpha = "1.6, 0.1, 0.3, 0.1, 1.5, 0.1, 0.1, 0.2, 1.2"
+    m = load_medium({"kappa": "1 + 0.3*sin(x3)", "alpha": alpha, "box": box})
+    sp = split_symbols(expand(m, 1, 1, 2), expand(m, -1, 1, 2))
+    assert VarId.X3 in sp.g_symbol(1).total().free_vars
+    u = random_smooth_field(grid8, np.random.default_rng(26))
+    calls, got, want = _march_counting_multiplier(monkeypatch, grid8, sp, 2.0 + 0.5j, u)
+    assert calls == 17
     assert np.array_equal(got, want)

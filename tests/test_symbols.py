@@ -17,7 +17,6 @@ from anisosplit import (
     homogeneity_check,
     parse,
     quantize_apply,
-    quantize_matrix,
     random_smooth_field,
     spectral_derivative,
     split_symbols,
@@ -25,9 +24,9 @@ from anisosplit import (
 )
 from anisosplit import expand, presets, symbols
 from anisosplit.expr import DivisionByZeroError, SqrtDomainError, ZERO, diff, mul, sub
-from anisosplit.symbols import _BLOCK_ENTRIES, x_derivative, xi_derivative
+from anisosplit.symbols import _BLOCK_ENTRIES, _physical_kernel, x_derivative, xi_derivative
 
-from helpers import field_rel, random_points, rel_err, single_shot_quantize
+from helpers import field_rel, random_points, rel_err, single_shot_kernel, single_shot_quantize
 
 TAU = 2 * np.pi
 
@@ -233,7 +232,7 @@ def test_quantize_matrix_consistent_with_apply():
     rng = np.random.default_rng(7)
     u = random_smooth_field(grid, rng)
     sym = parse("sin(x1)*1i*xi2 + s*cos(x2)")
-    mat = quantize_matrix(sym, grid, 0.3, 1.1 + 0.5j)
+    mat = single_shot_quantize(sym, grid, 0.3, 1.1 + 0.5j)
     want = (mat @ np.fft.fft2(u).ravel()).reshape(u.shape)
     got = quantize_apply(sym, u, grid, 0.3, 1.1 + 0.5j)
     assert rel_err(got, want) <= 1e-11
@@ -248,12 +247,12 @@ def test_blocked_quantize_matrix_equals_single_shot(monkeypatch, n, several_bloc
     assert (n**4 > _BLOCK_ENTRIES) == several_blocks
     grid = TransverseGrid(n, TAU, TAU)
     sym = parse(MIXED)
-    got = quantize_matrix(sym, grid, 0.4, 1.3 + 0.2j)
+    got = _physical_kernel(sym, grid, 0.4, 1.3 + 0.2j)
     # separation reorders sums, so the DAG-order oracle agrees to rounding;
     # the block size changes no entry
-    assert field_rel(got, single_shot_quantize(sym, grid, 0.4, 1.3 + 0.2j)) <= 1e-14
+    assert field_rel(got, single_shot_kernel(sym, grid, 0.4, 1.3 + 0.2j)) <= 1e-14
     monkeypatch.setattr(symbols, "_BLOCK_ENTRIES", n**4)
-    assert np.array_equal(got, quantize_matrix(sym, grid, 0.4, 1.3 + 0.2j))
+    assert np.array_equal(got, _physical_kernel(sym, grid, 0.4, 1.3 + 0.2j))
 
 
 @pytest.fixture(scope="module")
@@ -275,8 +274,8 @@ def test_separated_kernel_matches_single_shot_oracle(order2_splits, name, x3, n)
     grid = TransverseGrid(n, TAU, TAU)
     for sign in (1, -1):
         g = order2_splits[name].g_symbol(sign)
-        got = quantize_matrix(g, grid, x3, 1.5 + 0.3j)
-        assert field_rel(got, single_shot_quantize(g, grid, x3, 1.5 + 0.3j)) <= 1e-14
+        got = _physical_kernel(g, grid, x3, 1.5 + 0.3j)
+        assert field_rel(got, single_shot_kernel(g, grid, x3, 1.5 + 0.3j)) <= 1e-14
 
 
 @pytest.mark.filterwarnings("error")
@@ -331,17 +330,18 @@ def test_kernel_of_xi_polynomials_and_atoms_separates_fully(text):
     sym = parse(text)
     assert not symbols._KernelPlan(sym).entrywise
     grid = TransverseGrid(16, TAU, TAU)
-    got = quantize_matrix(sym, grid, 0.2, 1.1 + 0.4j)
-    assert field_rel(got, single_shot_quantize(sym, grid, 0.2, 1.1 + 0.4j)) <= 1e-14
+    got = _physical_kernel(sym, grid, 0.2, 1.1 + 0.4j)
+    assert field_rel(got, single_shot_kernel(sym, grid, 0.2, 1.1 + 0.4j)) <= 1e-14
 
 
 DETERMINISM = """
 import hashlib
 import numpy as np
-from anisosplit import TransverseGrid, expand, presets, quantize_matrix, split_symbols
+from anisosplit import TransverseGrid, expand, presets, split_symbols
+from anisosplit.symbols import _physical_kernel
 m = presets.heterogeneous_full()
 g = split_symbols(expand(m, 1, 1, 2), expand(m, -1, 1, 2)).g_plus
-K = quantize_matrix(g, TransverseGrid(8, 2 * np.pi, 2 * np.pi), 0.3, 1.5 + 0.3j)
+K = _physical_kernel(g, TransverseGrid(8, 2 * np.pi, 2 * np.pi), 0.3, 1.5 + 0.3j)
 print(hashlib.sha256(K.tobytes()).hexdigest())
 """
 
@@ -365,8 +365,8 @@ def test_kernel_without_separable_nodes_matches_oracle():
     sym = parse("((2 + cos(x1))/(s^2 + xi1^2 + xi2^2))^(-3) + (sin(x2 - x3)/(s + xi2^2))^3")
     assert not symbols._KernelPlan(sym).factors
     grid = TransverseGrid(16, TAU, TAU)
-    got = quantize_matrix(sym, grid, 0.2, 1.1 + 0.4j)
-    assert field_rel(got, single_shot_quantize(sym, grid, 0.2, 1.1 + 0.4j)) <= 1e-14
+    got = _physical_kernel(sym, grid, 0.2, 1.1 + 0.4j)
+    assert field_rel(got, single_shot_kernel(sym, grid, 0.2, 1.1 + 0.4j)) <= 1e-14
 
 
 @pytest.mark.filterwarnings("error")
@@ -383,7 +383,7 @@ def test_kernel_without_separable_nodes_matches_oracle():
 def test_kernel_build_raises_typed_evaluation_errors(text, error):
     # x1 = xi1 = 0 and x1 = 0, xi1 = 1 are grid points
     with pytest.raises(error):
-        quantize_matrix(parse(text), TransverseGrid(8, TAU, TAU), 0.0, 1.0)
+        _physical_kernel(parse(text), TransverseGrid(8, TAU, TAU), 0.0, 1.0)
 
 
 def test_quantize_apply_stack_matches_per_field():
