@@ -492,7 +492,7 @@ def _cmd_order_claim(cfg, em, seed, kind):
     rep = order_claim_check(split, points=points, lambdas=res.lambdas)
     print(rep.describe())
     rows = [
-        ["p", "" if rep.p_slope is None else _fmt(rep.p_slope), _fmt(rep.p_expected)],
+        ["p", _fmt(rep.p_slope), _fmt(rep.p_expected)],
         [
             "d3_ell",
             "" if rep.d3_slope is None else _fmt(rep.d3_slope),
@@ -505,12 +505,12 @@ def _cmd_order_claim(cfg, em, seed, kind):
         scaling.append(
             [
                 lam,
-                rep.p_rms[k] if rep.p_rms else 0.0,
+                rep.p_rms[k],
                 rep.d3_rms[k] if rep.d3_rms else 0.0,
             ]
         )
     em.csv("order_claim_scaling.csv", ["lambda", "p_rms", "d3_rms"], scaling)
-    return 0
+    return 0 if rep.passed else 1
 
 
 def _parse_norm_kind(text):

@@ -27,7 +27,7 @@ real part, i.e. exp(-x3 G^+) decays with increasing depth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 from .expr import (
     Expr,
@@ -47,9 +47,7 @@ from .symbols import (
     PolyhomSymbol,
     SymbolForm,
     SymbolTerm,
-    _d3_symbol,
     _homogeneity_check,
-    compose,
     compose_degree_part,
     radicand,
     systems_symbols,
@@ -308,15 +306,11 @@ class SplitSymbols:
     """Splitting data built from the two admittance branches.
 
     g_plus / g_minus generate the two one-way evolutions; ell is the 2x2
-    composition matrix (row 0 the admittance symbols, row 1 ones),
-    d3_ell its entrywise depth derivative, and p the entrywise
-    composition ell o diag(g_plus, g_minus). Leading degrees: p has top
-    degree 1 while d3_ell has top degree 0, one order lower. The
-    marchers read only g+- and ell, so d3_ell and p are built on first
-    access and kept; p is truncated one degree above the floor of ell.
-    g+- are written once, in the compact form the expansion's terms
-    lower to, and serve both composition and quantization (a kernel
-    build separates their x-by-xi products itself).
+    composition matrix (row 0 the admittance symbols, row 1 ones).
+    ``order_claim_check`` measures the orders of ell o g and d3 ell from
+    these symbols by Taylor jets. g+- are written once, in the compact
+    form the expansion's terms lower to, and serve both composition and
+    quantization (a kernel build separates their x-by-xi products itself).
     """
 
     medium: MediumSpec
@@ -325,17 +319,6 @@ class SplitSymbols:
     g_plus: PolyhomSymbol
     g_minus: PolyhomSymbol
     ell: tuple
-
-    @cached_property
-    def d3_ell(self) -> tuple:
-        return tuple(tuple(_d3_symbol(entry) for entry in row) for row in self.ell)
-
-    @cached_property
-    def p(self) -> tuple:
-        return tuple(
-            tuple(compose(e, g, e.low_degree + 1) for e, g in zip(row, (self.g_plus, self.g_minus)))
-            for row in self.ell
-        )
 
     def g_symbol(self, sign: int) -> PolyhomSymbol:
         _check_sign(sign)
@@ -360,7 +343,7 @@ def split_symbols(plus: AdmittanceExpansion, minus: AdmittanceExpansion) -> Spli
 
     Each generator g+- = a21 y+- + a22 is lowered once, term by term from
     the branch's forms. The marchers quantize these very symbols, and
-    ``p`` and the gauge transforms compose them.
+    the gauge transforms compose them.
     """
     if plus.sign != 1 or minus.sign != -1:
         raise ExpansionError("split_symbols expects (plus, minus) branches in that order")

@@ -540,15 +540,17 @@ def _consumer_counts(nodes):
     return nref
 
 
-def _run(nodes, nref, keep, bound, vals, power_chains=False):
+def _run(nodes, nref, keep, bound, vals, power_chains=False, jets=frozenset()):
     """Evaluate ``nodes`` (each after its arguments) into ``vals``.
 
     This is the one loop that evaluates DAG nodes to arrays: ``eval_expr``
     runs it on a whole DAG, a kernel build on the x-and-xi nodes of each
-    row block. ``vals`` maps nodes to values and may already hold the
-    values of arguments outside ``nodes``. ``nref`` counts, per node, the
-    argument slots of ``nodes`` that read it; it is consumed, and a value
-    is freed after its last reader unless the node is in ``keep``.
+    row block, ``taylor_eval`` on a DAG with Taylor jets. ``vals`` maps
+    nodes to values and may already hold the values of arguments outside
+    ``nodes``. ``nref`` counts, per node, the argument slots of ``nodes``
+    that read it; it is consumed, and a value is freed after its last
+    reader unless the node is in ``keep``. The operations of the nodes in
+    ``jets`` act on jets (``_jet_op``); their variables are bound to jets.
 
     With ``power_chains`` an integer power is a product chain of its base,
     or of one reciprocal of the base (checked for zeros), and the chain is
@@ -560,8 +562,10 @@ def _run(nodes, nref, keep, bound, vals, power_chains=False):
     for node in nodes:
         op = node.op
         args = node.args
+        if jets and node in jets and op != "var":
+            v = _jet_op(node, [vals[a] for a in args], [a in jets for a in args])
         # the arithmetic ops inline (the same operations _EVAL applies)
-        if op == "mul":
+        elif op == "mul":
             v = vals[args[0]] * vals[args[1]]
         elif op == "add":
             v = vals[args[0]] + vals[args[1]]
@@ -788,38 +792,16 @@ def taylor_eval(roots, env: dict, seeds: dict, degree: int) -> list:
         jet[0] = np.reshape(v, shape)
         return jet
 
-    def seed_jet(var):
-        jet = lift(bound[var])
+    for var in dirs.keys() & bound.keys():
+        jet = bound[var] = lift(bound[var])
         if degree:
             jet[1] = dirs[var].reshape((ndir,) + (1,) * ndim)
-        return jet
-
     roots = list(roots)
     order, nref = _walk(roots)
-    keep = set(roots)
+    jets = {node for node in order if not seeded.isdisjoint(node.free_vars)}
     vals = {}
-    for node in order:
-        op = node.op
-        is_jet = not seeded.isdisjoint(node.free_vars)
-        if op == "const":
-            v = node.data
-        elif op == "var":
-            if node.data not in bound:
-                raise UnboundVariableError(f"variable {node.data.value} is unbound")
-            v = seed_jet(node.data) if is_jet else bound[node.data]
-        else:
-            cv = [vals[a] for a in node.args]
-            if is_jet:
-                jets = [not seeded.isdisjoint(a.free_vars) for a in node.args]
-                v = _jet_op(node, cv, jets)
-            else:
-                v = _EVAL[op](node, cv)
-        vals[node] = v
-        for a in node.args:
-            nref[a] -= 1
-            if nref[a] == 0 and a not in keep:
-                del vals[a]
-    return [lift(vals[r]) if seeded.isdisjoint(r.free_vars) else vals[r] for r in roots]
+    _run(order, nref, set(roots), bound, vals, jets=jets)
+    return [vals[r] if r in jets else lift(vals[r]) for r in roots]
 
 
 # ---------------------------------------------------------------------------

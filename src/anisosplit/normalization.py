@@ -16,8 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import VarId, const, eval_expr, mul, neg, recip, simplify
+import numpy as np
+
+from .expr import const, eval_expr, mul, neg, recip, simplify
 from .expansion import SplitSymbols
+from .oracle import _probe_env
 from .symbols import PolyhomSymbol, _d3_symbol, compose, compose_degree_part
 
 __all__ = [
@@ -44,18 +47,8 @@ _PROBE_POINTS = (
 
 
 def _ellipticity_probe(top_expr):
-    vals = []
-    for x1, x2, x3, xi1, xi2, s in _PROBE_POINTS:
-        env = {
-            VarId.X1: x1,
-            VarId.X2: x2,
-            VarId.X3: x3,
-            VarId.XI1: xi1,
-            VarId.XI2: xi2,
-            VarId.S: s,
-        }
-        vals.append(abs(complex(eval_expr(top_expr, env))))
-    if min(vals) < 1e-12 * (1.0 + max(vals)):
+    vals = np.abs(eval_expr(top_expr, _probe_env(_PROBE_POINTS)))
+    if np.min(vals) < 1e-12 * (1.0 + np.max(vals)):
         raise NormalizationError(
             "top-degree term is not elliptic (vanishes at a probe point)"
         )

@@ -27,7 +27,14 @@ from anisosplit.oracle import (
     _probe_env as probe_env,
     _scaling_env,
 )
-from anisosplit.symbols import _multi_indices, _symbol_total, x_derivative, xi_derivative
+from anisosplit.symbols import (
+    _d3_symbol,
+    _multi_indices,
+    _symbol_total,
+    compose,
+    x_derivative,
+    xi_derivative,
+)
 
 _XI1 = variable(VarId.XI1)
 _XI2 = variable(VarId.XI2)
@@ -375,3 +382,16 @@ def closed_form_values(m, eta: int, sign: int, y_terms: dict, n: int, points):
                 bfact = math.factorial(beta[0]) * math.factorial(beta[1])
                 brace = brace - (-1j) ** kk * bfact * dy[j][beta] * dinner[k][beta]
     return pref * brace
+
+
+def symbolic_order_claim(split, env):
+    """The order claim's p = ell o g+ and d3 ell of entry (0, 0), built
+    symbolically (``compose`` truncated one degree above ell's floor, and
+    ``_d3_symbol``) and evaluated at ``env``: (p symbol, p values, d3 ell
+    values or None when ell is free of x3). The oracle for the jets of
+    ``oracle._order_claim_values``; cheap up to order 3."""
+    ell = split.ell[0][0]
+    p = compose(ell, split.g_plus, ell.low_degree + 1)
+    d3 = simplify(_d3_symbol(ell).total())
+    d3_vals = None if d3 is ZERO else eval_expr(d3, env)
+    return p, eval_expr(simplify(p.total()), env), d3_vals

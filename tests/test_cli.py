@@ -307,6 +307,22 @@ def test_order_claim_outputs(tmp_path):
     assert scaling[0] == "lambda,p_rms,d3_rms"
 
 
+def test_order_claim_failed_check_exits_one(tmp_path, monkeypatch):
+    from anisosplit import cli
+    from anisosplit.oracle import OrderClaimReport
+
+    def failing(split, points=None, lambdas=(), rng=None):
+        lam = tuple(float(v) for v in lambdas)
+        return OrderClaimReport(lam, 2.0, 0.0, (1.0,) * len(lam), (1.0,) * len(lam))
+
+    monkeypatch.setattr(cli, "order_claim_check", failing)
+    out = tmp_path / "o"
+    assert run(["order-claim", _cfg(tmp_path, HET), "--out", str(out)]) == 1
+    man, outs = _outputs(out)
+    assert man["status"] == "failed"
+    assert {"order_claim.csv", "order_claim_scaling.csv"} <= outs.keys()
+
+
 def test_normalize_constant(tmp_path):
     out = tmp_path / "o"
     code = run(

@@ -20,7 +20,14 @@ from anisosplit.expr import ZERO, diff, mul, parse, recip, sub
 from anisosplit.oracle import depth_derivative_leading, draw_probe_points
 from anisosplit.symbols import radicand
 
-from helpers import closed_form_step, closed_form_values, eval_at, probe_env, rel_err
+from helpers import (
+    closed_form_step,
+    closed_form_values,
+    eval_at,
+    probe_env,
+    rel_err,
+    symbolic_order_claim,
+)
 
 
 def test_gamma_known_value():
@@ -297,23 +304,11 @@ def test_split_symbols_structure(het_split):
     got = eval_at(sp.g_plus.term(1), pts)
     want = env[VarId.S] / a33 * eval_at(leading_term(sp.medium, 1).expr, pts) + a22
     assert rel_err(got, want) <= 1e-12
-    # p has top degree 1 and respects the truncation floor
-    assert sp.p[0][0].top_degree <= 1
-    assert sp.p[0][0].low_degree == 1 - sp.order
-
-
-def test_split_symbols_builds_p_and_d3_ell_on_first_access(het_expansion_pair):
-    from anisosplit.symbols import _d3_symbol, compose
-
-    plus, minus = het_expansion_pair
-    sp = split_symbols(plus, minus)
-    assert "p" not in vars(sp) and "d3_ell" not in vars(sp)
-    # composed from g+- themselves, as when built eagerly
-    want = compose(sp.ell[0][1], sp.g_minus, 1 - sp.order)
-    assert sp.p[0][1].terms.keys() == want.terms.keys()
-    assert all(sp.p[0][1].terms[d] is e for d, e in want.terms.items())
-    assert sp.p is sp.p
-    assert sp.d3_ell[0][0].terms == _d3_symbol(sp.ell[0][0]).terms
+    # the order claim's p = ell o g+ has top degree 1 and respects the
+    # truncation floor
+    p, _, _ = symbolic_order_claim(sp, env)
+    assert p.top_degree <= 1
+    assert p.low_degree == 1 - sp.order
 
 
 def test_split_symbols_rejects_mismatched_pair(het_medium):

@@ -1,3 +1,4 @@
+import gc
 import math
 from dataclasses import replace
 
@@ -16,21 +17,30 @@ from anisosplit import (
     order_claim_check,
     quad_oracle,
     riccati_residual,
+    split_symbols,
     taylor_eval,
 )
-from anisosplit import oracle, presets
+from anisosplit import expr, oracle, presets
 from anisosplit.oracle import (
     DEFAULT_LAMBDAS,
     _jet_directions,
     _matrix_sign,
     _mixed_partials,
+    _order_claim_values,
     _scaling_env,
     draw_probe_points,
     fit_loglog,
 )
 from anisosplit.symbols import x_derivative, xi_derivative
 
-from helpers import eig_grid_admittance, field_rel, single_shot_kernel, symbolic_residual_rms
+from helpers import (
+    eig_grid_admittance,
+    field_rel,
+    rel_err,
+    single_shot_kernel,
+    symbolic_order_claim,
+    symbolic_residual_rms,
+)
 
 TAU = 2 * np.pi
 
@@ -326,6 +336,42 @@ def test_order_claim_depth_free_split(hom_split):
     pts = draw_probe_points(hom_split.medium, 5, np.random.default_rng(8))
     rep = order_claim_check(hom_split, points=pts, lambdas=[4.0, 16.0, 64.0])
     assert rep.d3_slope is None
+    assert rep.passed
+
+
+@pytest.mark.parametrize(
+    "preset", ["heterogeneous_full", "depth_varying_unit_a33", "dual_path_medium"]
+)
+@pytest.mark.parametrize("eta", [0, 1])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_order_claim_jets_match_symbolic_composition(preset, eta, order):
+    m = getattr(presets, preset)()
+    split = split_symbols(expand(m, 1, eta, order), expand(m, -1, eta, order))
+    env = _scaling_env(draw_probe_points(m, 5, np.random.default_rng(order)), DEFAULT_LAMBDAS)
+    p, d3 = _order_claim_values(split, env)
+    p_sym, p_want, d3_want = symbolic_order_claim(split, env)
+    if order == 0:
+        # p is its degree-1 part y_0 g_1 alone
+        assert list(p_sym.terms) == [1]
+    assert rel_err(p, p_want) <= 1e-12
+    assert (d3 is None) == (d3_want is None)
+    if d3 is not None:
+        assert rel_err(d3, d3_want) <= 1e-12
+
+
+def test_order_claim_at_order_4_keeps_no_dag_nodes():
+    m = presets.heterogeneous_full()
+    split = split_symbols(expand(m, 1, 1, 4), expand(m, -1, 1, 4))
+    pts = draw_probe_points(m, 6, np.random.default_rng(404))
+    gc.collect()
+    before = set(expr._intern)
+    rep = order_claim_check(split, points=pts)
+    gc.collect()
+    # no node outlives the call (dead nodes of earlier tests may still be
+    # leaving the table, one DAG level per collection, so compare keys)
+    assert set(expr._intern) <= before
+    assert abs(rep.p_slope - 1.0) <= 0.3
+    assert abs(rep.d3_slope - 0.0) <= 0.3
     assert rep.passed
 
 
