@@ -26,8 +26,8 @@ per call.
 
 from __future__ import annotations
 
+import cmath
 import gc
-import math
 import re
 import weakref
 from contextlib import contextmanager
@@ -255,7 +255,10 @@ def _as_expr(v):
 
 
 def const(value) -> Expr:
-    return _node("const", (), complex(value))
+    c = complex(value)
+    if not cmath.isfinite(c):
+        raise ExprError(f"constant {c} is not finite")
+    return _node("const", (), c)
 
 
 def variable(v: VarId) -> Expr:
@@ -365,7 +368,10 @@ def ipow(a: Expr, n: int) -> Expr:
     if n == 1:
         return a
     if a.op == "const" and not (a.data == 0 and n < 0):
-        return const(a.data**n)
+        try:
+            return const(a.data**n)
+        except OverflowError:
+            raise ExprError(f"constant {a.data}^{n} is not finite") from None
     if a.op == "pow":
         return ipow(a.args[0], a.data * n)
     if a.op == "sqrt" and n == 2:
@@ -943,6 +949,18 @@ _REBUILD = {
 }
 
 
+# ``_simp`` of a node that simplifies to itself. A reference to the node
+# would make it a cycle that only the cyclic collector frees, and as a
+# node's intern-table key holds its children, each collection would then
+# free a dead DAG only one level deep.
+_FIXED = object()
+
+
+def _simplified(node):
+    s = node._simp
+    return node if s is _FIXED else s
+
+
 def simplify(e: Expr) -> Expr:
     """Best-effort rewriting: constant folding, 0/1 pruning, x-x -> 0,
     and constant collection over +/* chains. Semantics-preserving (the
@@ -969,15 +987,13 @@ def simplify(e: Expr) -> Expr:
         if op in ("const", "var"):
             res = node
         elif op == "pow":
-            res = ipow(node.args[0]._simp, node.data)
+            res = ipow(_simplified(node.args[0]), node.data)
         else:
-            newargs = [a._simp for a in node.args]
-            res = _REBUILD[op](*newargs)
-            res = _post_rules(res)
-        node._simp = res
+            res = _post_rules(_REBUILD[op](*[_simplified(a) for a in node.args]))
+        node._simp = _FIXED if res is node else res
         if res._simp is None:
-            res._simp = res
-    return e._simp
+            res._simp = _FIXED
+    return _simplified(e)
 
 
 # ---------------------------------------------------------------------------
@@ -1049,23 +1065,34 @@ def _parse_number(tok):
     return complex(float(tok))
 
 
+def _at(pos, fn, *args):
+    # fn(*args) for the parser: a constant that folds to inf or nan (an
+    # ExprError that is not an EvalError) is a ParseError at ``pos``
+    try:
+        return fn(*args)
+    except EvalError:
+        raise
+    except ExprError as exc:
+        raise ParseError(str(exc), pos) from None
+
+
 def _parse_expr(ts):
     node = _parse_term(ts)
     while ts.kind == "op" and ts.tok in "+-":
-        op = ts.tok
+        op, pos = ts.tok, ts.tok_pos
         ts.advance()
         rhs = _parse_term(ts)
-        node = add(node, rhs) if op == "+" else sub(node, rhs)
+        node = _at(pos, add if op == "+" else sub, node, rhs)
     return node
 
 
 def _parse_term(ts):
     node = _parse_unary(ts)
     while ts.kind == "op" and ts.tok in "*/":
-        op = ts.tok
+        op, pos = ts.tok, ts.tok_pos
         ts.advance()
         rhs = _parse_unary(ts)
-        node = mul(node, rhs) if op == "*" else div(node, rhs)
+        node = _at(pos, mul if op == "*" else div, node, rhs)
     return node
 
 
@@ -1079,9 +1106,9 @@ def _parse_unary(ts):
 def _parse_power(ts):
     base = _parse_atom(ts)
     if ts.kind == "op" and ts.tok == "^":
+        pos = ts.tok_pos
         ts.advance()
-        n = _parse_exponent(ts)
-        return ipow(base, n)
+        return _at(pos, ipow, base, _parse_exponent(ts))
     return base
 
 
@@ -1106,9 +1133,9 @@ def _parse_exponent(ts):
 
 def _parse_atom(ts):
     if ts.kind == "num":
-        v = _parse_number(ts.tok)
+        node = _at(ts.tok_pos, const, _parse_number(ts.tok))
         ts.advance()
-        return const(v)
+        return node
     if ts.kind == "ident":
         name = ts.tok
         pos = ts.tok_pos
@@ -1120,7 +1147,7 @@ def _parse_atom(ts):
             ts.advance()
             arg = _parse_expr(ts)
             ts.expect_op(")")
-            return fn(arg)
+            return _at(pos, fn, arg)
         v = _VAR_NAMES.get(name)
         if v is not None:
             return variable(v)

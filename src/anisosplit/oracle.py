@@ -26,12 +26,11 @@ import numpy as np
 
 from .expr import (
     VarId,
-    ZERO,
+    _conv,
     const,
     diff,
     eval_expr,
     ipow,
-    mul,
     recip,
     simplify,
     taylor_eval,
@@ -310,53 +309,55 @@ def _beta_sum(dy: dict, db: dict, cap: int):
     return acc, size
 
 
+def _jets(roots, env: dict, dirs: np.ndarray, plane, d3: bool) -> list:
+    """Taylor jets of ``roots`` along the directions ``dirs`` in ``plane``
+    (two VarIds) and, with ``d3``, along x3 as one last direction, to
+    degree len(dirs) - 1 (at least 1): ``_mixed_partials`` reads the
+    plane's partials, and ``jet[1, -1]`` is d_x3. Seed x3 only where it is
+    read: an unread x3 direction made order-4 passes 20-40% slower.
+    """
+    u = np.vstack([dirs, [0.0, 0.0]]) if d3 else dirs
+    seeds = {plane[0]: u[:, 0], plane[1]: u[:, 1]}
+    if d3:
+        seeds[VarId.X3] = np.eye(len(u))[-1]
+    return taylor_eval(roots, env, seeds, max(len(dirs) - 1, 1))
+
+
 def _residual_values(exp: AdmittanceExpansion, env: dict, beta_cap: int):
-    """Full symbol equation applied to the plain truncated sum, per probe,
-    and the summed magnitudes of its summands.
+    """Full symbol equation applied to the plain truncated sum y, per probe,
+    and the summed magnitudes of its summands:
 
-    R = sum_{|beta| <= beta_cap} (-i)^|beta| / beta! d_xi^beta y d_x^beta b
-        - a11_1 y - (d_x1(f1 y) + d_x2(f2 y)) - a12 - eta d_x3 y
+    R = y o b - a11 o y - a12 - eta d_x3 y,   b = s alpha33^-1 y + a22_1,
 
-    with b = s alpha33^-1 y + a22_1 and f_mu = alpha_{mu 3} / alpha33. The
-    composition tail is capped at |beta| <= beta_cap; the capped part
-    scales below the first uncancelled degree for beta_cap >= order + 1,
-    so it never pollutes the slope. The derivatives come from Taylor jets
-    pushed through the term DAG: xi-jets of y, x-jets of b, f1 y and f2 y.
+    with p o q = sum_beta (-i)^|beta| / beta! d_xi^beta p d_x^beta q. The
+    tail of y o b is capped at |beta| <= beta_cap; the capped part scales
+    below the first uncancelled degree for beta_cap >= order + 1, so it
+    never pollutes the slope. a11 is linear in xi, so a11 o y ends at
+    |beta| = 1. Nothing is built: a xi pass over the terms of y, a11 and
+    a12 and an x pass over those of y, alpha33^-1 and a22_1 (``_jets``)
+    give every derivative; y's jets are the sums of its terms' jets.
     """
     m = exp.medium
     A = systems_symbols(m)
-    inv33 = recip(m.alpha[2][2])
-    y = ZERO
-    for t in exp.terms:
-        y = y + t.expr
-    y = simplify(y)
-    b = simplify(_S * inv33 * y + A.a22.term(1))
-    f1 = simplify(m.alpha[0][2] * inv33)
-    f2 = simplify(m.alpha[1][2] * inv33)
-
-    degree = max(beta_cap, 1)
-    dirs = _jet_directions(degree)
-    (y_xi,) = taylor_eval([y], env, {VarId.XI1: dirs[:, 0], VarId.XI2: dirs[:, 1]}, degree)
-    b_x, f1y_x, f2y_x = taylor_eval(
-        [b, mul(f1, y), mul(f2, y)], env, {VarId.X1: dirs[:, 0], VarId.X2: dirs[:, 1]}, degree
-    )
-    acc, size = _beta_sum(
-        _mixed_partials(y_xi, dirs, beta_cap), _mixed_partials(b_x, dirs, beta_cap), beta_cap
-    )
-
-    yv = y_xi[0, 0]
-    rest = [
-        eval_expr(A.a11.term(1), env) * yv,
-        _mixed_partials(f1y_x, dirs, 1)[(1, 0)] + _mixed_partials(f2y_x, dirs, 1)[(0, 1)],
-        eval_expr(A.a12.term(1) + A.a12.term(0), env),
-    ]
-    if exp.eta:
-        (y_x3,) = taylor_eval([y], env, {VarId.X3: [1.0]}, 1)
-        rest.append(y_x3[1, 0])
-    for term in rest:
-        acc = acc - term
-        size = size + np.abs(term)
-    return acc, size
+    ys = [t.expr for t in exp.terms]
+    a11, a12 = list(A.a11.terms.values()), list(A.a12.terms.values())
+    n, k = len(ys), len(ys) + len(a11)
+    dirs = _jet_directions(max(beta_cap, 1))
+    xi = _jets(ys + a11 + a12, env, dirs, (VarId.XI1, VarId.XI2), False)
+    xs = ys + [_coefficients(m).inv33, A.a22.term(1)]
+    x = _jets(xs, env, dirs, (VarId.X1, VarId.X2), exp.eta)
+    y_x = sum(x[:n])
+    b_x = env[VarId.S] * _conv(x[n], y_x) + x[n + 1]
+    dy, db = (_mixed_partials(jet, dirs, beta_cap) for jet in (sum(xi[:n]), b_x))
+    acc, size = _beta_sum(dy, db, beta_cap)
+    if a11:  # empty when alpha13 = alpha23 = 0
+        a11y, a11y_size = _beta_sum(
+            _mixed_partials(sum(xi[n:k]), dirs, 1), _mixed_partials(y_x, dirs, 1), 1
+        )
+        acc, size = acc - a11y, size + a11y_size
+    a12_value = sum(jet[0, 0] for jet in xi[k:])
+    d3y = y_x[1, -1] if exp.eta else 0
+    return acc - a12_value - d3y, size + np.abs(a12_value) + np.abs(d3y)
 
 
 def riccati_residual(
@@ -735,28 +736,24 @@ def _order_claim_values(split: SplitSymbols, env: dict):
 
     p is the truncation compose(y+, g+, floor) with floor = y+'s floor
     + 1: per pair of terms y_j, g_k the sum over |beta| <= j + k - floor
-    of (-i)^|beta| / beta! d_xi^beta y_j d_x^beta g_k, from xi-jets of
-    the y_j and x-jets of the g_k. d3 ell comes from x3-jets of the y_j,
-    and is None when y+ is free of x3.
+    of (-i)^|beta| / beta! d_xi^beta y_j d_x^beta g_k, from the xi pass
+    over the y_j and the x pass over the g_k (``_jets``). d3 ell is read
+    from the xi pass, and is None when y+ is free of x3.
     """
     ell, g = split.ell[0][0], split.g_plus
     floor = ell.low_degree + 1
     top = ell.top_degree + g.top_degree - floor
     dirs = _jet_directions(top)
-    y_xi = taylor_eval(
-        ell.terms.values(), env, {VarId.XI1: dirs[:, 0], VarId.XI2: dirs[:, 1]}, top
-    )
-    g_x = taylor_eval(g.terms.values(), env, {VarId.X1: dirs[:, 0], VarId.X2: dirs[:, 1]}, top)
+    d3 = any(VarId.X3 in e.free_vars for e in ell.terms.values())
+    y_xi = _jets(ell.terms.values(), env, dirs, (VarId.XI1, VarId.XI2), d3)
+    g_x = _jets(g.terms.values(), env, dirs, (VarId.X1, VarId.X2), False)
     dg = [_mixed_partials(jet, dirs, k + ell.top_degree - floor) for k, jet in zip(g.terms, g_x)]
     p = 0
     for j, jet in zip(ell.terms, y_xi):
         dy = _mixed_partials(jet, dirs, j + g.top_degree - floor)
         for k, dgk in zip(g.terms, dg):
             p = p + _beta_sum(dy, dgk, j + k - floor)[0]
-    d3 = None
-    if any(VarId.X3 in e.free_vars for e in ell.terms.values()):
-        d3 = sum(jet[1, 0] for jet in taylor_eval(ell.terms.values(), env, {VarId.X3: [1.0]}, 1))
-    return p, d3
+    return p, (sum(jet[1, -1] for jet in y_xi) if d3 else None)
 
 
 def order_claim_check(

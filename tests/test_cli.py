@@ -85,6 +85,14 @@ def test_medium_check_validation_failure(tmp_path):
     assert "FAIL" in report
 
 
+def test_non_finite_medium_constant_is_a_bad_expression(tmp_path, capsys):
+    bad = "[medium]\nkappa = 1e400\nalpha = 1,0,0,0,1,0,0,0,1\n"
+    code = run(["medium-check", _cfg(tmp_path, bad), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bad expression" in err and "not finite at offset 0" in err
+
+
 def test_missing_config_is_usage_error(tmp_path):
     assert run(["expand", str(tmp_path / "nope.ini")]) == 2
 

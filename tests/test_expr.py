@@ -1,4 +1,5 @@
 import configparser
+import gc
 import math
 import os
 import subprocess
@@ -19,6 +20,7 @@ from anisosplit.expr import (
     XI1,
     ZERO,
     DivisionByZeroError,
+    ExprError,
     ParseError,
     SqrtDomainError,
     UnboundVariableError,
@@ -437,6 +439,23 @@ def test_parse_binding_errors_carry_the_offset(text, offset, message):
     assert message in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "text, offset",
+    [("1e400", 0), ("x1*1e400", 3), ("1e308*10", 5), ("10^400", 2), ("x2 + 1/1e-320", 6)],
+)
+def test_parse_rejects_non_finite_constants_at_their_token(text, offset):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert info.value.offset == offset
+    assert "not finite" in str(info.value)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, complex(1.0, math.inf)])
+def test_const_rejects_non_finite_values(value):
+    with pytest.raises(ExprError, match="not finite"):
+        const(value)
+
+
 def test_parse_bindings_share_their_nodes():
     e = parse("_1 = sin(x1) + s;\n_2 = _1^2;\n_2 - 3*_1")
     a = add(sin_(X1), S)
@@ -508,6 +527,22 @@ def test_import_leaves_recursion_limit_alone():
     )
     before, after = out.stdout.split()
     assert before == after
+
+
+def test_dead_dag_leaves_the_intern_table_in_one_collection():
+    # a simplified node must not reference itself: each collection would
+    # then free a dead DAG one level deep
+    while gc.collect():
+        pass  # garbage of earlier tests may still be leaving the table
+    baseline = len(expr_module._intern)
+    e = X1 + X2
+    for k in range(60):
+        e = sin_(e * const(0.5 + k)) * X1 + X2
+    d = diff(simplify(e), VarId.X1)
+    assert len(expr_module._intern) > baseline + 600
+    del e, d
+    gc.collect()
+    assert len(expr_module._intern) == baseline
 
 
 def test_equal_variable_sets_share_one_object():

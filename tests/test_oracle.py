@@ -359,19 +359,26 @@ def test_order_claim_jets_match_symbolic_composition(preset, eta, order):
         assert rel_err(d3, d3_want) <= 1e-12
 
 
-def test_order_claim_at_order_4_keeps_no_dag_nodes():
+@pytest.mark.parametrize("check", ["order_claim_check", "riccati_residual"])
+def test_order_claim_at_order_4_keeps_no_dag_nodes(check):
     m = presets.heterogeneous_full()
-    split = split_symbols(expand(m, 1, 1, 4), expand(m, -1, 1, 4))
+    plus = expand(m, 1, 1, 4)
+    split = split_symbols(plus, expand(m, -1, 1, 4))
     pts = draw_probe_points(m, 6, np.random.default_rng(404))
     gc.collect()
     before = set(expr._intern)
-    rep = order_claim_check(split, points=pts)
+    if check == "order_claim_check":
+        rep = order_claim_check(split, points=pts)
+        assert abs(rep.p_slope - 1.0) <= 0.3
+        assert abs(rep.d3_slope - 0.0) <= 0.3
+    else:
+        rep = riccati_residual(plus, points=pts)
     gc.collect()
-    # no node outlives the call (dead nodes of earlier tests may still be
-    # leaving the table, one DAG level per collection, so compare keys)
-    assert set(expr._intern) <= before
-    assert abs(rep.p_slope - 1.0) <= 0.3
-    assert abs(rep.d3_slope - 0.0) <= 0.3
+    # no node outlives the call; key sets, not lengths, so that a node
+    # freed during the call cannot hide one left behind (a failure shows
+    # the count: printing the keys would print whole DAGs)
+    left = len(set(expr._intern) - before)
+    assert left == 0
     assert rep.passed
 
 
@@ -422,15 +429,18 @@ def test_mixed_partials_from_jets_match_symbolic_derivatives(het_medium, space):
 @pytest.mark.parametrize("eta", [0, 1])
 @pytest.mark.parametrize("order", [1, 2])
 def test_riccati_residual_matches_symbolic_oracle(het_medium, eta, order):
-    exp = expand(het_medium, 1, eta, order)
     lam = np.asarray(DEFAULT_LAMBDAS)
-    for seed in (202, 11):
-        pts = draw_probe_points(het_medium, 6, np.random.default_rng(seed))
-        rep = riccati_residual(exp, points=pts)
-        want = symbolic_residual_rms(exp, pts, lam)
-        rel = np.abs(np.asarray(rep.rms) - want) / want
-        # the cancellation floor grows like lam^(order + 1) * eps
-        assert np.all(rel[lam <= 64] <= 1e-9), rel
-        assert np.all(rel <= 1e-6), rel
-        slope, _, _ = fit_loglog(lam, want)
-        assert abs(rep.slope - slope) < 5e-4
+    # on up_down_symmetric alpha33 varies in x2, so a11's degree-0 part
+    # d1 f1 + d2 f2 is nonzero; on heterogeneous_full it vanishes
+    for m in (het_medium, presets.up_down_symmetric()):
+        exp = expand(m, 1, eta, order)
+        for seed in (202, 11):
+            pts = draw_probe_points(m, 6, np.random.default_rng(seed))
+            rep = riccati_residual(exp, points=pts)
+            want = symbolic_residual_rms(exp, pts, lam)
+            rel = np.abs(np.asarray(rep.rms) - want) / want
+            # the cancellation floor grows like lam^(order + 1) * eps
+            assert np.all(rel[lam <= 64] <= 1e-9), rel
+            assert np.all(rel <= 1e-6), rel
+            slope, _, _ = fit_loglog(lam, want)
+            assert abs(rep.slope - slope) < 5e-4
