@@ -118,10 +118,6 @@ class SqrtDomainError(EvalError):
     """sqrt argument on the closed negative real axis."""
 
 
-_UNARY_OPS = ("neg", "sqrt", "exp", "sin", "cos", "recip")
-_BINARY_OPS = ("add", "sub", "mul", "div")
-
-
 class Expr:
     """Immutable, interned expression node.
 
@@ -131,7 +127,7 @@ class Expr:
     id-keyed memoization are sound.
     """
 
-    __slots__ = ("op", "args", "data", "free_vars", "_dcache", "_simp", "__weakref__")
+    __slots__ = ("op", "args", "data", "free_vars", "_dcache", "_simp", "_ref", "__weakref__")
 
     def __init__(self, op, args, data):
         self.op = op
@@ -210,14 +206,25 @@ _intern: "dict[tuple, _InternRef]" = {}
 
 
 def _node(op, args, data=None):
-    # Key holds child references, so identity-based equality of the tuple
-    # is structural equality of the tree.
-    key = (op, data, args)
+    # The key holds the arguments' table references, one per live node, so
+    # equality of keys is structural equality of the trees. It does not
+    # hold the arguments themselves: a node whose cached derivative reaches
+    # back to it (d sqrt(u) = du / (2 sqrt(u))) would otherwise be held by
+    # that derivative's key for good, and a dead DAG would leave the table
+    # one level per collection. The price: live nodes are no longer
+    # reachable from the table, so a full collection over a large live DAG
+    # takes about twice as long.
+    if len(args) == 2:
+        key = (op, data, args[0]._ref, args[1]._ref)
+    elif args:
+        key = (op, data, args[0]._ref)
+    else:
+        key = (op, data)
     ref = _intern.get(key)
     node = None if ref is None else ref()
     if node is None:
         node = Expr(op, args, data)
-        ref = _InternRef(node, _forget)
+        ref = node._ref = _InternRef(node, _forget)
         ref.key = key
         _intern[key] = ref
     return node
@@ -391,29 +398,32 @@ def recip(a: Expr) -> Expr:
     return _node("recip", (a,))
 
 
-def _fold_unary(op, fn, a):
+def _fold_unary(op, a):
+    # a constant folds through the evaluator itself, so a folded constant
+    # has the bits eval_expr gives the unfolded node
+    a = _as_expr(a)
     if a.op == "const":
         try:
-            return const(fn(a.data))
+            return const(_EVAL[op](None, [a.data]))
         except EvalError:
             pass
     return _node(op, (a,))
 
 
 def sqrt_(a: Expr) -> Expr:
-    return _fold_unary("sqrt", lambda v: complex(_ev_sqrt_scalar(v)), _as_expr(a))
+    return _fold_unary("sqrt", a)
 
 
 def exp_(a: Expr) -> Expr:
-    return _fold_unary("exp", lambda v: complex(np.exp(v)), _as_expr(a))
+    return _fold_unary("exp", a)
 
 
 def sin_(a: Expr) -> Expr:
-    return _fold_unary("sin", lambda v: complex(np.sin(v)), _as_expr(a))
+    return _fold_unary("sin", a)
 
 
 def cos_(a: Expr) -> Expr:
-    return _fold_unary("cos", lambda v: complex(np.cos(v)), _as_expr(a))
+    return _fold_unary("cos", a)
 
 
 def free_vars(e: Expr) -> frozenset:
@@ -427,12 +437,6 @@ def node_count(e: Expr) -> int:
 
 # ---------------------------------------------------------------------------
 # evaluation
-
-
-def _ev_sqrt_scalar(v):
-    if np.imag(v) == 0 and np.real(v) <= 0:
-        raise SqrtDomainError(f"sqrt argument {v} lies on the closed negative real axis")
-    return np.sqrt(v)
 
 
 def _ev_sqrt(node, vals):
@@ -479,15 +483,19 @@ _EVAL = {
 }
 
 
-def _walk(roots):
+def _walk(roots, enter=None):
     """(order, nref): the nodes reachable from ``roots``, each after its
     arguments (shared nodes once), and per node the number of argument
     slots of those nodes that read it. Nodes hash by identity, so they
-    key the dicts themselves."""
+    key the dicts themselves. With ``enter``, a root or an argument is
+    visited only when ``enter(node)`` is true.
+
+    This is the one post-order traversal of a DAG: evaluation, printing,
+    ``diff`` and ``simplify`` all read their node order from it."""
     order = []
     nref = {}
     seen = set()
-    stack = [(r, False) for r in reversed(roots)]
+    stack = [(r, False) for r in reversed(roots) if enter is None or enter(r)]
     while stack:
         node, emit = stack.pop()
         if emit:
@@ -497,18 +505,25 @@ def _walk(roots):
             continue
         seen.add(node)
         stack.append((node, True))
-        for a in node.args:
+        for a in node.args if enter is None else filter(enter, node.args):
             nref[a] = nref.get(a, 0) + 1
             stack.append((a, False))
     return order, nref
 
 
-def _coerce_value(v):
-    if isinstance(v, np.ndarray):
-        return v.astype(np.complex128, copy=False)
-    if isinstance(v, (int, float, complex, np.number)):
-        return complex(v)
-    return np.asarray(v, dtype=np.complex128)
+def _bind(env: dict) -> dict:
+    # {VarId: value} with every value carried in complex128
+    bound = {}
+    for k, v in env.items():
+        if not isinstance(k, VarId):
+            raise TypeError("env keys must be VarId")
+        if isinstance(v, np.ndarray):
+            bound[k] = v.astype(np.complex128, copy=False)
+        elif isinstance(v, (int, float, complex, np.number)):
+            bound[k] = complex(v)
+        else:
+            bound[k] = np.asarray(v, dtype=np.complex128)
+    return bound
 
 
 def eval_expr(e: Expr, env: dict):
@@ -518,22 +533,14 @@ def eval_expr(e: Expr, env: dict):
     everything is carried in complex128. Pure and deterministic:
     repeated calls with the same inputs give bit-identical output.
     """
-    bound = {}
-    for k, v in env.items():
-        if not isinstance(k, VarId):
-            raise TypeError("env keys must be VarId")
-        bound[k] = _coerce_value(v)
-    order, nref = _walk([e])
-    vals = {}
-    _run(order, nref, {e}, bound, vals)
-    return vals[e]
+    return _eval_walked(e, _walk([e]), env)
 
 
 def _eval_walked(e: Expr, walk, env: dict):
     """``eval_expr(e, env)`` given ``walk = _walk([e])``, which it consumes."""
     order, nref = walk
     vals = {}
-    _run(order, nref, {e}, {k: _coerce_value(v) for k, v in env.items()}, vals)
+    _run(order, nref, {e}, _bind(env), vals)
     return vals[e]
 
 
@@ -773,11 +780,7 @@ def taylor_eval(roots, env: dict, seeds: dict, degree: int) -> list:
     """
     if not isinstance(degree, (int, np.integer)) or degree < 0:
         raise ValueError("degree must be a non-negative integer")
-    bound = {}
-    for k, v in env.items():
-        if not isinstance(k, VarId):
-            raise TypeError("env keys must be VarId")
-        bound[k] = _coerce_value(v)
+    bound = _bind(env)
     dirs = {}
     for k, u in seeds.items():
         if not isinstance(k, VarId):
@@ -818,7 +821,11 @@ def diff(e: Expr, v: VarId) -> Expr:
     """Exact partial derivative with respect to one variable.
 
     Derivatives are cached per node per variable; thanks to interning the
-    cache is shared by every expression that reuses a subtree.
+    cache is shared by every expression that reuses a subtree. The
+    derivative of an exp or sqrt node holds the node (exp(u) du and
+    du / (2 sqrt(u))), and so may a derivative built from one; such an
+    entry is a reference cycle, which the cyclic collector frees with the
+    node, as intern-table keys do not hold nodes.
     """
     if not isinstance(v, VarId):
         raise TypeError("diff expects a VarId")
@@ -826,24 +833,11 @@ def diff(e: Expr, v: VarId) -> Expr:
         return ZERO
     if e._dcache is not None and v in e._dcache:
         return e._dcache[v]
-    # post-order over the nodes that depend on v and have no cached
-    # derivative yet; a node free of v has derivative ZERO, never cached
-    order = []
-    seen = set()
-    stack = [(e, False)]
-    while stack:
-        node, emit = stack.pop()
-        if emit:
-            order.append(node)
-            continue
-        cache = node._dcache
-        if (cache is not None and v in cache) or node in seen:
-            continue
-        seen.add(node)
-        stack.append((node, True))
-        for a in node.args:
-            if v in a.free_vars:
-                stack.append((a, False))
+    # the nodes that depend on v and have no cached derivative; a node
+    # free of v has derivative ZERO, never cached
+    order, _ = _walk(
+        [e], lambda a: v in a.free_vars and (a._dcache is None or v not in a._dcache)
+    )
     for node in order:
         op = node.op
         if op == "var":
@@ -950,9 +944,8 @@ _REBUILD = {
 
 
 # ``_simp`` of a node that simplifies to itself. A reference to the node
-# would make it a cycle that only the cyclic collector frees, and as a
-# node's intern-table key holds its children, each collection would then
-# free a dead DAG only one level deep.
+# would make every simplified node a cycle that only the cyclic collector
+# frees.
 _FIXED = object()
 
 
@@ -966,20 +959,7 @@ def simplify(e: Expr) -> Expr:
     and constant collection over +/* chains. Semantics-preserving (the
     result evaluates identically up to float association); idempotent.
     """
-    order = []
-    seen = set()
-    stack = [(e, False)]
-    while stack:
-        node, emit = stack.pop()
-        if emit:
-            order.append(node)
-            continue
-        if node in seen or node._simp is not None:
-            continue
-        seen.add(node)
-        stack.append((node, True))
-        for a in node.args:
-            stack.append((a, False))
+    order, _ = _walk([e], lambda a: a._simp is None)
     for node in order:
         if node._simp is not None:
             continue

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import const, eval_expr, mul, neg, recip, simplify
+from .expr import _cyclic_gc_paused, const, eval_expr, mul, neg, recip, simplify
 from .expansion import SplitSymbols
 from .oracle import _probe_env
 from .symbols import PolyhomSymbol, _d3_symbol, compose, compose_degree_part
@@ -109,27 +109,33 @@ class NormalizationSpec:
 def apply_normalization_symbols(
     split: SplitSymbols, n_plus: PolyhomSymbol, n_minus: PolyhomSymbol
 ) -> SplitSymbols:
-    """Transform a split by an explicit diagonal (n+, n-)."""
+    """Transform a split by an explicit diagonal (n+, n-).
+
+    The cyclic collector is paused while the compositions build their
+    nodes: with it on, rescanning the live DAGs took more than half of an
+    impedance gauge at order 3.
+    """
     order = split.order
     diag = (n_plus, n_minus)
-    inv = tuple(symbol_inverse(n, order) for n in diag)
+    with _cyclic_gc_paused():
+        inv = tuple(symbol_inverse(n, order) for n in diag)
 
-    g_out = []
-    for n, ninv, g in zip(diag, inv, (split.g_plus, split.g_minus)):
-        floor_g = 1 - order
-        inner = compose(n, g, floor_g - ninv.top_degree)
-        gt = compose(inner, ninv, floor_g)
-        if split.eta:
-            d3n = _d3_symbol(n)
-            if not d3n.is_zero:
-                gt = gt - compose(d3n, ninv, floor_g)
-        g_out.append(gt)
+        g_out = []
+        for n, ninv, g in zip(diag, inv, (split.g_plus, split.g_minus)):
+            floor_g = 1 - order
+            inner = compose(n, g, floor_g - ninv.top_degree)
+            gt = compose(inner, ninv, floor_g)
+            if split.eta:
+                d3n = _d3_symbol(n)
+                if not d3n.is_zero:
+                    gt = gt - compose(d3n, ninv, floor_g)
+            g_out.append(gt)
 
-    floor_l = -order + min(inv[0].top_degree, inv[1].top_degree)
-    ell_out = tuple(
-        tuple(compose(split.ell[i][j], inv[j], floor_l) for j in range(2))
-        for i in range(2)
-    )
+        floor_l = -order + min(inv[0].top_degree, inv[1].top_degree)
+        ell_out = tuple(
+            tuple(compose(split.ell[i][j], inv[j], floor_l) for j in range(2))
+            for i in range(2)
+        )
     return SplitSymbols(
         medium=split.medium,
         eta=split.eta,

@@ -569,7 +569,12 @@ def _symbol_total(sym) -> Expr:
 # Entries per row block of a kernel build: small enough that the block's
 # intermediates stay in cache, and that each 64 KB block temporary stays
 # under glibc's default 128 KB mmap threshold, so blocks reuse heap memory
-# instead of mapping and unmapping fresh pages each time.
+# instead of mapping and unmapping fresh pages each time. The trade-off,
+# order-2 g_plus of transverse_anisotropic on a 2-core host, median ms:
+# 2**12 builds an n = 16 kernel in 30 (2**14: 43-45) and the cold first
+# n = 32 kernel in 217-243 (2**14: 443-484), but a warm n = 32 kernel in
+# 204-279 (2**14: 211-223). A depth march builds a new n = 16 kernel per
+# stage depth, so the smaller block wins.
 _BLOCK_ENTRIES = 2**12
 
 

@@ -1,6 +1,7 @@
 """Hash every CLI output of a fixed set of runs, one line per output.
 
     python tests/cli_fingerprint.py > fingerprint.txt
+    python tests/cli_fingerprint.py --against fingerprint.txt
 
 Prints ``<run> exit <code>`` for each run and ``<run> <output> <sha256>``
 for each entry of its manifest ``outputs``. Each run is a fresh
@@ -8,7 +9,8 @@ for each entry of its manifest ``outputs``. Each run is a fresh
 on the command line (in one process, the text of the impedance gauge on
 ``HET`` depends on what ran before it), so running the script from two
 checkouts and comparing with ``diff`` shows whether a change moved any
-output.
+output. With ``--against FILE`` it prints only the lines that differ from
+a saved fingerprint (``-`` saved, ``+`` now) and exits 1 if any does.
 
 The runs: every subcommand on ``demos/example.cfg`` (the oracle both
 quad and grid, normalize with the impedance and a constant gauge, and
@@ -22,6 +24,7 @@ initial-data expressions is covered too. Not collected by pytest.
 
 from __future__ import annotations
 
+import argparse
 import configparser
 import json
 import os
@@ -110,7 +113,7 @@ def _runs(tmp: Path):
             yield f"{tag}/{name}", ["propagate", _write(cp, tmp / f"{tag}-{name}.cfg")]
 
 
-def main() -> None:
+def _fingerprint():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name)
@@ -118,12 +121,30 @@ def main() -> None:
             out = tmp / f"out{k:02d}"
             cmd = [sys.executable, "-m", "anisosplit.cli", *argv, "--out", str(out)]
             code = subprocess.run(cmd, env=env, capture_output=True).returncode
-            print(f"{label} exit {code}")
+            yield f"{label} exit {code}"
             manifest = out / "manifest.json"
             if manifest.is_file():
                 for entry in json.loads(manifest.read_text())["outputs"]:
-                    print(f"{label} {entry['name']} {entry['sha256']}")
+                    yield f"{label} {entry['name']} {entry['sha256']}"
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="FILE", help="saved fingerprint to compare with")
+    args = parser.parse_args()
+    if args.against is None:
+        for line in _fingerprint():
+            print(line, flush=True)
+        return 0
+    saved = Path(args.against).read_text().splitlines()
+    now = list(_fingerprint())
+    saved_set, now_set = set(saved), set(now)
+    changed = [f"- {line}" for line in saved if line not in now_set]
+    changed += [f"+ {line}" for line in now if line not in saved_set]
+    for line in changed:
+        print(line)
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
