@@ -12,7 +12,7 @@ from anisosplit import (
     NormalizationSpec,
     VarId,
     apply_normalization,
-    compose,
+    compose_degree_part,
     eval_expr,
     expand,
     presets,
@@ -46,10 +46,13 @@ row = [eval_expr(imp.ell[0][j].total(), henv) for j in range(2)]
 print(f"impedance gauge, pressure row at a probe: {row[0]:.12f}, {row[1]:.12f}")
 
 # Parametrix: a two-term inverse of the admittance symbol cancels the
-# composition to the retained depth.
-y = expand(m, 1, 1, 2).series()
+# composition to the retained depth. Symbols here are degree -> SymbolForm
+# maps (graded by powers of rho^(1/2)); the top term is inverted in closed
+# form, (A + B rho^(1/2))^-1 = (A - B rho^(1/2)) / (A^2 - B^2 rho).
+exp = expand(m, 1, 1, 2)
+y = dict(zip((t.degree for t in exp.terms), exp.forms))
 z = symbol_inverse(y, 2)
-c = compose(z, y, floor=-2)
-resid0 = np.max(np.abs(eval_expr(c.term(0), env) - 1.0))
-resid1 = np.max(np.abs(eval_expr(c.term(-1), env)))
+c = {d: compose_degree_part(z, y, d).lower() for d in (0, -1)}
+resid0 = np.max(np.abs(eval_expr(c[0], env) - 1.0))
+resid1 = np.max(np.abs(eval_expr(c[-1], env)))
 print(f"\nparametrix: |z#y - 1| at degree 0: {resid0:.2e}, degree -1: {resid1:.2e}")

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .expr import (
+    ONE,
     Expr,
     VarId,
     ZERO,
@@ -309,8 +310,10 @@ class SplitSymbols:
     composition matrix (row 0 the admittance symbols, row 1 ones).
     ``order_claim_check`` measures the orders of ell o g and d3 ell from
     these symbols by Taylor jets. g+- are written once, in the compact
-    form the expansion's terms lower to, and serve both composition and
-    quantization (a kernel build separates their x-by-xi products itself).
+    form the expansion's terms lower to, and serve quantization (a kernel
+    build separates their x-by-xi products itself). ``g_forms`` (+, -)
+    and ``ell_forms`` (2x2) hold the same terms as degree -> SymbolForm
+    maps, on which the gauge transforms compose.
     """
 
     medium: MediumSpec
@@ -319,23 +322,29 @@ class SplitSymbols:
     g_plus: PolyhomSymbol
     g_minus: PolyhomSymbol
     ell: tuple
+    g_forms: tuple
+    ell_forms: tuple
 
     def g_symbol(self, sign: int) -> PolyhomSymbol:
         _check_sign(sign)
         return self.g_plus if sign > 0 else self.g_minus
 
 
-def _generator_symbol(branch: AdmittanceExpansion, floor: int) -> PolyhomSymbol:
-    """g = a21 y + a22 of one branch. The top term is built from the
-    expressions, like the leading term; the lower ones are lowered once
-    from the forms a21 y_j."""
+def _generator_symbol(branch: AdmittanceExpansion, floor: int):
+    """g = a21 y + a22 of one branch, as a PolyhomSymbol and as a degree
+    -> SymbolForm map. The top term is built from the expressions, like
+    the leading term, and lifted; the lower ones are the forms a21 y_j,
+    each lowered once."""
     m = branch.medium
     A = systems_symbols(m)
-    g = {1: simplify(simplify(A.a21.term(1) * branch.term(0)) + A.a22.term(1))}
+    top = simplify(simplify(A.a21.term(1) * branch.term(0)) + A.a22.term(1))
+    g, forms = {1: top}, {1: SymbolForm.lift(radicand(m), top)}
     a21 = _kit(m).a21
     for t, f in zip(branch.terms[1:], branch.forms[1:]):
-        g[t.degree + 1] = (a21 * f).lower()
-    return PolyhomSymbol(g, floor=floor)
+        if f.terms:
+            forms[t.degree + 1] = a21 * f
+            g[t.degree + 1] = forms[t.degree + 1].lower()
+    return PolyhomSymbol(g, floor=floor), forms
 
 
 def split_symbols(plus: AdmittanceExpansion, minus: AdmittanceExpansion) -> SplitSymbols:
@@ -343,7 +352,7 @@ def split_symbols(plus: AdmittanceExpansion, minus: AdmittanceExpansion) -> Spli
 
     Each generator g+- = a21 y+- + a22 is lowered once, term by term from
     the branch's forms. The marchers quantize these very symbols, and
-    the gauge transforms compose them.
+    the gauge transforms compose their forms.
     """
     if plus.sign != 1 or minus.sign != -1:
         raise ExpansionError("split_symbols expects (plus, minus) branches in that order")
@@ -352,20 +361,21 @@ def split_symbols(plus: AdmittanceExpansion, minus: AdmittanceExpansion) -> Spli
     if plus.eta != minus.eta or plus.order != minus.order:
         raise ExpansionError("branches must share eta and order")
     order = plus.order
-    floor_ell = -order
-    ell = (
-        (plus.series(), minus.series()),
-        (
-            PolyhomSymbol({0: const(1)}, floor=floor_ell),
-            PolyhomSymbol({0: const(1)}, floor=floor_ell),
-        ),
+    one = PolyhomSymbol({0: const(1)}, floor=-order)
+    (g_plus, g_plus_forms), (g_minus, g_minus_forms) = (
+        _generator_symbol(b, 1 - order) for b in (plus, minus)
     )
-    g_plus, g_minus = (_generator_symbol(b, 1 - order) for b in (plus, minus))
+    row0 = tuple(
+        {t.degree: f for t, f in zip(b.terms, b.forms) if f.terms} for b in (plus, minus)
+    )
+    row1 = {0: SymbolForm(radicand(plus.medium), {0: ONE})}
     return SplitSymbols(
         medium=plus.medium,
         eta=plus.eta,
         order=order,
         g_plus=g_plus,
         g_minus=g_minus,
-        ell=ell,
+        ell=((plus.series(), minus.series()), (one, one)),
+        g_forms=(g_plus_forms, g_minus_forms),
+        ell_forms=(row0, (row1, row1)),
     )

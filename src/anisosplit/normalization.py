@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import _cyclic_gc_paused, const, eval_expr, mul, neg, recip, simplify
+from .expr import ZERO, VarId, _cyclic_gc_paused, const, eval_expr
 from .expansion import SplitSymbols
 from .oracle import _probe_env
-from .symbols import PolyhomSymbol, _d3_symbol, compose, compose_degree_part
+from .symbols import PolyhomSymbol, SymbolForm, _compose, compose_degree_part, radicand
 
 __all__ = [
     "NormalizationError",
@@ -54,27 +54,37 @@ def _ellipticity_probe(top_expr):
         )
 
 
-def symbol_inverse(y: PolyhomSymbol, order: int) -> PolyhomSymbol:
-    """Parametrix of a polyhomogeneous symbol: z with z o y ~ 1.
+def symbol_inverse(y: dict, order: int) -> dict:
+    """Parametrix of a graded symbol: z with y o z ~ 1 and z o y ~ 1.
 
-    The top term must be elliptic (probed numerically; degenerate tops
-    raise). The result has top degree -deg(y) and ``order`` correction
-    terms below it, built by cancelling compose(z, y) degree by degree.
-    Also a right parametrix to the same truncation order.
+    ``y`` maps degree -> SymbolForm (as ``SplitSymbols.ell_forms``), and
+    so does the result. The top term must be elliptic (probed
+    numerically; degenerate tops raise). The result has top degree
+    -deg(y), the form inverse of y's top term, and ``order`` correction
+    terms below it, built by cancelling y o z degree by degree; it is
+    also a left parametrix to the same truncation order. Cancelling
+    y o z differentiates z in x only, as every later composition with z
+    in a gauge transform does, so those derivatives are built once.
     """
-    if y.is_zero:
+    y = {d: f for d, f in y.items() if f.terms}
+    if not y:
         raise NormalizationError("cannot invert the zero symbol")
     if order < 0:
         raise NormalizationError("order must be nonnegative")
-    top = y.top_degree
-    ytop = y.terms[top]
-    _ellipticity_probe(ytop)
-    inv_top = simplify(recip(ytop))
-    z_terms = {-top: inv_top}
+    top = max(y)
+    _ellipticity_probe(y[top].lower())
+    inv_top = y[top]._power(-1)
+    z = {-top: inv_top}
     for r in range(1, order + 1):
-        resid = compose_degree_part(z_terms, y.terms, -r)
-        z_terms[-top - r] = simplify(mul(neg(inv_top), resid))
-    return PolyhomSymbol(z_terms, floor=-top - order)
+        f = -(inv_top * compose_degree_part(y, z, -r))
+        if f.terms:
+            z[-top - r] = f
+    return z
+
+
+def _lowered(forms: dict, floor: int) -> PolyhomSymbol:
+    """A degree -> SymbolForm map as a PolyhomSymbol, each form lowered once."""
+    return PolyhomSymbol({d: f.lower() for d, f in forms.items()}, floor=floor)
 
 
 @dataclass(frozen=True)
@@ -97,58 +107,56 @@ class NormalizationSpec:
             raise NormalizationError("constant gauge factors must be nonzero")
 
     def diagonal(self, split: SplitSymbols):
+        """(n+, n-) as degree -> SymbolForm maps."""
         if self.kind == "constant":
-            floor = -split.order
-            return (
-                PolyhomSymbol({0: const(self.m)}, floor=floor),
-                PolyhomSymbol({0: const(self.mprime)}, floor=floor),
-            )
-        return (split.ell[0][0], split.ell[0][1])
+            rho = radicand(split.medium)
+            return tuple({0: SymbolForm(rho, {0: const(v)})} for v in (self.m, self.mprime))
+        return split.ell_forms[0]
 
 
-def apply_normalization_symbols(
-    split: SplitSymbols, n_plus: PolyhomSymbol, n_minus: PolyhomSymbol
-) -> SplitSymbols:
-    """Transform a split by an explicit diagonal (n+, n-).
+def apply_normalization_symbols(split: SplitSymbols, n_plus: dict, n_minus: dict) -> SplitSymbols:
+    """Transform a split by an explicit diagonal (n+, n-), each a degree
+    -> SymbolForm map.
 
-    The cyclic collector is paused while the compositions build their
-    nodes: with it on, rescanning the live DAGs took more than half of an
-    impedance gauge at order 3.
+    Every step runs on forms (``compose_degree_part``, and
+    ``SymbolForm.diff`` for d3 n), and each transformed term is lowered
+    once. A generator takes one composition with n^-1, as
+    (n o g - eta d3 n) o n^-1. The cyclic collector is paused while the
+    compositions build their nodes: with it on, rescanning the live DAGs
+    took more than half of an impedance gauge at order 3.
     """
     order = split.order
+    floor_g = 1 - order
     diag = (n_plus, n_minus)
     with _cyclic_gc_paused():
         inv = tuple(symbol_inverse(n, order) for n in diag)
-
-        g_out = []
-        for n, ninv, g in zip(diag, inv, (split.g_plus, split.g_minus)):
-            floor_g = 1 - order
-            inner = compose(n, g, floor_g - ninv.top_degree)
-            gt = compose(inner, ninv, floor_g)
+        g_forms = []
+        for n, ninv, g in zip(diag, inv, split.g_forms):
+            floor = floor_g - max(ninv)
+            inner = _compose(n, g, floor)
             if split.eta:
-                d3n = _d3_symbol(n)
-                if not d3n.is_zero:
-                    gt = gt - compose(d3n, ninv, floor_g)
-            g_out.append(gt)
-
-        floor_l = -order + min(inv[0].top_degree, inv[1].top_degree)
-        ell_out = tuple(
-            tuple(compose(split.ell[i][j], inv[j], floor_l) for j in range(2))
-            for i in range(2)
+                for d, f in n.items():
+                    if d >= floor:
+                        inner[d] = inner.get(d, ZERO) - f.diff(VarId.X3)
+            g_forms.append(_compose(inner, ninv, floor_g))
+        floor_l = -order + min(max(z) for z in inv)
+        ell_forms = tuple(
+            tuple(_compose(row[j], inv[j], floor_l) for j in range(2)) for row in split.ell_forms
         )
+        g_plus, g_minus = (_lowered(g, floor_g) for g in g_forms)
+        ell = tuple(tuple(_lowered(e, floor_l) for e in row) for row in ell_forms)
     return SplitSymbols(
         medium=split.medium,
         eta=split.eta,
         order=order,
-        g_plus=g_out[0],
-        g_minus=g_out[1],
-        ell=ell_out,
+        g_plus=g_plus,
+        g_minus=g_minus,
+        ell=ell,
+        g_forms=tuple(g_forms),
+        ell_forms=ell_forms,
     )
 
 
 def apply_normalization(split: SplitSymbols, spec: NormalizationSpec) -> SplitSymbols:
     """Transform a split by a stock gauge choice."""
-    n_plus, n_minus = spec.diagonal(split)
-    if n_plus.is_zero or n_minus.is_zero:
-        raise NormalizationError("gauge diagonal must be invertible")
-    return apply_normalization_symbols(split, n_plus, n_minus)
+    return apply_normalization_symbols(split, *spec.diagonal(split))

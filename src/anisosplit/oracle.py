@@ -24,18 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import (
-    VarId,
-    _conv,
-    const,
-    diff,
-    eval_expr,
-    ipow,
-    recip,
-    simplify,
-    taylor_eval,
-    variable,
-)
+from .expr import VarId, _conv, eval_expr, taylor_eval
 from .medium import (
     MediumSpec,
     _coefficients,
@@ -44,14 +33,8 @@ from .medium import (
     is_homogeneous,
     schur,
 )
-from .expansion import AdmittanceExpansion, SplitSymbols, gamma1
-from .symbols import (
-    SymbolTerm,
-    TransverseGrid,
-    quantize_apply,
-    random_smooth_field,
-    systems_symbols,
-)
+from .expansion import AdmittanceExpansion, SplitSymbols
+from .symbols import TransverseGrid, quantize_apply, random_smooth_field, systems_symbols
 
 __all__ = [
     "OracleError",
@@ -66,17 +49,12 @@ __all__ = [
     "grid_riccati_oracle",
     "operator_distance",
     "order_claim_check",
-    "depth_derivative_leading",
     "draw_probe_points",
     "fit_loglog",
     "DEFAULT_LAMBDAS",
 ]
 
 DEFAULT_LAMBDAS = (4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
-
-_XI1 = variable(VarId.XI1)
-_XI2 = variable(VarId.XI2)
-_S = variable(VarId.S)
 
 
 class OracleError(Exception):
@@ -161,6 +139,13 @@ _ROUNDING_RTOL = 64 * np.finfo(float).eps
 _WINDOW_ORDER = 4
 _FIT_FROM = 8.0
 
+# The fit leaves out scales at the rounding floor: at order 6 on
+# heterogeneous_full the residual reaches it at lam = 128 and 256, and
+# fitting those too gave -5.56 for a correct expansion (the local slopes
+# below them are -5.90 to -6.01). A slope is judged only when at least this
+# many scales remain, since any two lie on a line.
+_MIN_FIT_SCALES = 3
+
 
 @dataclass(frozen=True)
 class ResidualReport:
@@ -168,10 +153,13 @@ class ResidualReport:
 
     ``term_rms`` is, per scale, the rms over probes of the summed
     magnitudes of the equation's summands: the size of what the
-    residual cancels. The slope is fitted over the scales >= ``fit_from``:
-    all of them up to order 3; from order 4 on only lam >= 8 when at
-    least two such scales are given, since smaller ones are still
-    pre-asymptotic there.
+    residual cancels. The slope is fitted over the scales from
+    ``fit_from`` to ``fit_to`` whose rms lies above the rounding floor
+    (64 eps * term_rms): from order 4 on only lam >= 8 when at least two
+    such scales are given, since smaller ones are still pre-asymptotic
+    there. With fewer than two scales above the floor the fit covers the
+    whole window, as for a homogeneous medium, whose residual is rounding
+    at every scale.
     """
 
     order: int
@@ -186,6 +174,7 @@ class ResidualReport:
     slope_tol: float = 0.3
     term_rms: tuple = ()
     fit_from: float = 0.0
+    fit_to: float = math.inf
 
     @property
     def at_rounding_level(self) -> bool:
@@ -203,10 +192,21 @@ class ResidualReport:
         )
 
     @property
+    def fit_scales(self) -> int:
+        """Number of scales from ``fit_from`` to ``fit_to`` above the rounding floor."""
+        return sum(
+            self.fit_from <= lam <= self.fit_to and r > _ROUNDING_RTOL * t
+            for lam, r, t in zip(self.lambdas, self.rms, self.term_rms)
+        )
+
+    @property
     def passed(self) -> bool:
-        """The fitted slope matches the order, or nothing is left to fit."""
+        """The slope fitted over at least three scales above the rounding
+        floor matches the order, or nothing is left to fit."""
+        if self.at_rounding_level:
+            return True
         slope_ok = abs(self.slope - self.expected_slope) <= self.slope_tol
-        return slope_ok or self.at_rounding_level
+        return slope_ok and self.fit_scales >= _MIN_FIT_SCALES
 
     def describe(self) -> str:
         status = "ok" if self.passed else "FAIL"
@@ -216,6 +216,13 @@ class ResidualReport:
             window = (
                 f", fit over lam >= {self.fit_from:g}"
                 f" (pre-asymptotic below from order {_WINDOW_ORDER})"
+            )
+        if self.fit_to < max(self.lambdas):
+            window += f", fit up to lam = {self.fit_to:g} (rounding level above)"
+        if not self.at_rounding_level and self.fit_scales < _MIN_FIT_SCALES:
+            window += (
+                f", only {self.fit_scales} scale(s) above the rounding floor"
+                f" (need {_MIN_FIT_SCALES})"
             )
         return (
             f"residual slope {self.slope:+.3f} (expected {self.expected_slope:+.1f} "
@@ -370,33 +377,43 @@ def riccati_residual(
 
     With terms through degree -N the equation cancels down to degree
     -N + 1, so |residual| ~ lam^-N; the report carries the fitted slope
-    against the expectation -N (fitted from lam = 8 on for N >= 4, see
-    ``ResidualReport``). The composition tail is capped at order N + 1.
+    against the expectation -N (fitted from lam = 8 on for N >= 4, and
+    only over scales above the rounding floor, see ``ResidualReport``).
+    The composition tail is capped at order N + 1.
     """
     beta_cap = exp.order + 1
     if points is None:
         points = draw_probe_points(exp.medium, 6, rng)
     env = _scaling_env(points, lambdas)
-    lam = np.asarray(lambdas, dtype=float)
     vals, size = _residual_values(exp, env, beta_cap)
-    rms = _scaling_rms(vals)
-    term_rms = _scaling_rms(size)
+    return _residual_report(
+        exp.order, exp.eta, beta_cap, lambdas, _scaling_rms(vals), _scaling_rms(size)
+    )
+
+
+def _residual_report(order, eta, beta_cap, lambdas, rms, term_rms) -> ResidualReport:
+    """Fit the residual's slope over its window (see ``ResidualReport``)."""
+    lam = np.asarray(lambdas, dtype=float)
     fit = np.ones(lam.shape, dtype=bool)
-    if exp.order >= _WINDOW_ORDER and len(set(lam[lam >= _FIT_FROM].tolist())) >= 2:
+    if order >= _WINDOW_ORDER and len(set(lam[lam >= _FIT_FROM].tolist())) >= 2:
         fit = lam >= _FIT_FROM
+    above = fit & (rms > _ROUNDING_RTOL * term_rms)
+    if len(set(lam[above].tolist())) >= 2:
+        fit = above
     slope, intercept, dev = fit_loglog(lam[fit], rms[fit])
     return ResidualReport(
-        order=exp.order,
-        eta=exp.eta,
+        order=order,
+        eta=eta,
         beta_cap=beta_cap,
         lambdas=tuple(float(v) for v in lam),
         rms=tuple(float(v) for v in rms),
         slope=slope,
         intercept=intercept,
         fit_max_dev=dev,
-        expected_slope=float(-exp.order),
+        expected_slope=float(-order),
         term_rms=tuple(float(v) for v in term_rms),
         fit_from=float(lam[fit].min()),
+        fit_to=float(lam[fit].max()),
     )
 
 
@@ -734,11 +751,11 @@ class OrderClaimReport:
 def _order_claim_values(split: SplitSymbols, env: dict):
     """(p, d3 ell) of entry (0, 0), the admittance y+ and g+, at ``env``.
 
-    p is the truncation compose(y+, g+, floor) with floor = y+'s floor
-    + 1: per pair of terms y_j, g_k the sum over |beta| <= j + k - floor
-    of (-i)^|beta| / beta! d_xi^beta y_j d_x^beta g_k, from the xi pass
-    over the y_j and the x pass over the g_k (``_jets``). d3 ell is read
-    from the xi pass, and is None when y+ is free of x3.
+    p is the composition y+ o g+ truncated at floor = y+'s floor + 1:
+    per pair of terms y_j, g_k the sum over |beta| <= j + k - floor of
+    (-i)^|beta| / beta! d_xi^beta y_j d_x^beta g_k, from the xi pass over
+    the y_j and the x pass over the g_k (``_jets``). d3 ell is read from
+    the xi pass, and is None when y+ is free of x3.
     """
     ell, g = split.ell[0][0], split.g_plus
     floor = ell.low_degree + 1
@@ -784,33 +801,3 @@ def order_claim_check(
         p_rms=tuple(float(v) for v in p_rms),
         d3_rms=tuple(float(v) for v in d3_rms),
     )
-
-
-def depth_derivative_leading(m: MediumSpec, sign: int) -> SymbolTerm:
-    """Hand formula for the degree-0 part of d3 y.
-
-    s^-1 (-(1/2) i xi_mu d3(a_{3mu} - a_{mu3})
-          +- (2 gamma1)^-1 (s^2 d3 kappa + (d3 Qt_{mu nu}) xi_mu xi_nu)).
-
-    It coincides with the exact derivative of the leading term when
-    alpha33 is depth independent and identically one; for general media
-    the exact symbolic derivative picks up extra d3 alpha33 terms.
-    """
-    if sign not in (1, -1):
-        raise OracleError("sign must be +1 or -1")
-    sd = schur(m)
-    g = gamma1(m)
-    drift = const(1j) * (
-        _XI1 * diff(simplify(m.alpha[2][0] - m.alpha[0][2]), VarId.X3)
-        + _XI2 * diff(simplify(m.alpha[2][1] - m.alpha[1][2]), VarId.X3)
-    )
-    xis = (_XI1, _XI2)
-    qdot = ipow(_S, 2) * diff(m.kappa, VarId.X3)
-    for mu in range(2):
-        for nu in range(2):
-            qdot = qdot + diff(sd.Qt[mu][nu], VarId.X3) * xis[mu] * xis[nu]
-    e = recip(_S) * (
-        const(-0.5) * drift
-        + const(sign) * recip(const(2) * g.expr) * qdot
-    )
-    return SymbolTerm(simplify(e), 0)

@@ -34,7 +34,6 @@ from .expr import (
     const,
     diff,
     eval_expr,
-    free_vars,
     ipow,
     mul,
     neg,
@@ -54,7 +53,6 @@ __all__ = [
     "TransverseGrid",
     "SymbolError",
     "systems_symbols",
-    "compose",
     "compose_degree_part",
     "quantize_apply",
     "homogeneity_check",
@@ -138,25 +136,6 @@ class PolyhomSymbol:
     def truncate(self, floor) -> "PolyhomSymbol":
         return PolyhomSymbol({d: e for d, e in self.terms.items() if d >= floor}, floor=floor)
 
-    def __add__(self, other):
-        if not isinstance(other, PolyhomSymbol):
-            return NotImplemented
-        out = dict(self.terms)
-        for d, e in other.terms.items():
-            out[d] = simplify(out[d] + e) if d in out else e
-        return PolyhomSymbol(out, floor=max(self.low_degree, other.low_degree))
-
-    def __sub__(self, other):
-        return self + other.scale(const(-1))
-
-    def scale(self, factor, degree_shift=0) -> "PolyhomSymbol":
-        """Multiply every term by a fixed expression of known degree."""
-        factor = factor if isinstance(factor, Expr) else const(factor)
-        return PolyhomSymbol(
-            {d + degree_shift: simplify(mul(factor, e)) for d, e in self.terms.items()},
-            floor=self.low_degree + degree_shift,
-        )
-
     def __repr__(self):
         degs = ", ".join(str(d) for d in self.terms)
         return f"PolyhomSymbol(degrees=[{degs}], floor={self.low_degree})"
@@ -173,48 +152,25 @@ class SymbolMatrix22:
 
 
 # ---------------------------------------------------------------------------
-# derivatives in the calculus
+# composition in the calculus
 
 
-def _partial(t, v: VarId):
-    """One partial derivative of a term, an Expr or a SymbolForm."""
-    return t.diff(v) if isinstance(t, SymbolForm) else diff(t, v)
-
-
-def _is_zero(t) -> bool:
-    """Exact zero of a term, an Expr or a SymbolForm."""
-    return not t.terms if isinstance(t, SymbolForm) else _is_zero_expr(t)
-
-
-def _tidy(t):
-    """Simplify an Expr; a SymbolForm is already in normal form."""
-    return simplify(t) if isinstance(t, Expr) else t
-
-
-def xi_derivative(e, beta):
+def xi_derivative(f: SymbolForm, beta) -> SymbolForm:
     b1, b2 = beta
     for _ in range(b1):
-        e = _partial(e, VarId.XI1)
+        f = f.diff(VarId.XI1)
     for _ in range(b2):
-        e = _partial(e, VarId.XI2)
-    return e
+        f = f.diff(VarId.XI2)
+    return f
 
 
-def x_derivative(e, beta):
+def x_derivative(f: SymbolForm, beta) -> SymbolForm:
     b1, b2 = beta
     for _ in range(b1):
-        e = _partial(e, VarId.X1)
+        f = f.diff(VarId.X1)
     for _ in range(b2):
-        e = _partial(e, VarId.X2)
-    return e
-
-
-def _d3_symbol(sym: PolyhomSymbol) -> PolyhomSymbol:
-    """Termwise depth derivative d/dx3 (degrees and floor unchanged)."""
-    return PolyhomSymbol(
-        {d: simplify(diff(e, VarId.X3)) for d, e in sym.terms.items()},
-        floor=sym.low_degree,
-    )
+        f = f.diff(VarId.X2)
+    return f
 
 
 def _multi_indices(total):
@@ -222,12 +178,12 @@ def _multi_indices(total):
 
 
 def compose_degree_part(p_terms, q_terms, d):
-    """Degree-d part of the composition of two graded term maps.
+    """Degree-d part of the composition of two graded form maps.
 
-    ``p_terms``/``q_terms`` map degree -> term, all Exprs or all
-    SymbolForms. Collects every (1/beta!) d_xi^beta p_j *
-    ((1/i) d_x)^beta q_k with j - |beta| + k = d; the result has the
-    terms' type, or is ZERO when nothing contributes.
+    ``p_terms``/``q_terms`` map degree -> SymbolForm. Collects every
+    (1/beta!) d_xi^beta p_j * ((1/i) d_x)^beta q_k with
+    j - |beta| + k = d; the result is a SymbolForm, or ZERO when nothing
+    contributes.
     """
     acc = ZERO
     for j, pj in p_terms.items():
@@ -235,31 +191,29 @@ def compose_degree_part(p_terms, q_terms, d):
             r = j + k - d
             if r < 0:
                 continue
-            if r > 0 and not (free_vars(qk) & {VarId.X1, VarId.X2}):
+            if r > 0 and not (qk.free_vars & _X12):
                 continue  # x-independent right factor: only beta = 0 survives
             for beta in _multi_indices(r):
                 dp = xi_derivative(pj, beta)
-                if _is_zero(dp):
+                if not dp.terms:
                     continue
                 dq = x_derivative(qk, beta)
-                if _is_zero(dq):
+                if not dq.terms:
                     continue
                 coeff = (-1j) ** r / (math.factorial(beta[0]) * math.factorial(beta[1]))
                 acc = acc + const(coeff) * (dp * dq)
-    return _tidy(acc)
+    return acc
 
 
-def compose(p: PolyhomSymbol, q: PolyhomSymbol, floor) -> PolyhomSymbol:
-    """Asymptotic composition p o q truncated at the given floor."""
-    if p.is_zero or q.is_zero:
-        return PolyhomSymbol.zero(floor)
-    top = p.top_degree + q.top_degree
+def _compose(p: dict, q: dict, floor: int) -> dict:
+    """p o q of two degree -> SymbolForm maps, truncated at ``floor``."""
     out = {}
-    for d in range(top, floor - 1, -1):
-        e = compose_degree_part(p.terms, q.terms, d)
-        if not _is_zero_expr(e):
-            out[d] = e
-    return PolyhomSymbol(out, floor=floor)
+    if p and q:
+        for d in range(max(p) + max(q), floor - 1, -1):
+            f = compose_degree_part(p, q, d)
+            if f is not ZERO and f.terms:
+                out[d] = f
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +333,7 @@ class SymbolForm:
     @classmethod
     def lift(cls, rho: Radicand, e: Expr) -> "SymbolForm":
         """The form of an expression in which rho^(1/2) occurs only as
-        ``rho.root``, under +, -, *, / and integer powers (a divisor or a
-        negative power with it must have a single grade). Anything else
+        ``rho.root``, under +, -, *, / and integer powers. Anything else
         raises SymbolError."""
         forms = {}
         for node in _walk([e])[0]:
@@ -410,11 +363,26 @@ class SymbolForm:
         return forms[e]
 
     def _power(self, n: int) -> "SymbolForm":
+        """f^n. A single grade keeps one grade. Otherwise a negative power
+        inverts f = A + B rho^(1/2), with the even grades folded into A and
+        the odd ones into B (both free of rho^(1/2)), as
+        (A - B rho^(1/2)) recip(A^2 - B^2 rho), and multiplies that out.
+        A^2 - B^2 rho is f times A - B rho^(1/2), so that conjugate must
+        not vanish either (for the leading admittance y0+- it is y0-+)."""
         if len(self.terms) == 1:
             ((d, p),) = self.terms.items()
             return SymbolForm(self.rho, {n * d: ipow(p, n)})
         if n < 0:
-            raise SymbolError(_NOT_A_FORM)
+            if not self.terms:
+                raise SymbolError("the zero form has no inverse")
+            a = b = ZERO
+            for d, p in self.terms.items():
+                if d % 2:
+                    b = b + self.rho.power(d - 1) * p
+                else:
+                    a = a + self.rho.power(d) * p
+            den = recip(a * a - b * b * self.rho.expr)
+            return SymbolForm(self.rho, {0: a * den, 1: neg(b * den)})._power(-n)
         out = SymbolForm(self.rho, {0: ONE})
         for _ in range(n):
             out = out * self

@@ -6,11 +6,11 @@
 Prints ``<run> exit <code>`` for each run and ``<run> <output> <sha256>``
 for each entry of its manifest ``outputs``. Each run is a fresh
 ``python -m anisosplit.cli`` process on the ``src`` next to this file, as
-on the command line (in one process, the text of the impedance gauge on
-``HET`` depends on what ran before it), so running the script from two
-checkouts and comparing with ``diff`` shows whether a change moved any
-output. With ``--against FILE`` it prints only the lines that differ from
-a saved fingerprint (``-`` saved, ``+`` now) and exits 1 if any does.
+on the command line, so no output can depend on what ran before it in the
+same process. Running the script from two checkouts and comparing with
+``diff`` shows whether a change moved any output. With ``--against FILE`` it prints only
+the lines that differ from a saved fingerprint (``-`` saved, ``+`` now)
+and exits 1 if any does.
 
 The runs: every subcommand on ``demos/example.cfg`` (the oracle both
 quad and grid, normalize with the impedance and a constant gauge, and

@@ -9,6 +9,8 @@ import numpy as np
 
 from anisosplit import (
     ExpansionError,
+    PolyhomSymbol,
+    SymbolTerm,
     VarId,
     const,
     diff,
@@ -20,21 +22,14 @@ from anisosplit import (
     taylor_eval,
     variable,
 )
-from anisosplit.expr import ZERO, free_vars, mul, neg, recip
+from anisosplit.expr import ZERO, free_vars, ipow, mul, neg, recip
 from anisosplit.oracle import (
     _jet_directions,
     _mixed_partials,
     _probe_env as probe_env,
     _scaling_env,
 )
-from anisosplit.symbols import (
-    _d3_symbol,
-    _multi_indices,
-    _symbol_total,
-    compose,
-    x_derivative,
-    xi_derivative,
-)
+from anisosplit.symbols import _multi_indices, _symbol_total
 
 _XI1 = variable(VarId.XI1)
 _XI2 = variable(VarId.XI2)
@@ -202,12 +197,28 @@ def symbolic_residual_rms(exp, points, lambdas, beta_cap=None):
 
 
 # ---------------------------------------------------------------------------
-# the expression collector and the closed-form recursion: value oracles for
-# the form-based collector that ``expand`` runs
+# the expression calculus: composition, parametrix and gauge transform built
+# on expressions, value oracles for the form-based calculus of ``src``
 
 
 def _is_zero_expr(e) -> bool:
     return e.op == "const" and e.data == 0
+
+
+def oracle_xi_derivative(e, beta):
+    """d_xi^beta of an expression."""
+    for v, count in zip((VarId.XI1, VarId.XI2), beta):
+        for _ in range(count):
+            e = diff(e, v)
+    return e
+
+
+def oracle_x_derivative(e, beta):
+    """d_x^beta of an expression."""
+    for v, count in zip((VarId.X1, VarId.X2), beta):
+        for _ in range(count):
+            e = diff(e, v)
+    return e
 
 
 def oracle_compose_degree_part(p_terms, q_terms, d):
@@ -221,15 +232,60 @@ def oracle_compose_degree_part(p_terms, q_terms, d):
             if r > 0 and not (free_vars(qk) & {VarId.X1, VarId.X2}):
                 continue  # x-independent right factor: only beta = 0 survives
             for beta in _multi_indices(r):
-                dp = xi_derivative(pj, beta)
+                dp = oracle_xi_derivative(pj, beta)
                 if _is_zero_expr(dp):
                     continue
-                dq = x_derivative(qk, beta)
+                dq = oracle_x_derivative(qk, beta)
                 if _is_zero_expr(dq):
                     continue
                 coeff = (-1j) ** r / (math.factorial(beta[0]) * math.factorial(beta[1]))
                 acc = acc + mul(const(coeff), mul(dp, dq))
     return simplify(acc)
+
+
+def oracle_compose(p, q, floor):
+    """Asymptotic composition p o q of two PolyhomSymbols, truncated at
+    the given floor."""
+    if p.is_zero or q.is_zero:
+        return PolyhomSymbol.zero(floor)
+    top = p.top_degree + q.top_degree
+    parts = {d: oracle_compose_degree_part(p.terms, q.terms, d) for d in range(top, floor - 1, -1)}
+    return PolyhomSymbol(parts, floor=floor)
+
+
+def oracle_symbol_inverse(y, order: int):
+    """Parametrix z o y ~ 1 of a PolyhomSymbol: the reciprocal of the top
+    term, then ``order`` corrections cancelling z o y degree by degree."""
+    top = y.top_degree
+    inv_top = simplify(recip(y.terms[top]))
+    z = {-top: inv_top}
+    for r in range(1, order + 1):
+        z[-top - r] = simplify(mul(neg(inv_top), oracle_compose_degree_part(z, y.terms, -r)))
+    return PolyhomSymbol(z, floor=-top - order)
+
+
+def oracle_normalization(split, n_plus, n_minus):
+    """(g+, g-, ell) of a split transformed by diag(n+, n-), PolyhomSymbols,
+    as written: G~ = N o G o N^-1 - eta (d3 N) o N^-1 and L~ = L o N^-1."""
+    order = split.order
+    floor_g = 1 - order
+    diag = (n_plus, n_minus)
+    inv = [oracle_symbol_inverse(n, order) for n in diag]
+    g_out = []
+    for n, ninv, g in zip(diag, inv, (split.g_plus, split.g_minus)):
+        inner = oracle_compose(n, g, floor_g - ninv.top_degree)
+        gt = oracle_compose(inner, ninv, floor_g)
+        if split.eta:
+            d3n = {d: simplify(diff(e, VarId.X3)) for d, e in n.terms.items()}
+            d3 = oracle_compose(PolyhomSymbol(d3n, floor=n.low_degree), ninv, floor_g)
+            degrees = gt.terms.keys() | d3.terms.keys()
+            gt = PolyhomSymbol({d: simplify(gt.term(d) - d3.term(d)) for d in degrees}, floor_g)
+        g_out.append(gt)
+    floor_l = -order + min(z.top_degree for z in inv)
+    ell = tuple(
+        tuple(oracle_compose(split.ell[i][j], inv[j], floor_l) for j in range(2)) for i in range(2)
+    )
+    return g_out[0], g_out[1], ell
 
 
 def _oracle_generator_terms(m, y_terms: dict) -> dict:
@@ -298,7 +354,9 @@ def closed_form_step(m, eta: int, sign: int, y_terms: dict, n: int):
         brace = brace + transport(y0)
         b1 = simplify(_S * inv33 * y0 + a22_sym)
         for beta in _multi_indices(1):
-            tail = mul(const(-1j), mul(xi_derivative(y0, beta), x_derivative(b1, beta)))
+            tail = mul(
+                const(-1j), mul(oracle_xi_derivative(y0, beta), oracle_x_derivative(b1, beta))
+            )
             brace = brace - tail
         return simplify(mul(pref, brace))
 
@@ -322,7 +380,7 @@ def closed_form_step(m, eta: int, sign: int, y_terms: dict, n: int):
                     inner = simplify(inner + a22_sym)
                 tail = mul(
                     const(coeff_i / bfact),
-                    mul(xi_derivative(y_terms[j], beta), x_derivative(inner, beta)),
+                    mul(oracle_xi_derivative(y_terms[j], beta), oracle_x_derivative(inner, beta)),
                 )
                 brace = brace - tail
     return simplify(mul(pref, brace))
@@ -386,12 +444,37 @@ def closed_form_values(m, eta: int, sign: int, y_terms: dict, n: int, points):
 
 def symbolic_order_claim(split, env):
     """The order claim's p = ell o g+ and d3 ell of entry (0, 0), built
-    symbolically (``compose`` truncated one degree above ell's floor, and
-    ``_d3_symbol``) and evaluated at ``env``: (p symbol, p values, d3 ell
-    values or None when ell is free of x3). The oracle for the jets of
-    ``oracle._order_claim_values``; cheap up to order 3."""
+    symbolically (``oracle_compose`` truncated one degree above ell's
+    floor, and d/dx3 of ell's sum) and evaluated at ``env``: (p symbol,
+    p values, d3 ell values or None when ell is free of x3). The oracle
+    for the jets of ``oracle._order_claim_values``; cheap up to order 3."""
     ell = split.ell[0][0]
-    p = compose(ell, split.g_plus, ell.low_degree + 1)
-    d3 = simplify(_d3_symbol(ell).total())
+    p = oracle_compose(ell, split.g_plus, ell.low_degree + 1)
+    d3 = simplify(diff(ell.total(), VarId.X3))
     d3_vals = None if d3 is ZERO else eval_expr(d3, env)
     return p, eval_expr(simplify(p.total()), env), d3_vals
+
+
+def depth_derivative_leading(m, sign: int) -> SymbolTerm:
+    """Hand formula for the degree-0 part of d3 y.
+
+    s^-1 (-(1/2) i xi_mu d3(a_{3mu} - a_{mu3})
+          +- (2 gamma1)^-1 (s^2 d3 kappa + (d3 Qt_{mu nu}) xi_mu xi_nu)).
+
+    It coincides with the exact derivative of the leading term when
+    alpha33 is depth independent and identically one; for general media
+    the exact symbolic derivative picks up extra d3 alpha33 terms.
+    """
+    sd = schur(m)
+    g = gamma1(m)
+    drift = const(1j) * (
+        _XI1 * diff(simplify(m.alpha[2][0] - m.alpha[0][2]), VarId.X3)
+        + _XI2 * diff(simplify(m.alpha[2][1] - m.alpha[1][2]), VarId.X3)
+    )
+    xis = (_XI1, _XI2)
+    qdot = ipow(_S, 2) * diff(m.kappa, VarId.X3)
+    for mu in range(2):
+        for nu in range(2):
+            qdot = qdot + diff(sd.Qt[mu][nu], VarId.X3) * xis[mu] * xis[nu]
+    e = recip(_S) * (const(-0.5) * drift + const(sign) * recip(const(2) * g.expr) * qdot)
+    return SymbolTerm(simplify(e), 0)

@@ -17,12 +17,13 @@ from anisosplit import (
 )
 from anisosplit import presets
 from anisosplit.expr import ZERO, diff, mul, parse, recip, sub
-from anisosplit.oracle import depth_derivative_leading, draw_probe_points
+from anisosplit.oracle import draw_probe_points
 from anisosplit.symbols import radicand
 
 from helpers import (
     closed_form_step,
     closed_form_values,
+    depth_derivative_leading,
     eval_at,
     probe_env,
     rel_err,

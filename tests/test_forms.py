@@ -141,7 +141,28 @@ def test_lift_round_trips_and_rejects_non_forms():
     form = SymbolForm.lift(rho, y0)
     assert sorted(form.terms) == [0, 1]
     assert rel_err(_values(form.lower(), env), _values(y0, env)) <= 1e-14
-    # rho^(1/2) only under +, -, *, / by one grade and integer powers
-    for bad in (exp_(rho.root), sqrt_(rho.root), recip(rho.root + parse("xi1"))):
+    # rho^(1/2) only under +, -, *, / and integer powers
+    for bad in (exp_(rho.root), sqrt_(rho.root)):
         with pytest.raises(SymbolError):
             SymbolForm.lift(rho, bad)
+    # a divisor of two grades lifts through the form inverse
+    quotient = recip(rho.root + parse("xi1"))
+    form = SymbolForm.lift(rho, quotient)
+    assert sorted(form.terms) == [0, 1]
+    assert rel_err(_values(form.lower(), env), _values(quotient, env)) <= 1e-13
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_form_inverse_of_two_grade_leading_term(sign):
+    m = presets.heterogeneous_full()
+    (f,) = expand(m, sign, 1, 0).forms
+    assert sorted(f.terms) == [0, 1]
+    env = probe_env(draw_probe_points(m, 25, np.random.default_rng(9)))
+    for n in (1, 2):
+        one = (f._power(n) * f._power(-n)).lower()
+        assert np.max(np.abs(_values(one, env) - 1.0)) <= 1e-13
+
+
+def test_zero_form_has_no_inverse():
+    with pytest.raises(SymbolError):
+        SymbolForm(radicand(presets.heterogeneous_full()), {})._power(-1)

@@ -5,9 +5,10 @@ from anisosplit import (
     NormalizationError,
     NormalizationSpec,
     PolyhomSymbol,
+    SymbolForm,
     apply_normalization,
     apply_normalization_symbols,
-    compose,
+    const,
     expand,
     leading_term,
     parse,
@@ -15,49 +16,59 @@ from anisosplit import (
     symbol_inverse,
 )
 from anisosplit import presets
-from anisosplit.expr import ZERO
 from anisosplit.oracle import draw_probe_points
+from anisosplit.symbols import _compose, radicand
 
-from helpers import eval_at, rel_err
-
-
-def test_symbol_inverse_of_constant_symbol():
-    y = PolyhomSymbol({0: parse("2")}, floor=0)
-    z = symbol_inverse(y, 2)
-    assert z.term(0) is parse("0.5")
-    for d in (-1, -2):
-        assert z.term(d) is ZERO
+from helpers import eval_at, oracle_normalization, rel_err
 
 
-def test_symbol_inverse_pointwise_for_x_independent():
+def _forms(m, pairs):
+    rho = radicand(m)
+    return {d: SymbolForm.lift(rho, parse(t)) for d, t in pairs.items()}
+
+
+def _series_forms(exp):
+    return {t.degree: f for t, f in zip(exp.terms, exp.forms)}
+
+
+def test_symbol_inverse_of_constant_symbol(het_medium):
+    z = symbol_inverse(_forms(het_medium, {0: "2"}), 2)
+    assert list(z) == [0]
+    assert z[0].lower() is parse("0.5")
+
+
+def test_symbol_inverse_pointwise_for_x_independent(het_medium):
     # no x-dependence: composition is plain multiplication, so the
     # parametrix is the literal reciprocal of the top term
-    y = PolyhomSymbol({1: parse("s + 1i*xi1")}, floor=1)
+    y = _forms(het_medium, {1: "s + 1i*xi1"})
     z = symbol_inverse(y, 2)
     pts = [(0.1, 0.2, 0.3, 0.9, -0.4, 1.2 + 0.5j)]
-    assert rel_err(
-        eval_at(z.term(-1), pts), 1.0 / eval_at(y.term(1), pts)
-    ) <= 1e-14
-    assert z.term(-2) is ZERO
+    assert rel_err(eval_at(z[-1].lower(), pts), 1.0 / eval_at(y[1].lower(), pts)) <= 1e-14
+    assert list(z) == [-1]
+
+
+def test_symbol_inverse_of_zero_symbol_raises(het_medium):
+    with pytest.raises(NormalizationError):
+        symbol_inverse({0: SymbolForm(radicand(het_medium), {})}, 2)
 
 
 def test_symbol_inverse_cancels_composition(het_expansion_pair):
     exp = het_expansion_pair[0]
-    y = exp.series()
+    y = _series_forms(exp)
     order = 2
     z = symbol_inverse(y, order)
-    c = compose(z, y, floor=-order)
     pts = draw_probe_points(exp.medium, 20, np.random.default_rng(1))
-    assert rel_err(eval_at(c.term(0), pts), np.ones(20)) <= 1e-12
-    for d in (-1, -2):
-        vals = np.abs(eval_at(c.term(d), pts))
-        assert np.max(vals) <= 1e-10, f"degree {d}"
+    for c in (_compose(z, y, -order), _compose(y, z, -order)):
+        assert rel_err(eval_at(c[0].lower(), pts), np.ones(20)) <= 1e-12
+        for d in (-1, -2):
+            vals = np.abs(eval_at(c[d].lower(), pts))
+            assert np.max(vals) <= 1e-10, f"degree {d}"
 
 
 def test_symbol_inverse_top_degree(het_expansion_pair):
-    y = het_expansion_pair[0].series()
+    y = _series_forms(het_expansion_pair[0])
     z = symbol_inverse(y, 2)
-    assert z.top_degree == -y.top_degree
+    assert max(z) == -max(y)
 
 
 def test_spec_validation():
@@ -122,8 +133,7 @@ def test_impedance_gauge_generators_homogeneous(hom_split):
 def test_gauge_round_trip(het_medium):
     # conjugate by N, then by its parametrix: retained degrees return
     split = split_symbols(expand(het_medium, 1, 0, 2), expand(het_medium, -1, 0, 2))
-    n_plus = split.ell[0][0]
-    n_minus = split.ell[0][1]
+    n_plus, n_minus = split.ell_forms[0]
     fwd = apply_normalization_symbols(split, n_plus, n_minus)
     back = apply_normalization_symbols(
         fwd, symbol_inverse(n_plus, split.order), symbol_inverse(n_minus, split.order)
@@ -142,3 +152,31 @@ def test_normalized_split_keeps_shape(het_split):
     assert out.eta == het_split.eta
     assert out.medium is het_split.medium
     assert out.g_plus.low_degree == 1 - het_split.order
+
+
+@pytest.mark.parametrize("kind", ["impedance", "constant"])
+@pytest.mark.parametrize("eta", [0, 1])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_forms_gauge_matches_expression_oracle(het_medium, order, eta, kind):
+    # every transformed term against the gauge built on expressions; the
+    # error is relative to the entry's largest term, since the lower terms
+    # of the impedance gauge's ell row 0 are rounding-level values
+    split = split_symbols(expand(het_medium, 1, eta, order), expand(het_medium, -1, eta, order))
+    if kind == "impedance":
+        spec = NormalizationSpec(kind="impedance")
+        diag = split.ell[0]
+    else:
+        spec = NormalizationSpec(kind="constant", m=2 + 1j, mprime=0.5 - 0.25j)
+        diag = [PolyhomSymbol({0: const(c)}, floor=-order) for c in (spec.m, spec.mprime)]
+    out = apply_normalization(split, spec)
+    g_plus, g_minus, ell = oracle_normalization(split, *diag)
+    pts = draw_probe_points(het_medium, 12, np.random.default_rng(7))
+    pairs = [(out.g_plus, g_plus), (out.g_minus, g_minus)]
+    pairs += [(out.ell[i][j], ell[i][j]) for i in range(2) for j in range(2)]
+    for got, want in pairs:
+        assert sorted(got.terms) == sorted(want.terms)
+        assert got.low_degree == want.low_degree
+        scale = max(np.max(np.abs(eval_at(e, pts))) for e in want.terms.values())
+        for d, e in want.terms.items():
+            gap = np.max(np.abs(eval_at(got.terms[d], pts) - eval_at(e, pts)))
+            assert gap <= 1e-12 * scale, (d, gap / scale)

@@ -8,6 +8,7 @@ import pytest
 from anisosplit import (
     OracleError,
     SpectralGapError,
+    SymbolTerm,
     TransverseGrid,
     VarId,
     eval_expr,
@@ -31,11 +32,12 @@ from anisosplit.oracle import (
     draw_probe_points,
     fit_loglog,
 )
-from anisosplit.symbols import x_derivative, xi_derivative
 
 from helpers import (
     eig_grid_admittance,
     field_rel,
+    oracle_x_derivative,
+    oracle_xi_derivative,
     rel_err,
     single_shot_kernel,
     symbolic_order_claim,
@@ -141,6 +143,43 @@ def test_rounding_rule_does_not_excuse_a_real_residual(het_medium):
     assert not mixed.at_rounding_level
     assert replace(mixed, rms=(eps, eps, eps)).passed
     assert not replace(mixed, term_rms=()).at_rounding_level
+
+
+def test_residual_fit_window_ends_at_the_rounding_floor():
+    # crafted rms ~ lam^-6 whose last two scales sit at the rounding floor,
+    # as at order 6 on heterogeneous_full
+    lam = np.asarray(DEFAULT_LAMBDAS)
+    term = np.full(lam.shape, 1e-6)
+    floor = oracle._ROUNDING_RTOL * term
+    rms = lam**-6.0
+    rms[-2:] = 0.5 * floor[-2:]
+    rep = oracle._residual_report(6, 1, 7, lam, rms, term)
+    assert (rep.fit_from, rep.fit_to, rep.fit_scales) == (8.0, 64.0, 4)
+    assert rep.slope == pytest.approx(-6.0) and rep.passed
+    assert "fit up to lam = 64 (rounding level above)" in rep.describe()
+    assert abs(fit_loglog(lam[1:], rms[1:])[0] + 6.0) > 0.3  # the fit without the window
+    # a residual one order too large still fails inside the window
+    assert not oracle._residual_report(6, 1, 7, lam, 10 * lam**-5.0, term).passed
+    # two scales above the floor are too few: the report fails and says why
+    rms[3:] = 0.5 * floor[3:]
+    short = oracle._residual_report(6, 1, 7, lam, rms, term)
+    assert short.fit_scales == 2 and short.slope == pytest.approx(-6.0)
+    assert not short.passed
+    assert "only 2 scale(s) above the rounding floor (need 3)" in short.describe()
+    # every scale at the floor: the all-scales rounding rule, as before
+    flat = oracle._residual_report(6, 1, 7, lam, 0.5 * floor, term)
+    assert flat.at_rounding_level and flat.passed and flat.fit_to == 256.0
+
+
+def test_residual_window_does_not_excuse_a_wrong_term(het_medium):
+    exp = expand(het_medium, 1, 1, 3)
+    pts = draw_probe_points(het_medium, 6, np.random.default_rng(202))
+    assert riccati_residual(exp, points=pts).passed
+    last = exp.terms[-1]
+    wrong = replace(exp, terms=exp.terms[:-1] + (SymbolTerm(2 * last.expr, last.degree),))
+    rep = riccati_residual(wrong, points=pts)
+    assert rep.fit_to == 256.0 and abs(rep.slope + 2.0) <= 0.3
+    assert not rep.passed
 
 
 def test_quad_oracle_matches_numpy_roots(hom_medium):
@@ -413,9 +452,9 @@ def test_mixed_partials_from_jets_match_symbolic_derivatives(het_medium, space):
     env = _scaling_env(draw_probe_points(het_medium, 5, np.random.default_rng(8)), [1.0, 3.0])
     dirs = _jet_directions(4)
     if space == "xi":
-        seeds, derivative = {VarId.XI1: dirs[:, 0], VarId.XI2: dirs[:, 1]}, xi_derivative
+        seeds, derivative = {VarId.XI1: dirs[:, 0], VarId.XI2: dirs[:, 1]}, oracle_xi_derivative
     else:
-        seeds, derivative = {VarId.X1: dirs[:, 0], VarId.X2: dirs[:, 1]}, x_derivative
+        seeds, derivative = {VarId.X1: dirs[:, 0], VarId.X2: dirs[:, 1]}, oracle_x_derivative
     (jet,) = taylor_eval([y], env, seeds, 4)
     parts = _mixed_partials(jet, dirs, 4)
     assert len(parts) == 15

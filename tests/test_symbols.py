@@ -8,10 +8,10 @@ import pytest
 from anisosplit import (
     PolyhomSymbol,
     SymbolError,
+    SymbolForm,
     SymbolTerm,
     TransverseGrid,
     VarId,
-    compose,
     compose_degree_part,
     eval_expr,
     homogeneity_check,
@@ -24,7 +24,14 @@ from anisosplit import (
 )
 from anisosplit import expand, presets, symbols
 from anisosplit.expr import DivisionByZeroError, SqrtDomainError, ZERO, diff, mul, sub
-from anisosplit.symbols import _BLOCK_ENTRIES, _physical_kernel, x_derivative, xi_derivative
+from anisosplit.symbols import (
+    _BLOCK_ENTRIES,
+    _compose,
+    _physical_kernel,
+    radicand,
+    x_derivative,
+    xi_derivative,
+)
 
 from helpers import field_rel, random_points, rel_err, single_shot_kernel, single_shot_quantize
 
@@ -44,6 +51,18 @@ def _sym(pairs, floor=None):
     return PolyhomSymbol({d: parse(t) for d, t in pairs.items()}, floor=floor)
 
 
+RHO = radicand(presets.heterogeneous_full())
+
+
+def _forms(pairs):
+    """A degree -> SymbolForm map of expressions free of rho^(1/2) (one grade)."""
+    return {d: SymbolForm.lift(RHO, parse(t)) for d, t in pairs.items()}
+
+
+def _value(forms, d):
+    return eval_expr(forms[d].lower(), ENV) if d in forms else 0.0
+
+
 def test_polyhom_bookkeeping():
     y = _sym({1: "s*x1", 0: "sin(x1)", -1: "xi1/s^2"}, floor=-2)
     assert y.top_degree == 1
@@ -58,15 +77,6 @@ def test_polyhom_rejects_term_below_floor():
         _sym({0: "1", -3: "x1"}, floor=-1)
 
 
-def test_polyhom_addition_aligns_degrees():
-    a = _sym({1: "s", -1: "x1"}, floor=-1)
-    b = _sym({1: "2*s", 0: "xi1"}, floor=-1)
-    c = a + b
-    assert eval_expr(c.term(1), ENV) == pytest.approx(3 * ENV[VarId.S])
-    assert c.term(0) is parse("xi1")
-    assert c.term(-1) is parse("x1")
-
-
 def test_polyhom_truncate_drops_low_degrees():
     y = _sym({1: "s", 0: "x1", -1: "xi2"}, floor=-2)
     t = y.truncate(0)
@@ -78,44 +88,44 @@ def test_polyhom_truncate_drops_low_degrees():
 
 def test_derivative_helpers():
     e = parse("xi1^2 * sin(x1) + xi2*x2")
-    assert xi_derivative(e, (1, 0)) is diff(e, VarId.XI1)
-    d2 = x_derivative(e, (0, 2))
-    assert eval_expr(d2, ENV) == pytest.approx(
+    (f,) = _forms({0: "xi1^2 * sin(x1) + xi2*x2"}).values()
+    assert xi_derivative(f, (1, 0)) is f.diff(VarId.XI1)
+    d2 = x_derivative(f, (0, 2))
+    assert eval_expr(d2.lower(), ENV) == pytest.approx(
         eval_expr(diff(diff(e, VarId.X2), VarId.X2), ENV)
     )
 
 
 def test_compose_with_x_independent_right_factor_is_product():
-    p = _sym({1: "s + 1i*xi1*x1", 0: "sin(x1)*cos(x2)"})
-    q = _sym({0: "s/(s+1)", -1: "xi1/s^2"}, floor=-1)
-    c = compose(p, q, floor=-1)
+    p = _forms({1: "s + 1i*xi1*x1", 0: "sin(x1)*cos(x2)"})
+    q = _forms({0: "s/(s+1)", -1: "xi1/s^2"})
+    c = _compose(p, q, -1)
     for d in (1, 0, -1):
-        acc = ZERO
+        acc = 0.0
         for dp in (1, 0):
             for dq in (0, -1):
                 if dp + dq == d:
-                    acc = acc + mul(p.term(dp), q.term(dq))
-        assert eval_expr(c.term(d), ENV) == pytest.approx(eval_expr(acc, ENV))
+                    acc = acc + _value(p, dp) * _value(q, dq)
+        assert _value(c, d) == pytest.approx(acc)
 
 
 def test_compose_first_order_left_factor_exact_rule():
     # p = xi1 composed with f(x): p o f = xi1 f - i d1 f, nothing else
-    p = PolyhomSymbol.from_term(parse("xi1"), 1)
     f = parse("sin(2*x1)*cos(x2)")
-    q = PolyhomSymbol.from_term(f, 0)
-    c = compose(p, q, floor=0)
+    c = _compose(_forms({1: "xi1"}), _forms({0: "sin(2*x1)*cos(x2)"}), -3)
     want1 = mul(parse("xi1"), f)
     want0 = mul(parse("-1i"), diff(f, VarId.X1))
-    assert eval_expr(c.term(1), ENV) == pytest.approx(eval_expr(want1, ENV))
-    assert eval_expr(c.term(0), ENV) == pytest.approx(eval_expr(want0, ENV))
+    assert sorted(c) == [0, 1]
+    assert _value(c, 1) == pytest.approx(eval_expr(want1, ENV))
+    assert _value(c, 0) == pytest.approx(eval_expr(want0, ENV))
 
 
 def test_compose_degree_part_beta_factorials():
     # p = xi1^3 against f(x1): degree 0 part carries (1/i d_x1)^3 / 3!
-    p = {3: parse("xi1^3")}
+    p = _forms({3: "xi1^3"})
     f = parse("exp(0.3*x1)")
-    q = {0: f}
-    got = compose_degree_part(p, q, 0)
+    q = _forms({0: "exp(0.3*x1)"})
+    got = compose_degree_part(p, q, 0).lower()
     want = mul(
         parse("1/6"),
         mul(
@@ -127,16 +137,14 @@ def test_compose_degree_part_beta_factorials():
 
 
 def test_compose_associative_up_to_floor():
-    p = _sym({1: "1i*xi1 + s*sin(x1)"})
-    q = _sym({0: "cos(x1) + x2"})
-    r = _sym({0: "exp(0.2*x2) + sin(x1)"})
+    p = _forms({1: "1i*xi1 + s*sin(x1)"})
+    q = _forms({0: "cos(x1) + x2"})
+    r = _forms({0: "exp(0.2*x2) + sin(x1)"})
     floor = -2
-    left = compose(compose(p, q, floor), r, floor)
-    right = compose(p, compose(q, r, floor), floor)
+    left = _compose(_compose(p, q, floor), r, floor)
+    right = _compose(p, _compose(q, r, floor), floor)
     for d in range(1, floor - 1, -1):
-        lv = eval_expr(left.term(d), ENV)
-        rv = eval_expr(right.term(d), ENV)
-        assert lv == pytest.approx(rv, rel=1e-10, abs=1e-12)
+        assert _value(left, d) == pytest.approx(_value(right, d), rel=1e-10, abs=1e-12)
 
 
 def test_systems_symbols_values(hom_medium):
@@ -428,7 +436,8 @@ def test_quantize_composition_matches_matrix_product():
     s = 1.2 + 0.3j
     p = PolyhomSymbol.from_term(parse("1i*xi1"), 1)
     q = PolyhomSymbol.from_term(parse("sin(x1)*cos(x2)"), 0)
-    comp = compose(p, q, floor=0)
+    comp_forms = _compose(_forms({1: "1i*xi1"}), _forms({0: "sin(x1)*cos(x2)"}), 0)
+    comp = PolyhomSymbol({d: f.lower() for d, f in comp_forms.items()}, floor=0)
     rng = np.random.default_rng(9)
     spec = np.zeros((8, 8), dtype=complex)
     for k1 in (-2, -1, 0, 1, 2):
