@@ -1,4 +1,4 @@
-"""Tour of the expression layer: parse, evaluate, differentiate, simplify.
+"""Tour of the expression layer: parse, evaluate, differentiate, fold.
 
 Every coefficient and symbol term in the package is one of these
 immutable expression nodes, so this is the vocabulary everything else
@@ -7,7 +7,7 @@ speaks.
 
 import numpy as np
 
-from anisosplit import VarId, diff, eval_expr, free_vars, node_count, parse, simplify, to_text
+from anisosplit import VarId, diff, eval_expr, free_vars, node_count, parse, to_text
 
 # Parse a formula in the six variables x1 x2 x3 xi1 xi2 s. Imaginary
 # literals use a trailing i.
@@ -40,6 +40,8 @@ print("reparsed formula is the same object:", a is b)
 big = parse("(x1*xi2 + sin(x3)) - (x1*xi2 + sin(x3)) + s")
 print("identical-form cancellation:", to_text(big))
 
-# simplify reruns folding bottom-up; it never changes values.
-messy = parse("(s^2 + 2*s^2) / s")
-print("simplified:", to_text(simplify(messy)), "nodes:", node_count(simplify(messy)))
+# The constructors are the one normal form: each node folds constants,
+# prunes 0 and 1 and pulls constants to the front as it is built, so
+# there is no separate simplification pass to run afterwards.
+messy = parse("2*(3*x1) + 0*x2 - x3^1*1 + sqrt(xi1)^2")
+print("folded at construction:", to_text(messy), "nodes:", node_count(messy))

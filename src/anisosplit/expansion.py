@@ -39,7 +39,6 @@ from .expr import (
     _walk,
     const,
     recip,
-    simplify,
     sqrt_,
     variable,
 )
@@ -88,19 +87,15 @@ def gamma1(m: MediumSpec) -> SymbolTerm:
 
     def build():
         rho = radicand(m).expr
-        return SymbolTerm(simplify(sqrt_(m.alpha[2][2]) * sqrt_(rho)), 1)
+        return SymbolTerm(sqrt_(m.alpha[2][2]) * sqrt_(rho), 1)
 
     return m._cache("gamma1", build)
 
 
 def _antisym_drift(m: MediumSpec) -> Expr:
     # i xi_mu (alpha_{3 mu} - alpha_{mu 3})
-    return simplify(
-        const(1j)
-        * (
-            _XI1 * (m.alpha[2][0] - m.alpha[0][2])
-            + _XI2 * (m.alpha[2][1] - m.alpha[1][2])
-        )
+    return const(1j) * (
+        _XI1 * (m.alpha[2][0] - m.alpha[0][2]) + _XI2 * (m.alpha[2][1] - m.alpha[1][2])
     )
 
 
@@ -116,7 +111,7 @@ def leading_term(m: MediumSpec, sign: int) -> SymbolTerm:
     def build():
         g = gamma1(m)
         e = recip(_S) * (const(-0.5) * _antisym_drift(m) + const(sign) * g.expr)
-        return SymbolTerm(simplify(e), 0)
+        return SymbolTerm(e, 0)
 
     return m._cache(f"y0[{sign}]", build)
 
@@ -337,7 +332,7 @@ def _generator_symbol(branch: AdmittanceExpansion, floor: int):
     each lowered once."""
     m = branch.medium
     A = systems_symbols(m)
-    top = simplify(simplify(A.a21.term(1) * branch.term(0)) + A.a22.term(1))
+    top = A.a21.term(1) * branch.term(0) + A.a22.term(1)
     g, forms = {1: top}, {1: SymbolForm.lift(radicand(m), top)}
     a21 = _kit(m).a21
     for t, f in zip(branch.terms[1:], branch.forms[1:]):

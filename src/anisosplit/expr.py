@@ -9,6 +9,12 @@ identical subtrees are the same Python object, so trees built by the
 recursion machinery are really DAGs and repeated subexpressions cost
 nothing extra to store or evaluate.
 
+The constructors are the one normal form: ``add``, ``sub``, ``mul``,
+``neg``, ``ipow`` and ``recip`` fold constants, prune 0 and 1, cancel
+``x - x`` and pull constants to the front as each node is built, so a
+node's form depends only on how it was built, never on what the process
+built before. There is no separate simplification pass.
+
 Evaluation accepts scalars or numpy arrays per variable and broadcasts;
 values are coerced to complex128. The square root is the principal
 branch and any argument on the closed negative real axis (including 0
@@ -62,7 +68,6 @@ __all__ = [
     "eval_expr",
     "taylor_eval",
     "diff",
-    "simplify",
     "free_vars",
     "node_count",
     "ZERO",
@@ -127,7 +132,7 @@ class Expr:
     id-keyed memoization are sound.
     """
 
-    __slots__ = ("op", "args", "data", "free_vars", "_dcache", "_simp", "_ref", "__weakref__")
+    __slots__ = ("op", "args", "data", "free_vars", "_dcache", "_ref", "__weakref__")
 
     def __init__(self, op, args, data):
         self.op = op
@@ -144,7 +149,6 @@ class Expr:
         # at most 2^6 distinct sets exist; share one object per set
         self.free_vars = _FREE_VARS.setdefault(fv, fv)
         self._dcache = None  # {VarId: derivative}, made on first use
-        self._simp = None
 
     # Operator sugar so formulas read naturally in the calculus modules.
     # An operand that is neither an Expr nor a number is left to its own
@@ -490,8 +494,8 @@ def _walk(roots, enter=None):
     key the dicts themselves. With ``enter``, a root or an argument is
     visited only when ``enter(node)`` is true.
 
-    This is the one post-order traversal of a DAG: evaluation, printing,
-    ``diff`` and ``simplify`` all read their node order from it."""
+    This is the one post-order traversal of a DAG: evaluation, printing
+    and ``diff`` all read their node order from it."""
     order = []
     nref = {}
     seen = set()
@@ -874,106 +878,6 @@ def diff(e: Expr, v: VarId) -> Expr:
             node._dcache = {}
         node._dcache[v] = d
     return e._dcache[v]
-
-
-# ---------------------------------------------------------------------------
-# simplification
-
-
-def _flatten_chain(e, op):
-    # collect operands of a left/right-nested add or mul chain
-    out = []
-    stack = [e]
-    while stack:
-        n = stack.pop()
-        if n.op == op:
-            stack.extend(n.args)
-        else:
-            out.append(n)
-    return out
-
-
-def _post_rules(e):
-    if e.op == "add":
-        parts = _flatten_chain(e, "add")
-        if len(parts) > 2:
-            c = 0j
-            rest = []
-            for p in parts:
-                if p.op == "const":
-                    c += p.data
-                else:
-                    rest.append(p)
-            if rest:
-                acc = rest[0]
-                for p in rest[1:]:
-                    acc = add(acc, p)
-                return add(const(c), acc) if c != 0 else acc
-            return const(c)
-    elif e.op == "mul":
-        parts = _flatten_chain(e, "mul")
-        if len(parts) > 2:
-            c = 1 + 0j
-            rest = []
-            for p in parts:
-                if p.op == "const":
-                    c *= p.data
-                else:
-                    rest.append(p)
-            if rest:
-                acc = rest[0]
-                for p in rest[1:]:
-                    acc = mul(acc, p)
-                return mul(const(c), acc) if c != 1 else acc
-            return const(c)
-    return e
-
-
-_REBUILD = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "div": div,
-    "neg": neg,
-    "sqrt": sqrt_,
-    "exp": exp_,
-    "sin": sin_,
-    "cos": cos_,
-    "recip": recip,
-}
-
-
-# ``_simp`` of a node that simplifies to itself. A reference to the node
-# would make every simplified node a cycle that only the cyclic collector
-# frees.
-_FIXED = object()
-
-
-def _simplified(node):
-    s = node._simp
-    return node if s is _FIXED else s
-
-
-def simplify(e: Expr) -> Expr:
-    """Best-effort rewriting: constant folding, 0/1 pruning, x-x -> 0,
-    and constant collection over +/* chains. Semantics-preserving (the
-    result evaluates identically up to float association); idempotent.
-    """
-    order, _ = _walk([e], lambda a: a._simp is None)
-    for node in order:
-        if node._simp is not None:
-            continue
-        op = node.op
-        if op in ("const", "var"):
-            res = node
-        elif op == "pow":
-            res = ipow(_simplified(node.args[0]), node.data)
-        else:
-            res = _post_rules(_REBUILD[op](*[_simplified(a) for a in node.args]))
-        node._simp = _FIXED if res is node else res
-        if res._simp is None:
-            res._simp = _FIXED
-    return _simplified(e)
 
 
 # ---------------------------------------------------------------------------

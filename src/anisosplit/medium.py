@@ -23,7 +23,6 @@ from .expr import (
     mul,
     parse,
     recip,
-    simplify,
     sub,
     variable,
 )
@@ -60,7 +59,7 @@ def _as_medium_expr(e):
     if bad:
         names = ", ".join(sorted(v.value for v in bad))
         raise MediumError(f"material entry may depend on x1,x2,x3 only (found {names})")
-    return simplify(e)
+    return e
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,9 +144,9 @@ def load_medium(section) -> MediumSpec:
 
     from_rho = key == "rho"
     if from_rho:
-        det = simplify(_det3(mat))
+        det = _det3(mat)
         adj = _adjugate3(mat)
-        mat = tuple(tuple(simplify(mul(adj[i][j], recip(det))) for j in range(3)) for i in range(3))
+        mat = tuple(tuple(mul(adj[i][j], recip(det)) for j in range(3)) for i in range(3))
 
     bounds = dict(_DEFAULT_BOUNDS)
     for k in bounds:
@@ -280,7 +279,7 @@ def schur(m: MediumSpec) -> SchurData:
         inv33 = recip(m.alpha[2][2])
         Q = tuple(
             tuple(
-                simplify(sub(m.alpha[i][j], mul(mul(m.alpha[i][2], inv33), m.alpha[2][j])))
+                sub(m.alpha[i][j], mul(mul(m.alpha[i][2], inv33), m.alpha[2][j]))
                 for j in range(2)
             )
             for i in range(2)
@@ -288,22 +287,18 @@ def schur(m: MediumSpec) -> SchurData:
         quarter = 0.25
         Qt = tuple(
             tuple(
-                simplify(
-                    sub(
-                        m.alpha[i][j],
-                        mul(
-                            mul(quarter, mul((m.alpha[i][2] + m.alpha[2][i]), inv33)),
-                            (m.alpha[j][2] + m.alpha[2][j]),
-                        ),
-                    )
+                sub(
+                    m.alpha[i][j],
+                    mul(
+                        mul(quarter, mul((m.alpha[i][2] + m.alpha[2][i]), inv33)),
+                        (m.alpha[j][2] + m.alpha[2][j]),
+                    ),
                 )
                 for j in range(2)
             )
             for i in range(2)
         )
-        dQ = tuple(
-            simplify(diff(Q[0][nu], VarId.X1) + diff(Q[1][nu], VarId.X2)) for nu in range(2)
-        )
+        dQ = tuple(diff(Q[0][nu], VarId.X1) + diff(Q[1][nu], VarId.X2) for nu in range(2))
         return SchurData(Q=Q, Qt=Qt, dQ=dQ)
 
     return m._cache("schur", build)
@@ -311,7 +306,7 @@ def schur(m: MediumSpec) -> SchurData:
 
 @dataclass(frozen=True)
 class _Coefficients:
-    """Simplified coefficient fields of the first-order depth system.
+    """Coefficient fields of the first-order depth system.
 
     f[mu] = alpha_{mu 3} / alpha33, g[mu] = alpha_{3 mu} / alpha33,
     inv33 = alpha33^-1, kappa, and the Schur complement Q.
@@ -330,10 +325,10 @@ def _coefficients(m: MediumSpec) -> _Coefficients:
     def build():
         inv33 = recip(m.alpha[2][2])
         return _Coefficients(
-            kappa=simplify(m.kappa),
-            inv33=simplify(inv33),
-            f=tuple(simplify(m.alpha[mu][2] * inv33) for mu in range(2)),
-            g=tuple(simplify(m.alpha[2][mu] * inv33) for mu in range(2)),
+            kappa=m.kappa,
+            inv33=inv33,
+            f=tuple(m.alpha[mu][2] * inv33 for mu in range(2)),
+            g=tuple(m.alpha[2][mu] * inv33 for mu in range(2)),
             Q=schur(m).Q,
         )
 

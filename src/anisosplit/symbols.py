@@ -38,7 +38,6 @@ from .expr import (
     mul,
     neg,
     recip,
-    simplify,
     sqrt_,
     sub,
     variable,
@@ -234,8 +233,8 @@ def systems_symbols(m: MediumSpec) -> SymbolMatrix22:
         c = _coefficients(m)
         i = const(1j)
 
-        a11_1 = simplify(i * (xi1 * c.f[0] + xi2 * c.f[1]))
-        a11_0 = simplify(diff(c.f[0], VarId.X1) + diff(c.f[1], VarId.X2))
+        a11_1 = i * (xi1 * c.f[0] + xi2 * c.f[1])
+        a11_0 = diff(c.f[0], VarId.X1) + diff(c.f[1], VarId.X2)
 
         dQ = schur(m).dQ
         qform = ZERO
@@ -244,13 +243,13 @@ def systems_symbols(m: MediumSpec) -> SymbolMatrix22:
                 xim = xi1 if mu == 0 else xi2
                 xin = xi1 if nu == 0 else xi2
                 qform = qform + c.Q[mu][nu] * xim * xin
-        a12_1 = simplify(s * c.kappa + recip(s) * qform)
-        a12_0 = simplify(const(-1) * recip(s) * i * (dQ[0] * xi1 + dQ[1] * xi2))
+        a12_1 = s * c.kappa + recip(s) * qform
+        a12_0 = const(-1) * recip(s) * i * (dQ[0] * xi1 + dQ[1] * xi2)
 
-        a21_1 = simplify(s * c.inv33)
+        a21_1 = s * c.inv33
         # one inv33 factor outside the sum, not i xi_mu g_mu: the expansion
         # terms, and so the text `anisosplit expand` writes, follow this form
-        a22_1 = simplify(i * (xi1 * m.alpha[2][0] + xi2 * m.alpha[2][1]) * c.inv33)
+        a22_1 = i * (xi1 * m.alpha[2][0] + xi2 * m.alpha[2][1]) * c.inv33
 
         return SymbolMatrix22(
             a11=PolyhomSymbol({1: a11_1, 0: a11_0}, floor=0),
@@ -278,7 +277,7 @@ def _accumulate(out: dict, key, term: Expr):
 class Radicand:
     """rho = s^2 kappa + Qt xi.xi of one medium, so gamma1 = alpha33^(1/2) rho^(1/2).
 
-    ``expr`` is rho as one simplified expression and ``root`` its square
+    ``expr`` is rho as one expression and ``root`` its square
     root, shared by gamma1 and by every lowered form.
     """
 
@@ -288,7 +287,7 @@ class Radicand:
         for mu in range(2):
             for nu in range(2):
                 form = form + Qt[mu][nu] * xis[mu] * xis[nu]
-        self.expr = simplify(ipow(_S, 2) * kappa + form)
+        self.expr = ipow(_S, 2) * kappa + form
         self.root = sqrt_(self.expr)
         self._grad = {}
 

@@ -2,6 +2,7 @@
 
     python tests/cli_fingerprint.py > fingerprint.txt
     python tests/cli_fingerprint.py --against fingerprint.txt
+    python tests/cli_fingerprint.py --keep DIR > fingerprint.txt
 
 Prints ``<run> exit <code>`` for each run and ``<run> <output> <sha256>``
 for each entry of its manifest ``outputs``. Each run is a fresh
@@ -10,7 +11,9 @@ on the command line, so no output can depend on what ran before it in the
 same process. Running the script from two checkouts and comparing with
 ``diff`` shows whether a change moved any output. With ``--against FILE`` it prints only
 the lines that differ from a saved fingerprint (``-`` saved, ``+`` now)
-and exits 1 if any does.
+and exits 1 if any does. With ``--keep DIR`` each run writes its outputs
+to ``DIR/<run>/`` and leaves them there, so the outputs of two checkouts
+can be compared number by number where their hashes differ.
 
 The runs: every subcommand on ``demos/example.cfg`` (the oracle both
 quad and grid, normalize with the impedance and a constant gauge, and
@@ -113,12 +116,12 @@ def _runs(tmp: Path):
             yield f"{tag}/{name}", ["propagate", _write(cp, tmp / f"{tag}-{name}.cfg")]
 
 
-def _fingerprint():
+def _fingerprint(keep=None):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name)
         for k, (label, argv) in enumerate(_runs(tmp)):
-            out = tmp / f"out{k:02d}"
+            out = tmp / f"out{k:02d}" if keep is None else Path(keep) / label
             cmd = [sys.executable, "-m", "anisosplit.cli", *argv, "--out", str(out)]
             code = subprocess.run(cmd, env=env, capture_output=True).returncode
             yield f"{label} exit {code}"
@@ -131,13 +134,14 @@ def _fingerprint():
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", metavar="FILE", help="saved fingerprint to compare with")
+    parser.add_argument("--keep", metavar="DIR", help="keep each run's outputs under DIR/<run>/")
     args = parser.parse_args()
     if args.against is None:
-        for line in _fingerprint():
+        for line in _fingerprint(args.keep):
             print(line, flush=True)
         return 0
     saved = Path(args.against).read_text().splitlines()
-    now = list(_fingerprint())
+    now = list(_fingerprint(args.keep))
     saved_set, now_set = set(saved), set(now)
     changed = [f"- {line}" for line in saved if line not in now_set]
     changed += [f"+ {line}" for line in now if line not in saved_set]

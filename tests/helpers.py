@@ -17,7 +17,6 @@ from anisosplit import (
     eval_expr,
     gamma1,
     schur,
-    simplify,
     systems_symbols,
     taylor_eval,
     variable,
@@ -156,8 +155,7 @@ def residual_expr(exp, beta_cap: int):
     y = ZERO
     for t in exp.terms:
         y = y + t.expr
-    y = simplify(y)
-    b = simplify(_S * inv33 * y + A.a22.term(1))
+    b = _S * inv33 * y + A.a22.term(1)
 
     dxi = {(0, 0): y}
     dxb = {(0, 0): b}
@@ -177,14 +175,14 @@ def residual_expr(exp, beta_cap: int):
             cf = coeff_i / (math.factorial(b1) * math.factorial(b2))
             acc = acc + mul(const(cf), mul(dxi[(b1, b2)], dxb[(b1, b2)]))
 
-    f1 = simplify(m.alpha[0][2] * inv33)
-    f2 = simplify(m.alpha[1][2] * inv33)
+    f1 = m.alpha[0][2] * inv33
+    f2 = m.alpha[1][2] * inv33
     acc = acc - A.a11.term(1) * y
     acc = acc - (diff(mul(f1, y), VarId.X1) + diff(mul(f2, y), VarId.X2))
     acc = acc - (A.a12.term(1) + A.a12.term(0))
     if exp.eta:
         acc = acc - diff(y, VarId.X3)
-    return simplify(acc)
+    return acc
 
 
 def symbolic_residual_rms(exp, points, lambdas, beta_cap=None):
@@ -240,7 +238,7 @@ def oracle_compose_degree_part(p_terms, q_terms, d):
                     continue
                 coeff = (-1j) ** r / (math.factorial(beta[0]) * math.factorial(beta[1]))
                 acc = acc + mul(const(coeff), mul(dp, dq))
-    return simplify(acc)
+    return acc
 
 
 def oracle_compose(p, q, floor):
@@ -257,10 +255,10 @@ def oracle_symbol_inverse(y, order: int):
     """Parametrix z o y ~ 1 of a PolyhomSymbol: the reciprocal of the top
     term, then ``order`` corrections cancelling z o y degree by degree."""
     top = y.top_degree
-    inv_top = simplify(recip(y.terms[top]))
+    inv_top = recip(y.terms[top])
     z = {-top: inv_top}
     for r in range(1, order + 1):
-        z[-top - r] = simplify(mul(neg(inv_top), oracle_compose_degree_part(z, y.terms, -r)))
+        z[-top - r] = mul(neg(inv_top), oracle_compose_degree_part(z, y.terms, -r))
     return PolyhomSymbol(z, floor=-top - order)
 
 
@@ -276,10 +274,10 @@ def oracle_normalization(split, n_plus, n_minus):
         inner = oracle_compose(n, g, floor_g - ninv.top_degree)
         gt = oracle_compose(inner, ninv, floor_g)
         if split.eta:
-            d3n = {d: simplify(diff(e, VarId.X3)) for d, e in n.terms.items()}
+            d3n = {d: diff(e, VarId.X3) for d, e in n.terms.items()}
             d3 = oracle_compose(PolyhomSymbol(d3n, floor=n.low_degree), ninv, floor_g)
             degrees = gt.terms.keys() | d3.terms.keys()
-            gt = PolyhomSymbol({d: simplify(gt.term(d) - d3.term(d)) for d in degrees}, floor_g)
+            gt = PolyhomSymbol({d: gt.term(d) - d3.term(d) for d in degrees}, floor_g)
         g_out.append(gt)
     floor_l = -order + min(z.top_degree for z in inv)
     ell = tuple(
@@ -291,8 +289,8 @@ def oracle_normalization(split, n_plus, n_minus):
 def _oracle_generator_terms(m, y_terms: dict) -> dict:
     A = systems_symbols(m)
     a21 = A.a21.term(1)
-    out = {j + 1: simplify(mul(a21, yj)) for j, yj in y_terms.items()}
-    out[1] = simplify(out.get(1, ZERO) + A.a22.term(1))
+    out = {j + 1: mul(a21, yj) for j, yj in y_terms.items()}
+    out[1] = out.get(1, ZERO) + A.a22.term(1)
     return out
 
 
@@ -303,15 +301,15 @@ def oracle_riccati_degree_part(m, eta: int, y_terms: dict, d: int):
     acc = acc - A.a12.term(d)
     if eta and d in y_terms:
         acc = acc - diff(y_terms[d], VarId.X3)
-    return simplify(acc)
+    return acc
 
 
 def oracle_collector_step(m, eta: int, sign: int, y_terms: dict, n: int):
     """The expression collector: solve the degree -n balance for y_{-n-1}."""
     e = oracle_riccati_degree_part(m, eta, y_terms, -n)
     g = gamma1(m)
-    pref = simplify(mul(const(-sign), m.alpha[2][2] * recip(const(2) * g.expr)))
-    return simplify(mul(pref, e))
+    pref = mul(const(-sign), m.alpha[2][2] * recip(const(2) * g.expr))
+    return mul(pref, e)
 
 
 def oracle_terms(m, sign: int, eta: int, order: int) -> dict:
@@ -335,11 +333,11 @@ def closed_form_step(m, eta: int, sign: int, y_terms: dict, n: int):
         raise ExpansionError("closed_form_step needs exactly the terms y_0 .. y_{-n}")
     a33 = m.alpha[2][2]
     inv33 = recip(a33)
-    f1 = simplify(m.alpha[0][2] * inv33)
-    f2 = simplify(m.alpha[1][2] * inv33)
-    a22_sym = simplify(const(1j) * (_XI1 * m.alpha[2][0] + _XI2 * m.alpha[2][1]) * inv33)
+    f1 = m.alpha[0][2] * inv33
+    f2 = m.alpha[1][2] * inv33
+    a22_sym = const(1j) * (_XI1 * m.alpha[2][0] + _XI2 * m.alpha[2][1]) * inv33
     g = gamma1(m)
-    pref = simplify(mul(const(sign), a33 * recip(const(2) * g.expr)))
+    pref = mul(const(sign), a33 * recip(const(2) * g.expr))
 
     def transport(y):
         t = diff(mul(f1, y), VarId.X1) + diff(mul(f2, y), VarId.X2)
@@ -352,13 +350,13 @@ def closed_form_step(m, eta: int, sign: int, y_terms: dict, n: int):
         y0 = y_terms[0]
         brace = neg(recip(_S) * const(1j) * (sd.dQ[0] * _XI1 + sd.dQ[1] * _XI2))
         brace = brace + transport(y0)
-        b1 = simplify(_S * inv33 * y0 + a22_sym)
+        b1 = _S * inv33 * y0 + a22_sym
         for beta in _multi_indices(1):
             tail = mul(
                 const(-1j), mul(oracle_xi_derivative(y0, beta), oracle_x_derivative(b1, beta))
             )
             brace = brace - tail
-        return simplify(mul(pref, brace))
+        return mul(pref, brace)
 
     brace = transport(y_terms[-n])
     quad = ZERO
@@ -366,7 +364,7 @@ def closed_form_step(m, eta: int, sign: int, y_terms: dict, n: int):
         k = -n - 1 - j
         if -n <= k <= -1:
             quad = quad + mul(y_terms[j], y_terms[k])
-    brace = brace - simplify(_S * inv33 * quad)
+    brace = brace - _S * inv33 * quad
     for kk in range(1, n + 2):
         coeff_i = (-1j) ** kk
         for beta in _multi_indices(kk):
@@ -375,15 +373,15 @@ def closed_form_step(m, eta: int, sign: int, y_terms: dict, n: int):
                 mdeg = kk - n - 1 - j
                 if mdeg < -n or mdeg > 0:
                     continue
-                inner = simplify(_S * inv33 * y_terms[mdeg])
+                inner = _S * inv33 * y_terms[mdeg]
                 if mdeg == 0:
-                    inner = simplify(inner + a22_sym)
+                    inner = inner + a22_sym
                 tail = mul(
                     const(coeff_i / bfact),
                     mul(oracle_xi_derivative(y_terms[j], beta), oracle_x_derivative(inner, beta)),
                 )
                 brace = brace - tail
-    return simplify(mul(pref, brace))
+    return mul(pref, brace)
 
 
 def closed_form_values(m, eta: int, sign: int, y_terms: dict, n: int, points):
@@ -394,8 +392,8 @@ def closed_form_values(m, eta: int, sign: int, y_terms: dict, n: int, points):
     env = probe_env(points)
     a33 = m.alpha[2][2]
     inv33 = recip(a33)
-    f = [simplify(m.alpha[mu][2] * inv33) for mu in range(2)]
-    a22 = simplify(const(1j) * (_XI1 * m.alpha[2][0] + _XI2 * m.alpha[2][1]) * inv33)
+    f = [m.alpha[mu][2] * inv33 for mu in range(2)]
+    a22 = const(1j) * (_XI1 * m.alpha[2][0] + _XI2 * m.alpha[2][1]) * inv33
     pref = eval_expr(mul(const(sign), a33 * recip(const(2) * gamma1(m).expr)), env)
 
     def partials(e, xi: bool, top: int) -> dict:
@@ -412,7 +410,7 @@ def closed_form_values(m, eta: int, sign: int, y_terms: dict, n: int, points):
     # transport products f_mu y_-n
     y = y_terms[-n]
     inner = {
-        k: simplify(_S * inv33 * y_terms[k] + (a22 if k == 0 else ZERO)) for k in range(-n, 1)
+        k: _S * inv33 * y_terms[k] + (a22 if k == 0 else ZERO) for k in range(-n, 1)
     }
     seeds = dict(zip((VarId.X1, VarId.X2, VarId.XI1, VarId.XI2, VarId.X3), np.eye(5)))
     jin, jf0, jf1, jy = taylor_eval([inner[-n], mul(f[0], y), mul(f[1], y), y], env, seeds, 1)
@@ -450,9 +448,9 @@ def symbolic_order_claim(split, env):
     for the jets of ``oracle._order_claim_values``; cheap up to order 3."""
     ell = split.ell[0][0]
     p = oracle_compose(ell, split.g_plus, ell.low_degree + 1)
-    d3 = simplify(diff(ell.total(), VarId.X3))
+    d3 = diff(ell.total(), VarId.X3)
     d3_vals = None if d3 is ZERO else eval_expr(d3, env)
-    return p, eval_expr(simplify(p.total()), env), d3_vals
+    return p, eval_expr(p.total(), env), d3_vals
 
 
 def depth_derivative_leading(m, sign: int) -> SymbolTerm:
@@ -468,8 +466,8 @@ def depth_derivative_leading(m, sign: int) -> SymbolTerm:
     sd = schur(m)
     g = gamma1(m)
     drift = const(1j) * (
-        _XI1 * diff(simplify(m.alpha[2][0] - m.alpha[0][2]), VarId.X3)
-        + _XI2 * diff(simplify(m.alpha[2][1] - m.alpha[1][2]), VarId.X3)
+        _XI1 * diff(m.alpha[2][0] - m.alpha[0][2], VarId.X3)
+        + _XI2 * diff(m.alpha[2][1] - m.alpha[1][2], VarId.X3)
     )
     xis = (_XI1, _XI2)
     qdot = ipow(_S, 2) * diff(m.kappa, VarId.X3)
@@ -477,4 +475,4 @@ def depth_derivative_leading(m, sign: int) -> SymbolTerm:
         for nu in range(2):
             qdot = qdot + diff(sd.Qt[mu][nu], VarId.X3) * xis[mu] * xis[nu]
     e = recip(_S) * (const(-0.5) * drift + const(sign) * recip(const(2) * g.expr) * qdot)
-    return SymbolTerm(simplify(e), 0)
+    return SymbolTerm(e, 0)

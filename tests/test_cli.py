@@ -365,6 +365,33 @@ def test_normalize_impedance(tmp_path):
     )
 
 
+def test_outputs_do_not_depend_on_what_the_process_ran_before(tmp_path):
+    # the fingerprint runs each subcommand in a fresh process; here one
+    # process repeats expand and the impedance gauge after other work on
+    # the same medium, and every term text must come out byte for byte
+    text = HET.replace("order = 1\n", "order = 2\n").replace("sign = +\n", "sign = both\n")
+    cfg = _cfg(tmp_path, text)
+    steps = [
+        ("expand", ["expand"]),
+        ("impedance", ["normalize", "--kind", "impedance"]),
+        ("order-claim", ["order-claim"]),
+        ("residual", ["residual"]),
+        ("constant", ["normalize", "--kind", "constant:2,3"]),
+        ("expand", ["expand"]),
+        ("impedance", ["normalize", "--kind", "impedance"]),
+    ]
+    texts = {}
+    for k, (name, argv) in enumerate(steps):
+        out = tmp_path / f"o{k}"
+        assert run([*argv, cfg, "--out", str(out)]) == 0
+        for f in sorted(out.glob("*terms*.txt")):
+            texts.setdefault((name, f.name), []).append(f.read_bytes())
+    repeated = {key: runs for key, runs in texts.items() if len(runs) > 1}
+    assert {f for _, f in repeated} == {"terms_plus.txt", "terms_minus.txt", "gauge_terms.txt"}
+    for key, runs in repeated.items():
+        assert all(r == runs[0] for r in runs), key
+
+
 def test_normalize_requires_kind(tmp_path):
     assert run(["normalize", _cfg(tmp_path, HOM), "--out", str(tmp_path / "o")]) == 2
     assert (

@@ -36,10 +36,8 @@ from anisosplit.expr import (
     ipow,
     mul,
     neg,
-    node_count,
     parse,
     recip,
-    simplify,
     sin_,
     sqrt_,
     sub,
@@ -199,22 +197,12 @@ def test_free_vars():
     assert free_vars(const(4)) == frozenset()
 
 
-def test_simplify_preserves_value_and_is_idempotent():
-    rng = np.random.default_rng(7)
-    for _ in range(40):
-        e = _rand_expr(rng)
-        s1 = simplify(e)
-        assert eval_expr(s1, ENV) == pytest.approx(eval_expr(e, ENV), rel=1e-10)
-        assert simplify(s1) is s1
-        assert node_count(s1) <= node_count(e) + 2
-
-
 def test_identical_subtrees_cancel():
     # interning makes equal-form subtrees the same node, so the
     # difference collapses structurally; commuted forms stay distinct
     assert sub(mul(X1, X2), mul(X1, X2)) is ZERO
     e = sub(mul(X1, X2), mul(X2, X1))
-    assert eval_expr(simplify(e), ENV) == pytest.approx(0.0)
+    assert eval_expr(e, ENV) == pytest.approx(0.0)
 
 
 def test_parse_error_reports_offset():
@@ -563,7 +551,7 @@ def test_dead_dag_leaves_the_intern_table_in_one_collection(fn):
     e = X1 + X2
     for k in range(60):
         e = fn(e * const(0.5 + k)) * X1 + X2
-    d = diff(simplify(e), VarId.X1)
+    d = diff(e, VarId.X1)
     assert len(expr_module._intern) > baseline + 500
     del e, d
     gc.collect()

@@ -187,11 +187,11 @@ def test_symmetric_alpha_collapses_qt_to_q():
 def test_schur_divergence_entries():
     m = presets.heterogeneous_full()
     sd = schur(m)
-    from anisosplit import diff, simplify
+    from anisosplit import diff
     from anisosplit.expr import add
 
     for nu in range(2):
-        want = simplify(add(diff(sd.Q[0][nu], VarId.X1), diff(sd.Q[1][nu], VarId.X2)))
+        want = add(diff(sd.Q[0][nu], VarId.X1), diff(sd.Q[1][nu], VarId.X2))
         assert sd.dQ[nu] is want
 
 
