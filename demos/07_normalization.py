@@ -50,7 +50,7 @@ print(f"impedance gauge, pressure row at a probe: {row[0]:.12f}, {row[1]:.12f}")
 # maps (graded by powers of rho^(1/2)); the top term is inverted in closed
 # form, (A + B rho^(1/2))^-1 = (A - B rho^(1/2)) / (A^2 - B^2 rho).
 exp = expand(m, 1, 1, 2)
-y = dict(zip((t.degree for t in exp.terms), exp.forms))
+y = exp.forms
 z = symbol_inverse(y, 2)
 c = {d: compose_degree_part(z, y, d).lower() for d in (0, -1)}
 resid0 = np.max(np.abs(eval_expr(c[0], env) - 1.0))

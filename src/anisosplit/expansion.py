@@ -26,7 +26,7 @@ real part, i.e. exp(-x3 G^+) decays with increasing depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 from .expr import (
@@ -203,34 +203,36 @@ def collector_step(m: MediumSpec, eta: int, sign: int, y_terms: dict, n: int) ->
 class AdmittanceExpansion:
     """Terms y_0 .. y_{-order} of one branch, with eta baked in.
 
-    ``terms`` holds each term as one expression; ``forms`` holds the
-    same terms as SymbolForms (the leading term lifted from its
-    expression).
+    ``forms`` maps each degree 0 .. -order to its term as a SymbolForm;
+    it is the one stored representation. ``terms`` is its view as
+    SymbolTerms, each form lowered once at construction; the leading
+    term lowers to the expression it was lifted from.
     """
 
     medium: MediumSpec
     sign: int
     eta: int
     order: int
-    gamma1: SymbolTerm
-    terms: tuple  # SymbolTerm, degrees 0, -1, ..., -order
-    forms: tuple  # SymbolForm, the same degrees
+    forms: dict  # degree -> SymbolForm, degrees 0, -1, ..., -order
+    terms: tuple = field(init=False)  # SymbolTerm, the same degrees
+
+    def __post_init__(self):
+        if sorted(self.forms) != list(range(-self.order, 1)):
+            raise ExpansionError(f"forms must cover degrees 0 .. {-self.order}")
+        terms = tuple(SymbolTerm(self.forms[-k].lower(), -k) for k in range(self.order + 1))
+        object.__setattr__(self, "terms", terms)
 
     def term(self, degree: int) -> Expr:
-        for t in self.terms:
-            if t.degree == degree:
-                return t.expr
-        return ZERO
-
-    def term_map(self, trunc: int | None = None) -> dict:
-        trunc = self.order if trunc is None else trunc
-        return {t.degree: t.expr for t in self.terms if t.degree >= -trunc}
+        f = self.forms.get(degree)
+        return ZERO if f is None else f.lower()
 
     def series(self, trunc: int | None = None) -> PolyhomSymbol:
         trunc = self.order if trunc is None else trunc
-        if trunc > self.order:
-            raise ExpansionError(f"truncation {trunc} exceeds expansion order {self.order}")
-        return PolyhomSymbol(self.term_map(trunc), floor=-trunc)
+        if not 0 <= trunc <= self.order:
+            raise ExpansionError(
+                f"truncation {trunc} is outside 0 .. {self.order}, the expansion order"
+            )
+        return PolyhomSymbol({t.degree: t.expr for t in self.terms[: trunc + 1]}, floor=-trunc)
 
 
 def _check_term(e: Expr, degree: int, node_cap: int, smoke_test: bool, box):
@@ -272,25 +274,13 @@ def expand(
         raise ExpansionError("eta must be 0 or 1")
     if not 0 <= order <= MAX_ORDER:
         raise ExpansionError(f"order must be between 0 and {MAX_ORDER}")
-    y0 = leading_term(m, sign).expr
-    forms = {0: SymbolForm.lift(radicand(m), y0)}
-    terms = [SymbolTerm(y0, 0)]
+    forms = {0: SymbolForm.lift(radicand(m), leading_term(m, sign).expr)}
     with _cyclic_gc_paused():
         for n in range(order):
             form = collector_step(m, eta, sign, forms, n)
-            nxt = form.lower()
-            _check_term(nxt, -n - 1, node_cap, check_terms, m.box)
+            _check_term(form.lower(), -n - 1, node_cap, check_terms, m.box)
             forms[-n - 1] = form
-            terms.append(SymbolTerm(nxt, -n - 1))
-    return AdmittanceExpansion(
-        medium=m,
-        sign=sign,
-        eta=eta,
-        order=order,
-        gamma1=gamma1(m),
-        terms=tuple(terms),
-        forms=tuple(forms.values()),
-    )
+    return AdmittanceExpansion(medium=m, sign=sign, eta=eta, order=order, forms=forms)
 
 
 # ---------------------------------------------------------------------------
@@ -301,53 +291,65 @@ def expand(
 class SplitSymbols:
     """Splitting data built from the two admittance branches.
 
-    g_plus / g_minus generate the two one-way evolutions; ell is the 2x2
-    composition matrix (row 0 the admittance symbols, row 1 ones).
-    ``order_claim_check`` measures the orders of ell o g and d3 ell from
-    these symbols by Taylor jets. g+- are written once, in the compact
-    form the expansion's terms lower to, and serve quantization (a kernel
-    build separates their x-by-xi products itself). ``g_forms`` (+, -)
-    and ``ell_forms`` (2x2) hold the same terms as degree -> SymbolForm
-    maps, on which the gauge transforms compose.
+    ``g_forms`` (+, -) and ``ell_forms`` (2x2) are the stored
+    representation: degree -> SymbolForm maps, on which the gauge
+    transforms compose. g_plus / g_minus generate the two one-way
+    evolutions and ell is the 2x2 composition matrix (row 0 the
+    admittance symbols, row 1 ones); they are views of those forms,
+    PolyhomSymbols lowered once at construction with floors 1 - order
+    and ``ell_floor``. The marchers quantize g+- (a kernel build
+    separates their x-by-xi products itself), and ``order_claim_check``
+    measures the orders of ell o g and d3 ell from them by Taylor jets.
     """
 
     medium: MediumSpec
     eta: int
     order: int
-    g_plus: PolyhomSymbol
-    g_minus: PolyhomSymbol
-    ell: tuple
     g_forms: tuple
     ell_forms: tuple
+    ell_floor: int
+    g_plus: PolyhomSymbol = field(init=False)
+    g_minus: PolyhomSymbol = field(init=False)
+    ell: tuple = field(init=False)
+
+    def __post_init__(self):
+        def lowered(forms, floor):
+            return PolyhomSymbol({d: f.lower() for d, f in forms.items()}, floor=floor)
+
+        g_plus, g_minus = (lowered(g, 1 - self.order) for g in self.g_forms)
+        ell = tuple(tuple(lowered(e, self.ell_floor) for e in row) for row in self.ell_forms)
+        object.__setattr__(self, "g_plus", g_plus)
+        object.__setattr__(self, "g_minus", g_minus)
+        object.__setattr__(self, "ell", ell)
 
     def g_symbol(self, sign: int) -> PolyhomSymbol:
         _check_sign(sign)
         return self.g_plus if sign > 0 else self.g_minus
 
 
-def _generator_symbol(branch: AdmittanceExpansion, floor: int):
-    """g = a21 y + a22 of one branch, as a PolyhomSymbol and as a degree
-    -> SymbolForm map. The top term is built from the expressions, like
-    the leading term, and lifted; the lower ones are the forms a21 y_j,
-    each lowered once."""
+def _generator_forms(branch: AdmittanceExpansion) -> dict:
+    """g = a21 y + a22 of one branch as a degree -> SymbolForm map. The
+    top term is built from the expressions, like the leading term, and
+    lifted, so it lowers to that expression; the lower ones are the
+    forms a21 y_j."""
     m = branch.medium
     A = systems_symbols(m)
     top = A.a21.term(1) * branch.term(0) + A.a22.term(1)
-    g, forms = {1: top}, {1: SymbolForm.lift(radicand(m), top)}
+    forms = {1: SymbolForm.lift(radicand(m), top)}
     a21 = _kit(m).a21
-    for t, f in zip(branch.terms[1:], branch.forms[1:]):
-        if f.terms:
-            forms[t.degree + 1] = a21 * f
-            g[t.degree + 1] = forms[t.degree + 1].lower()
-    return PolyhomSymbol(g, floor=floor), forms
+    for d, f in branch.forms.items():
+        if d < 0 and f.terms:
+            forms[d + 1] = a21 * f
+    return forms
 
 
 def split_symbols(plus: AdmittanceExpansion, minus: AdmittanceExpansion) -> SplitSymbols:
-    """Assemble the splitting symbols from the two branches.
+    """Assemble the splitting symbols from the two branches' forms.
 
-    Each generator g+- = a21 y+- + a22 is lowered once, term by term from
-    the branch's forms. The marchers quantize these very symbols, and
-    the gauge transforms compose their forms.
+    g+- = a21 y+- + a22 and ell row 0 (the branches' own forms, zero
+    forms left out) are forms; row 1 is the grade-0 one. The marchers
+    quantize the lowered generators, and the gauge transforms compose
+    the forms.
     """
     if plus.sign != 1 or minus.sign != -1:
         raise ExpansionError("split_symbols expects (plus, minus) branches in that order")
@@ -355,22 +357,13 @@ def split_symbols(plus: AdmittanceExpansion, minus: AdmittanceExpansion) -> Spli
         raise ExpansionError("branches must share one medium")
     if plus.eta != minus.eta or plus.order != minus.order:
         raise ExpansionError("branches must share eta and order")
-    order = plus.order
-    one = PolyhomSymbol({0: const(1)}, floor=-order)
-    (g_plus, g_plus_forms), (g_minus, g_minus_forms) = (
-        _generator_symbol(b, 1 - order) for b in (plus, minus)
-    )
-    row0 = tuple(
-        {t.degree: f for t, f in zip(b.terms, b.forms) if f.terms} for b in (plus, minus)
-    )
+    row0 = tuple({d: f for d, f in b.forms.items() if f.terms} for b in (plus, minus))
     row1 = {0: SymbolForm(radicand(plus.medium), {0: ONE})}
     return SplitSymbols(
         medium=plus.medium,
         eta=plus.eta,
-        order=order,
-        g_plus=g_plus,
-        g_minus=g_minus,
-        ell=((plus.series(), minus.series()), (one, one)),
-        g_forms=(g_plus_forms, g_minus_forms),
+        order=plus.order,
+        g_forms=tuple(_generator_forms(b) for b in (plus, minus)),
         ell_forms=(row0, (row1, row1)),
+        ell_floor=-plus.order,
     )

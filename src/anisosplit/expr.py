@@ -1157,10 +1157,10 @@ def to_text(e: Expr) -> str:
     last line is the result expression. A DAG with no shared non-leaf
     node prints as one expression, as a tree. The text grows with the
     number of DAG nodes, not with the tree: for ``heterogeneous_full``
-    (+ branch, eta 1), y_-3 (6 055 nodes) prints to 45 KB and y_-4
-    (37 038 nodes) to 0.32 MB in 0.07 s on a 2-core machine, where
-    their trees print to 7.9 MB and 439 MB. A node's text is dropped as
-    soon as its last consumer is rendered.
+    (+ branch, eta 1), y_-3 (5 979 nodes) prints to 45 KB and y_-4
+    (36 058 nodes) to 0.32 MB in 0.09-0.20 s on a shared 2-core
+    machine, where their trees would print to 9.9 MB and 550 MB. A
+    node's text is dropped as soon as its last consumer is rendered.
     """
     order, nref = _walk([e])
     done = {}  # node -> (unparenthesized text or binding name, precedence)

@@ -21,7 +21,7 @@ import numpy as np
 from .expr import ZERO, VarId, _cyclic_gc_paused, const, eval_expr
 from .expansion import SplitSymbols
 from .oracle import _probe_env
-from .symbols import PolyhomSymbol, SymbolForm, _compose, compose_degree_part, radicand
+from .symbols import SymbolForm, _compose, compose_degree_part, radicand
 
 __all__ = [
     "NormalizationError",
@@ -82,11 +82,6 @@ def symbol_inverse(y: dict, order: int) -> dict:
     return z
 
 
-def _lowered(forms: dict, floor: int) -> PolyhomSymbol:
-    """A degree -> SymbolForm map as a PolyhomSymbol, each form lowered once."""
-    return PolyhomSymbol({d: f.lower() for d, f in forms.items()}, floor=floor)
-
-
 @dataclass(frozen=True)
 class NormalizationSpec:
     """Choice of diagonal gauge.
@@ -119,10 +114,11 @@ def apply_normalization_symbols(split: SplitSymbols, n_plus: dict, n_minus: dict
     -> SymbolForm map.
 
     Every step runs on forms (``compose_degree_part``, and
-    ``SymbolForm.diff`` for d3 n), and each transformed term is lowered
-    once. A generator takes one composition with n^-1, as
-    (n o g - eta d3 n) o n^-1. The cyclic collector is paused while the
-    compositions build their nodes: with it on, rescanning the live DAGs
+    ``SymbolForm.diff`` for d3 n); the result is built from the
+    transformed forms, which ``SplitSymbols`` lowers once. A generator
+    takes one composition with n^-1, as (n o g - eta d3 n) o n^-1. The
+    cyclic collector is paused while the compositions build their nodes
+    and the result lowers them: with it on, rescanning the live DAGs
     took more than half of an impedance gauge at order 3.
     """
     order = split.order
@@ -143,18 +139,14 @@ def apply_normalization_symbols(split: SplitSymbols, n_plus: dict, n_minus: dict
         ell_forms = tuple(
             tuple(_compose(row[j], inv[j], floor_l) for j in range(2)) for row in split.ell_forms
         )
-        g_plus, g_minus = (_lowered(g, floor_g) for g in g_forms)
-        ell = tuple(tuple(_lowered(e, floor_l) for e in row) for row in ell_forms)
-    return SplitSymbols(
-        medium=split.medium,
-        eta=split.eta,
-        order=order,
-        g_plus=g_plus,
-        g_minus=g_minus,
-        ell=ell,
-        g_forms=tuple(g_forms),
-        ell_forms=ell_forms,
-    )
+        return SplitSymbols(
+            medium=split.medium,
+            eta=split.eta,
+            order=order,
+            g_forms=tuple(g_forms),
+            ell_forms=ell_forms,
+            ell_floor=floor_l,
+        )
 
 
 def apply_normalization(split: SplitSymbols, spec: NormalizationSpec) -> SplitSymbols:

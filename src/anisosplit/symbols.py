@@ -317,23 +317,24 @@ class SymbolForm:
     rho^(1/2), so +, -, * and ``diff`` act by closed rules: products add
     grades, like grades merge, and d rho^(d/2) = (d/2) rho^(d/2 - 1) d rho
     moves a part two grades down. No square root is differentiated and
-    no quotient rule runs; ``lower`` builds the one expression. Grades
-    are not unique (rho^(d/2) = rho * rho^(d/2 - 1)); exact-zero parts
-    are dropped.
+    no quotient rule runs; ``lower`` builds the one expression, once.
+    Grades are not unique (rho^(d/2) = rho * rho^(d/2 - 1)); exact-zero
+    parts are dropped.
     """
 
-    __slots__ = ("rho", "terms", "_dcache")
+    __slots__ = ("rho", "terms", "_dcache", "_expr")
 
     def __init__(self, rho: Radicand, terms: dict):
         self.rho = rho
         self.terms = {d: p for d, p in terms.items() if not _is_zero_expr(p)}
         self._dcache = {}
+        self._expr = None
 
     @classmethod
     def lift(cls, rho: Radicand, e: Expr) -> "SymbolForm":
         """The form of an expression in which rho^(1/2) occurs only as
         ``rho.root``, under +, -, *, / and integer powers. Anything else
-        raises SymbolError."""
+        raises SymbolError. The form lowers to ``e`` itself."""
         forms = {}
         for node in _walk([e])[0]:
             args = [forms[a] for a in node.args]
@@ -359,6 +360,7 @@ class SymbolForm:
             else:
                 raise SymbolError(_NOT_A_FORM)
             forms[node] = f
+        forms[e]._expr = e
         return forms[e]
 
     def _power(self, n: int) -> "SymbolForm":
@@ -455,13 +457,16 @@ class SymbolForm:
 
     def lower(self) -> Expr:
         """The form as one expression, sum over d of rho^(d/2) P_d, each
-        rho^(d/2) one shared node. This one expression serves symbolic
-        composition and quantization alike: a kernel build separates the
-        x-by-xi products of each P_d itself (``_KernelPlan``)."""
-        acc = ZERO
-        for d in sorted(self.terms):
-            acc = acc + self.rho.power(d) * self.terms[d]
-        return acc
+        rho^(d/2) one shared node, built on the first call and kept. This
+        one expression serves symbolic composition and quantization alike:
+        a kernel build separates the x-by-xi products of each P_d itself
+        (``_KernelPlan``)."""
+        if self._expr is None:
+            acc = ZERO
+            for d in sorted(self.terms):
+                acc = acc + self.rho.power(d) * self.terms[d]
+            self._expr = acc
+        return self._expr
 
 
 # ---------------------------------------------------------------------------

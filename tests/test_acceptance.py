@@ -300,7 +300,7 @@ def _composition_residual_rms(z_total, y_total, points, lambdas, beta_cap):
 def test_criterion_08_parametrix_and_impedance():
     m = presets.heterogeneous_full()
     exp = expand(m, 1, 1, 2)
-    z = symbol_inverse({t.degree: f for t, f in zip(exp.terms, exp.forms)}, 2)
+    z = symbol_inverse(exp.forms, 2)
     z_total = sum((f.lower() for f in z.values()), ZERO)
     pts = draw_probe_points(m, 6, np.random.default_rng(808))
     rms = _composition_residual_rms(z_total, exp.series().total(), pts, DEFAULT_LAMBDAS, 4)

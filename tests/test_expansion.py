@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from anisosplit import (
     ExpansionError,
+    NormalizationSpec,
     SymbolForm,
     VarId,
+    apply_normalization,
     collector_step,
     eval_expr,
     expand,
@@ -161,19 +165,16 @@ def test_per_degree_balance(het_medium, eta, het_expansion_pair):
         exp = het_expansion_pair[0]
     else:
         exp = expand(het_medium, 1, eta, order)
-    terms = {t.degree: f for t, f in zip(exp.terms, exp.forms)}
     pts = draw_probe_points(het_medium, 20, np.random.default_rng(6))
     env = probe_env(pts)
     for d in range(1, 1 - order, -1):
-        bal = riccati_degree_part(het_medium, eta, terms, d)
+        bal = riccati_degree_part(het_medium, eta, exp.forms, d)
         vals = np.broadcast_to(np.asarray(eval_expr(bal.lower(), env)), (len(pts),))
         assert np.max(np.abs(vals)) <= 1e-8, f"degree {d} balance"
 
 
 def test_degree_part_above_the_top_is_the_zero_form(het_medium, het_expansion_pair):
-    exp = het_expansion_pair[0]
-    terms = {t.degree: f for t, f in zip(exp.terms, exp.forms)}
-    bal = riccati_degree_part(het_medium, 1, terms, 2)
+    bal = riccati_degree_part(het_medium, 1, het_expansion_pair[0].forms, 2)
     assert isinstance(bal, SymbolForm) and not bal.terms
 
 
@@ -208,7 +209,7 @@ def test_collector_equals_closed_form_to_order_six():
     m = presets.dual_path_medium()
     pts = draw_probe_points(m, 12, np.random.default_rng(7))
     exp = expand(m, 1, 1, 6, check_terms=False)
-    terms = exp.term_map()
+    terms = {t.degree: t.expr for t in exp.terms}
     for n in range(6):
         known = {d: terms[d] for d in range(0, -n - 1, -1)}
         got = closed_form_values(m, 1, 1, known, n, pts)
@@ -277,9 +278,44 @@ def test_expansion_series_and_truncation(het_expansion_pair):
     t1 = exp.series(1)
     assert t1.low_degree == -1
     assert t1.term(-2) is ZERO
-    assert set(exp.term_map(0)) == {0}
-    with pytest.raises(ExpansionError):
-        exp.series(5)
+    assert set(exp.series(0).terms) == {0}
+    for bad in (5, -1):
+        with pytest.raises(ExpansionError):
+            exp.series(bad)
+
+
+def test_forms_are_the_one_stored_representation():
+    # expressions are views of the stored forms, lowered once: a lifted
+    # form lowers to its own expression, and every term, generator and
+    # ell entry is its form's lowering
+    m = presets.heterogeneous_full()
+    y0 = leading_term(m, 1).expr
+    assert SymbolForm.lift(radicand(m), y0).lower() is y0
+    plus, minus = expand(m, 1, 1, 3), expand(m, -1, 1, 3)
+    assert sorted(plus.forms) == [-3, -2, -1, 0]
+    for t in plus.terms:
+        assert t.expr is plus.forms[t.degree].lower() is plus.term(t.degree)
+    doubled = replace(plus, forms={**plus.forms, -3: 2 * plus.forms[-3]})
+    assert doubled.terms[:3] == plus.terms[:3]
+    assert doubled.term(-3) is doubled.forms[-3].lower() is not plus.term(-3)
+    pts = draw_probe_points(m, 5, np.random.default_rng(24))
+    assert rel_err(eval_at(doubled.term(-3), pts), 2 * eval_at(plus.term(-3), pts)) <= 1e-12
+    split = split_symbols(plus, minus)
+    gauges = [NormalizationSpec(kind="impedance"), NormalizationSpec(kind="constant", m=2, mprime=0.5j)]
+    for sp in [split] + [apply_normalization(split, g) for g in gauges]:
+        for g, forms in zip((sp.g_plus, sp.g_minus), sp.g_forms):
+            assert g.low_degree == 1 - sp.order
+            assert set(g.terms) <= set(forms)
+            for d, f in forms.items():
+                assert g.term(d) is f.lower()
+        for row, form_row in zip(sp.ell, sp.ell_forms):
+            for e, forms in zip(row, form_row):
+                assert e.low_degree == sp.ell_floor
+                assert set(e.terms) <= set(forms)
+                for d, f in forms.items():
+                    assert e.term(d) is f.lower()
+    assert split.ell_floor == -3
+    assert split.ell[0][0].term(0) is y0
 
 
 def test_split_symbols_structure(het_split):

@@ -1,8 +1,12 @@
 """The import graph: what a cold process loads for the common runs."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
+
+import anisosplit
 
 # numpy.ma and scipy.linalg each cost a large share of a cold start, and
 # scipy.sparse comes with scipy.linalg; none is needed off the dense
@@ -44,3 +48,15 @@ def test_common_runs_load_no_lazy_module():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert out.stdout.split() == []
+
+
+def test_every_export_resolves():
+    # a name left in an __all__ after its definition is deleted would
+    # only fail at a star import
+    modules = [anisosplit] + [
+        importlib.import_module(f"anisosplit.{info.name}")
+        for info in pkgutil.iter_modules(anisosplit.__path__)
+    ]
+    for mod in modules:
+        missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+        assert missing == [], f"{mod.__name__}.__all__ names {missing}"

@@ -27,10 +27,6 @@ def _forms(m, pairs):
     return {d: SymbolForm.lift(rho, parse(t)) for d, t in pairs.items()}
 
 
-def _series_forms(exp):
-    return {t.degree: f for t, f in zip(exp.terms, exp.forms)}
-
-
 def test_symbol_inverse_of_constant_symbol(het_medium):
     z = symbol_inverse(_forms(het_medium, {0: "2"}), 2)
     assert list(z) == [0]
@@ -54,7 +50,7 @@ def test_symbol_inverse_of_zero_symbol_raises(het_medium):
 
 def test_symbol_inverse_cancels_composition(het_expansion_pair):
     exp = het_expansion_pair[0]
-    y = _series_forms(exp)
+    y = exp.forms
     order = 2
     z = symbol_inverse(y, order)
     pts = draw_probe_points(exp.medium, 20, np.random.default_rng(1))
@@ -66,7 +62,7 @@ def test_symbol_inverse_cancels_composition(het_expansion_pair):
 
 
 def test_symbol_inverse_top_degree(het_expansion_pair):
-    y = _series_forms(het_expansion_pair[0])
+    y = het_expansion_pair[0].forms
     z = symbol_inverse(y, 2)
     assert max(z) == -max(y)
 
