@@ -20,9 +20,10 @@ from anisosplit import (
 
 m = presets.homogeneous_anisotropic()
 
-# The first-order system coefficients as symbols a11, a12, a21, a22.
+# The first-order system coefficients as symbols a11, a12, a21, a22,
+# each a degree -> SymbolForm map; lower() gives a form's expression.
 sym = systems_symbols(m)
-print("a21 (degree 1):", to_text(sym.a21.term(1)))
+print("a21 (degree 1):", to_text(sym.a21[1].lower()))
 
 # gamma1 = sqrt(a33 (s^2 kappa + Qt xi.xi)) is the square root every
 # branch shares; leading_term adds the skew part and the branch sign.

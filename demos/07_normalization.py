@@ -13,17 +13,20 @@ from anisosplit import (
     VarId,
     apply_normalization,
     compose_degree_part,
+    draw_probe_points,
     eval_expr,
     expand,
     presets,
     split_symbols,
     symbol_inverse,
+    symbol_total,
 )
-from anisosplit.oracle import draw_probe_points
 
 m = presets.heterogeneous_full()
 split = split_symbols(expand(m, 1, 1, 2), expand(m, -1, 1, 2))
 
+# The split's generators g+- and composition matrix ell are degree ->
+# SymbolForm maps; symbol_total sums one into a single expression.
 # Constant diag(m, m') gauge: generators are invariant.
 spec = NormalizationSpec(kind="constant", m=2 + 1j, mprime=0.5 - 0.25j)
 out = apply_normalization(split, spec)
@@ -32,7 +35,7 @@ env = {
     VarId.X1: pts[:, 0].real, VarId.X2: pts[:, 1].real, VarId.X3: pts[:, 2].real,
     VarId.XI1: pts[:, 3].real, VarId.XI2: pts[:, 4].real, VarId.S: pts[:, 5],
 }
-gap = np.max(np.abs(eval_expr(out.g_plus.total() - split.g_plus.total(), env)))
+gap = np.max(np.abs(eval_expr(symbol_total(out.g_symbol(1)) - symbol_total(split.g_symbol(1)), env)))
 print(f"constant gauge, change in g+: {gap:.2e} (should vanish)")
 
 # Impedance gauge on a homogeneous medium: the composition matrix rows
@@ -42,7 +45,7 @@ hm = presets.homogeneous_anisotropic()
 hsplit = split_symbols(expand(hm, 1, 0, 2), expand(hm, -1, 0, 2))
 imp = apply_normalization(hsplit, NormalizationSpec(kind="impedance"))
 henv = {VarId.X1: 0.0, VarId.X2: 0.0, VarId.X3: 0.0, VarId.XI1: 0.8, VarId.XI2: -0.6, VarId.S: 1.2 + 0.4j}
-row = [eval_expr(imp.ell[0][j].total(), henv) for j in range(2)]
+row = [eval_expr(symbol_total(imp.ell_forms[0][j]), henv) for j in range(2)]
 print(f"impedance gauge, pressure row at a probe: {row[0]:.12f}, {row[1]:.12f}")
 
 # Parametrix: a two-term inverse of the admittance symbol cancels the

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import __version__, oracle
 from .expansion import MAX_ORDER, ExpansionError, expand, leading_term, split_symbols
-from .expr import ExprError, ParseError, VarId, eval_expr, free_vars, parse, to_text
+from .expr import ZERO, ExprError, ParseError, VarId, eval_expr, free_vars, parse, to_text
 from .medium import MEDIUM_KEYS, MediumError, load_medium, validate
 from .normalization import NormalizationError, NormalizationSpec, apply_normalization
 from .oracle import (
@@ -201,7 +201,7 @@ _KEYS = (
     ("propagation", "a", float, 0.0, None),
     ("propagation", "b", float, _REQUIRED, None),
     ("propagation", "steps", int, 64, _at_least(1)),
-    ("propagation", "s", _complex_value, 1 + 0j, None),
+    ("propagation", "s", _complex_value, 1 + 0j, _check_s),
     ("propagation", "solver", str.strip, "full", _check_solver),
     ("propagation", "method", lambda text: text.strip() or None,
      _Per("solver", {"full": "auto", "oneway": "rk4"}),
@@ -539,13 +539,12 @@ def _cmd_normalize(cfg, em, seed, kind):
     env = _probe_env(draw_probe_points(m, max(ex.points, 4), np.random.default_rng(seed)))
     rows = []
     dump = []
-    for tag, before, after in (
-        ("g_plus", split.g_plus, out.g_plus),
-        ("g_minus", split.g_minus, out.g_minus),
-    ):
-        for d in sorted(set(before.terms) | set(after.terms), reverse=True):
-            va = np.atleast_1d(eval_expr(before.term(d), env))
-            vb = np.atleast_1d(eval_expr(after.term(d), env))
+    for tag, before, after in zip(("g_plus", "g_minus"), split.g_forms, out.g_forms):
+        for d in sorted(set(before) | set(after), reverse=True):
+            va, vb = (
+                np.atleast_1d(eval_expr(g[d].lower() if d in g else ZERO, env))
+                for g in (before, after)
+            )
             rows.append(
                 [
                     tag,
@@ -555,11 +554,13 @@ def _cmd_normalize(cfg, em, seed, kind):
                 ]
             )
         dump.append(f"{tag} transformed terms:\n")
-        dump += [f"degree {d}:\n{to_text(e)}\n" for d, e in after.terms.items()]
+        dump += [f"degree {d}:\n{to_text(f.lower())}\n" for d, f in after.items()]
     for i in range(2):
         for j in range(2):
             dump.append(f"ell[{i}][{j}] transformed terms:\n")
-            dump += [f"degree {d}:\n{to_text(e)}\n" for d, e in out.ell[i][j].terms.items()]
+            dump += [
+                f"degree {d}:\n{to_text(f.lower())}\n" for d, f in out.ell_forms[i][j].items()
+            ]
     em.csv(
         "normalize.csv",
         ["entry", "degree", "rms_after", "max_change"],

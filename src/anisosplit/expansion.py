@@ -31,6 +31,9 @@ from functools import partial
 
 from .expr import (
     ONE,
+    S,
+    XI1,
+    XI2,
     Expr,
     VarId,
     ZERO,
@@ -40,16 +43,15 @@ from .expr import (
     const,
     recip,
     sqrt_,
-    variable,
 )
 from .medium import MediumSpec
 from .symbols import (
-    PolyhomSymbol,
     SymbolForm,
     SymbolTerm,
     _homogeneity_check,
     compose_degree_part,
     radicand,
+    symbol_total,
     systems_symbols,
 )
 
@@ -67,10 +69,6 @@ __all__ = [
 ]
 
 MAX_ORDER = 6
-
-_XI1 = variable(VarId.XI1)
-_XI2 = variable(VarId.XI2)
-_S = variable(VarId.S)
 
 
 class ExpansionError(Exception):
@@ -95,7 +93,7 @@ def gamma1(m: MediumSpec) -> SymbolTerm:
 def _antisym_drift(m: MediumSpec) -> Expr:
     # i xi_mu (alpha_{3 mu} - alpha_{mu 3})
     return const(1j) * (
-        _XI1 * (m.alpha[2][0] - m.alpha[0][2]) + _XI2 * (m.alpha[2][1] - m.alpha[1][2])
+        XI1 * (m.alpha[2][0] - m.alpha[0][2]) + XI2 * (m.alpha[2][1] - m.alpha[1][2])
     )
 
 
@@ -110,7 +108,7 @@ def leading_term(m: MediumSpec, sign: int) -> SymbolTerm:
 
     def build():
         g = gamma1(m)
-        e = recip(_S) * (const(-0.5) * _antisym_drift(m) + const(sign) * g.expr)
+        e = recip(S) * (const(-0.5) * _antisym_drift(m) + const(sign) * g.expr)
         return SymbolTerm(e, 0)
 
     return m._cache(f"y0[{sign}]", build)
@@ -120,48 +118,24 @@ def leading_term(m: MediumSpec, sign: int) -> SymbolTerm:
 # the degree collector
 
 
-@dataclass(frozen=True)
-class _Kit:
-    """The recursion's fixed inputs as SymbolForms: the graded systems
-    symbols and alpha33 / (2 gamma1)."""
-
-    a11: dict
-    a12: dict
-    a21: SymbolForm
-    a22: SymbolForm
-    a33_over_2gamma: SymbolForm
+def _a33_over_2gamma(m: MediumSpec) -> SymbolForm:
+    """alpha33 / (2 gamma1) as a form, built once per medium."""
+    return m._cache(
+        "a33_over_2gamma",
+        lambda: SymbolForm.lift(radicand(m), m.alpha[2][2] * recip(const(2) * gamma1(m).expr)),
+    )
 
 
-def _kit(m: MediumSpec) -> _Kit:
-    """The medium's recursion inputs lifted to forms, built once per medium."""
-
-    def build():
-        A = systems_symbols(m)
-        rho = radicand(m)
-
-        def lift(e):
-            return SymbolForm.lift(rho, e)
-
-        return _Kit(
-            a11={d: lift(e) for d, e in A.a11.terms.items()},
-            a12={d: lift(e) for d, e in A.a12.terms.items()},
-            a21=lift(A.a21.term(1)),
-            a22=lift(A.a22.term(1)),
-            a33_over_2gamma=lift(m.alpha[2][2] * recip(const(2) * gamma1(m).expr)),
-        )
-
-    return m._cache("form_kit", build)
-
-
-def _generator_terms(kit: _Kit, y_terms: dict) -> dict:
+def _generator_terms(m: MediumSpec, y_terms: dict) -> dict:
     """Graded generator symbol a21 y + a22, i.e.
     s alpha33^-1 y + i xi_mu alpha_{3 mu} alpha33^-1.
 
     Maps degree -> form: y_j contributes at degree j + 1, and a22
     joins the degree-1 slot.
     """
-    out = {j + 1: kit.a21 * yj for j, yj in y_terms.items()}
-    out[1] = out.get(1, ZERO) + kit.a22
+    A = systems_symbols(m)
+    out = {j + 1: A.a21[1] * yj for j, yj in y_terms.items()}
+    out[1] = out.get(1, ZERO) + A.a22.get(1, ZERO)
     return out
 
 
@@ -174,11 +148,11 @@ def riccati_degree_part(m: MediumSpec, eta: int, y_terms: dict, d: int) -> Symbo
     gives (for d = -n) the inhomogeneity that determines y_{-n-1}.
     Above degree 1 nothing contributes and the result is the zero form.
     """
-    kit = _kit(m)
+    A = systems_symbols(m)
     acc = SymbolForm(radicand(m), {})
-    acc = acc + compose_degree_part(y_terms, _generator_terms(kit, y_terms), d)
-    acc = acc - compose_degree_part(kit.a11, y_terms, d)
-    acc = acc - kit.a12.get(d, ZERO)
+    acc = acc + compose_degree_part(y_terms, _generator_terms(m, y_terms), d)
+    acc = acc - compose_degree_part(A.a11, y_terms, d)
+    acc = acc - A.a12.get(d, ZERO)
     if eta and d in y_terms:
         acc = acc - y_terms[d].diff(VarId.X3)
     return acc
@@ -192,7 +166,7 @@ def collector_step(m: MediumSpec, eta: int, sign: int, y_terms: dict, n: int) ->
     """
     _check_sign(sign)
     e = riccati_degree_part(m, eta, y_terms, -n)
-    return (-sign) * _kit(m).a33_over_2gamma * e
+    return (-sign) * _a33_over_2gamma(m) * e
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +200,15 @@ class AdmittanceExpansion:
         f = self.forms.get(degree)
         return ZERO if f is None else f.lower()
 
-    def series(self, trunc: int | None = None) -> PolyhomSymbol:
+    def series(self, trunc: int | None = None) -> dict:
+        """y_0 + ... + y_{-trunc} as a degree -> SymbolForm map (the
+        whole expansion by default), ready to quantize."""
         trunc = self.order if trunc is None else trunc
         if not 0 <= trunc <= self.order:
             raise ExpansionError(
                 f"truncation {trunc} is outside 0 .. {self.order}, the expansion order"
             )
-        return PolyhomSymbol({t.degree: t.expr for t in self.terms[: trunc + 1]}, floor=-trunc)
+        return {-k: self.forms[-k] for k in range(trunc + 1)}
 
 
 def _check_term(e: Expr, degree: int, node_cap: int, smoke_test: bool, box):
@@ -291,15 +267,16 @@ def expand(
 class SplitSymbols:
     """Splitting data built from the two admittance branches.
 
-    ``g_forms`` (+, -) and ``ell_forms`` (2x2) are the stored
-    representation: degree -> SymbolForm maps, on which the gauge
-    transforms compose. g_plus / g_minus generate the two one-way
-    evolutions and ell is the 2x2 composition matrix (row 0 the
-    admittance symbols, row 1 ones); they are views of those forms,
-    PolyhomSymbols lowered once at construction with floors 1 - order
-    and ``ell_floor``. The marchers quantize g+- (a kernel build
-    separates their x-by-xi products itself), and ``order_claim_check``
-    measures the orders of ell o g and d3 ell from them by Taylor jets.
+    ``g_forms`` (+, -) generate the two one-way evolutions and
+    ``ell_forms`` is the 2x2 composition matrix (row 0 the admittance
+    symbols, row 1 ones), every entry a degree -> SymbolForm map; the
+    generators hold degrees 1 .. 1 - order and ell stops at
+    ``ell_floor``. These forms are the one stored representation: the
+    gauge transforms compose them, the marchers quantize them (a kernel
+    build separates their x-by-xi products itself), and
+    ``order_claim_check`` measures the orders of ell o g and d3 ell from
+    their lowered terms by Taylor jets. Construction lowers every form
+    once, so those checks build no DAG node.
     """
 
     medium: MediumSpec
@@ -308,23 +285,16 @@ class SplitSymbols:
     g_forms: tuple
     ell_forms: tuple
     ell_floor: int
-    g_plus: PolyhomSymbol = field(init=False)
-    g_minus: PolyhomSymbol = field(init=False)
-    ell: tuple = field(init=False)
 
     def __post_init__(self):
-        def lowered(forms, floor):
-            return PolyhomSymbol({d: f.lower() for d, f in forms.items()}, floor=floor)
+        for forms in (*self.g_forms, *self.ell_forms[0], *self.ell_forms[1]):
+            for f in forms.values():
+                f.lower()
 
-        g_plus, g_minus = (lowered(g, 1 - self.order) for g in self.g_forms)
-        ell = tuple(tuple(lowered(e, self.ell_floor) for e in row) for row in self.ell_forms)
-        object.__setattr__(self, "g_plus", g_plus)
-        object.__setattr__(self, "g_minus", g_minus)
-        object.__setattr__(self, "ell", ell)
-
-    def g_symbol(self, sign: int) -> PolyhomSymbol:
+    def g_symbol(self, sign: int) -> dict:
+        """The generator of one branch, a degree -> SymbolForm map."""
         _check_sign(sign)
-        return self.g_plus if sign > 0 else self.g_minus
+        return self.g_forms[0] if sign > 0 else self.g_forms[1]
 
 
 def _generator_forms(branch: AdmittanceExpansion) -> dict:
@@ -334,9 +304,9 @@ def _generator_forms(branch: AdmittanceExpansion) -> dict:
     forms a21 y_j."""
     m = branch.medium
     A = systems_symbols(m)
-    top = A.a21.term(1) * branch.term(0) + A.a22.term(1)
+    a21 = A.a21[1]
+    top = a21.lower() * branch.term(0) + symbol_total(A.a22)
     forms = {1: SymbolForm.lift(radicand(m), top)}
-    a21 = _kit(m).a21
     for d, f in branch.forms.items():
         if d < 0 and f.terms:
             forms[d + 1] = a21 * f
@@ -348,8 +318,7 @@ def split_symbols(plus: AdmittanceExpansion, minus: AdmittanceExpansion) -> Spli
 
     g+- = a21 y+- + a22 and ell row 0 (the branches' own forms, zero
     forms left out) are forms; row 1 is the grade-0 one. The marchers
-    quantize the lowered generators, and the gauge transforms compose
-    the forms.
+    quantize the generators, and the gauge transforms compose them.
     """
     if plus.sign != 1 or minus.sign != -1:
         raise ExpansionError("split_symbols expects (plus, minus) branches in that order")

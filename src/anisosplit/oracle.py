@@ -34,7 +34,13 @@ from .medium import (
     schur,
 )
 from .expansion import AdmittanceExpansion, SplitSymbols
-from .symbols import TransverseGrid, quantize_apply, random_smooth_field, systems_symbols
+from .symbols import (
+    TransverseGrid,
+    quantize_apply,
+    random_smooth_field,
+    symbol_total,
+    systems_symbols,
+)
 
 __all__ = [
     "OracleError",
@@ -347,11 +353,11 @@ def _residual_values(exp: AdmittanceExpansion, env: dict, beta_cap: int):
     m = exp.medium
     A = systems_symbols(m)
     ys = [t.expr for t in exp.terms]
-    a11, a12 = list(A.a11.terms.values()), list(A.a12.terms.values())
+    a11, a12 = ([f.lower() for f in a.values()] for a in (A.a11, A.a12))
     n, k = len(ys), len(ys) + len(a11)
     dirs = _jet_directions(max(beta_cap, 1))
     xi = _jets(ys + a11 + a12, env, dirs, (VarId.XI1, VarId.XI2), False)
-    xs = ys + [_coefficients(m).inv33, A.a22.term(1)]
+    xs = ys + [_coefficients(m).inv33, symbol_total(A.a22)]
     x = _jets(xs, env, dirs, (VarId.X1, VarId.X2), exp.eta)
     y_x = sum(x[:n])
     b_x = env[VarId.S] * _conv(x[n], y_x) + x[n + 1]
@@ -757,18 +763,19 @@ def _order_claim_values(split: SplitSymbols, env: dict):
     the y_j and the x pass over the g_k (``_jets``). d3 ell is read from
     the xi pass, and is None when y+ is free of x3.
     """
-    ell, g = split.ell[0][0], split.g_plus
-    floor = ell.low_degree + 1
-    top = ell.top_degree + g.top_degree - floor
-    dirs = _jet_directions(top)
-    d3 = any(VarId.X3 in e.free_vars for e in ell.terms.values())
-    y_xi = _jets(ell.terms.values(), env, dirs, (VarId.XI1, VarId.XI2), d3)
-    g_x = _jets(g.terms.values(), env, dirs, (VarId.X1, VarId.X2), False)
-    dg = [_mixed_partials(jet, dirs, k + ell.top_degree - floor) for k, jet in zip(g.terms, g_x)]
+    ell = {d: f.lower() for d, f in split.ell_forms[0][0].items()}
+    g = {d: f.lower() for d, f in split.g_forms[0].items()}
+    floor = split.ell_floor + 1
+    ell_top, g_top = max(ell), max(g)
+    dirs = _jet_directions(ell_top + g_top - floor)
+    d3 = any(VarId.X3 in e.free_vars for e in ell.values())
+    y_xi = _jets(ell.values(), env, dirs, (VarId.XI1, VarId.XI2), d3)
+    g_x = _jets(g.values(), env, dirs, (VarId.X1, VarId.X2), False)
+    dg = [_mixed_partials(jet, dirs, k + ell_top - floor) for k, jet in zip(g, g_x)]
     p = 0
-    for j, jet in zip(ell.terms, y_xi):
-        dy = _mixed_partials(jet, dirs, j + g.top_degree - floor)
-        for k, dgk in zip(g.terms, dg):
+    for j, jet in zip(ell, y_xi):
+        dy = _mixed_partials(jet, dirs, j + g_top - floor)
+        for k, dgk in zip(g, dg):
             p = p + _beta_sum(dy, dgk, j + k - floor)[0]
     return p, (sum(jet[1, -1] for jet in y_xi) if d3 else None)
 

@@ -302,7 +302,7 @@ def oneway_solve(
             raise PropagationError(
                 f"trunc must be between 0 and the split order {split.order}"
             )
-        g = g.truncate(1 - trunc)
+        g = {d: f for d, f in g.items() if d >= 1 - trunc}
     _check_method("oneway", method)
     if steps < 1:
         raise PropagationError("steps must be positive")
@@ -350,11 +350,9 @@ def recompose(split: SplitSymbols, u_plus, u_minus, grid: TransverseGrid, s, x3=
     s = complex(s)
     up = np.asarray(u_plus, dtype=np.complex128)
     um = np.asarray(u_minus, dtype=np.complex128)
-    v3 = quantize_apply(split.ell[0][0], up, grid, x3, s) + quantize_apply(
-        split.ell[0][1], um, grid, x3, s
-    )
-    p = quantize_apply(split.ell[1][0], up, grid, x3, s) + quantize_apply(
-        split.ell[1][1], um, grid, x3, s
+    v3, p = (
+        quantize_apply(row[0], up, grid, x3, s) + quantize_apply(row[1], um, grid, x3, s)
+        for row in split.ell_forms
     )
     return v3, p
 

@@ -1,9 +1,10 @@
 """Polyhomogeneous symbol calculus on the transverse torus.
 
-Symbols are finite sums of terms, each an expression that is (jointly)
-homogeneous of an integer degree in (xi1, xi2, s). The Laplace parameter
-s scales like a wavenumber, so "degree" always means joint degree in
-(xi, s). Composition follows the transverse Kohn-Nirenberg rule
+A graded symbol is a degree -> SymbolForm map, a finite sum of terms,
+each (jointly) homogeneous of an integer degree in (xi1, xi2, s). The
+Laplace parameter s scales like a wavenumber, so "degree" always means
+joint degree in (xi, s). Composition follows the transverse
+Kohn-Nirenberg rule
 
     r ~ sum_beta (1/beta!) (d_xi^beta p) ((1/i) d_x^beta q),
 
@@ -24,6 +25,9 @@ import numpy as np
 
 from .expr import (
     ONE,
+    S,
+    XI1,
+    XI2,
     Expr,
     VarId,
     ZERO,
@@ -40,20 +44,19 @@ from .expr import (
     recip,
     sqrt_,
     sub,
-    variable,
 )
 from .medium import MediumSpec, _coefficients, schur
 
 __all__ = [
     "SymbolTerm",
     "SymbolForm",
-    "PolyhomSymbol",
     "SymbolMatrix22",
     "TransverseGrid",
     "SymbolError",
     "systems_symbols",
     "compose_degree_part",
     "quantize_apply",
+    "symbol_total",
     "homogeneity_check",
     "HomogeneityReport",
     "xi_derivative",
@@ -78,76 +81,15 @@ def _is_zero_expr(e: Expr) -> bool:
     return e.op == "const" and e.data == 0
 
 
-class PolyhomSymbol:
-    """A finite polyhomogeneous sum with strictly decreasing degrees.
-
-    ``terms`` maps degree -> expression (at most one term per degree;
-    exact-zero expressions are dropped). ``low_degree`` is the truncation
-    floor: degrees below it are unknown, not zero.
-    """
-
-    __slots__ = ("terms", "low_degree")
-
-    def __init__(self, terms, floor=None):
-        clean = {}
-        for d, e in dict(terms).items():
-            if isinstance(e, SymbolTerm):
-                if e.degree != d:
-                    raise SymbolError(f"term degree {e.degree} filed under {d}")
-                e = e.expr
-            if not isinstance(e, Expr):
-                raise SymbolError("symbol terms must be expressions")
-            if not _is_zero_expr(e):
-                clean[int(d)] = e
-        self.terms = dict(sorted(clean.items(), reverse=True))
-        if floor is None:
-            floor = min(self.terms) if self.terms else 0
-        self.low_degree = int(floor)
-        if self.terms and min(self.terms) < self.low_degree:
-            raise SymbolError("term below the truncation floor")
-
-    @classmethod
-    def from_term(cls, expr, degree, floor=None):
-        return cls({int(degree): expr}, floor=degree if floor is None else floor)
-
-    @classmethod
-    def zero(cls, floor=0):
-        return cls({}, floor=floor)
-
-    @property
-    def top_degree(self):
-        return max(self.terms) if self.terms else None
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def term(self, degree) -> Expr:
-        return self.terms.get(degree, ZERO)
-
-    def total(self) -> Expr:
-        """The plain sum of all retained terms (no grading)."""
-        acc = ZERO
-        for _, e in self.terms.items():
-            acc = acc + e
-        return acc
-
-    def truncate(self, floor) -> "PolyhomSymbol":
-        return PolyhomSymbol({d: e for d, e in self.terms.items() if d >= floor}, floor=floor)
-
-    def __repr__(self):
-        degs = ", ".join(str(d) for d in self.terms)
-        return f"PolyhomSymbol(degrees=[{degs}], floor={self.low_degree})"
-
-
 @dataclass(frozen=True)
 class SymbolMatrix22:
-    """2x2 matrix of polyhomogeneous symbols (entries row-major)."""
+    """2x2 matrix of graded symbols (entries row-major), each a degree ->
+    SymbolForm map holding its nonzero terms only."""
 
-    a11: PolyhomSymbol
-    a12: PolyhomSymbol
-    a21: PolyhomSymbol
-    a22: PolyhomSymbol
+    a11: dict
+    a12: dict
+    a21: dict
+    a22: dict
 
 
 # ---------------------------------------------------------------------------
@@ -224,38 +166,46 @@ def systems_symbols(m: MediumSpec) -> SymbolMatrix22:
 
     Exactly six homogeneous components are nonzero in general:
     a11 degree 1 and 0, a12 degree 1 and 0, a21 degree 1, a22 degree 1.
-    For homogeneous media the degree-0 pieces fold away to empty. Built
-    once per medium from its coefficient record and cached on it.
+    Each entry maps degree -> SymbolForm, every nonzero term lifted once
+    (so it lowers to the expression it was built as). Zero terms are
+    left out: for homogeneous media the degree-0 parts of a11 and a12
+    are absent, a11 is empty when also alpha13 = alpha23 = 0, and a22
+    when alpha31 = alpha32 = 0. Built once per medium from its
+    coefficient record and cached on it.
     """
 
     def build():
-        xi1, xi2, s = variable(VarId.XI1), variable(VarId.XI2), variable(VarId.S)
         c = _coefficients(m)
         i = const(1j)
 
-        a11_1 = i * (xi1 * c.f[0] + xi2 * c.f[1])
+        a11_1 = i * (XI1 * c.f[0] + XI2 * c.f[1])
         a11_0 = diff(c.f[0], VarId.X1) + diff(c.f[1], VarId.X2)
 
         dQ = schur(m).dQ
         qform = ZERO
         for mu in range(2):
             for nu in range(2):
-                xim = xi1 if mu == 0 else xi2
-                xin = xi1 if nu == 0 else xi2
+                xim = XI1 if mu == 0 else XI2
+                xin = XI1 if nu == 0 else XI2
                 qform = qform + c.Q[mu][nu] * xim * xin
-        a12_1 = s * c.kappa + recip(s) * qform
-        a12_0 = const(-1) * recip(s) * i * (dQ[0] * xi1 + dQ[1] * xi2)
+        a12_1 = S * c.kappa + recip(S) * qform
+        a12_0 = const(-1) * recip(S) * i * (dQ[0] * XI1 + dQ[1] * XI2)
 
-        a21_1 = s * c.inv33
+        a21_1 = S * c.inv33
         # one inv33 factor outside the sum, not i xi_mu g_mu: the expansion
         # terms, and so the text `anisosplit expand` writes, follow this form
-        a22_1 = i * (xi1 * m.alpha[2][0] + xi2 * m.alpha[2][1]) * c.inv33
+        a22_1 = i * (XI1 * m.alpha[2][0] + XI2 * m.alpha[2][1]) * c.inv33
+
+        rho = radicand(m)
+
+        def graded(terms):
+            return {d: SymbolForm.lift(rho, e) for d, e in terms.items() if not _is_zero_expr(e)}
 
         return SymbolMatrix22(
-            a11=PolyhomSymbol({1: a11_1, 0: a11_0}, floor=0),
-            a12=PolyhomSymbol({1: a12_1, 0: a12_0}, floor=0),
-            a21=PolyhomSymbol({1: a21_1}, floor=1),
-            a22=PolyhomSymbol({1: a22_1}, floor=1),
+            a11=graded({1: a11_1, 0: a11_0}),
+            a12=graded({1: a12_1, 0: a12_0}),
+            a21=graded({1: a21_1}),
+            a22=graded({1: a22_1}),
         )
 
     return m._cache("systems_symbols", build)
@@ -265,7 +215,6 @@ def systems_symbols(m: MediumSpec) -> SymbolMatrix22:
 # the rho-graded normal form
 
 _NOT_A_FORM = "expression is not a sum of rho^(d/2) times rho-free expressions"
-_XI1, _XI2, _S = (variable(v) for v in (VarId.XI1, VarId.XI2, VarId.S))
 _X12 = frozenset((VarId.X1, VarId.X2))
 _XI12 = frozenset((VarId.XI1, VarId.XI2))
 
@@ -282,12 +231,12 @@ class Radicand:
     """
 
     def __init__(self, kappa: Expr, Qt):
-        xis = (_XI1, _XI2)
+        xis = (XI1, XI2)
         form = ZERO
         for mu in range(2):
             for nu in range(2):
                 form = form + Qt[mu][nu] * xis[mu] * xis[nu]
-        self.expr = ipow(_S, 2) * kappa + form
+        self.expr = ipow(S, 2) * kappa + form
         self.root = sqrt_(self.expr)
         self._grad = {}
 
@@ -485,8 +434,8 @@ class TransverseGrid:
         n = self.n
         if n < 4 or (n & (n - 1)) != 0:
             raise SymbolError("grid size must be a power of two, at least 4")
-        if not (self.L1 > 0 and self.L2 > 0):
-            raise SymbolError("grid periods must be positive")
+        if not all(math.isfinite(L) and L > 0 for L in (self.L1, self.L2)):
+            raise SymbolError("grid periods must be finite and positive")
 
     def x_axes(self):
         return (
@@ -526,23 +475,25 @@ class TransverseGrid:
         return _GridOperator(sym, self, s)
 
 
-def _symbol_total(sym) -> Expr:
-    """The plain sum of a PolyhomSymbol's terms, a SymbolTerm's expression
-    or an Expr itself."""
-    if isinstance(sym, PolyhomSymbol):
-        return sym.total()
-    if isinstance(sym, SymbolTerm):
-        return sym.expr
+def symbol_total(sym) -> Expr:
+    """The plain sum of a graded symbol, a degree -> SymbolForm map, as
+    one expression: its lowered terms added top degree first. An Expr is
+    returned as it is; anything else raises SymbolError."""
     if isinstance(sym, Expr):
         return sym
-    raise SymbolError(f"cannot quantize {type(sym).__name__}")
+    if not isinstance(sym, dict) or not all(isinstance(f, SymbolForm) for f in sym.values()):
+        raise SymbolError(f"{type(sym).__name__} is not an Expr or a degree -> SymbolForm map")
+    acc = ZERO
+    for d in sorted(sym, reverse=True):
+        acc = acc + sym[d].lower()
+    return acc
 
 
 # Entries per row block of a kernel build: small enough that the block's
 # intermediates stay in cache, and that each 64 KB block temporary stays
 # under glibc's default 128 KB mmap threshold, so blocks reuse heap memory
 # instead of mapping and unmapping fresh pages each time. The trade-off,
-# order-2 g_plus of transverse_anisotropic on a 2-core host, median ms:
+# order-2 g+ of transverse_anisotropic on a 2-core host, median ms:
 # 2**12 builds an n = 16 kernel in 30 (2**14: 43-45) and the cold first
 # n = 32 kernel in 217-243 (2**14: 443-484), but a warm n = 32 kernel in
 # 204-279 (2**14: 211-223). A depth march builds a new n = 16 kernel per
@@ -605,7 +556,7 @@ def _separate(node: Expr, forms: dict, rank: dict):
 
 def _xi_product(key) -> Expr:
     a, b, atoms = key
-    acc = mul(ipow(_XI1, a), ipow(_XI2, b))
+    acc = mul(ipow(XI1, a), ipow(XI2, b))
     for f in atoms:
         acc = mul(acc, f)
     return acc
@@ -631,7 +582,7 @@ class _KernelPlan:
     """
 
     def __init__(self, sym):
-        self.total = total = _symbol_total(sym)
+        self.total = total = symbol_total(sym)
         order, _ = _walk([total])
         rank = {nd: i for i, nd in enumerate(order)}
         forms = {}
@@ -750,7 +701,8 @@ def _kept_by_depth(store: OrderedDict, x3, depth_free: bool, build):
 class _GridOperator:
     """A quantized symbol acting on grid fields at a fixed s.
 
-    How it acts is decided once, from the symbol's free variables: free
+    The symbol is an Expr or a degree -> SymbolForm map, taken as its
+    ``symbol_total``. How it acts is decided once, from the symbol's free variables: free
     of xi, by pointwise multiplication; free of x, as a Fourier
     multiplier; otherwise through its physical kernel. Every path
     projects out the Nyquist row/column of the input spectrum.
@@ -766,7 +718,7 @@ class _GridOperator:
     def __init__(self, sym, grid: TransverseGrid, s):
         self.grid = grid
         self.s = complex(s)
-        self.total = total = _symbol_total(sym)
+        self.total = total = symbol_total(sym)
         if _is_mixed(total):
             self.kind = "kernel"
         else:
@@ -812,8 +764,9 @@ class _GridOperator:
 def quantize_apply(sym, field, grid: TransverseGrid, x3, s):
     """Apply the quantized symbol to a grid field or a stack of them.
 
-    ``field`` is an (n, n) complex array or a (k, n, n) stack of k
-    fields. A symbol free of xi acts by pointwise multiplication, one
+    ``sym`` is an Expr or a graded symbol (a degree -> SymbolForm map,
+    quantized as its ``symbol_total``). ``field`` is an (n, n) complex
+    array or a (k, n, n) stack of k fields. A symbol free of xi acts by pointwise multiplication, one
     free of x by a Fourier multiplier, any other through its physical
     kernel (``_physical_kernel``), built once for all the fields. See
     ``_GridOperator``.

@@ -9,7 +9,6 @@ import numpy as np
 
 from anisosplit import (
     ExpansionError,
-    PolyhomSymbol,
     SymbolTerm,
     VarId,
     const,
@@ -17,6 +16,7 @@ from anisosplit import (
     eval_expr,
     gamma1,
     schur,
+    symbol_total,
     systems_symbols,
     taylor_eval,
     variable,
@@ -28,7 +28,7 @@ from anisosplit.oracle import (
     _probe_env as probe_env,
     _scaling_env,
 )
-from anisosplit.symbols import _multi_indices, _symbol_total
+from anisosplit.symbols import _multi_indices
 
 _XI1 = variable(VarId.XI1)
 _XI2 = variable(VarId.XI2)
@@ -78,7 +78,7 @@ def single_shot_quantize(sym, grid, x3, s):
         VarId.XI2: w2[None, :],
         VarId.S: complex(s),
     }
-    vals = np.broadcast_to(np.asarray(eval_expr(_symbol_total(sym), env)), (n * n, n * n))
+    vals = np.broadcast_to(np.asarray(eval_expr(symbol_total(sym), env)), (n * n, n * n))
     phase = np.exp(1j * (np.outer(x1, w1) + np.outer(x2, w2))) / n**2
     return np.where(grid.nyquist_mask().ravel()[None, :], vals * phase, 0.0)
 
@@ -155,7 +155,7 @@ def residual_expr(exp, beta_cap: int):
     y = ZERO
     for t in exp.terms:
         y = y + t.expr
-    b = _S * inv33 * y + A.a22.term(1)
+    b = _S * inv33 * y + symbol_total(A.a22)
 
     dxi = {(0, 0): y}
     dxb = {(0, 0): b}
@@ -177,9 +177,10 @@ def residual_expr(exp, beta_cap: int):
 
     f1 = m.alpha[0][2] * inv33
     f2 = m.alpha[1][2] * inv33
-    acc = acc - A.a11.term(1) * y
+    acc = acc - lowered(A.a11).get(1, ZERO) * y
     acc = acc - (diff(mul(f1, y), VarId.X1) + diff(mul(f2, y), VarId.X2))
-    acc = acc - (A.a12.term(1) + A.a12.term(0))
+    a12 = lowered(A.a12)
+    acc = acc - (a12[1] + a12.get(0, ZERO))
     if exp.eta:
         acc = acc - diff(y, VarId.X3)
     return acc
@@ -201,6 +202,19 @@ def symbolic_residual_rms(exp, points, lambdas, beta_cap=None):
 
 def _is_zero_expr(e) -> bool:
     return e.op == "const" and e.data == 0
+
+
+def lowered(forms: dict) -> dict:
+    """A degree -> SymbolForm map as a degree -> expression map."""
+    return {d: f.lower() for d, f in forms.items()}
+
+
+def expr_total(terms: dict):
+    """The plain sum of a degree -> expression map, top degree first."""
+    acc = ZERO
+    for d in sorted(terms, reverse=True):
+        acc = acc + terms[d]
+    return acc
 
 
 def oracle_xi_derivative(e, beta):
@@ -242,63 +256,65 @@ def oracle_compose_degree_part(p_terms, q_terms, d):
 
 
 def oracle_compose(p, q, floor):
-    """Asymptotic composition p o q of two PolyhomSymbols, truncated at
-    the given floor."""
-    if p.is_zero or q.is_zero:
-        return PolyhomSymbol.zero(floor)
-    top = p.top_degree + q.top_degree
-    parts = {d: oracle_compose_degree_part(p.terms, q.terms, d) for d in range(top, floor - 1, -1)}
-    return PolyhomSymbol(parts, floor=floor)
+    """Asymptotic composition p o q of two degree -> expression maps,
+    truncated at the given floor; zero parts are left out."""
+    if not p or not q:
+        return {}
+    parts = {d: oracle_compose_degree_part(p, q, d) for d in range(max(p) + max(q), floor - 1, -1)}
+    return {d: e for d, e in parts.items() if not _is_zero_expr(e)}
 
 
 def oracle_symbol_inverse(y, order: int):
-    """Parametrix z o y ~ 1 of a PolyhomSymbol: the reciprocal of the top
-    term, then ``order`` corrections cancelling z o y degree by degree."""
-    top = y.top_degree
-    inv_top = recip(y.terms[top])
+    """Parametrix z o y ~ 1 of a degree -> expression map: the reciprocal
+    of the top term, then ``order`` corrections cancelling z o y degree
+    by degree; zero terms are left out."""
+    top = max(y)
+    inv_top = recip(y[top])
     z = {-top: inv_top}
     for r in range(1, order + 1):
-        z[-top - r] = mul(neg(inv_top), oracle_compose_degree_part(z, y.terms, -r))
-    return PolyhomSymbol(z, floor=-top - order)
+        z[-top - r] = mul(neg(inv_top), oracle_compose_degree_part(z, y, -r))
+    return {d: e for d, e in z.items() if not _is_zero_expr(e)}
 
 
 def oracle_normalization(split, n_plus, n_minus):
-    """(g+, g-, ell) of a split transformed by diag(n+, n-), PolyhomSymbols,
-    as written: G~ = N o G o N^-1 - eta (d3 N) o N^-1 and L~ = L o N^-1."""
+    """(g+, g-, ell, ell floor) of a split transformed by diag(n+, n-),
+    degree -> expression maps in and out, as written:
+    G~ = N o G o N^-1 - eta (d3 N) o N^-1 and L~ = L o N^-1."""
     order = split.order
     floor_g = 1 - order
     diag = (n_plus, n_minus)
     inv = [oracle_symbol_inverse(n, order) for n in diag]
     g_out = []
-    for n, ninv, g in zip(diag, inv, (split.g_plus, split.g_minus)):
-        inner = oracle_compose(n, g, floor_g - ninv.top_degree)
+    for n, ninv, g in zip(diag, inv, split.g_forms):
+        inner = oracle_compose(n, lowered(g), floor_g - max(ninv))
         gt = oracle_compose(inner, ninv, floor_g)
         if split.eta:
-            d3n = {d: diff(e, VarId.X3) for d, e in n.terms.items()}
-            d3 = oracle_compose(PolyhomSymbol(d3n, floor=n.low_degree), ninv, floor_g)
-            degrees = gt.terms.keys() | d3.terms.keys()
-            gt = PolyhomSymbol({d: gt.term(d) - d3.term(d) for d in degrees}, floor_g)
+            d3n = {d: diff(e, VarId.X3) for d, e in n.items()}
+            d3 = oracle_compose(d3n, ninv, floor_g)
+            parts = {d: gt.get(d, ZERO) - d3.get(d, ZERO) for d in gt.keys() | d3.keys()}
+            gt = {d: e for d, e in parts.items() if not _is_zero_expr(e)}
         g_out.append(gt)
-    floor_l = -order + min(z.top_degree for z in inv)
+    floor_l = -order + min(max(z) for z in inv)
     ell = tuple(
-        tuple(oracle_compose(split.ell[i][j], inv[j], floor_l) for j in range(2)) for i in range(2)
+        tuple(oracle_compose(lowered(row[j]), inv[j], floor_l) for j in range(2))
+        for row in split.ell_forms
     )
-    return g_out[0], g_out[1], ell
+    return g_out[0], g_out[1], ell, floor_l
 
 
 def _oracle_generator_terms(m, y_terms: dict) -> dict:
     A = systems_symbols(m)
-    a21 = A.a21.term(1)
+    a21 = A.a21[1].lower()
     out = {j + 1: mul(a21, yj) for j, yj in y_terms.items()}
-    out[1] = out.get(1, ZERO) + A.a22.term(1)
+    out[1] = out.get(1, ZERO) + symbol_total(A.a22)
     return out
 
 
 def oracle_riccati_degree_part(m, eta: int, y_terms: dict, d: int):
     A = systems_symbols(m)
     acc = oracle_compose_degree_part(y_terms, _oracle_generator_terms(m, y_terms), d)
-    acc = acc - oracle_compose_degree_part(A.a11.terms, y_terms, d)
-    acc = acc - A.a12.term(d)
+    acc = acc - oracle_compose_degree_part(lowered(A.a11), y_terms, d)
+    acc = acc - lowered(A.a12).get(d, ZERO)
     if eta and d in y_terms:
         acc = acc - diff(y_terms[d], VarId.X3)
     return acc
@@ -446,11 +462,11 @@ def symbolic_order_claim(split, env):
     floor, and d/dx3 of ell's sum) and evaluated at ``env``: (p symbol,
     p values, d3 ell values or None when ell is free of x3). The oracle
     for the jets of ``oracle._order_claim_values``; cheap up to order 3."""
-    ell = split.ell[0][0]
-    p = oracle_compose(ell, split.g_plus, ell.low_degree + 1)
-    d3 = diff(ell.total(), VarId.X3)
+    ell = lowered(split.ell_forms[0][0])
+    p = oracle_compose(ell, lowered(split.g_forms[0]), split.ell_floor + 1)
+    d3 = diff(expr_total(ell), VarId.X3)
     d3_vals = None if d3 is ZERO else eval_expr(d3, env)
-    return p, eval_expr(p.total(), env), d3_vals
+    return p, eval_expr(expr_total(p), env), d3_vals
 
 
 def depth_derivative_leading(m, sign: int) -> SymbolTerm:

@@ -524,10 +524,14 @@ def test_negative_seed_is_config_error(tmp_path, capsys, text, extra):
         (["propagate"], HOM + PROPAGATION + "method = foo\n"),
         (["propagate"], HOM + PROPAGATION + "record_depths = 0.2, 3\n"),
         (["oracle", "quad"], HOM.replace("s = 1.2+0.4i", "s = -1")),
+        (["propagate"], HOM + PROPAGATION.replace("s = 1.2", "s = 0")),
+        (["propagate"], HOM + PROPAGATION.replace("s = 1.2", "s = -1")),
+        (["propagate"], HOM.replace("n = 8", "n = 8\nl1 = inf") + PROPAGATION),
     ],
     ids=[
         "order", "orders", "grid-n", "steps", "points", "lambdas", "unbound-field", "no-orders",
-        "method", "record-depth", "oracle-s",
+        "method", "record-depth", "oracle-s", "propagation-s-zero", "propagation-s-negative",
+        "grid-l1-inf",
     ],
 )
 def test_out_of_range_values_exit_two_before_any_work(tmp_path, capsys, argv, text):

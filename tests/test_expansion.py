@@ -1,11 +1,13 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from anisosplit import (
     ExpansionError,
+    Expr,
     NormalizationSpec,
+    SplitSymbols,
     SymbolForm,
     VarId,
     apply_normalization,
@@ -273,12 +275,10 @@ def test_expand_node_cap(het_medium):
 def test_expansion_series_and_truncation(het_expansion_pair):
     exp = het_expansion_pair[0]
     full = exp.series()
-    assert full.top_degree == 0
-    assert full.low_degree == -2
-    t1 = exp.series(1)
-    assert t1.low_degree == -1
-    assert t1.term(-2) is ZERO
-    assert set(exp.series(0).terms) == {0}
+    assert list(full) == [0, -1, -2]
+    assert all(full[d] is exp.forms[d] for d in full)
+    assert list(exp.series(1)) == [0, -1]
+    assert list(exp.series(0)) == [0]
     for bad in (5, -1):
         with pytest.raises(ExpansionError):
             exp.series(bad)
@@ -302,31 +302,32 @@ def test_forms_are_the_one_stored_representation():
     assert rel_err(eval_at(doubled.term(-3), pts), 2 * eval_at(plus.term(-3), pts)) <= 1e-12
     split = split_symbols(plus, minus)
     gauges = [NormalizationSpec(kind="impedance"), NormalizationSpec(kind="constant", m=2, mprime=0.5j)]
+    # a split stores forms and the ell floor, and no expression
+    names = {f.name for f in fields(SplitSymbols)}
+    assert names == {"medium", "eta", "order", "g_forms", "ell_forms", "ell_floor"}
     for sp in [split] + [apply_normalization(split, g) for g in gauges]:
-        for g, forms in zip((sp.g_plus, sp.g_minus), sp.g_forms):
-            assert g.low_degree == 1 - sp.order
-            assert set(g.terms) <= set(forms)
-            for d, f in forms.items():
-                assert g.term(d) is f.lower()
-        for row, form_row in zip(sp.ell, sp.ell_forms):
-            for e, forms in zip(row, form_row):
-                assert e.low_degree == sp.ell_floor
-                assert set(e.terms) <= set(forms)
-                for d, f in forms.items():
-                    assert e.term(d) is f.lower()
+        assert sp.g_symbol(1) is sp.g_forms[0] and sp.g_symbol(-1) is sp.g_forms[1]
+        for name in names - {"medium"}:
+            assert not isinstance(getattr(sp, name), Expr)
+        for g in sp.g_forms:
+            assert min(g) >= 1 - sp.order
+            assert all(isinstance(f, SymbolForm) and f.terms for f in g.values())
+        for e in (*sp.ell_forms[0], *sp.ell_forms[1]):
+            assert min(e) >= sp.ell_floor
+            assert all(isinstance(f, SymbolForm) and f.terms for f in e.values())
     assert split.ell_floor == -3
-    assert split.ell[0][0].term(0) is y0
+    assert split.ell_forms[0][0][0].lower() is y0
 
 
 def test_split_symbols_structure(het_split):
     sp = het_split
     # row 1 of the composition matrix is identically one
-    assert sp.ell[1][0].term(0) is parse("1")
-    assert sp.ell[1][1].term(0) is parse("1")
+    assert sp.ell_forms[1][0][0].lower() is parse("1")
+    assert sp.ell_forms[1][1][0].lower() is parse("1")
     # column entries start from the admittances
     pts = draw_probe_points(sp.medium, 10, np.random.default_rng(11))
     assert rel_err(
-        eval_at(sp.ell[0][0].term(0), pts),
+        eval_at(sp.ell_forms[0][0][0].lower(), pts),
         eval_at(leading_term(sp.medium, 1).expr, pts),
     ) <= 1e-12
     # generator relation g_d = s a33^-1 y_{d-1} (+ a22 at degree 1)
@@ -338,14 +339,14 @@ def test_split_symbols_structure(het_split):
         * (eval_at(a(3, 1), pts) * env[VarId.XI1] + eval_at(a(3, 2), pts) * env[VarId.XI2])
         / a33
     )
-    got = eval_at(sp.g_plus.term(1), pts)
+    got = eval_at(sp.g_forms[0][1].lower(), pts)
     want = env[VarId.S] / a33 * eval_at(leading_term(sp.medium, 1).expr, pts) + a22
     assert rel_err(got, want) <= 1e-12
     # the order claim's p = ell o g+ has top degree 1 and respects the
     # truncation floor
     p, _, _ = symbolic_order_claim(sp, env)
-    assert p.top_degree <= 1
-    assert p.low_degree == 1 - sp.order
+    assert max(p) <= 1
+    assert min(p) >= 1 - sp.order
 
 
 def test_split_symbols_rejects_mismatched_pair(het_medium):

@@ -15,6 +15,7 @@ from anisosplit import (
     quantize_apply,
     random_smooth_field,
     recompose,
+    symbol_total,
     systems_symbols,
 )
 from anisosplit import presets
@@ -197,6 +198,25 @@ def test_oneway_trunc_controls_corrections(grid8):
     assert field_rel(u0, u1) > 1e-6
     with pytest.raises(PropagationError):
         oneway_solve(sp, 1, grid8, s, u, 0.0, 0.3, trunc=5)
+
+
+def test_oneway_trunc_keeps_the_top_generator_forms(grid8):
+    # trunc = the split order quantizes the whole generator and trunc = 0
+    # its top form alone, which is the order-0 split's generator: both
+    # marches agree bit for bit
+    from anisosplit import expand, split_symbols
+
+    m = presets.transverse_anisotropic()
+    sp = split_symbols(expand(m, 1, 0, 2), expand(m, -1, 0, 2))
+    sp0 = split_symbols(expand(m, 1, 0, 0), expand(m, -1, 0, 0))
+    assert symbol_total(sp0.g_symbol(1)) is sp.g_forms[0][1].lower()
+    u = random_smooth_field(grid8, np.random.default_rng(16))
+
+    def march(split, trunc):
+        return oneway_solve(split, 1, grid8, 4.0, u, 0.0, 0.3, steps=8, trunc=trunc)[-1][1]
+
+    assert np.array_equal(march(sp, sp.order), march(sp, None))
+    assert np.array_equal(march(sp, 0), march(sp0, None))
 
 
 def test_oneway_rejects_bad_sign(grid8, hom_split):
@@ -401,7 +421,7 @@ def test_depth_free_rk4_march_builds_one_kernel(monkeypatch, grid8):
 
     m = presets.transverse_anisotropic()
     sp = split_symbols(expand(m, 1, 0, 1), expand(m, -1, 0, 1))
-    free = sp.g_symbol(1).total().free_vars
+    free = symbol_total(sp.g_symbol(1)).free_vars
     assert VarId.X3 not in free and {VarId.X1, VarId.XI1} <= free
     built = _count_kernel_builds(monkeypatch)
     u = random_smooth_field(grid8, np.random.default_rng(24))
@@ -416,7 +436,7 @@ def _march_counting_multiplier(monkeypatch, grid, split, s, u):
     stage."""
     from anisosplit.expr import eval_expr
 
-    total = split.g_symbol(1).total()
+    total = symbol_total(split.g_symbol(1))
     assert grid.operator(total, s).kind == "multiplier"
     W1g, W2g = grid.xi_mesh()
     keep = grid.nyquist_mask()
@@ -440,7 +460,7 @@ def _march_counting_multiplier(monkeypatch, grid, split, s, u):
 def test_depth_free_multiplier_is_evaluated_once_per_march(monkeypatch, grid8, hom_split):
     # a generator free of x and x3 is one Fourier multiplier at every
     # RK4 stage depth: evaluated once, with the same result bit for bit
-    assert VarId.X3 not in hom_split.g_symbol(1).total().free_vars
+    assert VarId.X3 not in symbol_total(hom_split.g_symbol(1)).free_vars
     u = random_smooth_field(grid8, np.random.default_rng(25))
     calls, got, want = _march_counting_multiplier(monkeypatch, grid8, hom_split, 2.0 + 0.5j, u)
     assert calls == 1
@@ -457,7 +477,7 @@ def test_depth_varying_multiplier_is_evaluated_once_per_depth(monkeypatch, grid8
     alpha = "1.6, 0.1, 0.3, 0.1, 1.5, 0.1, 0.1, 0.2, 1.2"
     m = load_medium({"kappa": "1 + 0.3*sin(x3)", "alpha": alpha, "box": box})
     sp = split_symbols(expand(m, 1, 1, 2), expand(m, -1, 1, 2))
-    assert VarId.X3 in sp.g_symbol(1).total().free_vars
+    assert VarId.X3 in symbol_total(sp.g_symbol(1)).free_vars
     u = random_smooth_field(grid8, np.random.default_rng(26))
     calls, got, want = _march_counting_multiplier(monkeypatch, grid8, sp, 2.0 + 0.5j, u)
     assert calls == 17

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from anisosplit import (
-    PolyhomSymbol,
     SymbolError,
     SymbolForm,
     SymbolTerm,
@@ -20,6 +19,7 @@ from anisosplit import (
     random_smooth_field,
     spectral_derivative,
     split_symbols,
+    symbol_total,
     systems_symbols,
 )
 from anisosplit import expand, presets, symbols
@@ -47,10 +47,6 @@ ENV = {
 }
 
 
-def _sym(pairs, floor=None):
-    return PolyhomSymbol({d: parse(t) for d, t in pairs.items()}, floor=floor)
-
-
 RHO = radicand(presets.heterogeneous_full())
 
 
@@ -61,29 +57,6 @@ def _forms(pairs):
 
 def _value(forms, d):
     return eval_expr(forms[d].lower(), ENV) if d in forms else 0.0
-
-
-def test_polyhom_bookkeeping():
-    y = _sym({1: "s*x1", 0: "sin(x1)", -1: "xi1/s^2"}, floor=-2)
-    assert y.top_degree == 1
-    assert y.term(-1) is parse("xi1/s^2")
-    assert y.term(-2) is ZERO
-    assert not y.is_zero
-    assert PolyhomSymbol.zero(floor=-1).is_zero
-
-
-def test_polyhom_rejects_term_below_floor():
-    with pytest.raises(SymbolError):
-        _sym({0: "1", -3: "x1"}, floor=-1)
-
-
-def test_polyhom_truncate_drops_low_degrees():
-    y = _sym({1: "s", 0: "x1", -1: "xi2"}, floor=-2)
-    t = y.truncate(0)
-    assert t.term(1) is parse("s")
-    assert t.term(0) is parse("x1")
-    assert t.term(-1) is ZERO
-    assert t.low_degree == 0
 
 
 def test_derivative_helpers():
@@ -156,37 +129,36 @@ def test_systems_symbols_values(hom_medium):
     inv33 = 1 / a[2, 2]
     Q = a[:2, :2] - np.outer(a[:2, 2], a[2, :2]) * inv33
 
-    got11 = eval_expr(A.a11.term(1), ENV)
+    got11 = eval_expr(A.a11[1].lower(), ENV)
     assert got11 == pytest.approx(1j * (xi @ a[:2, 2]) * inv33)
-    got12 = eval_expr(A.a12.total(), ENV)
+    got12 = eval_expr(symbol_total(A.a12), ENV)
     assert got12 == pytest.approx(s * kap + (xi @ Q @ xi) / s)
-    got21 = eval_expr(A.a21.term(1), ENV)
+    got21 = eval_expr(A.a21[1].lower(), ENV)
     assert got21 == pytest.approx(s * inv33)
-    got22 = eval_expr(A.a22.term(1), ENV)
+    got22 = eval_expr(A.a22[1].lower(), ENV)
     assert got22 == pytest.approx(1j * (a[2, :2] @ xi) * inv33)
 
 
 def test_systems_symbols_zero_order_terms_vanish_for_constant_medium(hom_medium):
     A = systems_symbols(hom_medium)
-    assert A.a11.term(0) is ZERO
-    assert A.a12.term(0) is ZERO
+    assert 0 not in A.a11 and 0 not in A.a12
 
 
 def test_systems_symbols_divergence_terms(het_medium):
     A = systems_symbols(het_medium)
     pts = random_points(np.random.default_rng(1), 12)
-    from helpers import eval_at
+    from helpers import eval_at, lowered
     from anisosplit import schur
     from anisosplit.expr import add, recip
 
     f1 = mul(het_medium.entry(1, 3), recip(het_medium.alpha33()))
     f2 = mul(het_medium.entry(2, 3), recip(het_medium.alpha33()))
     want = add(diff(f1, VarId.X1), diff(f2, VarId.X2))
-    assert rel_err(eval_at(A.a11.term(0), pts), eval_at(want, pts)) <= 1e-12
+    assert rel_err(eval_at(lowered(A.a11).get(0, ZERO), pts), eval_at(want, pts)) <= 1e-12
 
     sd = schur(het_medium)
     want12 = sub(ZERO, mul(parse("1i/s"), add(mul(sd.dQ[0], parse("xi1")), mul(sd.dQ[1], parse("xi2")))))
-    got12 = eval_at(A.a12.term(0), pts)
+    got12 = eval_at(lowered(A.a12).get(0, ZERO), pts)
     assert rel_err(got12, eval_at(want12, pts)) <= 1e-12
 
 
@@ -197,6 +169,9 @@ def test_grid_requires_power_of_two():
         TransverseGrid(2, TAU, TAU)
     with pytest.raises(SymbolError):
         TransverseGrid(8, -1.0, TAU)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(SymbolError, match="finite and positive"):
+            TransverseGrid(8, TAU, bad)
 
 
 def test_quantize_identity():
@@ -288,7 +263,7 @@ def test_separated_kernel_matches_single_shot_oracle(order2_splits, name, x3, n)
 
 @pytest.mark.filterwarnings("error")
 def test_separated_kernel_of_order2_g_plus_has_few_entrywise_nodes(order2_splits):
-    plan = symbols._KernelPlan(order2_splits["transverse_anisotropic"].g_plus)
+    plan = symbols._KernelPlan(order2_splits["transverse_anisotropic"].g_symbol(1))
     assert len(plan.entrywise) <= 40
     assert plan.factors  # the rest is separated
 
@@ -348,7 +323,7 @@ import numpy as np
 from anisosplit import TransverseGrid, expand, presets, split_symbols
 from anisosplit.symbols import _physical_kernel
 m = presets.heterogeneous_full()
-g = split_symbols(expand(m, 1, 1, 2), expand(m, -1, 1, 2)).g_plus
+g = split_symbols(expand(m, 1, 1, 2), expand(m, -1, 1, 2)).g_symbol(1)
 K = _physical_kernel(g, TransverseGrid(8, 2 * np.pi, 2 * np.pi), 0.3, 1.5 + 0.3j)
 print(hashlib.sha256(K.tobytes()).hexdigest())
 """
@@ -414,6 +389,18 @@ def test_quantize_apply_rejects_bad_field_shapes():
             quantize_apply(parse(MIXED), np.zeros(shape), grid, 0.0, 1.0)
 
 
+def test_quantize_apply_takes_expressions_and_form_maps_only():
+    grid = TransverseGrid(8, TAU, TAU)
+    u = np.ones((8, 8), dtype=complex)
+    for sym in (SymbolTerm(parse(MIXED), 1), {1: parse(MIXED)}):
+        with pytest.raises(SymbolError):
+            quantize_apply(sym, u, grid, 0.0, 1.0)
+    forms = _forms({1: "1i*xi1*x1", 0: "sin(x2)"})
+    got = quantize_apply(forms, u, grid, 0.0, 1.0)
+    assert symbol_total(forms) is parse("1i*xi1*x1") + parse("sin(x2)")
+    assert field_rel(got, quantize_apply(symbol_total(forms), u, grid, 0.0, 1.0)) == 0.0
+
+
 def test_quantize_linearity():
     grid = TransverseGrid(8, TAU, TAU)
     rng = np.random.default_rng(8)
@@ -434,10 +421,9 @@ def test_quantize_composition_matches_matrix_product():
     # enough that multiplying by one trig mode cannot reach Nyquist
     grid = TransverseGrid(8, TAU, TAU)
     s = 1.2 + 0.3j
-    p = PolyhomSymbol.from_term(parse("1i*xi1"), 1)
-    q = PolyhomSymbol.from_term(parse("sin(x1)*cos(x2)"), 0)
-    comp_forms = _compose(_forms({1: "1i*xi1"}), _forms({0: "sin(x1)*cos(x2)"}), 0)
-    comp = PolyhomSymbol({d: f.lower() for d, f in comp_forms.items()}, floor=0)
+    p = _forms({1: "1i*xi1"})
+    q = _forms({0: "sin(x1)*cos(x2)"})
+    comp = _compose(p, q, 0)
     rng = np.random.default_rng(9)
     spec = np.zeros((8, 8), dtype=complex)
     for k1 in (-2, -1, 0, 1, 2):
