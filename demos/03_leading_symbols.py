@@ -27,6 +27,8 @@ print("a21 (degree 1):", to_text(sym.a21[1].lower()))
 
 # gamma1 = sqrt(a33 (s^2 kappa + Qt xi.xi)) is the square root every
 # branch shares; leading_term adds the skew part and the branch sign.
+# Every expression carries its homogeneity degree in (xi, s) from
+# construction.
 g = gamma1(m)
 print("gamma1 degree:", g.degree)
 
@@ -34,8 +36,8 @@ xi = np.array([0.8, -0.6])
 s = 1.2 + 0.4j
 env = {VarId.X1: 0.0, VarId.X2: 0.0, VarId.X3: 0.0, VarId.XI1: xi[0], VarId.XI2: xi[1], VarId.S: s}
 
-y_plus = eval_expr(leading_term(m, 1).expr, env)
-y_minus = eval_expr(leading_term(m, -1).expr, env)
+y_plus = eval_expr(leading_term(m, 1), env)
+y_minus = eval_expr(leading_term(m, -1), env)
 print("y0+ =", y_plus)
 print("y0- =", y_minus)
 
@@ -48,5 +50,5 @@ print("relative gap -:", abs(y_minus - roots.y_minus[0]) / abs(y_minus))
 
 # Duality: the sum of the branches is skew data only, the difference is
 # 2 gamma1 / s.
-gv = eval_expr(g.expr, env)
+gv = eval_expr(g, env)
 print("y0+ - y0- vs 2 gamma1/s:", y_plus - y_minus, 2 * gv / s)

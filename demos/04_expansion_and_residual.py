@@ -16,8 +16,8 @@ m = presets.heterogeneous_full()
 
 exp = expand(m, sign=1, eta=1, order=2)
 print("branch +, eta=1, order 2")
-for t in exp.terms:
-    print(f"  degree {t.degree:+d}: {node_count(t.expr)} nodes")
+for d in exp.forms:
+    print(f"  degree {d:+d}: {node_count(exp.term(d))} nodes")
 
 # eta=1 keeps the depth-derivative term in the generator equation; the
 # eta=0 terms differ from it starting at degree -1 once the medium

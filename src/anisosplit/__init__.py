@@ -39,14 +39,11 @@ from .medium import (
     validate,
 )
 from .symbols import (
-    HomogeneityReport,
     SymbolError,
     SymbolForm,
     SymbolMatrix22,
-    SymbolTerm,
     TransverseGrid,
     compose_degree_part,
-    homogeneity_check,
     quantize_apply,
     random_smooth_field,
     spectral_derivative,
@@ -133,7 +130,6 @@ __all__ = [
     "is_homogeneous",
     "is_depth_independent",
     # symbols
-    "SymbolTerm",
     "SymbolForm",
     "SymbolMatrix22",
     "SymbolError",
@@ -144,8 +140,6 @@ __all__ = [
     "symbol_total",
     "spectral_derivative",
     "random_smooth_field",
-    "homogeneity_check",
-    "HomogeneityReport",
     # expansion
     "MAX_ORDER",
     "AdmittanceExpansion",

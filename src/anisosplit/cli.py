@@ -365,15 +365,14 @@ def _cmd_expand(cfg, em, seed, kind):
             header += [f"pt{k}_re", f"pt{k}_im"]
         rows = []
         dump = []
-        for t in exp.terms:
-            vals = np.broadcast_to(
-                np.asarray(eval_expr(t.expr, env)), (n_points,)
-            )
-            row = [t.degree]
+        for d in sorted(exp.forms, reverse=True):
+            e = exp.term(d)
+            vals = np.broadcast_to(np.asarray(eval_expr(e, env)), (n_points,))
+            row = [d]
             for v in vals:
                 row += [v.real, v.imag]
             rows.append(row)
-            dump.append(f"degree {t.degree}:\n{to_text(t.expr)}\n")
+            dump.append(f"degree {d}:\n{to_text(e)}\n")
         em.csv(f"expansion_{tag}.csv", header, rows)
         em.text(f"terms_{tag}.txt", "\n".join(dump))
         print(f"sign {tag}: {ex.order + 1} terms written")
@@ -422,8 +421,8 @@ def _oracle_quad(cfg, em, seed, opts):
         VarId.XI2: xi[:, 1],
         VarId.S: s,
     }
-    yp = eval_expr(leading_term(m, 1).expr, env)
-    ym = eval_expr(leading_term(m, -1).expr, env)
+    yp = eval_expr(leading_term(m, 1), env)
+    ym = eval_expr(leading_term(m, -1), env)
     rel_p = np.abs(yp - roots.y_plus) / np.abs(roots.y_plus)
     rel_m = np.abs(ym - roots.y_minus) / np.abs(roots.y_minus)
     rows = []

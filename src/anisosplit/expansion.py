@@ -26,8 +26,7 @@ real part, i.e. exp(-x3 G^+) decays with increasing depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
 
 from .expr import (
     ONE,
@@ -38,17 +37,14 @@ from .expr import (
     VarId,
     ZERO,
     _cyclic_gc_paused,
-    _eval_walked,
-    _walk,
     const,
+    node_count,
     recip,
     sqrt_,
 )
 from .medium import MediumSpec
 from .symbols import (
     SymbolForm,
-    SymbolTerm,
-    _homogeneity_check,
     compose_degree_part,
     radicand,
     symbol_total,
@@ -75,19 +71,14 @@ class ExpansionError(Exception):
     pass
 
 
-def gamma1(m: MediumSpec) -> SymbolTerm:
+def gamma1(m: MediumSpec) -> Expr:
     """Degree-1 vertical symbol alpha33^(1/2) (s^2 kappa + Qt xi.xi)^(1/2).
 
     Principal branch throughout; for Re s > 0 with |arg s| < pi/2 the
     radicand stays off the closed negative real axis (evaluation raises
     if an argument ever lands on the cut).
     """
-
-    def build():
-        rho = radicand(m).expr
-        return SymbolTerm(sqrt_(m.alpha[2][2]) * sqrt_(rho), 1)
-
-    return m._cache("gamma1", build)
+    return m._cache("gamma1", lambda: sqrt_(m.alpha[2][2]) * sqrt_(radicand(m).expr))
 
 
 def _antisym_drift(m: MediumSpec) -> Expr:
@@ -102,16 +93,14 @@ def _check_sign(sign):
         raise ExpansionError("sign must be +1 (down-going) or -1 (up-going)")
 
 
-def leading_term(m: MediumSpec, sign: int) -> SymbolTerm:
+def leading_term(m: MediumSpec, sign: int) -> Expr:
     """Degree-0 admittance symbol s^-1 (-(1/2) i xi_mu (a_{3mu}-a_{mu3}) +- gamma1)."""
     _check_sign(sign)
 
-    def build():
-        g = gamma1(m)
-        e = recip(S) * (const(-0.5) * _antisym_drift(m) + const(sign) * g.expr)
-        return SymbolTerm(e, 0)
-
-    return m._cache(f"y0[{sign}]", build)
+    return m._cache(
+        f"y0[{sign}]",
+        lambda: recip(S) * (const(-0.5) * _antisym_drift(m) + const(sign) * gamma1(m)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +111,7 @@ def _a33_over_2gamma(m: MediumSpec) -> SymbolForm:
     """alpha33 / (2 gamma1) as a form, built once per medium."""
     return m._cache(
         "a33_over_2gamma",
-        lambda: SymbolForm.lift(radicand(m), m.alpha[2][2] * recip(const(2) * gamma1(m).expr)),
+        lambda: SymbolForm.lift(radicand(m), m.alpha[2][2] * recip(const(2) * gamma1(m))),
     )
 
 
@@ -178,9 +167,9 @@ class AdmittanceExpansion:
     """Terms y_0 .. y_{-order} of one branch, with eta baked in.
 
     ``forms`` maps each degree 0 .. -order to its term as a SymbolForm;
-    it is the one stored representation. ``terms`` is its view as
-    SymbolTerms, each form lowered once at construction; the leading
-    term lowers to the expression it was lifted from.
+    it is the one stored representation. ``term(d)`` is its expression,
+    each form lowered once (the leading term lowers to the expression it
+    was lifted from).
     """
 
     medium: MediumSpec
@@ -188,13 +177,10 @@ class AdmittanceExpansion:
     eta: int
     order: int
     forms: dict  # degree -> SymbolForm, degrees 0, -1, ..., -order
-    terms: tuple = field(init=False)  # SymbolTerm, the same degrees
 
     def __post_init__(self):
         if sorted(self.forms) != list(range(-self.order, 1)):
             raise ExpansionError(f"forms must cover degrees 0 .. {-self.order}")
-        terms = tuple(SymbolTerm(self.forms[-k].lower(), -k) for k in range(self.order + 1))
-        object.__setattr__(self, "terms", terms)
 
     def term(self, degree: int) -> Expr:
         f = self.forms.get(degree)
@@ -211,22 +197,18 @@ class AdmittanceExpansion:
         return {-k: self.forms[-k] for k in range(trunc + 1)}
 
 
-def _check_term(e: Expr, degree: int, node_cap: int, smoke_test: bool, box):
-    """Cap a term's DAG size and, with ``smoke_test``, check its
-    homogeneity, both from one walk of the DAG."""
-    walk = _walk([e])
-    size = len(walk[0])
+def _check_term(e: Expr, degree: int, node_cap: int, check_degree: bool):
+    """Cap a term's DAG size and, with ``check_degree``, check that its
+    structural degree (``Expr.degree``, proved as the nodes were built)
+    is the declared one. ZERO is homogeneous of every degree. Nothing is
+    evaluated."""
+    size = node_count(e)
     if size > node_cap:
         raise ExpansionError(f"term of degree {degree} has {size} nodes (cap {node_cap})")
-    if smoke_test:
-        rep = _homogeneity_check(
-            SymbolTerm(e, degree), partial(_eval_walked, e, walk), 4, 1e-7, None, box
+    if check_degree and e is not ZERO and e.degree != degree:
+        raise ExpansionError(
+            f"term declared at degree {degree} has structural degree {e.degree}"
         )
-        if not rep.passed:
-            raise ExpansionError(
-                f"degree {degree} term failed the homogeneity smoke test "
-                f"(max rel error {rep.max_rel_error:.3e})"
-            )
 
 
 def expand(
@@ -241,20 +223,22 @@ def expand(
     """Build the admittance expansion to the requested order.
 
     The collector runs on SymbolForms; each correction is lowered to one
-    expression once, capped in DAG size, and (by default) smoke-tested
-    for homogeneity at its declared degree. The leading term is
-    ``leading_term``'s expression itself.
+    expression once and capped in DAG size. With ``check_terms`` (the
+    default) its structural degree must equal its declared degree, a
+    comparison, not an evaluation: every node carries its degree from
+    construction. The leading term is ``leading_term``'s expression
+    itself.
     """
     _check_sign(sign)
     if eta not in (0, 1):
         raise ExpansionError("eta must be 0 or 1")
     if not 0 <= order <= MAX_ORDER:
         raise ExpansionError(f"order must be between 0 and {MAX_ORDER}")
-    forms = {0: SymbolForm.lift(radicand(m), leading_term(m, sign).expr)}
+    forms = {0: SymbolForm.lift(radicand(m), leading_term(m, sign))}
     with _cyclic_gc_paused():
         for n in range(order):
             form = collector_step(m, eta, sign, forms, n)
-            _check_term(form.lower(), -n - 1, node_cap, check_terms, m.box)
+            _check_term(form.lower(), -n - 1, node_cap, check_terms)
             forms[-n - 1] = form
     return AdmittanceExpansion(medium=m, sign=sign, eta=eta, order=order, forms=forms)
 

@@ -13,7 +13,9 @@ The constructors are the one normal form: ``add``, ``sub``, ``mul``,
 ``neg``, ``ipow`` and ``recip`` fold constants, prune 0 and 1, cancel
 ``x - x`` and pull constants to the front as each node is built, so a
 node's form depends only on how it was built, never on what the process
-built before. There is no separate simplification pass.
+built before. There is no separate simplification pass. Each node also
+carries its homogeneity degree in (xi1, xi2, s), derived from its
+arguments' degrees as it is built (``Expr.degree``).
 
 Evaluation accepts scalars or numpy arrays per variable and broadcasts;
 values are coerced to complex128. The square root is the principal
@@ -130,9 +132,13 @@ class Expr:
     ``pow`` (integer exponent held in ``data``). Identity is structural:
     two equal trees are the same object, so ``is`` comparison and
     id-keyed memoization are sound.
+
+    ``degree`` is the node's homogeneity degree in (xi1, xi2, s), or
+    None when the rules cannot prove it homogeneous (``_degree``). It is
+    set once, when the node is built, from its arguments' degrees.
     """
 
-    __slots__ = ("op", "args", "data", "free_vars", "_dcache", "_ref", "__weakref__")
+    __slots__ = ("op", "args", "data", "free_vars", "degree", "_dcache", "_ref", "__weakref__")
 
     def __init__(self, op, args, data):
         self.op = op
@@ -140,12 +146,17 @@ class Expr:
         self.data = data
         if op == "var":
             fv = frozenset((data,))
+            self.degree = 1 if data in _XI_S else 0
         elif len(args) == 1:
             fv = args[0].free_vars
+            self.degree = _degree(op, args[0].degree, None, data)
+        elif args:
+            a, b = args
+            fv = a.free_vars | b.free_vars
+            self.degree = _degree(op, a.degree, b.degree, data)
         else:
             fv = frozenset()
-            for a in args:
-                fv = fv | a.free_vars
+            self.degree = 0
         # at most 2^6 distinct sets exist; share one object per set
         self.free_vars = _FREE_VARS.setdefault(fv, fv)
         self._dcache = None  # {VarId: derivative}, made on first use
@@ -189,6 +200,36 @@ class Expr:
 
 
 _FREE_VARS: "dict[frozenset, frozenset]" = {}
+_XI_S = frozenset((VarId.XI1, VarId.XI2, VarId.S))
+
+
+def _degree(op, da, db, data):
+    """Homogeneity degree of an ``op`` node whose arguments have degrees
+    ``da`` (and ``db``): constants and x1, x2, x3 have degree 0, xi1,
+    xi2 and s degree 1. Sums need equal degrees, products add them,
+    quotients subtract them, ``pow k`` multiplies by k, ``sqrt`` halves
+    and ``recip`` negates; ``exp``, ``sin`` and ``cos`` need degree 0.
+    Anything else, and any None, gives None. The halves ``sqrt`` makes
+    are exact as floats; an integral degree is kept as an int."""
+    if da is None:
+        return None
+    if op == "mul" or op == "div":
+        if db is None:
+            return None
+        d = da + db if op == "mul" else da - db
+    elif op == "add" or op == "sub":
+        return da if da == db else None
+    elif op == "neg":
+        return da
+    elif op == "recip":
+        d = -da
+    elif op == "pow":
+        d = da * data
+    elif op == "sqrt":
+        d = da / 2
+    else:  # exp, sin, cos
+        return 0 if da == 0 else None
+    return int(d) if d.__class__ is float and d.is_integer() else d
 
 
 class _InternRef(weakref.ref):
@@ -436,7 +477,14 @@ def free_vars(e: Expr) -> frozenset:
 
 def node_count(e: Expr) -> int:
     """Number of distinct DAG nodes reachable from e."""
-    return len(_walk([e])[0])
+    seen = {e}
+    stack = [e]
+    while stack:
+        for a in stack.pop().args:
+            if a not in seen:
+                seen.add(a)
+                stack.append(a)
+    return len(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -537,12 +585,7 @@ def eval_expr(e: Expr, env: dict):
     everything is carried in complex128. Pure and deterministic:
     repeated calls with the same inputs give bit-identical output.
     """
-    return _eval_walked(e, _walk([e]), env)
-
-
-def _eval_walked(e: Expr, walk, env: dict):
-    """``eval_expr(e, env)`` given ``walk = _walk([e])``, which it consumes."""
-    order, nref = walk
+    order, nref = _walk([e])
     vals = {}
     _run(order, nref, {e}, _bind(env), vals)
     return vals[e]

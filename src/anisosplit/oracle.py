@@ -352,7 +352,7 @@ def _residual_values(exp: AdmittanceExpansion, env: dict, beta_cap: int):
     """
     m = exp.medium
     A = systems_symbols(m)
-    ys = [t.expr for t in exp.terms]
+    ys = [exp.term(d) for d in sorted(exp.forms, reverse=True)]
     a11, a12 = ([f.lower() for f in a.values()] for a in (A.a11, A.a12))
     n, k = len(ys), len(ys) + len(a11)
     dirs = _jet_directions(max(beta_cap, 1))

@@ -48,7 +48,6 @@ from .expr import (
 from .medium import MediumSpec, _coefficients, schur
 
 __all__ = [
-    "SymbolTerm",
     "SymbolForm",
     "SymbolMatrix22",
     "TransverseGrid",
@@ -57,8 +56,6 @@ __all__ = [
     "compose_degree_part",
     "quantize_apply",
     "symbol_total",
-    "homogeneity_check",
-    "HomogeneityReport",
     "xi_derivative",
     "x_derivative",
     "random_smooth_field",
@@ -67,14 +64,6 @@ __all__ = [
 
 class SymbolError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class SymbolTerm:
-    """One homogeneous component: an expression and its declared degree."""
-
-    expr: Expr
-    degree: int
 
 
 def _is_zero_expr(e: Expr) -> bool:
@@ -797,64 +786,3 @@ def random_smooth_field(grid: TransverseGrid, rng, decay: float = 3.0) -> np.nda
     spec *= np.exp(-((radius / (n / 2 / decay)) ** 2))
     spec = np.where(grid.nyquist_mask(), spec, 0.0)
     return np.fft.ifft2(spec)
-
-
-# ---------------------------------------------------------------------------
-# homogeneity checking
-
-
-@dataclass(frozen=True)
-class HomogeneityReport:
-    degree: int
-    trials: int
-    max_rel_error: float
-    tol: float
-
-    @property
-    def passed(self):
-        return self.max_rel_error <= self.tol
-
-
-def homogeneity_check(
-    term: SymbolTerm,
-    trials: int = 16,
-    tol: float = 1e-9,
-    rng=None,
-    box=((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)),
-) -> HomogeneityReport:
-    """Euler-style scaling test: term(x, lam*xi, lam*s) vs lam^deg * term.
-
-    Draws random points with |xi| of order one and Re s > 0, scales by
-    lam in {2, 5, 10}, and reports the worst relative mismatch. All
-    trials and scales are evaluated together in one array pass.
-    """
-    return _homogeneity_check(term, lambda env: eval_expr(term.expr, env), trials, tol, rng, box)
-
-
-def _homogeneity_check(term, evaluate, trials, tol, rng, box) -> HomogeneityReport:
-    """``homogeneity_check`` with the term evaluated by ``evaluate(env)``."""
-    if rng is None:
-        rng = np.random.default_rng(2024)
-    if trials <= 0:
-        return HomogeneityReport(term.degree, trials, 0.0, tol)
-    pts = []
-    for _ in range(trials):
-        x = [rng.uniform(lo, hi) for lo, hi in box]
-        xi = rng.uniform(-1.5, 1.5, size=2)
-        if np.hypot(*xi) < 0.3:
-            xi = xi + np.array([0.7, -0.4])
-        r = rng.uniform(0.5, 2.0)
-        th = rng.uniform(-1.2, 1.2)
-        pts.append((*x, *xi, r * complex(np.cos(th), np.sin(th))))
-    p = np.array(pts)  # (trials, 6): x1 x2 x3 xi1 xi2 s
-    lam = np.array([1.0, 2.0, 5.0, 10.0])  # column 0 is the base point
-    env = {v: p[:, k : k + 1].real for k, v in enumerate((VarId.X1, VarId.X2, VarId.X3))}
-    for k, v in ((3, VarId.XI1), (4, VarId.XI2), (5, VarId.S)):
-        env[v] = p[:, k : k + 1] * lam
-    vals = np.broadcast_to(evaluate(env), (trials, lam.size))
-    got = vals[:, 1:]
-    want = lam[1:] ** term.degree * vals[:, :1]
-    rel = np.abs(got - want) / np.maximum(np.abs(want), 1e-30)
-    rel[(np.abs(want) < 1e-30) & (np.abs(got) < 1e-30)] = 0.0
-    worst = float(rel.max())
-    return HomogeneityReport(term.degree, trials, worst, tol)

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import dataclass
 
 import numpy as np
 
 from anisosplit import (
     ExpansionError,
-    SymbolTerm,
     VarId,
     const,
     diff,
@@ -153,8 +153,8 @@ def residual_expr(exp, beta_cap: int):
     A = systems_symbols(m)
     inv33 = recip(m.alpha[2][2])
     y = ZERO
-    for t in exp.terms:
-        y = y + t.expr
+    for d in sorted(exp.forms, reverse=True):
+        y = y + exp.term(d)
     b = _S * inv33 * y + symbol_total(A.a22)
 
     dxi = {(0, 0): y}
@@ -323,8 +323,7 @@ def oracle_riccati_degree_part(m, eta: int, y_terms: dict, d: int):
 def oracle_collector_step(m, eta: int, sign: int, y_terms: dict, n: int):
     """The expression collector: solve the degree -n balance for y_{-n-1}."""
     e = oracle_riccati_degree_part(m, eta, y_terms, -n)
-    g = gamma1(m)
-    pref = mul(const(-sign), m.alpha[2][2] * recip(const(2) * g.expr))
+    pref = mul(const(-sign), m.alpha[2][2] * recip(const(2) * gamma1(m)))
     return mul(pref, e)
 
 
@@ -332,7 +331,7 @@ def oracle_terms(m, sign: int, eta: int, order: int) -> dict:
     """{degree: expression} of y_0 .. y_-order from the expression collector."""
     from anisosplit import leading_term
 
-    terms = {0: leading_term(m, sign).expr}
+    terms = {0: leading_term(m, sign)}
     for n in range(order):
         terms[-n - 1] = oracle_collector_step(m, eta, sign, terms, n)
     return terms
@@ -352,8 +351,7 @@ def closed_form_step(m, eta: int, sign: int, y_terms: dict, n: int):
     f1 = m.alpha[0][2] * inv33
     f2 = m.alpha[1][2] * inv33
     a22_sym = const(1j) * (_XI1 * m.alpha[2][0] + _XI2 * m.alpha[2][1]) * inv33
-    g = gamma1(m)
-    pref = mul(const(sign), a33 * recip(const(2) * g.expr))
+    pref = mul(const(sign), a33 * recip(const(2) * gamma1(m)))
 
     def transport(y):
         t = diff(mul(f1, y), VarId.X1) + diff(mul(f2, y), VarId.X2)
@@ -410,7 +408,7 @@ def closed_form_values(m, eta: int, sign: int, y_terms: dict, n: int, points):
     inv33 = recip(a33)
     f = [m.alpha[mu][2] * inv33 for mu in range(2)]
     a22 = const(1j) * (_XI1 * m.alpha[2][0] + _XI2 * m.alpha[2][1]) * inv33
-    pref = eval_expr(mul(const(sign), a33 * recip(const(2) * gamma1(m).expr)), env)
+    pref = eval_expr(mul(const(sign), a33 * recip(const(2) * gamma1(m))), env)
 
     def partials(e, xi: bool, top: int) -> dict:
         # {beta: d^beta e / beta!} for |beta| <= top, in xi or in (x1, x2)
@@ -469,7 +467,7 @@ def symbolic_order_claim(split, env):
     return p, eval_expr(expr_total(p), env), d3_vals
 
 
-def depth_derivative_leading(m, sign: int) -> SymbolTerm:
+def depth_derivative_leading(m, sign: int):
     """Hand formula for the degree-0 part of d3 y.
 
     s^-1 (-(1/2) i xi_mu d3(a_{3mu} - a_{mu3})
@@ -480,7 +478,6 @@ def depth_derivative_leading(m, sign: int) -> SymbolTerm:
     the exact symbolic derivative picks up extra d3 alpha33 terms.
     """
     sd = schur(m)
-    g = gamma1(m)
     drift = const(1j) * (
         _XI1 * diff(m.alpha[2][0] - m.alpha[0][2], VarId.X3)
         + _XI2 * diff(m.alpha[2][1] - m.alpha[1][2], VarId.X3)
@@ -490,5 +487,52 @@ def depth_derivative_leading(m, sign: int) -> SymbolTerm:
     for mu in range(2):
         for nu in range(2):
             qdot = qdot + diff(sd.Qt[mu][nu], VarId.X3) * xis[mu] * xis[nu]
-    e = recip(_S) * (const(-0.5) * drift + const(sign) * recip(const(2) * g.expr) * qdot)
-    return SymbolTerm(e, 0)
+    return recip(_S) * (const(-0.5) * drift + const(sign) * recip(const(2) * gamma1(m)) * qdot)
+
+
+@dataclass(frozen=True)
+class HomogeneityReport:
+    degree: int
+    trials: int
+    max_rel_error: float
+    tol: float
+
+    @property
+    def passed(self):
+        return self.max_rel_error <= self.tol
+
+
+def homogeneity_check(
+    e, degree, trials: int = 16, tol: float = 1e-9, rng=None, box=((0.0, 1.0),) * 3
+) -> HomogeneityReport:
+    """Euler-style scaling test, the numeric oracle for ``Expr.degree``:
+    e(x, lam*xi, lam*s) vs lam^degree * e(x, xi, s).
+
+    Draws random points with |xi| of order one and Re s > 0, scales by
+    lam in {2, 5, 10}, and reports the worst relative mismatch. All
+    trials and scales are evaluated together in one ``eval_expr`` call.
+    """
+    if rng is None:
+        rng = np.random.default_rng(2024)
+    if trials <= 0:
+        return HomogeneityReport(degree, trials, 0.0, tol)
+    pts = []
+    for _ in range(trials):
+        x = [rng.uniform(lo, hi) for lo, hi in box]
+        xi = rng.uniform(-1.5, 1.5, size=2)
+        if np.hypot(*xi) < 0.3:
+            xi = xi + np.array([0.7, -0.4])
+        r = rng.uniform(0.5, 2.0)
+        th = rng.uniform(-1.2, 1.2)
+        pts.append((*x, *xi, r * complex(np.cos(th), np.sin(th))))
+    p = np.array(pts)  # (trials, 6): x1 x2 x3 xi1 xi2 s
+    lam = np.array([1.0, 2.0, 5.0, 10.0])  # column 0 is the base point
+    env = {v: p[:, k : k + 1].real for k, v in enumerate((VarId.X1, VarId.X2, VarId.X3))}
+    for k, v in ((3, VarId.XI1), (4, VarId.XI2), (5, VarId.S)):
+        env[v] = p[:, k : k + 1] * lam
+    vals = np.broadcast_to(eval_expr(e, env), (trials, lam.size))
+    got = vals[:, 1:]
+    want = lam[1:] ** degree * vals[:, :1]
+    rel = np.abs(got - want) / np.maximum(np.abs(want), 1e-30)
+    rel[(np.abs(want) < 1e-30) & (np.abs(got) < 1e-30)] = 0.0
+    return HomogeneityReport(degree, trials, float(rel.max()), tol)

@@ -78,7 +78,7 @@ def test_criterion_01_homogeneous_exactness():
             VarId.S: s,
         }
         for sign, want in ((1, roots.y_plus), (-1, roots.y_minus)):
-            got = eval_expr(leading_term(m, sign).expr, env)
+            got = eval_expr(leading_term(m, sign), env)
             worst_root = max(worst_root, rel_err(got, want))
             exp = expand(m, sign, 0, 4)
             for d in (-1, -2, -3, -4):
@@ -126,7 +126,7 @@ def test_criterion_03_dual_path_agreement():
     env = probe_env(pts)
     worst = 0.0
     for sign in (1, -1):
-        terms = {0: SymbolForm.lift(radicand(m), leading_term(m, sign).expr)}
+        terms = {0: SymbolForm.lift(radicand(m), leading_term(m, sign))}
         for n in range(4):
             a_step = collector_step(m, 1, sign, terms, n)
             b_step = closed_form_step(m, 1, sign, {d: f.lower() for d, f in terms.items()}, n)
@@ -192,9 +192,9 @@ def test_criterion_05_depth_order_claim():
 
     worst_dzy = 0.0
     for sign in (1, -1):
-        exact = diff(leading_term(m, sign).expr, VarId.X3)
+        exact = diff(leading_term(m, sign), VarId.X3)
         hand = depth_derivative_leading(m, sign)
-        worst_dzy = max(worst_dzy, rel_err(eval_at(hand.expr, pts), eval_at(exact, pts)))
+        worst_dzy = max(worst_dzy, rel_err(eval_at(hand, pts), eval_at(exact, pts)))
     dt = time.perf_counter() - t0
     ok = slopes_ok and worst_dzy <= 1e-9 and dt < 60.0
     _verdict(
@@ -243,8 +243,8 @@ def test_criterion_07_isotropic_and_symmetric_reduction():
     s = env[VarId.S]
     want = np.sqrt(a33 * (s * s * kap + qxx)) / s
     worst = max(
-        rel_err(eval_at(leading_term(m, 1).expr, pts), want),
-        rel_err(eval_at(leading_term(m, -1).expr, pts), -want),
+        rel_err(eval_at(leading_term(m, 1), pts), want),
+        rel_err(eval_at(leading_term(m, -1), pts), -want),
     )
 
     msym = presets.up_down_symmetric()
@@ -316,8 +316,8 @@ def test_criterion_08_parametrix_and_impedance():
         out = apply_normalization(sp, NormalizationSpec(kind="impedance"))
         hpts = draw_probe_points(hm, 25, rng)
         ones = np.ones(25)
-        yp = eval_at(leading_term(hm, 1).expr, hpts)
-        ym = eval_at(leading_term(hm, -1).expr, hpts)
+        yp = eval_at(leading_term(hm, 1), hpts)
+        ym = eval_at(leading_term(hm, -1), hpts)
         worst_imp = max(
             worst_imp,
             rel_err(eval_at(symbol_total(out.ell_forms[0][0]), hpts), ones),

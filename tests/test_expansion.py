@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from anisosplit import (
+    AdmittanceExpansion,
     ExpansionError,
     Expr,
     NormalizationSpec,
@@ -21,8 +22,11 @@ from anisosplit import (
     schur,
     split_symbols,
 )
+from anisosplit import expr as expr_module
 from anisosplit import presets
-from anisosplit.expr import ZERO, diff, mul, parse, recip, sub
+from anisosplit import symbols as symbols_module
+from anisosplit.expansion import _check_term
+from anisosplit.expr import S, ZERO, diff, mul, parse, recip, sub
 from anisosplit.oracle import draw_probe_points
 from anisosplit.symbols import radicand
 
@@ -31,6 +35,7 @@ from helpers import (
     closed_form_values,
     depth_derivative_leading,
     eval_at,
+    homogeneity_check,
     probe_env,
     rel_err,
     symbolic_order_claim,
@@ -50,7 +55,7 @@ def test_gamma_known_value():
         VarId.XI2: -0.6,
         VarId.S: 1.4,
     }
-    got = complex(eval_expr(g.expr, env))
+    got = complex(eval_expr(g, env))
     assert got == pytest.approx(np.sqrt(2.96), rel=1e-15)
     assert got == pytest.approx(1.7204650534085253, rel=1e-15)
 
@@ -70,7 +75,7 @@ def test_gamma_general_form(het_medium):
         + (eval_at(sd.Qt[0][1], pts) + eval_at(sd.Qt[1][0], pts)) * xi1 * xi2
         + eval_at(sd.Qt[1][1], pts) * xi2 * xi2
     )
-    got = eval_at(g.expr, pts) ** 2
+    got = eval_at(g, pts) ** 2
     assert rel_err(got, a33 * (s * s * kap + qt)) <= 1e-12
 
 
@@ -93,8 +98,8 @@ def test_leading_terms_solve_scalar_quadratic():
             VarId.XI2: xi[:, 1],
             VarId.S: s,
         }
-        yp = eval_expr(leading_term(m, 1).expr, env)
-        ym = eval_expr(leading_term(m, -1).expr, env)
+        yp = eval_expr(leading_term(m, 1), env)
+        ym = eval_expr(leading_term(m, -1), env)
         assert rel_err(yp, roots.y_plus) <= 1e-12
         assert rel_err(ym, roots.y_minus) <= 1e-12
 
@@ -103,8 +108,8 @@ def test_leading_duality(het_medium):
     # y0+ + y0- = -i xi_mu (a_{3mu} - a_{mu3}) / s and y0+ - y0- = 2 gamma / s
     pts = draw_probe_points(het_medium, 30, np.random.default_rng(3))
     env = probe_env(pts)
-    yp = eval_at(leading_term(het_medium, 1).expr, pts)
-    ym = eval_at(leading_term(het_medium, -1).expr, pts)
+    yp = eval_at(leading_term(het_medium, 1), pts)
+    ym = eval_at(leading_term(het_medium, -1), pts)
     a = het_medium.entry
     drift = (
         eval_at(sub(a(3, 1), a(1, 3)), pts) * env[VarId.XI1]
@@ -112,7 +117,7 @@ def test_leading_duality(het_medium):
     )
     s = env[VarId.S]
     assert rel_err(yp + ym, -1j * drift / s) <= 1e-12
-    g = eval_at(gamma1(het_medium).expr, pts)
+    g = eval_at(gamma1(het_medium), pts)
     assert rel_err(yp - ym, 2 * g / s) <= 1e-12
 
 
@@ -132,8 +137,8 @@ def test_leading_branch_signs(het_medium):
         / a33
     )
     s = env[VarId.S]
-    gp = s * eval_at(leading_term(het_medium, 1).expr, pts) / a33 + a22
-    gm = s * eval_at(leading_term(het_medium, -1).expr, pts) / a33 + a22
+    gp = s * eval_at(leading_term(het_medium, 1), pts) / a33 + a22
+    gm = s * eval_at(leading_term(het_medium, -1), pts) / a33 + a22
     assert np.all(gp.real > 0)
     assert np.all(gm.real < 0)
 
@@ -154,8 +159,8 @@ def test_isotropic_leading_reduction():
     )
     s = env[VarId.S]
     want = np.sqrt(a33 * (s * s * kap + qxx)) / s
-    assert rel_err(eval_at(leading_term(m, 1).expr, pts), want) <= 1e-12
-    assert rel_err(eval_at(leading_term(m, -1).expr, pts), -want) <= 1e-12
+    assert rel_err(eval_at(leading_term(m, 1), pts), want) <= 1e-12
+    assert rel_err(eval_at(leading_term(m, -1), pts), -want) <= 1e-12
 
 
 @pytest.mark.parametrize("eta", [0, 1])
@@ -182,9 +187,9 @@ def test_degree_part_above_the_top_is_the_zero_form(het_medium, het_expansion_pa
 
 def test_homogeneous_corrections_vanish(hom_medium):
     exp = expand(hom_medium, 1, 0, 4)
-    for t in exp.terms:
-        if t.degree < 0:
-            assert t.expr is ZERO
+    for d in exp.forms:
+        if d < 0:
+            assert exp.term(d) is ZERO
 
 
 def test_collector_equals_closed_form():
@@ -192,7 +197,7 @@ def test_collector_equals_closed_form():
     pts = draw_probe_points(m, 40, np.random.default_rng(7))
     env = probe_env(pts)
     for sign in (1, -1):
-        terms = {0: SymbolForm.lift(radicand(m), leading_term(m, sign).expr)}
+        terms = {0: SymbolForm.lift(radicand(m), leading_term(m, sign))}
         for n in range(0, 3):
             a_step = collector_step(m, 1, sign, terms, n)
             b_step = closed_form_step(m, 1, sign, {d: f.lower() for d, f in terms.items()}, n)
@@ -210,8 +215,8 @@ def test_collector_equals_closed_form_to_order_six():
     # the symbolic closed form where both are cheap
     m = presets.dual_path_medium()
     pts = draw_probe_points(m, 12, np.random.default_rng(7))
-    exp = expand(m, 1, 1, 6, check_terms=False)
-    terms = {t.degree: t.expr for t in exp.terms}
+    exp = expand(m, 1, 1, 6)
+    terms = {d: exp.term(d) for d in exp.forms}
     for n in range(6):
         known = {d: terms[d] for d in range(0, -n - 1, -1)}
         got = closed_form_values(m, 1, 1, known, n, pts)
@@ -229,8 +234,8 @@ def test_eta_shifts_first_correction(het_medium):
         e1 = expand(het_medium, sign, 1, 1)
         got = eval_at(e1.term(-1), pts) - eval_at(e0.term(-1), pts)
         corr = mul(
-            mul(het_medium.alpha33(), recip(mul(2, gamma1(het_medium).expr))),
-            diff(leading_term(het_medium, sign).expr, VarId.X3),
+            mul(het_medium.alpha33(), recip(mul(2, gamma1(het_medium)))),
+            diff(leading_term(het_medium, sign), VarId.X3),
         )
         want = sign * eval_at(corr, pts)
         assert rel_err(got, want) <= 1e-10
@@ -250,10 +255,10 @@ def test_depth_derivative_of_leading_term():
     m = presets.depth_varying_unit_a33()
     pts = draw_probe_points(m, 25, np.random.default_rng(10))
     for sign in (1, -1):
-        exact = diff(leading_term(m, sign).expr, VarId.X3)
+        exact = diff(leading_term(m, sign), VarId.X3)
         hand = depth_derivative_leading(m, sign)
         assert hand.degree == 0
-        assert rel_err(eval_at(hand.expr, pts), eval_at(exact, pts)) <= 1e-9
+        assert rel_err(eval_at(hand, pts), eval_at(exact, pts)) <= 1e-9
 
 
 def test_expand_parameter_validation(hom_medium):
@@ -289,14 +294,16 @@ def test_forms_are_the_one_stored_representation():
     # form lowers to its own expression, and every term, generator and
     # ell entry is its form's lowering
     m = presets.heterogeneous_full()
-    y0 = leading_term(m, 1).expr
+    y0 = leading_term(m, 1)
     assert SymbolForm.lift(radicand(m), y0).lower() is y0
     plus, minus = expand(m, 1, 1, 3), expand(m, -1, 1, 3)
     assert sorted(plus.forms) == [-3, -2, -1, 0]
-    for t in plus.terms:
-        assert t.expr is plus.forms[t.degree].lower() is plus.term(t.degree)
+    # an expansion stores its forms and no expression view of them
+    assert {f.name for f in fields(AdmittanceExpansion)} == {"medium", "sign", "eta", "order", "forms"}
+    for d, f in plus.forms.items():
+        assert plus.term(d) is f.lower()
     doubled = replace(plus, forms={**plus.forms, -3: 2 * plus.forms[-3]})
-    assert doubled.terms[:3] == plus.terms[:3]
+    assert all(doubled.term(d) is plus.term(d) for d in (0, -1, -2))
     assert doubled.term(-3) is doubled.forms[-3].lower() is not plus.term(-3)
     pts = draw_probe_points(m, 5, np.random.default_rng(24))
     assert rel_err(eval_at(doubled.term(-3), pts), 2 * eval_at(plus.term(-3), pts)) <= 1e-12
@@ -328,7 +335,7 @@ def test_split_symbols_structure(het_split):
     pts = draw_probe_points(sp.medium, 10, np.random.default_rng(11))
     assert rel_err(
         eval_at(sp.ell_forms[0][0][0].lower(), pts),
-        eval_at(leading_term(sp.medium, 1).expr, pts),
+        eval_at(leading_term(sp.medium, 1), pts),
     ) <= 1e-12
     # generator relation g_d = s a33^-1 y_{d-1} (+ a22 at degree 1)
     a33 = eval_at(sp.medium.alpha33(), pts)
@@ -340,7 +347,7 @@ def test_split_symbols_structure(het_split):
         / a33
     )
     got = eval_at(sp.g_forms[0][1].lower(), pts)
-    want = env[VarId.S] / a33 * eval_at(leading_term(sp.medium, 1).expr, pts) + a22
+    want = env[VarId.S] / a33 * eval_at(leading_term(sp.medium, 1), pts) + a22
     assert rel_err(got, want) <= 1e-12
     # the order claim's p = ell o g+ has top degree 1 and respects the
     # truncation floor
@@ -362,8 +369,62 @@ def test_split_symbols_rejects_mismatched_pair(het_medium):
 
 
 def test_every_term_is_homogeneous_of_its_degree(het_expansion_pair):
-    from anisosplit import homogeneity_check
+    exp = het_expansion_pair[0]
+    for d in exp.forms:
+        assert exp.term(d).degree == d
+        assert homogeneity_check(exp.term(d), d, trials=3).passed
 
-    for t in het_expansion_pair[0].terms:
-        rep = homogeneity_check(t, trials=3)
-        assert rep.passed
+
+NAMED_PRESETS = (
+    presets.unit_isotropic,
+    presets.homogeneous_anisotropic,
+    presets.heterogeneous_full,
+    presets.dual_path_medium,
+    presets.depth_varying_unit_a33,
+    presets.transverse_anisotropic,
+    presets.isotropic_heterogeneous,
+    presets.up_down_symmetric,
+)
+
+
+@pytest.mark.parametrize("preset", NAMED_PRESETS, ids=lambda p: p.__name__)
+def test_numeric_oracle_passes_exactly_where_the_structural_degree_matches(preset):
+    # each term against its declared degree and one below it: the
+    # scaling test passes exactly where _check_term accepts the term
+    m = preset()
+    for sign in (1, -1):
+        for eta in (0, 1):
+            exp = expand(m, sign, eta, 4)
+            for d in exp.forms:
+                e = exp.term(d)
+                for claim in (d, d - 1):
+                    rep = homogeneity_check(e, claim, trials=4, tol=1e-7, box=m.box)
+                    assert rep.passed == (e is ZERO or e.degree == claim), (sign, eta, d, claim)
+
+
+def test_check_term_rejects_planted_faults(het_expansion_pair):
+    y2 = het_expansion_pair[0].term(-2)
+    cap = 1_500_000
+    _check_term(y2, -2, cap, True)
+    for e, declared in ((y2 + S * y2, -2), (parse("s + 1"), 1), (y2, -1), (y2, -3)):
+        with pytest.raises(ExpansionError, match="structural degree"):
+            _check_term(e, declared, cap, True)
+        _check_term(e, declared, cap, False)  # check_terms=False skips it
+    for declared in (0, 1, -3, -6):
+        _check_term(ZERO, declared, cap, True)
+    with pytest.raises(ExpansionError, match="nodes"):
+        _check_term(y2, -2, 10, False)
+
+
+def test_expand_evaluates_nothing(monkeypatch):
+    # the degree check is a comparison: with evaluation disabled a fresh
+    # heterogeneous medium still expands, every term checked
+    m = presets.random_medium(np.random.default_rng(26))
+
+    def no_eval(*args, **kwargs):
+        raise AssertionError("expand evaluated a DAG")
+
+    monkeypatch.setattr(expr_module, "_run", no_eval)
+    monkeypatch.setattr(symbols_module, "_run", no_eval)
+    exp = expand(m, 1, 1, 3)
+    assert [exp.term(d).degree for d in (0, -1, -2, -3)] == [0, -1, -2, -3]

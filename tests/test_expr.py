@@ -197,6 +197,27 @@ def test_free_vars():
     assert free_vars(const(4)) == frozenset()
 
 
+def test_degree_rules():
+    # the homogeneity degree in (xi1, xi2, s) each node gets when built
+    assert parse("s + 1").degree is None
+    assert exp_(S).degree is None and sin_(parse("xi1/x1")).degree is None
+    assert exp_(X1).degree == 0 and cos_(parse("xi1/s")).degree == 0
+    assert const(2.5).degree == 0 and X2.degree == 0 and XI1.degree == 1
+    assert sqrt_(S).degree == 0.5
+    assert sqrt_(parse("s^2 + xi1^2")).degree == 1
+    assert type(sqrt_(S).degree) is float and type(mul(sqrt_(S), sqrt_(XI1)).degree) is int
+    assert ipow(parse("xi1 + s"), 3).degree == 3 and ipow(sqrt_(S), -3).degree == -1.5
+    assert div(X1, ipow(S, 2)).degree == -2 and div(S, parse("s + 1")).degree is None
+    assert recip(parse("x1*xi2")).degree == -1 and neg(S).degree == 1
+    assert parse("s*x1 - xi2").degree == 1 and parse("s*xi1 + s").degree is None
+    assert mul(parse("s + 1"), S).degree is None and recip(parse("s + 1")).degree is None
+
+
+def test_node_count_counts_shared_nodes_once():
+    e = parse("(sin(x1) + s)*(sin(x1) + s) + sin(x1)/xi2")
+    assert expr_module.node_count(e) == len(expr_module._walk([e])[0]) == 8
+
+
 def test_identical_subtrees_cancel():
     # interning makes equal-form subtrees the same node, so the
     # difference collapses structurally; commuted forms stay distinct

@@ -8,12 +8,10 @@ import pytest
 from anisosplit import (
     SymbolError,
     SymbolForm,
-    SymbolTerm,
     TransverseGrid,
     VarId,
     compose_degree_part,
     eval_expr,
-    homogeneity_check,
     parse,
     quantize_apply,
     random_smooth_field,
@@ -33,7 +31,15 @@ from anisosplit.symbols import (
     xi_derivative,
 )
 
-from helpers import field_rel, random_points, rel_err, single_shot_kernel, single_shot_quantize
+import helpers
+from helpers import (
+    field_rel,
+    homogeneity_check,
+    random_points,
+    rel_err,
+    single_shot_kernel,
+    single_shot_quantize,
+)
 
 TAU = 2 * np.pi
 
@@ -392,7 +398,7 @@ def test_quantize_apply_rejects_bad_field_shapes():
 def test_quantize_apply_takes_expressions_and_form_maps_only():
     grid = TransverseGrid(8, TAU, TAU)
     u = np.ones((8, 8), dtype=complex)
-    for sym in (SymbolTerm(parse(MIXED), 1), {1: parse(MIXED)}):
+    for sym in ((parse(MIXED), 1), {1: parse(MIXED)}):
         with pytest.raises(SymbolError):
             quantize_apply(sym, u, grid, 0.0, 1.0)
     forms = _forms({1: "1i*xi1*x1", 0: "sin(x2)"})
@@ -449,18 +455,16 @@ def test_random_smooth_field_band_limited():
 
 
 def test_homogeneity_check_passes_for_true_degree():
-    term = SymbolTerm(parse("sqrt(s^2 + xi1^2 + xi2^2)"), 1)
-    rep = homogeneity_check(term)
+    rep = homogeneity_check(parse("sqrt(s^2 + xi1^2 + xi2^2)"), 1)
     assert rep.passed
 
 
 def test_homogeneity_check_rejects_mixed_degrees():
-    term = SymbolTerm(parse("s + 1"), 1)
-    rep = homogeneity_check(term)
+    rep = homogeneity_check(parse("s + 1"), 1)
     assert not rep.passed
 
 
-def _scalar_homogeneity(term, trials, rng, box):
+def _scalar_homogeneity(e, degree, trials, rng, box):
     """The point-by-point loop the batched check replaced (test oracle):
     one scalar evaluation per trial point and scale."""
     worst = 0.0
@@ -474,14 +478,14 @@ def _scalar_homogeneity(term, trials, rng, box):
         s = r * complex(np.cos(th), np.sin(th))
         env = {VarId.X1: x[0], VarId.X2: x[1], VarId.X3: x[2],
                VarId.XI1: xi[0], VarId.XI2: xi[1], VarId.S: s}
-        base = eval_expr(term.expr, env)
+        base = eval_expr(e, env)
         for lam in (2.0, 5.0, 10.0):
             scaled = dict(env)
             scaled[VarId.XI1] = lam * xi[0]
             scaled[VarId.XI2] = lam * xi[1]
             scaled[VarId.S] = lam * s
-            got = eval_expr(term.expr, scaled)
-            want = lam**term.degree * base
+            got = eval_expr(e, scaled)
+            want = lam**degree * base
             rel = abs(got - want) / max(abs(want), 1e-30)
             if abs(want) < 1e-30 and abs(got) < 1e-30:
                 rel = 0.0
@@ -492,35 +496,35 @@ def _scalar_homogeneity(term, trials, rng, box):
 def test_batched_homogeneity_check_matches_scalar_loop(het_medium):
     ex = expand(het_medium, 1, 1, 3)
     for k in (1, 2, 3):
-        term = SymbolTerm(ex.term(-k), -k)
-        rep = homogeneity_check(term, trials=4, tol=1e-7, rng=np.random.default_rng(5), box=het_medium.box)
-        want = _scalar_homogeneity(term, 4, np.random.default_rng(5), het_medium.box)
+        e = ex.term(-k)
+        rep = homogeneity_check(e, -k, trials=4, tol=1e-7, rng=np.random.default_rng(5), box=het_medium.box)
+        want = _scalar_homogeneity(e, -k, 4, np.random.default_rng(5), het_medium.box)
         assert rep.passed and want <= 1e-7
         assert abs(rep.max_rel_error - want) <= 1e-12
 
 
 def test_batched_homogeneity_check_matches_scalar_loop_on_failure():
-    term = SymbolTerm(parse("s + 1"), 1)
-    rep = homogeneity_check(term)
-    want = _scalar_homogeneity(term, 16, np.random.default_rng(2024), ((0.0, 1.0),) * 3)
+    e = parse("s + 1")
+    rep = homogeneity_check(e, 1)
+    want = _scalar_homogeneity(e, 1, 16, np.random.default_rng(2024), ((0.0, 1.0),) * 3)
     assert not rep.passed and want > 1e-9
     assert abs(rep.max_rel_error - want) <= 1e-9 * want
 
 
 def test_homogeneity_check_without_trials_passes():
-    rep = homogeneity_check(SymbolTerm(parse("s + 1"), 1), trials=0)
+    rep = homogeneity_check(parse("s + 1"), 1, trials=0)
     assert rep.passed
     assert rep.max_rel_error == 0.0
 
 
 def test_homogeneity_check_evaluates_term_in_one_call(monkeypatch, het_medium):
-    term = SymbolTerm(expand(het_medium, 1, 1, 2).term(-2), -2)
+    e = expand(het_medium, 1, 1, 2).term(-2)
     calls = []
 
     def counting(e, env):
         calls.append(e)
         return eval_expr(e, env)
 
-    monkeypatch.setattr(symbols, "eval_expr", counting)
-    assert homogeneity_check(term, trials=4).passed
-    assert calls == [term.expr]
+    monkeypatch.setattr(helpers, "eval_expr", counting)
+    assert homogeneity_check(e, -2, trials=4).passed
+    assert calls == [e]
