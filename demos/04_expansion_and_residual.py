@@ -1,10 +1,11 @@
-"""Computing the admittance expansion and measuring its residual decay.
+"""Computing the admittance expansion and checking it degree by degree.
 
 The expansion is a finite list of homogeneous terms y_0, y_{-1}, ...;
 substituting the truncation into the full symbol equation leaves a
-remainder whose size, along the scaling ray (xi, s) -> (L xi, L s),
-falls like L^{-N} for an order-N truncation. The fitted slope is the
-order check.
+remainder R whose summands are homogeneous too, so along the scaling
+ray (xi, s) -> (L xi, L s) it is a sum of degree parts L^d R_d. An
+order-N truncation must cancel every R_d with d > -N to float rounding;
+the first part left, R_{-N}, makes the remainder fall like L^{-N}.
 """
 
 import numpy as np
@@ -26,10 +27,14 @@ exp0 = expand(m, sign=1, eta=0, order=2)
 print("eta=0 vs eta=1 share y0:", exp0.term(0) is exp.term(0))
 
 pts = draw_probe_points(m, 4, np.random.default_rng(1))
-print("\nresidual decay along the scaling ray:")
-print("order   fitted slope   rms at L=64")
+print("\nresidual by degree (rms R_d / rms of its summands) and its slope:")
+print("order   worst cancelled   degree -N   fitted slope   rms at L=64")
 for order in (1, 2):
     rep = riccati_residual(expand(m, 1, 1, order), points=pts)
+    worst = max(r for d, r in rep.ratios.items() if d > -order)
     at64 = rep.rms[list(rep.lambdas).index(64.0)]
-    print(f"  {order}     {rep.slope:+.3f}        {at64:.3e}")
-print("(expected slopes -1, -2)")
+    print(
+        f"  {order}     {worst:.1e}           {rep.ratios[-order]:.2e}    "
+        f"{rep.slope:+.3f}         {at64:.3e}"
+    )
+print("(cancelled degrees at float rounding; expected slopes -1, -2)")

@@ -4,7 +4,7 @@ One executable wires config files to every operation:
 
     anisosplit medium-check cfg      validate a medium description
     anisosplit expand cfg            tabulate expansion terms
-    anisosplit residual cfg          residual scaling slopes per order
+    anisosplit residual cfg          residual cancellation by degree
     anisosplit oracle quad cfg       homogeneous quadratic-root check
     anisosplit oracle grid cfg       invariant-subspace grid oracle
     anisosplit order-claim cfg       measured orders of p and d3 ell

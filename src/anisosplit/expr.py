@@ -338,14 +338,16 @@ def _is_const(e, value=None):
 
 def add(a: Expr, b: Expr) -> Expr:
     a, b = _as_expr(a), _as_expr(b)
-    if a.op == "const" and b.op == "const":
-        return const(a.data + b.data)
-    if _is_const(a, 0):
-        return b
-    if _is_const(b, 0):
-        return a
     if b.op == "const":  # constants normalize to the left
-        return add(b, a)
+        a, b = b, a
+    if a.op == "const":
+        if b.op == "const":
+            return const(a.data + b.data)
+        if a.data == 0:
+            return b
+        # fold into a constant-led sum: c + (d + y) -> (c + d) + y
+        if b.op == "add" and b.args[0].op == "const":
+            return add(const(a.data + b.args[0].data), b.args[1])
     return _node("add", (a, b))
 
 

@@ -2,10 +2,12 @@
 
 Three unrelated routes corroborate the symbolic construction:
 
-* scaling of the full-equation residual: the truncated sum is plugged
-  into the admittance symbol equation and the residual is measured
-  along (xi, s) -> (lam xi, lam s); the log-log slope must match the
-  first uncancelled degree,
+* the degree-resolved residual of the full equation: the truncated sum
+  is plugged into the admittance symbol equation, whose summands are
+  homogeneous, so the residual is a sum of degree parts R_d; every R_d
+  above the truncation's degree must cancel to float rounding. The
+  order claim (p = ell o g first order, d3 ell zeroth) is measured from
+  degree parts the same way,
 * an exact quadratic-root oracle for homogeneous media, where the
   symbol equation collapses to a scalar quadratic, and
 * a grid oracle on depth-independent media: the 2x2 block systems
@@ -132,107 +134,63 @@ def draw_probe_points(m: MediumSpec, count: int, rng=None):
 
 
 # ---------------------------------------------------------------------------
-# residual scaling
+# degree-resolved residual
 
 
-# Residual rms at or below this fraction of the summands' rms is float64
-# rounding of an exact cancellation (see ResidualReport.at_rounding_level).
+# A degree part whose rms is at or below this fraction of its summands'
+# rms is float64 rounding of an exact cancellation.
 _ROUNDING_RTOL = 64 * np.finfo(float).eps
-
-# From this order on the slope fit leaves out scales below _FIT_FROM: at
-# order 4 on heterogeneous_full the local slope between lam = 4 and 8 is
-# -8.6, pre-asymptotic, and pulls a fit over all of DEFAULT_LAMBDAS to -4.4.
-_WINDOW_ORDER = 4
-_FIT_FROM = 8.0
-
-# The fit leaves out scales at the rounding floor: at order 6 on
-# heterogeneous_full the residual reaches it at lam = 128 and 256, and
-# fitting those too gave -5.56 for a correct expansion (the local slopes
-# below them are -5.90 to -6.01). A slope is judged only when at least this
-# many scales remain, since any two lie on a line.
-_MIN_FIT_SCALES = 3
 
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Scaling diagnostics for the truncated admittance symbol.
+    """Degree-resolved residual of the truncated admittance symbol.
 
-    ``term_rms`` is, per scale, the rms over probes of the summed
-    magnitudes of the equation's summands: the size of what the
-    residual cancels. The slope is fitted over the scales from
-    ``fit_from`` to ``fit_to`` whose rms lies above the rounding floor
-    (64 eps * term_rms): from order 4 on only lam >= 8 when at least two
-    such scales are given, since smaller ones are still pre-asymptotic
-    there. With fewer than two scales above the floor the fit covers the
-    whole window, as for a homogeneous medium, whose residual is rounding
-    at every scale.
+    Every summand of the symbol equation is homogeneous, so the residual
+    R of an order-N truncation is a sum of degree parts,
+    R(x, lam xi, lam s) = sum_d lam^d R_d(x, xi, s). ``ratios`` maps each
+    degree d = 1 ... -N to rms R_d / rms sum |summands|_d over the probes,
+    and the check passes when every d > -N is at the rounding floor
+    (``_ROUNDING_RTOL``). ``rms`` is rms_p |sum_d lam^d R_d| per scale,
+    with the degrees found cancelled left out (exactly 0) and a failed
+    degree kept in; ``slope`` is its log-log fit over every scale, for
+    information: it does not enter the verdict.
     """
 
     order: int
-    eta: int
-    beta_cap: int
     lambdas: tuple
     rms: tuple
     slope: float
-    intercept: float
-    fit_max_dev: float
-    expected_slope: float
-    slope_tol: float = 0.3
-    term_rms: tuple = ()
-    fit_from: float = 0.0
-    fit_to: float = math.inf
+    ratios: dict
 
     @property
-    def at_rounding_level(self) -> bool:
-        """True when rms <= 64 eps * term_rms at every scale.
-
-        The residual is then float64 rounding of an exact cancellation,
-        as for a homogeneous medium, whose truncated sum solves the
-        symbol equation exactly; its slope (about +1, the growth of the
-        summands) says nothing about the order. Measured: 0.6-1.1 eps on
-        the homogeneous presets and demos/example.cfg; at least 2e10 eps
-        at some scale on every heterogeneous preset through order 3.
-        """
-        return bool(self.term_rms) and all(
-            r <= _ROUNDING_RTOL * t for r, t in zip(self.rms, self.term_rms)
-        )
-
-    @property
-    def fit_scales(self) -> int:
-        """Number of scales from ``fit_from`` to ``fit_to`` above the rounding floor."""
-        return sum(
-            self.fit_from <= lam <= self.fit_to and r > _ROUNDING_RTOL * t
-            for lam, r, t in zip(self.lambdas, self.rms, self.term_rms)
-        )
+    def expected_slope(self) -> float:
+        return float(-self.order)
 
     @property
     def passed(self) -> bool:
-        """The slope fitted over at least three scales above the rounding
-        floor matches the order, or nothing is left to fit."""
-        if self.at_rounding_level:
-            return True
-        slope_ok = abs(self.slope - self.expected_slope) <= self.slope_tol
-        return slope_ok and self.fit_scales >= _MIN_FIT_SCALES
+        return all(r <= _ROUNDING_RTOL for d, r in self.ratios.items() if d > -self.order)
 
     def describe(self) -> str:
+        low = 1 - self.order
+        span = "degree +1" if low == 1 else f"degrees +1 .. {low:+d}"
+        above = {d: r for d, r in self.ratios.items() if d > -self.order}
+        failed = {d: r for d, r in above.items() if r > _ROUNDING_RTOL}
+        last = self.ratios[-self.order]
+        if failed:
+            text = "; ".join(f"degree {d:+d} does not cancel: {r:.2e}" for d, r in failed.items())
+            text += f" of its summands (rounding floor {_ROUNDING_RTOL:.1e})"
+        else:
+            text = f"{span} cancel to {max(above.values()):.1e} of their summands"
+        if last <= _ROUNDING_RTOL and not failed:
+            return (
+                f"{text}, and degree {-self.order:+d} too ({last:.1e}): the truncated"
+                " sum is exact, as on a homogeneous medium [ok]"
+            )
         status = "ok" if self.passed else "FAIL"
-        floor = ", at float rounding level" if self.at_rounding_level else ""
-        window = ""
-        if self.fit_from > min(self.lambdas):
-            window = (
-                f", fit over lam >= {self.fit_from:g}"
-                f" (pre-asymptotic below from order {_WINDOW_ORDER})"
-            )
-        if self.fit_to < max(self.lambdas):
-            window += f", fit up to lam = {self.fit_to:g} (rounding level above)"
-        if not self.at_rounding_level and self.fit_scales < _MIN_FIT_SCALES:
-            window += (
-                f", only {self.fit_scales} scale(s) above the rounding floor"
-                f" (need {_MIN_FIT_SCALES})"
-            )
         return (
-            f"residual slope {self.slope:+.3f} (expected {self.expected_slope:+.1f} "
-            f"+- {self.slope_tol}), fit dev {self.fit_max_dev:.2e}{window}{floor} [{status}]"
+            f"{text}; degree {-self.order:+d} at {last:.2e}; residual slope "
+            f"{self.slope:+.3f} (expected {self.expected_slope:+.1f}) [{status}]"
         )
 
 
@@ -254,21 +212,16 @@ def _probe_env(points) -> dict:
     }
 
 
-def _scaling_env(points, lambdas) -> dict:
-    """Env for probe points moved along the scaling ray (x, lam xi, lam s):
-    axis 0 runs over points, axis 1 over lambdas."""
-    env = _probe_env(points)
-    lam = _check_lambdas(lambdas)
-    scaled = (VarId.XI1, VarId.XI2, VarId.S)
-    return {
-        v: vals[:, None] * lam[None, :] if v in scaled else vals[:, None]
-        for v, vals in env.items()
-    }
+def _rms(vals) -> np.ndarray:
+    """Rms over the probes, the last axis."""
+    return np.sqrt(np.mean(np.abs(vals) ** 2, axis=-1))
 
 
-def _scaling_rms(vals) -> np.ndarray:
-    """Rms over probes (axis 0) of values on the scaling env, per scale."""
-    return np.sqrt(np.mean(np.abs(vals) ** 2, axis=0))
+def _along_ray(lam: np.ndarray, degrees: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    """sum_d lam^d f_d per scale and probe, shape (scale, probe), from the
+    degree parts f_d (rows of ``parts``) of a sum of homogeneous terms: its
+    values at (x, lam xi, lam s)."""
+    return (lam[:, None] ** degrees[None, :]) @ parts
 
 
 def _jet_directions(degree: int) -> np.ndarray:
@@ -307,70 +260,102 @@ def _mixed_partials(jet: np.ndarray, dirs: np.ndarray, top: int) -> dict:
     return out
 
 
-def _beta_sum(dy: dict, db: dict, cap: int):
-    """sum_{|beta| <= cap} (-i)^|beta| / beta! d_xi^beta y d_x^beta b from the
-    ``_mixed_partials`` of y and b, and the summed magnitudes of its summands."""
-    acc = 0
-    size = 0
-    for r in range(cap + 1):
-        for b1 in range(r + 1):
-            beta = (b1, r - b1)
-            cf = (-1j) ** r * (math.factorial(b1) * math.factorial(r - b1))
-            term = cf * (dy[beta] * db[beta])
-            acc = acc + term
-            size = size + np.abs(term)
-    return acc, size
+def _partials(jets, dirs: np.ndarray, top: int) -> np.ndarray:
+    """The ``_mixed_partials`` to |beta| <= top of each jet, stacked in their
+    order: shape (jet, beta, probe)."""
+    return np.array([list(_mixed_partials(jet, dirs, top).values()) for jet in jets])
+
+
+def _composition_summands(dp, dq, p_deg, q_deg, top: int):
+    """The summands (-i)^|beta| / beta! d_xi^beta p_j d_x^beta q_k, |beta| <= top,
+    of the composition of two graded symbols, flattened over (j, k, beta),
+    and the degree j + k - |beta| of each. ``dp`` and ``dq`` are the
+    ``_partials`` (d^beta f / beta!) of the terms p_j and q_k, whose
+    degrees are ``p_deg`` and ``q_deg``."""
+    r = np.array([n for n in range(top + 1) for _ in range(n + 1)])
+    weight = np.array(
+        [
+            (-1j) ** n * (math.factorial(b1) * math.factorial(n - b1))
+            for n in range(top + 1)
+            for b1 in range(n + 1)
+        ]
+    )
+    vals = weight[:, None] * dp[:, None] * dq[None, :]
+    deg = np.add.outer(np.add.outer(p_deg, q_deg), -r)
+    return vals.reshape(-1, dp.shape[-1]), deg.ravel()
+
+
+def _by_degree(summands: np.ndarray, degrees: np.ndarray):
+    """(degrees, parts, sizes) of homogeneous summands (rows, one column per
+    probe) of the given degrees: per degree from the highest down, the sum
+    of its summands and the sum of their magnitudes."""
+    levels = np.arange(degrees.max(), degrees.min() - 1, -1)
+    onehot = (degrees[None, :] == levels[:, None]).astype(float)
+    return levels, onehot @ summands, onehot @ np.abs(summands)
+
+
+_XI_PLANE = (VarId.XI1, VarId.XI2)
+_X_PLANE = (VarId.X1, VarId.X2)
 
 
 def _jets(roots, env: dict, dirs: np.ndarray, plane, d3: bool) -> list:
     """Taylor jets of ``roots`` along the directions ``dirs`` in ``plane``
     (two VarIds) and, with ``d3``, along x3 as one last direction, to
-    degree len(dirs) - 1 (at least 1): ``_mixed_partials`` reads the
-    plane's partials, and ``jet[1, -1]`` is d_x3. Seed x3 only where it is
-    read: an unread x3 direction made order-4 passes 20-40% slower.
+    degree len(dirs) - 1 (at least 1), each with one last axis over the
+    probes of ``env``: ``_mixed_partials`` reads the plane's partials, and
+    ``jet[1, -1]`` is d_x3. Seed x3 only where it is read: an unread x3
+    direction made order-4 passes 20-40% slower.
     """
     u = np.vstack([dirs, [0.0, 0.0]]) if d3 else dirs
     seeds = {plane[0]: u[:, 0], plane[1]: u[:, 1]}
     if d3:
         seeds[VarId.X3] = np.eye(len(u))[-1]
-    return taylor_eval(roots, env, seeds, max(len(dirs) - 1, 1))
+    probes = env[VarId.S].shape
+    jets = taylor_eval(roots, env, seeds, max(len(dirs) - 1, 1))
+    return [np.broadcast_to(jet, jet.shape[:2] + probes) for jet in jets]
 
 
-def _residual_values(exp: AdmittanceExpansion, env: dict, beta_cap: int):
-    """Full symbol equation applied to the plain truncated sum y, per probe,
-    and the summed magnitudes of its summands:
+def _residual_parts(exp: AdmittanceExpansion, env: dict):
+    """The full symbol equation applied to the plain truncated sum y, by
+    degree: (degrees, R_d, sum |summands|_d), rows from degree 1 down, one
+    column per probe of ``env``.
 
     R = y o b - a11 o y - a12 - eta d_x3 y,   b = s alpha33^-1 y + a22_1,
 
-    with p o q = sum_beta (-i)^|beta| / beta! d_xi^beta p d_x^beta q. The
-    tail of y o b is capped at |beta| <= beta_cap; the capped part scales
-    below the first uncancelled degree for beta_cap >= order + 1, so it
-    never pollutes the slope. a11 is linear in xi, so a11 o y ends at
-    |beta| = 1. Nothing is built: a xi pass over the terms of y, a11 and
-    a12 and an x pass over those of y, alpha33^-1 and a22_1 (``_jets``)
-    give every derivative; y's jets are the sums of its terms' jets.
+    with p o q = sum_beta (-i)^|beta| / beta! d_xi^beta p d_x^beta q. A
+    summand of y_j o b_k has degree j + k - |beta|, one of a11_i o y_j
+    i + j - |beta|; a12_d has degree d, and d_x3 y_j degree j. y o b is
+    capped at |beta| <= order + 1, which truncates no degree d >= -order;
+    a11 is linear in xi, so a11 o y ends at |beta| = 1. Nothing is built: a
+    xi pass over the terms of y, a11 and a12 and an x pass over those of y,
+    alpha33^-1 and a22_1 (``_jets``) give every derivative.
     """
     m = exp.medium
     A = systems_symbols(m)
-    ys = [exp.term(d) for d in sorted(exp.forms, reverse=True)]
-    a11, a12 = ([f.lower() for f in a.values()] for a in (A.a11, A.a12))
+    cap = exp.order + 1
+    yd = sorted(exp.forms, reverse=True)
+    ys = [exp.term(d) for d in yd]
+    a11 = [f.lower() for f in A.a11.values()]
     n, k = len(ys), len(ys) + len(a11)
-    dirs = _jet_directions(max(beta_cap, 1))
-    xi = _jets(ys + a11 + a12, env, dirs, (VarId.XI1, VarId.XI2), False)
+    dirs = _jet_directions(cap)
+    xi = _jets(ys + a11 + [f.lower() for f in A.a12.values()], env, dirs, _XI_PLANE, False)
     xs = ys + [_coefficients(m).inv33, symbol_total(A.a22)]
-    x = _jets(xs, env, dirs, (VarId.X1, VarId.X2), exp.eta)
-    y_x = sum(x[:n])
-    b_x = env[VarId.S] * _conv(x[n], y_x) + x[n + 1]
-    dy, db = (_mixed_partials(jet, dirs, beta_cap) for jet in (sum(xi[:n]), b_x))
-    acc, size = _beta_sum(dy, db, beta_cap)
+    x = _jets(xs, env, dirs, _X_PLANE, exp.eta)
+    b_x = [env[VarId.S] * _conv(x[n], jet) for jet in x[:n]]
+    b_x[0] = b_x[0] + x[n + 1]  # b_1 = s alpha33^-1 y_0 + a22_1
+    bd = [d + 1 for d in yd]
+    summands = [
+        _composition_summands(_partials(xi[:n], dirs, cap), _partials(b_x, dirs, cap), yd, bd, cap)
+    ]
     if a11:  # empty when alpha13 = alpha23 = 0
-        a11y, a11y_size = _beta_sum(
-            _mixed_partials(sum(xi[n:k]), dirs, 1), _mixed_partials(y_x, dirs, 1), 1
+        vals, deg = _composition_summands(
+            _partials(xi[n:k], dirs, 1), _partials(x[:n], dirs, 1), list(A.a11), yd, 1
         )
-        acc, size = acc - a11y, size + a11y_size
-    a12_value = sum(jet[0, 0] for jet in xi[k:])
-    d3y = y_x[1, -1] if exp.eta else 0
-    return acc - a12_value - d3y, size + np.abs(a12_value) + np.abs(d3y)
+        summands.append((-vals, deg))
+    summands.append((-np.array([jet[0, 0] for jet in xi[k:]]), np.array(list(A.a12))))
+    if exp.eta:
+        summands.append((-np.array([jet[1, -1] for jet in x[:n]]), np.array(yd)))
+    return _by_degree(*(np.concatenate(parts) for parts in zip(*summands)))
 
 
 def riccati_residual(
@@ -379,47 +364,29 @@ def riccati_residual(
     lambdas=DEFAULT_LAMBDAS,
     rng=None,
 ) -> ResidualReport:
-    """Measure the symbol-equation residual along the scaling ray.
+    """Check that the symbol equation cancels in every degree above -N.
 
-    With terms through degree -N the equation cancels down to degree
-    -N + 1, so |residual| ~ lam^-N; the report carries the fitted slope
-    against the expectation -N (fitted from lam = 8 on for N >= 4, and
-    only over scales above the rounding floor, see ``ResidualReport``).
-    The composition tail is capped at order N + 1.
+    With terms through degree -N the recursion cancels the equation's
+    degree parts R_d for d > -N. They come from one evaluation at the
+    probes (``_residual_parts``); each is judged against the magnitudes of
+    its summands, and the rms along the scaling ray is rebuilt from them
+    at ``lambdas`` (see ``ResidualReport``).
     """
-    beta_cap = exp.order + 1
     if points is None:
         points = draw_probe_points(exp.medium, 6, rng)
-    env = _scaling_env(points, lambdas)
-    vals, size = _residual_values(exp, env, beta_cap)
-    return _residual_report(
-        exp.order, exp.eta, beta_cap, lambdas, _scaling_rms(vals), _scaling_rms(size)
-    )
-
-
-def _residual_report(order, eta, beta_cap, lambdas, rms, term_rms) -> ResidualReport:
-    """Fit the residual's slope over its window (see ``ResidualReport``)."""
-    lam = np.asarray(lambdas, dtype=float)
-    fit = np.ones(lam.shape, dtype=bool)
-    if order >= _WINDOW_ORDER and len(set(lam[lam >= _FIT_FROM].tolist())) >= 2:
-        fit = lam >= _FIT_FROM
-    above = fit & (rms > _ROUNDING_RTOL * term_rms)
-    if len(set(lam[above].tolist())) >= 2:
-        fit = above
-    slope, intercept, dev = fit_loglog(lam[fit], rms[fit])
+    env = _probe_env(points)
+    lam = _check_lambdas(lambdas)
+    degrees, parts, sizes = _residual_parts(exp, env)
+    part_rms, size_rms = _rms(parts), _rms(sizes)
+    ratios = np.divide(part_rms, size_rms, out=np.zeros_like(part_rms), where=size_rms > 0)
+    cancelled = (degrees > -exp.order) & (ratios <= _ROUNDING_RTOL)
+    rms = _rms(_along_ray(lam, degrees, np.where(cancelled[:, None], 0, parts)))
     return ResidualReport(
-        order=order,
-        eta=eta,
-        beta_cap=beta_cap,
+        order=exp.order,
         lambdas=tuple(float(v) for v in lam),
         rms=tuple(float(v) for v in rms),
-        slope=slope,
-        intercept=intercept,
-        fit_max_dev=dev,
-        expected_slope=float(-order),
-        term_rms=tuple(float(v) for v in term_rms),
-        fit_from=float(lam[fit].min()),
-        fit_to=float(lam[fit].max()),
+        slope=fit_loglog(lam, rms)[0],
+        ratios={int(d): float(r) for d, r in zip(degrees, ratios) if d >= -exp.order},
     )
 
 
@@ -754,30 +721,33 @@ class OrderClaimReport:
         )
 
 
-def _order_claim_values(split: SplitSymbols, env: dict):
-    """(p, d3 ell) of entry (0, 0), the admittance y+ and g+, at ``env``.
+def _order_claim_parts(split: SplitSymbols, env: dict):
+    """Degree parts of p and of d3 ell, entry (0, 0), the admittance y+ and
+    g+, at the probes of ``env``: ((degrees, p_d), (degrees, d3 ell_d) or
+    None), rows from the top degree down, one column per probe.
 
-    p is the composition y+ o g+ truncated at floor = y+'s floor + 1:
-    per pair of terms y_j, g_k the sum over |beta| <= j + k - floor of
-    (-i)^|beta| / beta! d_xi^beta y_j d_x^beta g_k, from the xi pass over
-    the y_j and the x pass over the g_k (``_jets``). d3 ell is read from
-    the xi pass, and is None when y+ is free of x3.
+    p is the composition y+ o g+ truncated at floor = y+'s floor + 1: the
+    summands (-i)^|beta| / beta! d_xi^beta y_j d_x^beta g_k of degree
+    j + k - |beta| >= floor, from the xi pass over the y_j and the x pass
+    over the g_k (``_jets``). d3 y_j, of degree j, is read from the xi
+    pass; the d3 part is None when y+ is free of x3.
     """
     ell = {d: f.lower() for d, f in split.ell_forms[0][0].items()}
     g = {d: f.lower() for d, f in split.g_forms[0].items()}
     floor = split.ell_floor + 1
-    ell_top, g_top = max(ell), max(g)
-    dirs = _jet_directions(ell_top + g_top - floor)
+    top = max(ell) + max(g) - floor
+    dirs = _jet_directions(top)
     d3 = any(VarId.X3 in e.free_vars for e in ell.values())
-    y_xi = _jets(ell.values(), env, dirs, (VarId.XI1, VarId.XI2), d3)
-    g_x = _jets(g.values(), env, dirs, (VarId.X1, VarId.X2), False)
-    dg = [_mixed_partials(jet, dirs, k + ell_top - floor) for k, jet in zip(g, g_x)]
-    p = 0
-    for j, jet in zip(ell, y_xi):
-        dy = _mixed_partials(jet, dirs, j + g_top - floor)
-        for k, dgk in zip(g, dg):
-            p = p + _beta_sum(dy, dgk, j + k - floor)[0]
-    return p, (sum(jet[1, -1] for jet in y_xi) if d3 else None)
+    y_xi = _jets(ell.values(), env, dirs, _XI_PLANE, d3)
+    g_x = _jets(g.values(), env, dirs, _X_PLANE, False)
+    vals, deg = _composition_summands(
+        _partials(y_xi, dirs, top), _partials(g_x, dirs, top), list(ell), list(g), top
+    )
+    keep = deg >= floor
+    p = _by_degree(vals[keep], deg[keep])[:2]
+    if not d3:
+        return p, None
+    return p, (np.array(list(ell)), np.array([jet[1, -1] for jet in y_xi]))
 
 
 def order_claim_check(
@@ -788,21 +758,25 @@ def order_claim_check(
     This is the quantitative form of the claim that the depth
     derivative of the composition matrix sits one order below the
     generator, which is what licenses dropping it at leading order in
-    the approximate (eta = 0) splitting. Both are measured along the
-    scaling ray by Taylor jets (``_order_claim_values``); the d3 ell
-    slope is None when the admittance is free of x3.
+    the approximate (eta = 0) splitting. Both are sums of homogeneous
+    parts, evaluated once at the probes by Taylor jets
+    (``_order_claim_parts``); their rms along the scaling ray is rebuilt
+    from those parts at ``lambdas`` and the slopes are fitted over every
+    scale. The d3 ell slope is None when the admittance is free of x3.
     """
     if points is None:
         points = draw_probe_points(split.medium, 6, rng)
-    p, d3 = _order_claim_values(split, _scaling_env(points, lambdas))
-    p_rms = _scaling_rms(p)
-    p_slope, _, _ = fit_loglog(lambdas, p_rms)
+    env = _probe_env(points)
+    lam = _check_lambdas(lambdas)
+    p, d3 = _order_claim_parts(split, env)
+    p_rms = _rms(_along_ray(lam, *p))
+    p_slope, _, _ = fit_loglog(lam, p_rms)
     d3_slope, d3_rms = None, ()
     if d3 is not None:
-        d3_rms = _scaling_rms(d3)
-        d3_slope, _, _ = fit_loglog(lambdas, d3_rms)
+        d3_rms = _rms(_along_ray(lam, *d3))
+        d3_slope, _, _ = fit_loglog(lam, d3_rms)
     return OrderClaimReport(
-        lambdas=tuple(float(v) for v in lambdas),
+        lambdas=tuple(float(v) for v in lam),
         p_slope=p_slope,
         d3_slope=d3_slope,
         p_rms=tuple(float(v) for v in p_rms),

@@ -22,12 +22,7 @@ from anisosplit import (
     variable,
 )
 from anisosplit.expr import ZERO, free_vars, ipow, mul, neg, recip
-from anisosplit.oracle import (
-    _jet_directions,
-    _mixed_partials,
-    _probe_env as probe_env,
-    _scaling_env,
-)
+from anisosplit.oracle import _jet_directions, _mixed_partials, _probe_env as probe_env
 from anisosplit.symbols import _multi_indices
 
 _XI1 = variable(VarId.XI1)
@@ -186,11 +181,23 @@ def residual_expr(exp, beta_cap: int):
     return acc
 
 
+def scaling_env(points, lambdas) -> dict:
+    """Env for probe points moved along the scaling ray (x, lam xi, lam s):
+    axis 0 runs over points, axis 1 over lambdas."""
+    env = probe_env(points)
+    lam = np.asarray(lambdas, dtype=float)
+    scaled = (VarId.XI1, VarId.XI2, VarId.S)
+    return {
+        v: vals[:, None] * lam[None, :] if v in scaled else vals[:, None]
+        for v, vals in env.items()
+    }
+
+
 def symbolic_residual_rms(exp, points, lambdas, beta_cap=None):
     """Per-lambda rms of ``residual_expr`` on the scaling ray (x, lam xi, lam s)."""
     if beta_cap is None:
         beta_cap = exp.order + 1
-    env = _scaling_env(points, lambdas)
+    env = scaling_env(points, lambdas)
     vals = np.asarray(eval_expr(residual_expr(exp, beta_cap), env))
     return np.sqrt(np.mean(np.abs(vals) ** 2, axis=0))
 
@@ -459,7 +466,7 @@ def symbolic_order_claim(split, env):
     symbolically (``oracle_compose`` truncated one degree above ell's
     floor, and d/dx3 of ell's sum) and evaluated at ``env``: (p symbol,
     p values, d3 ell values or None when ell is free of x3). The oracle
-    for the jets of ``oracle._order_claim_values``; cheap up to order 3."""
+    for the jets of ``oracle._order_claim_parts``; cheap up to order 3."""
     ell = lowered(split.ell_forms[0][0])
     p = oracle_compose(ell, lowered(split.g_forms[0]), split.ell_floor + 1)
     d3 = diff(expr_total(ell), VarId.X3)

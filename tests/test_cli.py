@@ -250,7 +250,8 @@ def test_residual_checks_every_configured_sign(tmp_path, monkeypatch):
 
     def up_going_fails(exp, **kw):
         rep = real(exp, **kw)
-        return dataclasses.replace(rep, slope=5.0) if exp.sign < 0 else rep
+        failed = {**rep.ratios, 0: 1.0}  # degree 0 does not cancel
+        return dataclasses.replace(rep, ratios=failed) if exp.sign < 0 else rep
 
     cfg = _cfg(tmp_path, HET.replace("sign = +\n", "sign = both\n"))
     assert run(["residual", cfg, "--out", str(tmp_path / "a")]) == 0

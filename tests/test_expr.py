@@ -133,6 +133,14 @@ def test_constant_folding():
     assert neg(neg(S)) is S
 
 
+def test_add_folds_a_constant_into_a_constant_led_sum():
+    assert parse("1 + x1 + 2") is add(const(3), X1)
+    assert to_text(parse("1 + x1 + 2")) == "3 + x1"
+    assert parse("x1 - 1 + 1") is X1
+    assert add(const(2), add(const(-2), S)) is S
+    assert sub(add(const(1), S), const(4)) is add(const(-3), S)
+
+
 def test_round_trip_through_text():
     rng = np.random.default_rng(42)
     for _ in range(60):

@@ -25,19 +25,24 @@ from anisosplit.oracle import (
     DEFAULT_LAMBDAS,
     _jet_directions,
     _matrix_sign,
+    _along_ray,
     _mixed_partials,
-    _order_claim_values,
-    _scaling_env,
+    _order_claim_parts,
+    _residual_parts,
     draw_probe_points,
     fit_loglog,
 )
 
 from helpers import (
     eig_grid_admittance,
+    eval_at,
     field_rel,
+    oracle_riccati_degree_part,
     oracle_x_derivative,
     oracle_xi_derivative,
+    probe_env,
     rel_err,
+    scaling_env,
     single_shot_kernel,
     symbolic_order_claim,
     symbolic_residual_rms,
@@ -102,72 +107,62 @@ def test_residual_report_describe(het_medium):
 
 def test_residual_of_exact_sum_passes_at_rounding_level(hom_medium):
     # homogeneous medium: the truncated sum solves the equation exactly, so
-    # the residual is rounding that grows like the summands (slope +1)
+    # every degree, -N included, cancels and the rebuilt rms is 0
     pts = draw_probe_points(hom_medium, 4, np.random.default_rng(5))
     rep = riccati_residual(expand(hom_medium, 1, 0, 2), points=pts, lambdas=[4.0, 16.0, 64.0])
-    assert rep.slope == pytest.approx(1.0, abs=0.01)
-    assert rep.at_rounding_level
+    assert list(rep.ratios) == [1, 0, -1, -2]
+    assert all(r <= oracle._ROUNDING_RTOL for r in rep.ratios.values())
+    assert rep.rms == (0.0, 0.0, 0.0)
     assert rep.passed
-    assert "rounding" in rep.describe() and "[ok]" in rep.describe()
+    assert "exact" in rep.describe() and "[ok]" in rep.describe()
 
 
-def test_order_four_residual_fits_from_lambda_eight():
-    # lam = 4 is pre-asymptotic at order 4 (local slope about -8.6 to
-    # lam = 8), so from order 4 on the fit starts at lam = 8
+def test_correct_order_four_residual_passes_on_any_scales():
+    # the verdict reads the degree parts, so the scales cannot move it: the
+    # slope fit that decided it before failed this correct expansion on
+    # lam = (4, 8, 16) and on (1, 2)
     m = presets.heterogeneous_full()
     pts = draw_probe_points(m, 6, np.random.default_rng(202))
-    rep = riccati_residual(expand(m, 1, 0, 4), points=pts, lambdas=DEFAULT_LAMBDAS)
-    assert rep.fit_from == 8.0 and rep.lambdas == DEFAULT_LAMBDAS
-    assert abs(rep.slope + 4.0) <= 0.3 and rep.passed
-    assert "fit over lam >= 8" in rep.describe()
-    allfit, _, _ = fit_loglog(rep.lambdas, rep.rms)
-    assert abs(allfit + 4.0) > 0.3  # what the fit over every scale gave
-    # below order 4 every scale is fitted, and the text is unchanged
-    low = riccati_residual(expand(m, 1, 0, 3), points=pts, lambdas=DEFAULT_LAMBDAS)
-    assert low.fit_from == 4.0
-    assert low.slope == fit_loglog(low.lambdas, low.rms)[0]
-    assert "fit over" not in low.describe()
+    exp = expand(m, 1, 0, 4)
+    reps = [
+        riccati_residual(exp, points=pts, lambdas=lam)
+        for lam in ((4.0, 8.0, 16.0), (1.0, 2.0), DEFAULT_LAMBDAS)
+    ]
+    for rep in reps:
+        assert rep.passed, rep.describe()
+        assert rep.ratios == reps[0].ratios
+        assert rep.slope == fit_loglog(rep.lambdas, rep.rms)[0]
+    assert list(reps[0].ratios) == [1, 0, -1, -2, -3, -4]
+    assert reps[0].ratios[-4] > 1e-3  # the first uncancelled degree
 
 
 def test_rounding_rule_does_not_excuse_a_real_residual(het_medium):
     pts = draw_probe_points(het_medium, 4, np.random.default_rng(4))
     rep = riccati_residual(expand(het_medium, 1, 1, 1), points=pts, lambdas=[4.0, 16.0, 64.0])
-    assert not rep.at_rounding_level
-    bad = replace(rep, expected_slope=-3.0)
+    assert rep.passed and rep.ratios[-1] > 1e-3
+    assert "degree -1 at" in rep.describe()
+    # a degree above -N above the rounding floor fails, and the report names it
+    floor = oracle._ROUNDING_RTOL
+    bad = replace(rep, ratios={**rep.ratios, 0: 2 * floor})
     assert not bad.passed
-    assert "[FAIL]" in bad.describe()
-    # the rule holds only when every scale is at rounding level
-    eps = np.finfo(float).eps
-    mixed = replace(bad, rms=(eps, eps, 1e-3), term_rms=(1.0, 1.0, 1.0))
-    assert not mixed.at_rounding_level
-    assert replace(mixed, rms=(eps, eps, eps)).passed
-    assert not replace(mixed, term_rms=()).at_rounding_level
+    assert "degree +0 does not cancel" in bad.describe() and "[FAIL]" in bad.describe()
+    assert replace(rep, ratios={**rep.ratios, 0: floor}).passed
+    # the slope is information only: it never fails the check
+    assert replace(rep, slope=5.0).passed
 
 
-def test_residual_fit_window_ends_at_the_rounding_floor():
-    # crafted rms ~ lam^-6 whose last two scales sit at the rounding floor,
-    # as at order 6 on heterogeneous_full
-    lam = np.asarray(DEFAULT_LAMBDAS)
-    term = np.full(lam.shape, 1e-6)
-    floor = oracle._ROUNDING_RTOL * term
-    rms = lam**-6.0
-    rms[-2:] = 0.5 * floor[-2:]
-    rep = oracle._residual_report(6, 1, 7, lam, rms, term)
-    assert (rep.fit_from, rep.fit_to, rep.fit_scales) == (8.0, 64.0, 4)
-    assert rep.slope == pytest.approx(-6.0) and rep.passed
-    assert "fit up to lam = 64 (rounding level above)" in rep.describe()
-    assert abs(fit_loglog(lam[1:], rms[1:])[0] + 6.0) > 0.3  # the fit without the window
-    # a residual one order too large still fails inside the window
-    assert not oracle._residual_report(6, 1, 7, lam, 10 * lam**-5.0, term).passed
-    # two scales above the floor are too few: the report fails and says why
-    rms[3:] = 0.5 * floor[3:]
-    short = oracle._residual_report(6, 1, 7, lam, rms, term)
-    assert short.fit_scales == 2 and short.slope == pytest.approx(-6.0)
-    assert not short.passed
-    assert "only 2 scale(s) above the rounding floor (need 3)" in short.describe()
-    # every scale at the floor: the all-scales rounding rule, as before
-    flat = oracle._residual_report(6, 1, 7, lam, 0.5 * floor, term)
-    assert flat.at_rounding_level and flat.passed and flat.fit_to == 256.0
+def test_residual_names_a_wrong_term_at_its_degree(het_medium):
+    # y_-3 off by one part in a million: the slope fit passed it (-2.906),
+    # but y_-3 is solved from the degree -2 balance, which no longer cancels
+    exp = expand(het_medium, 1, 1, 3)
+    pts = draw_probe_points(het_medium, 6, np.random.default_rng(202))
+    wrong = replace(exp, forms={**exp.forms, -3: (1 + 1e-6) * exp.forms[-3]})
+    rep = riccati_residual(wrong, points=pts)
+    failed = [d for d, r in rep.ratios.items() if d > -3 and r > oracle._ROUNDING_RTOL]
+    assert failed == [-2]
+    assert 1e-8 < rep.ratios[-2] < 1e-5
+    assert not rep.passed
+    assert "degree -2 does not cancel" in rep.describe() and "[FAIL]" in rep.describe()
 
 
 def test_residual_window_does_not_excuse_a_wrong_term(het_medium):
@@ -176,8 +171,28 @@ def test_residual_window_does_not_excuse_a_wrong_term(het_medium):
     assert riccati_residual(exp, points=pts).passed
     wrong = replace(exp, forms={**exp.forms, -3: 2 * exp.forms[-3]})
     rep = riccati_residual(wrong, points=pts)
-    assert rep.fit_to == 256.0 and abs(rep.slope + 2.0) <= 0.3
+    # the failed degree stays in the rms, so the slope shows it too
+    assert abs(rep.slope + 2.0) <= 0.3
     assert not rep.passed
+
+
+@pytest.mark.parametrize("preset", ["heterogeneous_full", "up_down_symmetric"])
+@pytest.mark.parametrize("eta", [0, 1])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_residual_degree_parts_match_symbolic_oracle(preset, eta, order):
+    # for d >= -N the cap |beta| <= N + 1 truncates nothing, so each R_d is
+    # the whole degree-d part of the equation, as the expression collector
+    # builds it
+    m = getattr(presets, preset)()
+    exp = expand(m, 1, eta, order)
+    pts = draw_probe_points(m, 6, np.random.default_rng(202))
+    degrees, parts, sizes = _residual_parts(exp, probe_env(pts))
+    terms = {d: exp.term(d) for d in exp.forms}
+    rms = lambda v: np.sqrt(np.mean(np.abs(v) ** 2))
+    for d in range(1, -order - 1, -1):
+        row = list(degrees).index(d)
+        want = eval_at(oracle_riccati_degree_part(m, eta, terms, d), pts)
+        assert rms(parts[row] - want) <= oracle._ROUNDING_RTOL * rms(sizes[row]), d
 
 
 def test_quad_oracle_matches_numpy_roots(hom_medium):
@@ -384,16 +399,24 @@ def test_order_claim_depth_free_split(hom_split):
 def test_order_claim_jets_match_symbolic_composition(preset, eta, order):
     m = getattr(presets, preset)()
     split = split_symbols(expand(m, 1, eta, order), expand(m, -1, eta, order))
-    env = _scaling_env(draw_probe_points(m, 5, np.random.default_rng(order)), DEFAULT_LAMBDAS)
-    p, d3 = _order_claim_values(split, env)
-    p_sym, p_want, d3_want = symbolic_order_claim(split, env)
+    pts = draw_probe_points(m, 5, np.random.default_rng(order))
+    (degrees, p), d3 = _order_claim_parts(split, probe_env(pts))
+    p_sym, _, _ = symbolic_order_claim(split, probe_env(pts))
     if order == 0:
         # p is its degree-1 part y_0 g_1 alone
         assert list(p_sym) == [1]
-    assert rel_err(p, p_want) <= 1e-12
+    # each degree part against the symbolic composition's
+    assert set(p_sym) <= set(degrees.tolist())
+    for d, got in zip(degrees, p):
+        want = eval_at(p_sym[d], pts) if d in p_sym else 0.0
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(p)), d
+    # and the sums rebuilt along the scaling ray against the symbolic values
+    lam = np.asarray(DEFAULT_LAMBDAS)
+    _, p_want, d3_want = symbolic_order_claim(split, scaling_env(pts, lam))
+    assert rel_err(_along_ray(lam, degrees, p).T, p_want) <= 1e-12
     assert (d3 is None) == (d3_want is None)
     if d3 is not None:
-        assert rel_err(d3, d3_want) <= 1e-12
+        assert rel_err(_along_ray(lam, *d3).T, d3_want) <= 1e-12
 
 
 @pytest.mark.parametrize("check", ["order_claim_check", "riccati_residual"])
@@ -447,7 +470,7 @@ def test_riccati_residual_rejects_bad_probe_sets(het_medium, points):
 @pytest.mark.parametrize("space", ["xi", "x"])
 def test_mixed_partials_from_jets_match_symbolic_derivatives(het_medium, space):
     y = expand(het_medium, 1, 1, 1).term(-1)
-    env = _scaling_env(draw_probe_points(het_medium, 5, np.random.default_rng(8)), [1.0, 3.0])
+    env = scaling_env(draw_probe_points(het_medium, 5, np.random.default_rng(8)), [1.0, 3.0])
     dirs = _jet_directions(4)
     if space == "xi":
         seeds, derivative = {VarId.XI1: dirs[:, 0], VarId.XI2: dirs[:, 1]}, oracle_xi_derivative
