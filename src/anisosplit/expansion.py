@@ -37,6 +37,7 @@ from .expr import (
     VarId,
     ZERO,
     _cyclic_gc_paused,
+    _intern,
     const,
     node_count,
     recip,
@@ -201,10 +202,16 @@ def _check_term(e: Expr, degree: int, node_cap: int, check_degree: bool):
     """Cap a term's DAG size and, with ``check_degree``, check that its
     structural degree (``Expr.degree``, proved as the nodes were built)
     is the declared one. ZERO is homogeneous of every degree. Nothing is
-    evaluated."""
-    size = node_count(e)
-    if size > node_cap:
-        raise ExpansionError(f"term of degree {degree} has {size} nodes (cap {node_cap})")
+    evaluated.
+
+    Every live node is in the intern table, so the table's size bounds
+    the term's node count: the term is walked (``node_count``) only when
+    the table holds more than ``node_cap`` nodes, and the cap raises in
+    exactly the cases an exact count over every term would."""
+    if len(_intern) > node_cap:
+        size = node_count(e)
+        if size > node_cap:
+            raise ExpansionError(f"term of degree {degree} has {size} nodes (cap {node_cap})")
     if check_degree and e is not ZERO and e.degree != degree:
         raise ExpansionError(
             f"term declared at degree {degree} has structural degree {e.degree}"

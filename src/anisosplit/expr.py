@@ -544,24 +544,41 @@ def _walk(roots, enter=None):
     key the dicts themselves. With ``enter``, a root or an argument is
     visited only when ``enter(node)`` is true.
 
+    The walk is depth first, last argument first, and holds only the
+    current path: one (node, iterator over its remaining arguments) pair
+    per level. ``nref`` is also its visited set: a node is entered when
+    it is first counted, and a root is entered unless an earlier root
+    read it (a root keeps a count of 0 while it is walked, removed at
+    the end if nothing read it). A root read by another root is emitted
+    once.
+
     This is the one post-order traversal of a DAG: evaluation, printing
     and ``diff`` all read their node order from it."""
     order = []
     nref = {}
-    seen = set()
-    stack = [(r, False) for r in reversed(roots) if enter is None or enter(r)]
-    while stack:
-        node, emit = stack.pop()
-        if emit:
-            order.append(node)
+    for root in roots:
+        if root in nref or (enter is not None and not enter(root)):
             continue
-        if node in seen:
-            continue
-        seen.add(node)
-        stack.append((node, True))
-        for a in node.args if enter is None else filter(enter, node.args):
-            nref[a] = nref.get(a, 0) + 1
-            stack.append((a, False))
+        nref[root] = 0
+        args = reversed(root.args)
+        path = [(root, args if enter is None else filter(enter, args))]
+        while path:
+            node, args = path[-1]
+            for a in args:
+                n = nref.get(a)
+                if n is not None:
+                    nref[a] = n + 1
+                    continue
+                nref[a] = 1
+                args = reversed(a.args)
+                path.append((a, args if enter is None else filter(enter, args)))
+                break
+            else:
+                path.pop()
+                order.append(node)
+    for root in roots:
+        if nref.get(root) == 0:
+            del nref[root]
     return order, nref
 
 
@@ -611,8 +628,10 @@ def _run(nodes, nref, keep, bound, vals, power_chains=False, jets=frozenset()):
     nodes to values and may already hold the values of arguments outside
     ``nodes``. ``nref`` counts, per node, the argument slots of ``nodes``
     that read it; it is consumed, and a value is freed after its last
-    reader unless the node is in ``keep``. The operations of the nodes in
-    ``jets`` act on jets (``_jet_op``); their variables are bound to jets.
+    reader unless the node is in ``keep``. ``jets`` is a set of seeded
+    ``VarId``s: the operations of the nodes that depend on one act on
+    jets (``_jet_op``), and a variable node reads its bound value, a jet
+    when the variable is seeded.
 
     With ``power_chains`` an integer power is a product chain of its base,
     or of one reciprocal of the base (checked for zeros), and the chain is
@@ -624,8 +643,12 @@ def _run(nodes, nref, keep, bound, vals, power_chains=False, jets=frozenset()):
     for node in nodes:
         op = node.op
         args = node.args
-        if jets and node in jets and op != "var":
-            v = _jet_op(node, [vals[a] for a in args], [a in jets for a in args])
+        if jets and op != "var" and not jets.isdisjoint(node.free_vars):
+            v = _jet_op(
+                node,
+                [vals[a] for a in args],
+                [not jets.isdisjoint(a.free_vars) for a in args],
+            )
         # the arithmetic ops inline (the same operations _EVAL applies)
         elif op == "mul":
             v = vals[args[0]] * vals[args[1]]
@@ -823,9 +846,11 @@ def taylor_eval(roots, env: dict, seeds: dict, degree: int) -> list:
     axes as the widest env value. The DAG is walked once for all roots.
 
     Nodes that depend on no seeded variable are evaluated as plain values,
-    as in ``eval_expr``. Coefficient 0 of every other node is computed by
-    the same evaluation functions, so a zero divisor or a sqrt on the
-    closed negative real axis raises the same typed error.
+    as in ``eval_expr``; which nodes those are is read from each node's
+    ``free_vars`` as it is evaluated, so no set of jet nodes is built.
+    Coefficient 0 of every other node is computed by the same evaluation
+    functions, so a zero divisor or a sqrt on the closed negative real
+    axis raises the same typed error.
     """
     if not isinstance(degree, (int, np.integer)) or degree < 0:
         raise ValueError("degree must be a non-negative integer")
@@ -856,10 +881,9 @@ def taylor_eval(roots, env: dict, seeds: dict, degree: int) -> list:
             jet[1] = dirs[var].reshape((ndir,) + (1,) * ndim)
     roots = list(roots)
     order, nref = _walk(roots)
-    jets = {node for node in order if not seeded.isdisjoint(node.free_vars)}
     vals = {}
-    _run(order, nref, set(roots), bound, vals, jets=jets)
-    return [vals[r] if r in jets else lift(vals[r]) for r in roots]
+    _run(order, nref, set(roots), bound, vals, jets=seeded)
+    return [lift(vals[r]) if seeded.isdisjoint(r.free_vars) else vals[r] for r in roots]
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,29 @@ _XI2 = variable(VarId.XI2)
 _S = variable(VarId.S)
 
 
+def stack_walk(roots, enter=None):
+    """Oracle for ``expr._walk``: the same (order, nref) from a stack of
+    (node, emit) pairs, one pushed per argument slot, and a set of the
+    nodes visited beside ``nref``."""
+    order = []
+    nref = {}
+    seen = set()
+    stack = [(r, False) for r in reversed(roots) if enter is None or enter(r)]
+    while stack:
+        node, emit = stack.pop()
+        if emit:
+            order.append(node)
+            continue
+        if node in seen:
+            continue
+        seen.add(node)
+        stack.append((node, True))
+        for a in node.args if enter is None else filter(enter, node.args):
+            nref[a] = nref.get(a, 0) + 1
+            stack.append((a, False))
+    return order, nref
+
+
 def eval_at(expr, points) -> np.ndarray:
     pts = np.asarray(points, dtype=complex)
     return np.broadcast_to(

@@ -22,11 +22,12 @@ from anisosplit import (
     schur,
     split_symbols,
 )
+from anisosplit import expansion as expansion_module
 from anisosplit import expr as expr_module
 from anisosplit import presets
 from anisosplit import symbols as symbols_module
 from anisosplit.expansion import _check_term
-from anisosplit.expr import S, ZERO, diff, mul, parse, recip, sub
+from anisosplit.expr import S, ZERO, diff, mul, node_count, parse, recip, sub
 from anisosplit.oracle import draw_probe_points
 from anisosplit.symbols import radicand
 
@@ -275,6 +276,38 @@ def test_expand_parameter_validation(hom_medium):
 def test_expand_node_cap(het_medium):
     with pytest.raises(ExpansionError, match="node"):
         expand(het_medium, 1, 1, 3, node_cap=50)
+
+
+def test_node_cap_raises_at_the_exact_size(het_medium):
+    # the first term over the cap is named with its exact node count,
+    # and a cap equal to a term's size admits it
+    y3 = expand(het_medium, 1, 1, 3).term(-3)
+    size = node_count(y3)
+    expand(het_medium, 1, 1, 3, node_cap=size)
+    with pytest.raises(ExpansionError, match=f"degree -3 has {size} nodes \\(cap {size - 1}\\)"):
+        expand(het_medium, 1, 1, 3, node_cap=size - 1)
+    y1 = expand(het_medium, 1, 1, 1).term(-1)
+    with pytest.raises(ExpansionError, match=f"degree -1 has {node_count(y1)} nodes \\(cap 50\\)"):
+        expand(het_medium, 1, 1, 3, node_cap=50)
+
+
+def test_node_cap_walks_no_term_while_the_intern_table_is_within_it(het_medium, monkeypatch):
+    # every live node is interned, so a table no larger than the cap
+    # bounds every term, and no term is counted
+    calls = []
+
+    def spy(e):
+        calls.append(e)
+        return node_count(e)
+
+    monkeypatch.setattr(expansion_module, "node_count", spy)
+    cap = len(expr_module._intern) + 100_000
+    exp = expand(het_medium, 1, 1, 3, node_cap=cap)
+    assert len(expr_module._intern) <= cap
+    assert calls == []
+    # a cap below the table size counts each new term exactly
+    expand(het_medium, 1, 1, 3, node_cap=len(expr_module._intern) - 1)
+    assert calls == [exp.term(-1), exp.term(-2), exp.term(-3)]
 
 
 def test_expansion_series_and_truncation(het_expansion_pair):

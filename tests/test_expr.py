@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,7 @@ from anisosplit.expr import (
     to_text,
 )
 import test_cli
+from helpers import stack_walk
 
 ENV = {
     VarId.X1: 0.7,
@@ -224,6 +226,85 @@ def test_degree_rules():
 def test_node_count_counts_shared_nodes_once():
     e = parse("(sin(x1) + s)*(sin(x1) + s) + sin(x1)/xi2")
     assert expr_module.node_count(e) == len(expr_module._walk([e])[0]) == 8
+
+
+@pytest.fixture(scope="module")
+def order_four_terms():
+    # y_0 .. y_-4 of both branches of two heterogeneous media
+    return {
+        (preset.__name__, sign): [exp.term(-k) for k in range(5)]
+        for preset in (presets.heterogeneous_full, presets.dual_path_medium)
+        for sign in (1, -1)
+        for exp in [expand(preset(), sign, 1, 4)]
+    }
+
+
+def _assert_walks_agree(roots, enter=None):
+    order, nref = expr_module._walk(roots, enter)
+    want_order, want_nref = stack_walk(roots, enter)
+    assert len(order) == len(want_order)
+    assert all(a is b for a, b in zip(order, want_order))
+    assert nref == want_nref
+
+
+def test_walk_matches_the_stack_walk_oracle(order_four_terms):
+    for terms in order_four_terms.values():
+        for e in terms:
+            _assert_walks_agree([e])
+            for v in (VarId.X3, VarId.XI1, VarId.S):
+                # diff's predicate: the nodes that depend on v, uncached
+                _assert_walks_agree(
+                    [e], lambda a: v in a.free_vars and (a._dcache is None or v not in a._dcache)
+                )
+        y0, y1, y2, y3, y4 = terms
+        inner = y3.args[0]  # read by y_-3
+        assert inner.args
+        # shared, repeated, and a root that a later or an earlier root reads
+        _assert_walks_agree([y2, y4, y2, y0, y1, y4])
+        _assert_walks_agree([inner, y1, y3, y2])
+        _assert_walks_agree([y3, y0, inner, y3])
+        _assert_walks_agree([inner, y3, inner], lambda a: VarId.S in a.free_vars)
+
+
+def test_walk_counts_roots_only_where_an_argument_reads_them():
+    a = add(X1, S)
+    b = mul(a, sin_(a))
+    assert a.args == (X1, S) and b.args == (a, sin_(a))
+    # last argument first; a root that an earlier or a later root reads
+    # is emitted once, a repeated root once
+    for roots in ([a, b, a], [b, a], [b, b, a]):
+        order, nref = expr_module._walk(roots)
+        assert order == [S, X1, a, sin_(a), b]
+        assert nref == {S: 1, X1: 1, a: 2, sin_(a): 1}
+
+
+def test_walk_of_a_deep_chain_does_not_recurse():
+    e = X1
+    for _ in range(100_000):
+        e = add(sin_(e), X2)
+    order, nref = expr_module._walk([e])
+    assert len(order) == 200_002 and order[-1] is e
+    want_order, want_nref = stack_walk([e])
+    assert all(a is b for a, b in zip(order, want_order))
+    assert nref == want_nref
+    assert expr_module.node_count(e) == 200_002
+    assert nref[X2] == 100_000 and nref[X1] == 1
+
+
+def test_walk_peak_memory_stays_near_its_result(order_four_terms):
+    # the walk holds only the current path besides what it returns: no
+    # visited set, and no stack entry per argument slot
+    e = order_four_terms[("heterogeneous_full", 1)][4]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = expr_module._walk([e])
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result[0]) == 36_058
+    assert peak - base < 1.6 * (kept - base)
 
 
 def test_identical_subtrees_cancel():

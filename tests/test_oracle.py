@@ -136,6 +136,20 @@ def test_correct_order_four_residual_passes_on_any_scales():
     assert reps[0].ratios[-4] > 1e-3  # the first uncancelled degree
 
 
+def test_passing_order_four_report_gives_the_slope_as_information():
+    # over all scales the small scales pull the slope of a correct
+    # order-4 residual away from -4 (-4.372 here); the report must not
+    # read as if it were held to -4
+    m = presets.heterogeneous_full()
+    pts = draw_probe_points(m, 6, np.random.default_rng(202))
+    rep = riccati_residual(expand(m, 1, 1, 4), points=pts)
+    assert rep.passed and rep.expected_slope == -4.0
+    text = rep.describe()
+    assert "expected" not in text and "[FAIL]" not in text
+    assert f"degree -4 at {rep.ratios[-4]:.2e} [ok]; for information" in text
+    assert text.endswith(f"the log-log slope over all scales is {rep.slope:+.3f}")
+
+
 def test_rounding_rule_does_not_excuse_a_real_residual(het_medium):
     pts = draw_probe_points(het_medium, 4, np.random.default_rng(4))
     rep = riccati_residual(expand(het_medium, 1, 1, 1), points=pts, lambdas=[4.0, 16.0, 64.0])
