@@ -619,12 +619,12 @@ def _consumer_counts(nodes):
     return nref
 
 
-def _run(nodes, nref, keep, bound, vals, power_chains=False, jets=frozenset()):
+def _run(nodes, nref, keep, bound, vals, jets=frozenset()):
     """Evaluate ``nodes`` (each after its arguments) into ``vals``.
 
     This is the one loop that evaluates DAG nodes to arrays: ``eval_expr``
     runs it on a whole DAG, a kernel build on the x-and-xi nodes of each
-    row block, ``taylor_eval`` on a DAG with Taylor jets. ``vals`` maps
+    block, ``taylor_eval`` on a DAG with Taylor jets. ``vals`` maps
     nodes to values and may already hold the values of arguments outside
     ``nodes``. ``nref`` counts, per node, the argument slots of ``nodes``
     that read it; it is consumed, and a value is freed after its last
@@ -632,14 +632,7 @@ def _run(nodes, nref, keep, bound, vals, power_chains=False, jets=frozenset()):
     ``VarId``s: the operations of the nodes that depend on one act on
     jets (``_jet_op``), and a variable node reads its bound value, a jet
     when the variable is seeded.
-
-    With ``power_chains`` an integer power is a product chain of its base,
-    or of one reciprocal of the base (checked for zeros), and the chain is
-    kept for the call, so b^2, b^3 and b^-2 of one base share their
-    products. numpy's complex ``**`` runs a scalar loop for most
-    exponents; the chains round differently, so ``eval_expr`` keeps ``**``.
     """
-    powers = {}
     for node in nodes:
         op = node.op
         args = node.args
@@ -663,19 +656,6 @@ def _run(nodes, nref, keep, bound, vals, power_chains=False, jets=frozenset()):
                 v = bound[node.data]
             except KeyError:
                 raise UnboundVariableError(f"variable {node.data.value} is unbound") from None
-        elif op == "pow" and power_chains:
-            k = node.data
-            chain = powers.get((args[0], k < 0))
-            if chain is None:
-                base = vals[args[0]]
-                if k < 0:
-                    if np.any(np.equal(base, 0)):
-                        raise DivisionByZeroError("zero base with negative exponent")
-                    base = 1.0 / base
-                chain = powers[(args[0], k < 0)] = [base]
-            while len(chain) < abs(k):
-                chain.append(chain[-1] * chain[0])
-            v = chain[abs(k) - 1]
         else:
             v = _EVAL[op](node, [vals[a] for a in args])
         vals[node] = v

@@ -292,8 +292,9 @@ def oneway_solve(
     action; "expmid" applies the exact exponential of the frozen
     midpoint kernel per segment (midpoint-frozen, so exact only for
     depth-independent media), which for a Fourier-multiplier generator
-    is the diagonal exp(-h G(xi)) on the spectrum. Returns (x3, u)
-    snapshots as in ``full_solve``.
+    is the diagonal exp(-h G(xi)) on the spectrum, and otherwise forms
+    the dense grid-to-grid kernel. Returns (x3, u) snapshots as in
+    ``full_solve``.
     """
     s = complex(s)
     g = split.g_symbol(sign)
@@ -328,7 +329,9 @@ def oneway_solve(
         import scipy.linalg
 
         def expmid(d0, d1, fields):
-            K = op.values(0.5 * (d0 + d1))
+            # grid-to-grid: S times the (symmetric) DFT, an fft2 per row
+            S = op.values(0.5 * (d0 + d1)).reshape(-1, grid.n, grid.n)
+            K = np.fft.fft2(S).reshape(grid.n**2, -1)
             with _overflow_typed(d0, d1):
                 u1 = scipy.linalg.expm(-(d1 - d0) * K) @ fields[0].ravel()
             return (u1.reshape(grid.n, grid.n),)

@@ -31,8 +31,11 @@ from .expr import (
     Expr,
     VarId,
     ZERO,
+    _bind,
     _consumer_counts,
     _cyclic_gc_paused,
+    _is_const,
+    _node,
     _run,
     _walk,
     const,
@@ -64,10 +67,6 @@ __all__ = [
 
 class SymbolError(Exception):
     pass
-
-
-def _is_zero_expr(e: Expr) -> bool:
-    return e.op == "const" and e.data == 0
 
 
 @dataclass(frozen=True)
@@ -188,7 +187,7 @@ def systems_symbols(m: MediumSpec) -> SymbolMatrix22:
         rho = radicand(m)
 
         def graded(terms):
-            return {d: SymbolForm.lift(rho, e) for d, e in terms.items() if not _is_zero_expr(e)}
+            return {d: SymbolForm.lift(rho, e) for d, e in terms.items() if not _is_const(e, 0)}
 
         return SymbolMatrix22(
             a11=graded({1: a11_1, 0: a11_0}),
@@ -215,8 +214,8 @@ def _accumulate(out: dict, key, term: Expr):
 class Radicand:
     """rho = s^2 kappa + Qt xi.xi of one medium, so gamma1 = alpha33^(1/2) rho^(1/2).
 
-    ``expr`` is rho as one expression and ``root`` its square
-    root, shared by gamma1 and by every lowered form.
+    ``expr`` is rho as one expression and ``root`` its square root,
+    shared by gamma1, every lowered form and every kernel plan.
     """
 
     def __init__(self, kappa: Expr, Qt):
@@ -264,7 +263,7 @@ class SymbolForm:
 
     def __init__(self, rho: Radicand, terms: dict):
         self.rho = rho
-        self.terms = {d: p for d, p in terms.items() if not _is_zero_expr(p)}
+        self.terms = {d: p for d, p in terms.items() if not _is_const(p, 0)}
         self._dcache = {}
         self._expr = None
 
@@ -379,7 +378,7 @@ class SymbolForm:
             grad = self.rho.grad(v)
             for d, p in self.terms.items():
                 _accumulate(out, d, diff(p, v))
-                if d and not _is_zero_expr(grad):
+                if d and not _is_const(grad, 0):
                     _accumulate(out, d - 2, mul(const(d / 2), mul(p, grad)))
             self._dcache[v] = SymbolForm(self.rho, out)
         return self._dcache[v]
@@ -395,10 +394,9 @@ class SymbolForm:
 
     def lower(self) -> Expr:
         """The form as one expression, sum over d of rho^(d/2) P_d, each
-        rho^(d/2) one shared node, built on the first call and kept. This
-        one expression serves symbolic composition and quantization alike:
-        a kernel build separates the x-by-xi products of each P_d itself
-        (``_KernelPlan``)."""
+        rho^(d/2) one shared node, built on the first call and kept. It
+        serves printing, jets and the pointwise and multiplier paths; a
+        kernel build works from the grades themselves (``_horner``)."""
         if self._expr is None:
             acc = ZERO
             for d in sorted(self.terms):
@@ -464,29 +462,65 @@ class TransverseGrid:
         return _GridOperator(sym, self, s)
 
 
+def _graded(sym) -> dict:
+    # a degree -> SymbolForm map, checked
+    if not isinstance(sym, dict) or not all(isinstance(f, SymbolForm) for f in sym.values()):
+        raise SymbolError(f"{type(sym).__name__} is not an Expr or a degree -> SymbolForm map")
+    return sym
+
+
 def symbol_total(sym) -> Expr:
     """The plain sum of a graded symbol, a degree -> SymbolForm map, as
     one expression: its lowered terms added top degree first. An Expr is
     returned as it is; anything else raises SymbolError."""
     if isinstance(sym, Expr):
         return sym
-    if not isinstance(sym, dict) or not all(isinstance(f, SymbolForm) for f in sym.values()):
-        raise SymbolError(f"{type(sym).__name__} is not an Expr or a degree -> SymbolForm map")
     acc = ZERO
-    for d in sorted(sym, reverse=True):
+    for d in sorted(_graded(sym), reverse=True):
         acc = acc + sym[d].lower()
     return acc
 
 
-# Entries per row block of a kernel build: small enough that the block's
-# intermediates stay in cache, and that each 64 KB block temporary stays
-# under glibc's default 128 KB mmap threshold, so blocks reuse heap memory
-# instead of mapping and unmapping fresh pages each time. The trade-off,
-# order-2 g+ of transverse_anisotropic on a 2-core host, median ms:
-# 2**12 builds an n = 16 kernel in 30 (2**14: 43-45) and the cold first
-# n = 32 kernel in 217-243 (2**14: 443-484), but a warm n = 32 kernel in
-# 204-279 (2**14: 211-223). A depth march builds a new n = 16 kernel per
-# stage depth, so the smaller block wins.
+def _horner(sym) -> Expr:
+    """What a kernel build evaluates: an Expr as it is (one grade); for a
+    degree -> SymbolForm map, sum_d rho^(d/2) P_d, like grades merged
+    across degrees, by Horner's rule in r = rho^(1/2) for the grades >= 0
+    and in recip(r) for the others; a missing grade costs one multiply.
+    The Horner nodes are built by ``_node``, which pulls no constant out."""
+    if isinstance(sym, Expr):
+        return sym
+    forms = [sym[d] for d in sorted(_graded(sym), reverse=True)]
+    grades = sum(forms[1:], forms[0]).terms if forms else {}
+    if not grades.keys() - {0}:
+        return grades.get(0, ZERO)
+
+    def chain(step, ds):
+        acc = grades[ds[0]]
+        for d in ds[1:]:
+            acc = _node("mul", (step, acc))
+            if d in grades:
+                acc = _node("add", (grades[d], acc))
+        return acc
+
+    root = forms[0].rho.root
+    parts = []
+    if max(grades) >= 0:
+        parts.append(chain(root, range(max(grades), -1, -1)))
+    if min(grades) < 0:
+        inv = recip(root)
+        parts.append(_node("mul", (inv, chain(inv, range(min(grades), 0)))))
+    return parts[0] if len(parts) == 1 else _node("add", tuple(parts))
+
+
+# Entries per block of a kernel build: small enough that the block's
+# intermediates stay in cache and each 64 KB block temporary stays under
+# glibc's default 128 KB mmap threshold. Order-2 g+ on a 2-core host, ms
+# per build (cold first / warm): n = 16 heterogeneous_full 13-20 / 9-11
+# (2**13: 14-21 / 10-15, 2**14: 15-20 / 12); n = 32
+# transverse_anisotropic 87-97 / 78-118 (2**13: 83-103 / 74-98, 2**14:
+# 111-124 / 69-79). 2**14 is slower for the cold n = 32 build and for
+# the n = 16 builds a depth march makes at every stage depth; 2**13 is
+# within this host's noise.
 _BLOCK_ENTRIES = 2**12
 
 
@@ -540,7 +574,7 @@ def _separate(node: Expr, forms: dict, rank: dict):
                 _accumulate(out, k, c)
             else:
                 out[k] = sub(out[k], c) if k in out else neg(c)
-    return {k: c for k, c in out.items() if not _is_zero_expr(c)}
+    return {k: c for k, c in out.items() if not _is_const(c, 0)}
 
 
 def _xi_product(key) -> Expr:
@@ -554,24 +588,23 @@ def _xi_product(key) -> Expr:
 class _KernelPlan:
     """How a kernel build evaluates one symbol, worked out once per symbol.
 
-    Nodes free of xi or free of x are evaluated once per build, on the
-    x-grid or the xi-lattice. Every node that depends on xi is held, when
-    it can be, in separated form (``_separate``): a sum over keys
-    xi1^a xi2^b (times xi-only atoms such as a square root free of x) of
-    xi-free coefficients, with products and non-negative powers expanded.
-    This is the one place that decides how a symbol is written for its
-    kernel, so any symbol, as lowered or composed, gets the separation. A
-    separable node that depends on x and xi stands for X(x) @ Xi(xi),
-    one column of X and one row of Xi per key. ``factors`` holds the
-    separable nodes read by a non-separable one or at the root; each row
-    block computes them as matrix products X[rows] @ Xi, then runs
-    ``entrywise``, the remaining mixed nodes in DAG order, through
-    ``expr._run`` with power chains. ``reads`` counts their argument
-    slots.
+    It evaluates ``total``, the symbol by Horner's rule in its grades
+    (``_horner``). Nodes free of xi or free of x are evaluated once per
+    build, on the x-grid or the xi-lattice. Every node that depends on xi
+    is held, when it can be, in separated form (``_separate``): a sum over
+    keys xi1^a xi2^b (times xi-only atoms such as a square root free of
+    x) of xi-free coefficients, with products and non-negative powers
+    expanded. A separable node that depends on x and xi stands for
+    X(x) @ Xi(xi), one column of X and one row of Xi per key. ``factors``
+    holds the separable nodes read by a non-separable one or at the root;
+    each block of xi rows computes them as Xi[rows] @ X, then runs
+    ``entrywise``, the remaining mixed nodes in DAG order (for g+-: the
+    square root, its reciprocal and the Horner products and sums),
+    through ``expr._run``. ``reads`` counts their argument slots.
     """
 
     def __init__(self, sym):
-        self.total = total = symbol_total(sym)
+        self.total = total = _horner(sym)
         order, _ = _walk([total])
         rank = {nd: i for i, nd in enumerate(order)}
         forms = {}
@@ -593,82 +626,69 @@ class _KernelPlan:
         self.reads = _consumer_counts(entrywise)
         # the fixed nodes a block reads, in DAG order
         leaves = list(dict.fromkeys(a for a in read if not _is_mixed(a)))
-        self.row_leaves = [nd for nd in leaves if nd.free_vars & _X12]
-        self.other_leaves = [nd for nd in leaves if not nd.free_vars & _X12]
-        fixed = list(leaves)
-        for xs, xis in self.factors.values():
-            fixed += xs + xis
+        self.xi_leaves = [nd for nd in leaves if nd.free_vars & _XI12]
+        self.other_leaves = [nd for nd in leaves if not nd.free_vars & _XI12]
+        fixed = leaves + [nd for xs, xis in self.factors.values() for nd in xs + xis]
         self.fixed = _walk(fixed)
         self.fixed_keep = set(fixed)
 
 
-def _physical_kernel(sym, grid: TransverseGrid, x3, s) -> np.ndarray:
-    """The quantized symbol (or its ``_KernelPlan``) at fixed (x3, s)
-    composed with the forward 2D DFT, as a dense n^2 x n^2 matrix: grid
-    values in, grid values out.
+def _spectral_kernel(sym, grid: TransverseGrid, x3, s) -> np.ndarray:
+    """The quantized symbol (or its ``_KernelPlan``) at fixed (x3, s) as
+    the dense n^2 x n^2 spectral matrix S: rows over the x-grid, columns
+    over the xi-lattice, entries sym(x, xi) exp(i x.xi) / n^2, Nyquist
+    columns zero, so S @ fft2(u) applies it to a grid field u. S takes
+    n^4 * 16 bytes (16 MB at n=32) and is returned as the transpose of an
+    array built in blocks of xi rows, a fixed number of entries each, so
+    no other n^4-sized array is allocated. The xi side of a separated
+    node multiplies a real view of its x side, in real arithmetic: half
+    the flops of a complex product when the xi side is real, as the xi
+    monomials are.
 
-    Row index flattens the x-grid. The spectral matrix, whose column
-    index flattens the xi-lattice, has zero Nyquist columns; the DFT
-    matrix kron(F, F) is symmetric, so right-multiplying by it is an fft2
-    of each row. The result takes n^4 * 16 bytes (16 MB at n=32). It is
-    built in row blocks of a fixed number of entries, each transformed
-    as soon as it is filled, so no other n^4-sized array is allocated.
-
-    Nodes free of xi or free of x are evaluated once; separable x-and-xi
-    nodes become small matrix products and only the rest is evaluated
-    entry by entry (see ``_KernelPlan``). Separation and the power
-    chains reorder sums and products, so entries agree with a direct
-    evaluation of the symbol to rounding (about 1e-15 norm-relative), not
-    bit for bit; each entry comes out the same whatever the block size.
+    Separation and Horner's rule (``_KernelPlan``) reorder sums and
+    products, so entries agree with a direct evaluation of the symbol to
+    rounding (about 1e-15 norm-relative), not bit for bit; each entry
+    comes out the same whatever the block size.
     """
     plan = sym if isinstance(sym, _KernelPlan) else _KernelPlan(sym)
     n = grid.n
     size = n * n
-    out = np.empty((size, size), dtype=np.complex128)
+    T = np.empty((size, size), dtype=np.complex128)  # S transposed
     X1g, X2g = grid.x_mesh()
-    x1, x2 = X1g.ravel(), X2g.ravel()
     W1g, W2g = grid.xi_mesh()
-    bound = {
-        VarId.X1: x1[:, None].astype(np.complex128),
-        VarId.X2: x2[:, None].astype(np.complex128),
-        VarId.X3: complex(x3),
-        VarId.XI1: W1g.ravel()[None, :].astype(np.complex128),
-        VarId.XI2: W2g.ravel()[None, :].astype(np.complex128),
-        VarId.S: complex(s),
-    }
+    w1, w2 = W1g.ravel(), W2g.ravel()
+    bound = _bind({
+        VarId.X1: X1g.ravel()[None, :], VarId.X2: X2g.ravel()[None, :], VarId.X3: x3,
+        VarId.XI1: w1[:, None], VarId.XI2: w2[:, None], VarId.S: s,
+    })
     whole = {}
     order, nref = plan.fixed
     _run(order, dict(nref), plan.fixed_keep, bound, whole)
     factors = {}
     for nd, (xs, xis) in plan.factors.items():
-        X = np.empty((size, len(xs)), dtype=np.complex128)
-        Xi = np.empty((len(xis), size), dtype=np.complex128)
-        for j, (c, k) in enumerate(zip(xs, xis)):
-            X[:, j : j + 1] = whole[c]
-            Xi[j : j + 1] = whole[k]
-        factors[nd] = (X, Xi)
-    # exp(i x.xi) / n^2 is the product of a table over (x, xi1) and
-    # one over (x, xi2)
-    w1, w2 = grid.xi_axes()
-    e1 = np.exp(1j * np.outer(x1, w1)) / n**2
-    e2 = np.exp(1j * np.outer(x2, w2))
+        XT = np.vstack([np.broadcast_to(whole[c], (1, size)) for c in xs])
+        XiT = np.hstack([np.broadcast_to(whole[k], (size, 1)) for k in xis])
+        im = XiT.imag.any(axis=0)  # a xi column a + ib: a against x row X, b against iX
+        XT = np.vstack([XT, 1j * XT[im]]).view(np.float64)
+        factors[nd] = (np.hstack([XiT.real, XiT.imag[:, im]]), XT)
+    # exp(i x.xi) / n^2 is the product of a table over (xi, x1) and
+    # one over (xi, x2)
+    a1, a2 = grid.x_axes()
+    e1 = np.exp(1j * np.outer(w1, a1)) / n**2
+    e2 = np.exp(1j * np.outer(w2, a2))
     nyquist = ~grid.nyquist_mask().ravel()
-    other = {nd: whole[nd] for nd in plan.other_leaves}
     step = max(1, _BLOCK_ENTRIES // size)
-    for r0 in range(0, size, step):
-        r1 = min(r0 + step, size)
-        vals = dict(other)
-        for nd in plan.row_leaves:
-            vals[nd] = whole[nd][r0:r1]
-        for nd, (X, Xi) in factors.items():
-            vals[nd] = X[r0:r1] @ Xi
-        _run(plan.entrywise, dict(plan.reads), {plan.total}, bound, vals, power_chains=True)
-        block = out[r0:r1]
-        np.multiply(e1[r0:r1, :, None], e2[r0:r1, None, :], out=block.reshape(-1, n, n))
+    for k0 in range(0, size, step):
+        k1 = min(k0 + step, size)
+        vals = {nd: whole[nd] for nd in plan.other_leaves}
+        vals.update((nd, whole[nd][k0:k1]) for nd in plan.xi_leaves)
+        vals.update((nd, (Xi[k0:k1] @ X).view(np.complex128)) for nd, (Xi, X) in factors.items())
+        _run(plan.entrywise, dict(plan.reads), {plan.total}, bound, vals)
+        block = T[k0:k1]
+        np.multiply(e1[k0:k1, :, None], e2[k0:k1, None, :], out=block.reshape(-1, n, n))
         block *= vals[plan.total]
-        block[:, nyquist] = 0.0
-        block[...] = np.fft.fft2(block.reshape(-1, n, n)).reshape(block.shape)
-    return out
+        block[nyquist[k0:k1]] = 0.0
+    return T.T
 
 
 def _kept_by_depth(store: OrderedDict, x3, depth_free: bool, build):
@@ -693,20 +713,21 @@ class _GridOperator:
     The symbol is an Expr or a degree -> SymbolForm map, taken as its
     ``symbol_total``. How it acts is decided once, from the symbol's free variables: free
     of xi, by pointwise multiplication; free of x, as a Fourier
-    multiplier; otherwise through its physical kernel. Every path
-    projects out the Nyquist row/column of the input spectrum.
+    multiplier; otherwise as S @ fft2(u), S its spectral kernel. Every
+    path projects out the Nyquist row/column of the input spectrum.
 
     ``values(x3)`` is what it acts by at depth x3: a pointwise symbol's
     samples on the x-grid, a Fourier multiplier's values on the xi-mesh,
-    Nyquist row/column included, or the physical kernel, the matrix a
-    dense segment exponential needs. The values at the two depths read
-    last are kept (``_kept_by_depth``); a symbol free of x3 is evaluated
-    once for every depth. The kernel plan is made on first need.
+    Nyquist row/column included, or S (``_spectral_kernel``). The values
+    at the two depths read last are kept (``_kept_by_depth``); a symbol
+    free of x3 is evaluated once for every depth. The kernel plan is
+    made from the symbol as given, on first need.
     """
 
     def __init__(self, sym, grid: TransverseGrid, s):
         self.grid = grid
         self.s = complex(s)
+        self.sym = sym
         self.total = total = symbol_total(sym)
         if _is_mixed(total):
             self.kind = "kernel"
@@ -727,8 +748,8 @@ class _GridOperator:
                 env = {VarId.XI1: W1g, VarId.XI2: W2g, VarId.X3: complex(x3), VarId.S: self.s}
                 return np.asarray(eval_expr(self.total, env))
             if self._plan is None:
-                self._plan = _KernelPlan(self.total)
-            return _physical_kernel(self._plan, self.grid, x3, self.s)
+                self._plan = _KernelPlan(self.sym)
+            return _spectral_kernel(self._plan, self.grid, x3, self.s)
 
         return _kept_by_depth(self._kept, x3, self.depth_free, build)
 
@@ -739,12 +760,9 @@ class _GridOperator:
         n = self.grid.n
         if values.shape[-2:] != (n, n) or values.ndim not in (2, 3):
             raise SymbolError(f"field shape {values.shape} does not match grid {n}")
-        if self.kind == "kernel":
-            K = self.values(x3)
-            if values.ndim == 2:
-                return (K @ values.ravel()).reshape(values.shape)
-            return (K @ values.reshape(-1, n * n).T).T.reshape(values.shape)
         uhat = np.where(self.grid.nyquist_mask(), np.fft.fft2(values), 0.0)
+        if self.kind == "kernel":
+            return (uhat.reshape(-1, n * n) @ self.values(x3).T).reshape(values.shape)
         if self.kind == "pointwise":
             return self.values(x3) * np.fft.ifft2(uhat)
         return np.fft.ifft2(self.values(x3) * uhat)
@@ -755,10 +773,9 @@ def quantize_apply(sym, field, grid: TransverseGrid, x3, s):
 
     ``sym`` is an Expr or a graded symbol (a degree -> SymbolForm map,
     quantized as its ``symbol_total``). ``field`` is an (n, n) complex
-    array or a (k, n, n) stack of k fields. A symbol free of xi acts by pointwise multiplication, one
-    free of x by a Fourier multiplier, any other through its physical
-    kernel (``_physical_kernel``), built once for all the fields. See
-    ``_GridOperator``.
+    array or a (k, n, n) stack of k fields. A symbol free of xi acts by
+    pointwise multiplication, one free of x by a Fourier multiplier, any
+    other through its spectral kernel, built once for all the fields.
     """
     return grid.operator(sym, s).apply(field, x3)
 

@@ -102,8 +102,8 @@ def single_shot_quantize(sym, grid, x3, s):
 
 
 def single_shot_kernel(sym, grid, x3, s):
-    """``_physical_kernel`` by ``single_shot_quantize`` followed by an fft2
-    of each row (the kernel build's oracle)."""
+    """The grid-to-grid kernel, grid values in and out: ``single_shot_quantize``
+    followed by an fft2 of each row."""
     q = single_shot_quantize(sym, grid, x3, s)
     return np.fft.fft2(q.reshape(-1, grid.n, grid.n)).reshape(q.shape)
 

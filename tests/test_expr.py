@@ -338,31 +338,6 @@ def test_division_by_zero():
         eval_expr(recip(X1), {VarId.X1: 0.0})
 
 
-def _run_with_power_chains(roots, x):
-    order, nref = expr_module._walk(roots)
-    vals = {}
-    bound = {VarId.X1: np.asarray(x, dtype=np.complex128)}
-    expr_module._run(order, nref, set(roots), bound, vals, power_chains=True)
-    return [vals[r] for r in roots]
-
-
-@pytest.mark.filterwarnings("error")
-def test_run_power_chains_match_eval_expr():
-    # the kernel build's integer powers: product chains of one shared
-    # base, or of one reciprocal of it, checked for zeros first
-    b = add(const(1.3 + 0.2j), mul(const(0.4), cos_(X1)))
-    roots = [ipow(b, 2), ipow(b, 5), ipow(b, -3)]
-    x = np.linspace(0.0, 6.0, 33)
-    for root, got in zip(roots, _run_with_power_chains(roots, x)):
-        want = eval_expr(root, {VarId.X1: x})
-        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
-    z = sub(X1, const(1.0))
-    x = [0.5, 1.0, 2.0]
-    _run_with_power_chains([ipow(z, 2), ipow(z, 5)], x)
-    with pytest.raises(DivisionByZeroError):
-        _run_with_power_chains([ipow(z, 2), ipow(z, 5), ipow(z, -3)], x)
-
-
 def test_sqrt_rejects_branch_cut():
     # closed negative real axis, including the origin
     with pytest.raises(SqrtDomainError):

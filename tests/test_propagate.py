@@ -20,7 +20,7 @@ from anisosplit import (
 )
 from anisosplit import presets
 from anisosplit import symbols
-from anisosplit.symbols import _physical_kernel
+from anisosplit.symbols import _spectral_kernel
 
 from helpers import dft2_matrix, field_rel, single_shot_quantize
 
@@ -154,12 +154,25 @@ def test_decomposition_isolates_oneway_content(grid8, hom_split):
 
 
 @pytest.mark.parametrize("n", [8, 16])
-def test_physical_kernel_matches_dense_dft_product(het_split, n):
+def test_physical_kernel_matches_dense_dft_product(het_split, monkeypatch, n):
+    # the grid-to-grid kernel that expmid exponentiates over [0, 0.5] is
+    # the spectral matrix at the midpoint composed with the dense 2D DFT
+    import scipy.linalg
+
+    seen = []
+
+    def recording(A):
+        seen.append(A)
+        return np.eye(len(A))
+
+    monkeypatch.setattr(scipy.linalg, "expm", recording)
     grid = TransverseGrid(n, TAU, TAU)
-    g = het_split.g_symbol(1)
     s = 1.5 + 0.3j
-    want = single_shot_quantize(g, grid, 0.25, s) @ dft2_matrix(n)
-    assert field_rel(_physical_kernel(g, grid, 0.25, s), want) <= 1e-13
+    u = random_smooth_field(grid, np.random.default_rng(20))
+    oneway_solve(het_split, 1, grid, s, u, 0.0, 0.5, steps=1, method="expmid")
+    want = single_shot_quantize(het_split.g_symbol(1), grid, 0.25, s) @ dft2_matrix(n)
+    (A,) = seen
+    assert field_rel(A / -0.5, want) <= 1e-13
 
 
 def test_oneway_down_going_decays(grid8, hom_split):
@@ -275,13 +288,13 @@ def test_expmid_multiplier_matches_dense_exponential(hom_split, monkeypatch, n, 
     a, b = 0.1, 0.6
     op = grid.operator(hom_split.g_symbol(sign), s)
     assert op.kind == "multiplier"
-    K = _physical_kernel(hom_split.g_symbol(sign), grid, 0.5 * (a + b), s)
+    K = single_shot_quantize(hom_split.g_symbol(sign), grid, 0.5 * (a + b), s) @ dft2_matrix(n)
     want = scipy.linalg.expm(-(b - a) * K) @ u.ravel()
 
     def no_kernel(*args):
         raise AssertionError("a multiplier segment built a kernel")
 
-    monkeypatch.setattr(symbols, "_physical_kernel", no_kernel)
+    monkeypatch.setattr(symbols, "_spectral_kernel", no_kernel)
     _, got = oneway_solve(hom_split, sign, grid, s, u, a, b, method="expmid")[-1]
     assert field_rel(got.ravel(), want) <= 1e-13
 
@@ -350,8 +363,9 @@ def test_shared_rk4_is_bit_identical_to_per_solver_loops(grid8, het_split):
 
     def one_way(x3, f):
         if x3 not in kernels:
-            kernels[x3] = _physical_kernel(g, grid8, x3, s)
-        return (kernels[x3] @ f.ravel()).reshape(f.shape)
+            kernels[x3] = _spectral_kernel(g, grid8, x3, s)
+        fhat = np.where(grid8.nyquist_mask(), np.fft.fft2(f), 0.0)
+        return (fhat.reshape(1, -1) @ kernels[x3].T).reshape(f.shape)
 
     want = _reference_rk4(one_way, u, 0.0, 0.3, 6)
     _, got = oneway_solve(het_split, 1, grid8, s, u, 0.0, 0.3, steps=6, method="rk4")[-1]
@@ -395,13 +409,13 @@ def _count_kernel_builds(monkeypatch):
     alive = []
 
     def counting(sym, grid, x3, s):
-        k = _physical_kernel(sym, grid, x3, s)
+        k = _spectral_kernel(sym, grid, x3, s)
         built.append(x3)
         alive.append(weakref.ref(k))
         assert sum(r() is not None for r in alive) <= 2
         return k
 
-    monkeypatch.setattr(symbols, "_physical_kernel", counting)
+    monkeypatch.setattr(symbols, "_spectral_kernel", counting)
     return built
 
 

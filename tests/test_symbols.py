@@ -25,7 +25,7 @@ from anisosplit.expr import DivisionByZeroError, SqrtDomainError, ZERO, diff, mu
 from anisosplit.symbols import (
     _BLOCK_ENTRIES,
     _compose,
-    _physical_kernel,
+    _spectral_kernel,
     radicand,
     x_derivative,
     xi_derivative,
@@ -37,7 +37,6 @@ from helpers import (
     homogeneity_check,
     random_points,
     rel_err,
-    single_shot_kernel,
     single_shot_quantize,
 )
 
@@ -236,21 +235,34 @@ def test_blocked_quantize_matrix_equals_single_shot(monkeypatch, n, several_bloc
     assert (n**4 > _BLOCK_ENTRIES) == several_blocks
     grid = TransverseGrid(n, TAU, TAU)
     sym = parse(MIXED)
-    got = _physical_kernel(sym, grid, 0.4, 1.3 + 0.2j)
+    got = _spectral_kernel(sym, grid, 0.4, 1.3 + 0.2j)
     # separation reorders sums, so the DAG-order oracle agrees to rounding;
     # the block size changes no entry
-    assert field_rel(got, single_shot_kernel(sym, grid, 0.4, 1.3 + 0.2j)) <= 1e-14
+    assert field_rel(got, single_shot_quantize(sym, grid, 0.4, 1.3 + 0.2j)) <= 1e-14
     monkeypatch.setattr(symbols, "_BLOCK_ENTRIES", n**4)
-    assert np.array_equal(got, _physical_kernel(sym, grid, 0.4, 1.3 + 0.2j))
+    assert np.array_equal(got, _spectral_kernel(sym, grid, 0.4, 1.3 + 0.2j))
+
+
+PRESETS = ("transverse_anisotropic", "heterogeneous_full", "dual_path_medium")
 
 
 @pytest.fixture(scope="module")
-def order2_splits():
-    splits = {}
-    for name in ("transverse_anisotropic", "heterogeneous_full", "dual_path_medium"):
-        m = getattr(presets, name)()
-        splits[name] = split_symbols(expand(m, 1, 1, 2), expand(m, -1, 1, 2))
-    return splits
+def splits():
+    """name, order -> split_symbols of that preset at eta 1, made once."""
+    made = {}
+
+    def get(name, order):
+        if (name, order) not in made:
+            m = getattr(presets, name)()
+            made[name, order] = split_symbols(expand(m, 1, 1, order), expand(m, -1, 1, order))
+        return made[name, order]
+
+    return get
+
+
+@pytest.fixture(scope="module")
+def order2_splits(splits):
+    return {name: splits(name, 2) for name in PRESETS}
 
 
 @pytest.mark.filterwarnings("error")
@@ -263,15 +275,22 @@ def test_separated_kernel_matches_single_shot_oracle(order2_splits, name, x3, n)
     grid = TransverseGrid(n, TAU, TAU)
     for sign in (1, -1):
         g = order2_splits[name].g_symbol(sign)
-        got = _physical_kernel(g, grid, x3, 1.5 + 0.3j)
-        assert field_rel(got, single_shot_kernel(g, grid, x3, 1.5 + 0.3j)) <= 1e-14
+        got = _spectral_kernel(g, grid, x3, 1.5 + 0.3j)
+        assert field_rel(got, single_shot_quantize(g, grid, x3, 1.5 + 0.3j)) <= 1e-14
 
 
 @pytest.mark.filterwarnings("error")
-def test_separated_kernel_of_order2_g_plus_has_few_entrywise_nodes(order2_splits):
-    plan = symbols._KernelPlan(order2_splits["transverse_anisotropic"].g_symbol(1))
-    assert len(plan.entrywise) <= 40
-    assert plan.factors  # the rest is separated
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("name", PRESETS)
+def test_graded_kernel_matches_the_plain_sum(splits, name, order):
+    # the plan of the graded map (Horner's rule in rho^(+-1/2)) against
+    # the plan of its plain sum, the expression route
+    for n in (8, 16):
+        grid = TransverseGrid(n, TAU, TAU)
+        g = splits(name, order).g_symbol(1)
+        got = _spectral_kernel(g, grid, 0.3, 1.5 + 0.3j)
+        want = _spectral_kernel(symbol_total(g), grid, 0.3, 1.5 + 0.3j)
+        assert field_rel(got, want) <= 1e-14
 
 
 def _plan_shape(sym):
@@ -280,28 +299,46 @@ def _plan_shape(sym):
     return len(plan.entrywise), sum(len(xs) for xs, _ in plan.factors.values())
 
 
+def _assert_graded(plan):
+    # every grade is separated: only the root, its reciprocal and the
+    # Horner products and sums are evaluated entry by entry
+    ops = [nd.op for nd in plan.entrywise]
+    assert set(ops) <= {"sqrt", "recip", "mul", "add"}
+    assert ops.count("sqrt") == 1 and ops.count("recip") <= 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_separated_kernel_of_order2_g_plus_has_few_entrywise_nodes(order2_splits):
+    plan = symbols._KernelPlan(order2_splits["transverse_anisotropic"].g_symbol(1))
+    assert len(plan.entrywise) <= 18
+    _assert_graded(plan)
+    assert plan.factors  # the rest is separated
+
+
 def test_kernel_plans_of_order2_generators_are_small(order2_splits):
     # g+- are lowered once, compactly; the plan separates their x-by-xi
     # products itself, so few nodes are evaluated per kernel entry
-    bounds = {"transverse_anisotropic": 40, "heterogeneous_full": 40, "dual_path_medium": 42}
+    bounds = {"transverse_anisotropic": 18, "heterogeneous_full": 18, "dual_path_medium": 18}
     for name, bound in bounds.items():
         for sign in (1, -1):
-            entrywise, _ = _plan_shape(order2_splits[name].g_symbol(sign))
-            assert entrywise <= bound, (name, sign)
+            plan = symbols._KernelPlan(order2_splits[name].g_symbol(sign))
+            assert len(plan.entrywise) <= bound, (name, sign)
+            _assert_graded(plan)
 
 
-def test_kernel_plans_of_order3_generators_are_small():
-    m = presets.heterogeneous_full()
-    sp = split_symbols(expand(m, 1, 1, 3), expand(m, -1, 1, 3))
+def test_kernel_plans_of_order3_generators_are_small(splits):
+    sp = splits("heterogeneous_full", 3)
     for sign in (1, -1):
-        entrywise, rank = _plan_shape(sp.g_symbol(sign))
-        assert entrywise <= 60 and rank <= 190
+        plan = symbols._KernelPlan(sp.g_symbol(sign))
+        assert len(plan.entrywise) <= 26
+        assert sum(len(xs) for xs, _ in plan.factors.values()) <= 187
+        _assert_graded(plan)
 
 
 def test_kernel_plan_of_admittance_series_is_small():
     # a symbol no one wrote for its kernel gets the same separation
     series = expand(presets.transverse_anisotropic(), 1, 1, 2).series(2)
-    assert _plan_shape(series)[0] <= 40
+    assert _plan_shape(series)[0] <= 18
 
 
 @pytest.mark.filterwarnings("error")
@@ -319,18 +356,18 @@ def test_kernel_of_xi_polynomials_and_atoms_separates_fully(text):
     sym = parse(text)
     assert not symbols._KernelPlan(sym).entrywise
     grid = TransverseGrid(16, TAU, TAU)
-    got = _physical_kernel(sym, grid, 0.2, 1.1 + 0.4j)
-    assert field_rel(got, single_shot_kernel(sym, grid, 0.2, 1.1 + 0.4j)) <= 1e-14
+    got = _spectral_kernel(sym, grid, 0.2, 1.1 + 0.4j)
+    assert field_rel(got, single_shot_quantize(sym, grid, 0.2, 1.1 + 0.4j)) <= 1e-14
 
 
 DETERMINISM = """
 import hashlib
 import numpy as np
 from anisosplit import TransverseGrid, expand, presets, split_symbols
-from anisosplit.symbols import _physical_kernel
+from anisosplit.symbols import _spectral_kernel
 m = presets.heterogeneous_full()
 g = split_symbols(expand(m, 1, 1, 2), expand(m, -1, 1, 2)).g_symbol(1)
-K = _physical_kernel(g, TransverseGrid(8, 2 * np.pi, 2 * np.pi), 0.3, 1.5 + 0.3j)
+K = _spectral_kernel(g, TransverseGrid(8, 2 * np.pi, 2 * np.pi), 0.3, 1.5 + 0.3j)
 print(hashlib.sha256(K.tobytes()).hexdigest())
 """
 
@@ -354,8 +391,8 @@ def test_kernel_without_separable_nodes_matches_oracle():
     sym = parse("((2 + cos(x1))/(s^2 + xi1^2 + xi2^2))^(-3) + (sin(x2 - x3)/(s + xi2^2))^3")
     assert not symbols._KernelPlan(sym).factors
     grid = TransverseGrid(16, TAU, TAU)
-    got = _physical_kernel(sym, grid, 0.2, 1.1 + 0.4j)
-    assert field_rel(got, single_shot_kernel(sym, grid, 0.2, 1.1 + 0.4j)) <= 1e-14
+    got = _spectral_kernel(sym, grid, 0.2, 1.1 + 0.4j)
+    assert field_rel(got, single_shot_quantize(sym, grid, 0.2, 1.1 + 0.4j)) <= 1e-14
 
 
 @pytest.mark.filterwarnings("error")
@@ -372,7 +409,7 @@ def test_kernel_without_separable_nodes_matches_oracle():
 def test_kernel_build_raises_typed_evaluation_errors(text, error):
     # x1 = xi1 = 0 and x1 = 0, xi1 = 1 are grid points
     with pytest.raises(error):
-        _physical_kernel(parse(text), TransverseGrid(8, TAU, TAU), 0.0, 1.0)
+        _spectral_kernel(parse(text), TransverseGrid(8, TAU, TAU), 0.0, 1.0)
 
 
 def test_quantize_apply_stack_matches_per_field():
