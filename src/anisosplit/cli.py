@@ -36,6 +36,7 @@ import json
 import math
 import sys
 from collections import namedtuple
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -387,8 +388,9 @@ def _cmd_residual(cfg, em, seed, kind):
     rows = []
     failed = False
     for sign in ex.sign:
+        full = expand(m, sign, ex.eta, max(res.orders))
         for order in res.orders:
-            exp = expand(m, sign, ex.eta, order)
+            exp = replace(full, order=order, forms=full.series(order))
             rep = oracle.riccati_residual(exp, points=points, lambdas=res.lambdas)
             for lam, rms in zip(rep.lambdas, rep.rms):
                 rows.append([order, lam, rms, rep.slope, sign])

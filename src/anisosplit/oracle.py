@@ -246,7 +246,8 @@ def _mixed_partials(jet: np.ndarray, dirs: np.ndarray, top: int) -> dict:
     ``dirs[j]``, i.e. sum over |beta| = d of (d^beta f / beta!) u^beta;
     the first d + 1 directions give a (d + 1) x (d + 1) interpolation
     system for the d + 1 partials of degree d (Griewank, Utke & Walther,
-    Math. Comp. 69, 2000).
+    Math. Comp. 69, 2000). The axes after the first two (probes, or a
+    stack of jets and probes) are right-hand sides of one solve per degree.
     """
     out = {}
     for d in range(top + 1):
@@ -263,7 +264,8 @@ def _mixed_partials(jet: np.ndarray, dirs: np.ndarray, top: int) -> dict:
 def _partials(jets, dirs: np.ndarray, top: int) -> np.ndarray:
     """The ``_mixed_partials`` to |beta| <= top of each jet, stacked in their
     order: shape (jet, beta, probe)."""
-    return np.array([list(_mixed_partials(jet, dirs, top).values()) for jet in jets])
+    parts = _mixed_partials(np.stack(jets, axis=2), dirs, top)
+    return np.stack(list(parts.values()), axis=1)
 
 
 def _composition_summands(dp, dq, p_deg, q_deg, top: int):
@@ -294,25 +296,29 @@ def _by_degree(summands: np.ndarray, degrees: np.ndarray):
     return levels, onehot @ summands, onehot @ np.abs(summands)
 
 
-_XI_PLANE = (VarId.XI1, VarId.XI2)
-_X_PLANE = (VarId.X1, VarId.X2)
-
-
-def _jets(roots, env: dict, dirs: np.ndarray, plane, d3: bool) -> list:
-    """Taylor jets of ``roots`` along the directions ``dirs`` in ``plane``
-    (two VarIds) and, with ``d3``, along x3 as one last direction, to
+def _jets(xi_roots, x_roots, env: dict, dirs: np.ndarray, d3: bool):
+    """Taylor jets of ``xi_roots`` along the directions ``dirs`` in the xi
+    plane and of ``x_roots`` along the same directions in the x plane, to
     degree len(dirs) - 1 (at least 1), each with one last axis over the
-    probes of ``env``: ``_mixed_partials`` reads the plane's partials, and
-    ``jet[1, -1]`` is d_x3. Seed x3 only where it is read: an unread x3
-    direction made order-4 passes 20-40% slower.
+    probes of ``env``: ``_mixed_partials`` reads the plane's partials.
+    With ``d3`` every jet also holds x3 as one last direction, and
+    ``jet[1, -1]`` is d_x3. One ``taylor_eval`` walks the roots' shared
+    DAG once: xi1, xi2 are seeded on a first block of directions, x1, x2
+    on a second and x3 on the last, so along the xi block an x-only node's
+    jet is 0 past coefficient 0 and each op repeats its plain value's
+    floating-point operations. Returns (xi jets, x jets).
     """
-    u = np.vstack([dirs, [0.0, 0.0]]) if d3 else dirs
-    seeds = {plane[0]: u[:, 0], plane[1]: u[:, 1]}
+    k = len(dirs)
+    u = np.zeros((2 * k + d3, 4))
+    u[:k, :2] = u[k : 2 * k, 2:] = dirs
+    seeds = dict(zip((VarId.XI1, VarId.XI2, VarId.X1, VarId.X2), u.T))
     if d3:
         seeds[VarId.X3] = np.eye(len(u))[-1]
-    probes = env[VarId.S].shape
-    jets = taylor_eval(roots, env, seeds, max(len(dirs) - 1, 1))
-    return [np.broadcast_to(jet, jet.shape[:2] + probes) for jet in jets]
+    xi_roots = list(xi_roots)
+    jets = taylor_eval(xi_roots + list(x_roots), env, seeds, max(k - 1, 1))
+    jets = [np.broadcast_to(jet, jet.shape[:2] + env[VarId.S].shape) for jet in jets]
+    n, xi_cols = len(xi_roots), np.r_[:k, 2 * k : len(u)]
+    return [jet[:, xi_cols] for jet in jets[:n]], [jet[:, k:] for jet in jets[n:]]
 
 
 def _residual_parts(exp: AdmittanceExpansion, env: dict):
@@ -326,9 +332,10 @@ def _residual_parts(exp: AdmittanceExpansion, env: dict):
     summand of y_j o b_k has degree j + k - |beta|, one of a11_i o y_j
     i + j - |beta|; a12_d has degree d, and d_x3 y_j degree j. y o b is
     capped at |beta| <= order + 1, which truncates no degree d >= -order;
-    a11 is linear in xi, so a11 o y ends at |beta| = 1. Nothing is built: a
-    xi pass over the terms of y, a11 and a12 and an x pass over those of y,
-    alpha33^-1 and a22_1 (``_jets``) give every derivative.
+    a11 is linear in xi, so a11 o y ends at |beta| = 1. Nothing is built:
+    one Taylor pass (``_jets``) gives every derivative, the xi partials of
+    the terms of y, a11 and a12, the x partials of those of y, alpha33^-1
+    and a22_1, and d_x3 y for eta = 1.
     """
     m = exp.medium
     A = systems_symbols(m)
@@ -338,9 +345,8 @@ def _residual_parts(exp: AdmittanceExpansion, env: dict):
     a11 = [f.lower() for f in A.a11.values()]
     n, k = len(ys), len(ys) + len(a11)
     dirs = _jet_directions(cap)
-    xi = _jets(ys + a11 + [f.lower() for f in A.a12.values()], env, dirs, _XI_PLANE, False)
     xs = ys + [_coefficients(m).inv33, symbol_total(A.a22)]
-    x = _jets(xs, env, dirs, _X_PLANE, exp.eta)
+    xi, x = _jets(ys + a11 + [f.lower() for f in A.a12.values()], xs, env, dirs, exp.eta)
     b_x = [env[VarId.S] * _conv(x[n], jet) for jet in x[:n]]
     b_x[0] = b_x[0] + x[n + 1]  # b_1 = s alpha33^-1 y_0 + a22_1
     bd = [d + 1 for d in yd]
@@ -728,9 +734,10 @@ def _order_claim_parts(split: SplitSymbols, env: dict):
 
     p is the composition y+ o g+ truncated at floor = y+'s floor + 1: the
     summands (-i)^|beta| / beta! d_xi^beta y_j d_x^beta g_k of degree
-    j + k - |beta| >= floor, from the xi pass over the y_j and the x pass
-    over the g_k (``_jets``). d3 y_j, of degree j, is read from the xi
-    pass; the d3 part is None when y+ is free of x3.
+    j + k - |beta| >= floor, from one Taylor pass (``_jets``) that gives
+    the xi partials of the y_j and the x partials of the g_k. d3 y_j, of
+    degree j, is read from the same pass's x3 direction; the d3 part is
+    None when y+ is free of x3.
     """
     ell = {d: f.lower() for d, f in split.ell_forms[0][0].items()}
     g = {d: f.lower() for d, f in split.g_forms[0].items()}
@@ -738,8 +745,7 @@ def _order_claim_parts(split: SplitSymbols, env: dict):
     top = max(ell) + max(g) - floor
     dirs = _jet_directions(top)
     d3 = any(VarId.X3 in e.free_vars for e in ell.values())
-    y_xi = _jets(ell.values(), env, dirs, _XI_PLANE, d3)
-    g_x = _jets(g.values(), env, dirs, _X_PLANE, False)
+    y_xi, g_x = _jets(ell.values(), g.values(), env, dirs, d3)
     vals, deg = _composition_summands(
         _partials(y_xi, dirs, top), _partials(g_x, dirs, top), list(ell), list(g), top
     )

@@ -484,6 +484,24 @@ def closed_form_values(m, eta: int, sign: int, y_terms: dict, n: int, points):
     return pref * brace
 
 
+def two_pass_jets(xi_roots, x_roots, env, dirs, d3):
+    """Reference for ``oracle._jets``: one ``taylor_eval`` along ``dirs`` in
+    the xi plane over ``xi_roots`` and a second one in the x plane over
+    ``x_roots``, each with x3 as one last direction when ``d3``, so every
+    node the two root sets share is walked twice."""
+    u = np.vstack([dirs, [0.0, 0.0]]) if d3 else dirs
+    probes = env[VarId.S].shape
+
+    def one_pass(roots, plane):
+        seeds = {plane[0]: u[:, 0], plane[1]: u[:, 1]}
+        if d3:
+            seeds[VarId.X3] = np.eye(len(u))[-1]
+        jets = taylor_eval(list(roots), env, seeds, max(len(dirs) - 1, 1))
+        return [np.broadcast_to(jet, jet.shape[:2] + probes) for jet in jets]
+
+    return one_pass(xi_roots, (VarId.XI1, VarId.XI2)), one_pass(x_roots, (VarId.X1, VarId.X2))
+
+
 def symbolic_order_claim(split, env):
     """The order claim's p = ell o g+ and d3 ell of entry (0, 0), built
     symbolically (``oracle_compose`` truncated one degree above ell's

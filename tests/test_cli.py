@@ -241,6 +241,27 @@ def test_residual_through_order_three(tmp_path):
         assert abs(float(r[3]) + int(r[0])) <= 0.3
 
 
+def test_residual_expands_once_per_sign(tmp_path, monkeypatch):
+    # each order is checked on a truncation of one expansion to the top order
+    from anisosplit import cli
+
+    real, calls = cli.expand, []
+
+    def spy(m, sign, eta, order, **kw):
+        calls.append((sign, order))
+        return real(m, sign, eta, order, **kw)
+
+    monkeypatch.setattr(cli, "expand", spy)
+    cfg = HET.replace("orders = 1\n", "orders = 2, 1, 3\n").replace("sign = +\n", "sign = both\n")
+    out = tmp_path / "o"
+    assert run(["residual", _cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    assert calls == [(1, 3), (-1, 3)]
+    rows = [l.split(",") for l in (out / "residual.csv").read_text().splitlines()[1:]]
+    assert [(int(r[0]), r[4]) for r in rows] == [
+        (k, sign) for sign in ("1", "-1") for k in (2, 1, 3) for _ in range(3)
+    ]
+
+
 def test_residual_checks_every_configured_sign(tmp_path, monkeypatch):
     import dataclasses
 

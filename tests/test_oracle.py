@@ -46,6 +46,7 @@ from helpers import (
     single_shot_kernel,
     symbolic_order_claim,
     symbolic_residual_rms,
+    two_pass_jets,
 )
 
 TAU = 2 * np.pi
@@ -431,6 +432,51 @@ def test_order_claim_jets_match_symbolic_composition(preset, eta, order):
     assert (d3 is None) == (d3_want is None)
     if d3 is not None:
         assert rel_err(_along_ray(lam, *d3).T, d3_want) <= 1e-12
+
+
+def _both_parts(plus, minus, envs) -> list:
+    # every array of _residual_parts and _order_claim_parts at orders 1-4,
+    # each order a truncation of the order-4 expansions
+    arrays = []
+    for order in range(1, 5):
+        up, down = (replace(e, order=order, forms=e.series(order)) for e in (plus, minus))
+        split = split_symbols(up, down)
+        for env in envs:
+            p, d3 = _order_claim_parts(split, env)
+            arrays += [*_residual_parts(up, env), *p, *(d3 or [None])]
+    return arrays
+
+
+@pytest.mark.parametrize(
+    "preset", ["heterogeneous_full", "dual_path_medium", "transverse_anisotropic"]
+)
+@pytest.mark.parametrize("eta", [0, 1])
+def test_one_pass_jets_match_two_passes_bitwise(preset, eta, monkeypatch):
+    # transverse_anisotropic's ell is free of x3: the order claim seeds no x3
+    m = getattr(presets, preset)()
+    plus, minus = expand(m, 1, eta, 4), expand(m, -1, eta, 4)
+    envs = [probe_env(draw_probe_points(m, 6, rng)) for rng in (None, np.random.default_rng(202))]
+    one = _both_parts(plus, minus, envs)
+    monkeypatch.setattr(oracle, "_jets", two_pass_jets)
+    two = _both_parts(plus, minus, envs)
+    assert len(one) == len(two)
+    for a, b in zip(one, two):
+        assert (a is None and b is None) or np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("check", ["riccati_residual", "order_claim_check"])
+def test_each_order_check_runs_one_taylor_pass(het_medium, monkeypatch, check):
+    plus = expand(het_medium, 1, 1, 2)
+    arg = plus if check == "riccati_residual" else split_symbols(plus, expand(het_medium, -1, 1, 2))
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return taylor_eval(*args)
+
+    monkeypatch.setattr(oracle, "taylor_eval", spy)
+    assert getattr(oracle, check)(arg).passed
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("check", ["order_claim_check", "riccati_residual"])
