@@ -21,7 +21,11 @@ is baked into an expansion at construction.
 Sign convention: sign=+1 is the down-going branch. The principal square
 root gives Re gamma1 > 0 for Re s > 0, and the degree-1 split symbol
 g_1^+ = alpha33^-1 (s y_0^+ + i xi_mu alpha_{3 mu}) then has positive
-real part, i.e. exp(-x3 G^+) decays with increasing depth.
+real part, i.e. exp(-x3 G^+) decays with increasing depth. The collector's
+factor alpha33/(2 gamma1) is odd in rho^(1/2), a11, a21, a22 are free of it,
+and +, * and ``diff`` keep grade parity, so y^-_d = sigma(y^+_d), sigma the
+flip rho^(1/2) -> -rho^(1/2) (``SymbolForm.flip_root``): the - branch is
+the + collector's run, flipped.
 """
 
 from __future__ import annotations
@@ -170,7 +174,7 @@ class AdmittanceExpansion:
     ``forms`` maps each degree 0 .. -order to its term as a SymbolForm;
     it is the one stored representation. ``term(d)`` is its expression,
     each form lowered once (the leading term lowers to the expression it
-    was lifted from).
+    was lifted from). The - corrections are flipped + forms, sharing their DAG.
     """
 
     medium: MediumSpec
@@ -234,19 +238,23 @@ def expand(
     default) its structural degree must equal its declared degree, a
     comparison, not an evaluation: every node carries its degree from
     construction. The leading term is ``leading_term``'s expression
-    itself.
+    itself. The collector runs with sign +1 and sign -1 flips its forms
+    (module docstring), so a - call after a live + one reruns on interned nodes.
     """
     _check_sign(sign)
     if eta not in (0, 1):
         raise ExpansionError("eta must be 0 or 1")
     if not 0 <= order <= MAX_ORDER:
         raise ExpansionError(f"order must be between 0 and {MAX_ORDER}")
-    forms = {0: SymbolForm.lift(radicand(m), leading_term(m, sign))}
+    forms = {0: SymbolForm.lift(radicand(m), leading_term(m, 1))}
     with _cyclic_gc_paused():
         for n in range(order):
-            form = collector_step(m, eta, sign, forms, n)
+            form = collector_step(m, eta, 1, forms, n)
             _check_term(form.lower(), -n - 1, node_cap, check_terms)
             forms[-n - 1] = form
+    if sign < 0:
+        forms = {d: f.flip_root() for d, f in forms.items()}
+        forms[0] = SymbolForm.lift(radicand(m), leading_term(m, -1))
     return AdmittanceExpansion(medium=m, sign=sign, eta=eta, order=order, forms=forms)
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -708,9 +709,9 @@ class OrderClaimReport:
     d3_slope: float | None
     p_rms: tuple
     d3_rms: tuple
-    p_expected: float = 1.0
-    d3_expected: float = 0.0
-    slope_tol: float = 0.3
+    p_expected: ClassVar[float] = 1.0
+    d3_expected: ClassVar[float] = 0.0
+    slope_tol: ClassVar[float] = 0.3
 
     @property
     def passed(self) -> bool:

@@ -351,6 +351,11 @@ class SymbolForm:
     def __neg__(self):
         return SymbolForm(self.rho, {d: neg(p) for d, p in self.terms.items()})
 
+    def flip_root(self) -> "SymbolForm":
+        """sigma(f), rho^(1/2) -> -rho^(1/2): the odd grades negated. It
+        commutes with +, * and ``diff``, which keep grade parity."""
+        return SymbolForm(self.rho, {d: neg(p) if d % 2 else p for d, p in self.terms.items()})
+
     def __sub__(self, other):
         o = self._operand(other)
         return NotImplemented if o is None else self + (-o)

@@ -1,3 +1,4 @@
+import gc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -36,6 +37,7 @@ from helpers import (
     closed_form_values,
     depth_derivative_leading,
     eval_at,
+    field_rel,
     homogeneity_check,
     probe_env,
     rel_err,
@@ -225,6 +227,63 @@ def test_collector_equals_closed_form_to_order_six():
         if n <= 2:
             symbolic = eval_at(closed_form_step(m, 1, 1, known, n), pts)
             assert rel_err(got, symbolic) <= 1e-12, f"step {n}"
+
+
+CONJUGATION_PRESETS = (
+    "heterogeneous_full",
+    "dual_path_medium",
+    "transverse_anisotropic",
+    "up_down_symmetric",
+    "depth_varying_unit_a33",
+    "isotropic_heterogeneous",
+    "homogeneous_anisotropic",
+)
+
+
+@pytest.mark.parametrize("eta", [0, 1])
+@pytest.mark.parametrize("name", CONJUGATION_PRESETS)
+def test_minus_branch_is_the_flipped_plus_branch(name, eta):
+    # the collector's own - run, from the lifted - leading term, is the
+    # oracle for expand's - branch, which flips the + collector's forms
+    m = getattr(presets, name)()
+    pts = draw_probe_points(m, 12, np.random.default_rng(17))
+    own = {0: SymbolForm.lift(radicand(m), leading_term(m, -1))}
+    for n in range(4):
+        own[-n - 1] = collector_step(m, eta, -1, own, n)
+    got = expand(m, -1, eta, 4)
+    assert got.term(0) is leading_term(m, -1)
+    for d in range(0, -5, -1):
+        want = eval_at(own[d].lower(), pts)
+        assert field_rel(eval_at(got.term(d), pts), want) <= 1e-14, d
+
+
+def test_minus_expand_runs_only_the_plus_collector(het_medium, monkeypatch):
+    signs = []
+
+    def spy(m, eta, sign, y_terms, n):
+        signs.append(sign)
+        return collector_step(m, eta, sign, y_terms, n)
+
+    monkeypatch.setattr(expansion_module, "collector_step", spy)
+    expand(het_medium, -1, 1, 3)
+    expand(het_medium, -1, 0, 2)
+    assert signs == [1] * 5
+
+
+def test_split_shares_the_plus_dag():
+    # the - branch and the split add next to nothing to the intern
+    # table once the + expansion is built (two collector runs doubled it)
+    m = presets.heterogeneous_full()
+    gc.collect()
+    start = len(expr_module._intern)
+    plus = expand(m, 1, 1, 4)
+    gc.collect()
+    plus_only = len(expr_module._intern) - start
+    split = split_symbols(plus, expand(m, -1, 1, 4))
+    gc.collect()
+    both = len(expr_module._intern) - start
+    assert split.order == 4
+    assert both <= 1.05 * plus_only, (both, plus_only)
 
 
 def test_eta_shifts_first_correction(het_medium):

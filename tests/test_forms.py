@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from anisosplit import SymbolError, SymbolForm, VarId, eval_expr, expand, schur
+from anisosplit import SymbolError, SymbolForm, VarId, eval_expr, expand, leading_term, schur
 from anisosplit import presets
 from anisosplit.expr import ZERO, diff, exp_, mul, parse, recip, sqrt_
 from anisosplit.oracle import draw_probe_points
@@ -168,3 +168,24 @@ def test_form_inverse_of_two_grade_leading_term(sign):
 def test_zero_form_has_no_inverse():
     with pytest.raises(SymbolError):
         SymbolForm(radicand(presets.heterogeneous_full()), {})._power(-1)
+
+
+def test_flip_root_laws(het_forms):
+    # sigma negates the odd grades: twice is the identity on the grade
+    # expressions themselves, and it commutes with diff and products
+    m = presets.heterogeneous_full()
+    env = probe_env(draw_probe_points(m, 25, np.random.default_rng(12)))
+    y0, y1, y2 = het_forms
+    assert rel_err(_values(y0.flip_root().lower(), env), _values(leading_term(m, -1), env)) <= 1e-14
+    for f in het_forms:
+        twice = f.flip_root().flip_root()
+        assert twice.terms.keys() == f.terms.keys()
+        assert all(twice.terms[d] is p for d, p in f.terms.items())
+        for v in ALL_VARS:
+            got = _values(f.flip_root().diff(v).lower(), env)
+            want = _values(f.diff(v).flip_root().lower(), env)
+            assert rel_err(got, want) <= 1e-12, v
+    for f, g in ((y0, y1), (y1, y2), (y2, y2)):
+        got = _values((f * g).flip_root().lower(), env)
+        want = _values((f.flip_root() * g.flip_root()).lower(), env)
+        assert rel_err(got, want) <= 1e-12
