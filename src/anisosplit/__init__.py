@@ -43,6 +43,7 @@ from .symbols import (
     SymbolForm,
     SymbolMatrix22,
     TransverseGrid,
+    apply_systems_operator,
     compose_degree_part,
     quantize_apply,
     random_smooth_field,
@@ -88,7 +89,6 @@ from .oracle import (
 )
 from .propagate import (
     PropagationError,
-    apply_systems_operator,
     decompose_homogeneous,
     full_solve,
     oneway_solve,

@@ -9,11 +9,14 @@ Three unrelated routes corroborate the symbolic construction:
   order claim (p = ell o g first order, d3 ell zeroth) is measured from
   degree parts the same way,
 * an exact quadratic-root oracle for homogeneous media, where the
-  symbol equation collapses to a scalar quadratic, and
-* a grid oracle on depth-independent media: the 2x2 block systems
-  operator is discretized with spectral derivatives on the transverse
-  torus, its stable/unstable invariant subspaces give a matrix
-  admittance, and quantized symbol truncations are compared against it.
+  symbol equation collapses to a scalar quadratic in each Fourier
+  mode's 2x2 systems matrix (``symbols._mode_matrices``), and
+* a grid oracle on depth-independent media: the matrix A of the 2x2
+  block systems operator on the transverse torus is built column by
+  column by applying the spectral action that ``full_solve`` integrates
+  (``symbols._systems_action``) to unit fields; its stable/unstable
+  invariant subspaces give a matrix admittance, and quantized symbol
+  truncations are compared against it.
 
 Branch convention everywhere: the + family is the one whose generator
 has positive real part (down-going, decaying with increasing depth).
@@ -28,17 +31,13 @@ from typing import ClassVar
 import numpy as np
 
 from .expr import VarId, _conv, eval_expr, taylor_eval
-from .medium import (
-    MediumSpec,
-    _coefficients,
-    _constant_value,
-    is_depth_independent,
-    is_homogeneous,
-    schur,
-)
+from .medium import MediumSpec, _coefficients, is_depth_independent, is_homogeneous
 from .expansion import AdmittanceExpansion, SplitSymbols
 from .symbols import (
     TransverseGrid,
+    _coefficient_sampler,
+    _mode_matrices,
+    _systems_action,
     quantize_apply,
     random_smooth_field,
     symbol_total,
@@ -428,21 +427,8 @@ def quad_oracle(m: MediumSpec, xi, s) -> QuadRoots:
     s_arr = np.broadcast_to(np.asarray(s, dtype=complex), (xi_arr.shape[0],)).copy()
     _check_s(s_arr)
 
-    a = [[_constant_value(m.alpha[i][j], m) for j in range(3)] for i in range(3)]
-    kap = _constant_value(m.kappa, m)
-    sd = schur(m)
-    Q = [[_constant_value(sd.Q[i][j], m) for j in range(2)] for i in range(2)]
-
-    x1, x2 = xi_arr[:, 0], xi_arr[:, 1]
-    inv33 = 1.0 / a[2][2]
-    a11 = 1j * (x1 * a[0][2] + x2 * a[1][2]) * inv33
-    a22 = 1j * (x1 * a[2][0] + x2 * a[2][1]) * inv33
-    a21 = s_arr * inv33
-    qform = (
-        Q[0][0] * x1 * x1 + (Q[0][1] + Q[1][0]) * x1 * x2 + Q[1][1] * x2 * x2
-    )
-    a12 = s_arr * kap + qform / s_arr
-
+    M = _mode_matrices(m, xi_arr[:, 0], xi_arr[:, 1], s_arr)
+    a11, a12, a21, a22 = M[:, 0, 0], M[:, 0, 1], M[:, 1, 0], M[:, 1, 1]
     disc = (a22 - a11) ** 2 + 4.0 * a21 * a12
     scale = np.abs(a22 - a11) ** 2 + 4.0 * np.abs(a21) * np.abs(a12) + 1e-300
     if np.any(np.abs(disc) <= 1e-12 * scale):
@@ -517,12 +503,6 @@ def _check_grid_periodic(m: MediumSpec, grid: TransverseGrid):
                 )
 
 
-def _derivative_matrix(n: int, L: float) -> np.ndarray:
-    w = 2.0 * np.pi * np.fft.fftfreq(n) * n / L
-    F = np.fft.fft(np.eye(n), axis=0)
-    return np.fft.ifft((1j * w)[:, None] * F, axis=0)
-
-
 def _matrix_sign(X: np.ndarray) -> np.ndarray:
     """sign(X) by the scaled Newton iteration X <- (mu X + (mu X)^-1) / 2.
 
@@ -579,21 +559,24 @@ def grid_riccati_oracle(
     systems operator.
 
     Needs a depth-independent medium whose fields are periodic over the
-    grid box. The flattened operator A acts on (v3, p) stacked; modes
-    evolve like exp(-lam x3), so eigenvalues with Re lam > 0 make up the
-    + (down-going) family. The spectral projectors (I +- S)/2 of the
-    matrix sign S = sign(A) (``_matrix_sign``) span the two invariant
-    subspaces; their last N = n^2 columns give
-    Y+- = W V^-1 = +-S12 (I +- S22)^-1 with no eigenvectors. The family
-    eigenvalues are those of A21 Y+- + A22, and ``cond_plus`` /
-    ``cond_minus`` are the 2-norm condition numbers of I +- S22. On
-    ``transverse_anisotropic`` at n = 16 and s = 40 (A is 512 x 512) a
-    call takes 0.5-0.65 s on one core of a 2-core x86 host: four
-    512 x 512 inverses (0.26 s) and two 256 x 256 eigenvalue solves
-    (0.2 s); a dense eigendecomposition of A took 1.0-1.25 s.
-    Raises SpectralGapError on a thin spectral gap or a failed sign
-    iteration, and OracleError on unequal family sizes or an
-    ill-conditioned I +- S22.
+    grid box. A acts on (v3, p) stacked, each field raveled in C order:
+    its column j is the spectral systems action (``_systems_action``,
+    which ``full_solve`` integrates) on v3 = e_j, p = 0 and its column
+    N + j on v3 = 0, p = e_j, each family of N = n^2 unit fields applied
+    as one (N, n, n) stack. Modes evolve like exp(-lam x3), so
+    eigenvalues with Re lam > 0 make up the + (down-going) family. The
+    spectral projectors (I +- S)/2 of the matrix sign S = sign(A)
+    (``_matrix_sign``) span the two invariant subspaces; their last N
+    columns give Y+- = W V^-1 = +-S12 (I +- S22)^-1 with no
+    eigenvectors. The family eigenvalues are those of A21 Y+- + A22, and
+    ``cond_plus`` / ``cond_minus`` are the 2-norm condition numbers of
+    I +- S22. On ``transverse_anisotropic`` at n = 16 and s = 40 (A is
+    512 x 512) a cold call takes 0.42-0.45 s on one core of a 2-core x86
+    host: four 512 x 512 inverses (0.18-0.2 s), two 256 x 256 eigenvalue
+    solves (0.12-0.14 s) and building A about 0.03 s; a dense
+    eigendecomposition of A took 1.0-1.25 s. Raises SpectralGapError on
+    a thin spectral gap or a failed sign iteration, and OracleError on
+    unequal family sizes or an ill-conditioned I +- S22.
     """
     if not is_depth_independent(m):
         raise OracleError("grid oracle needs a depth-independent medium")
@@ -603,23 +586,19 @@ def grid_riccati_oracle(
 
     n = grid.n
     N = n * n
-    D1 = np.kron(_derivative_matrix(n, grid.L1), np.eye(n))
-    D2 = np.kron(np.eye(n), _derivative_matrix(n, grid.L2))
-    c = _coefficients(m)
+    coeffs = _coefficient_sampler(m, grid, s)(0.0)
+    units = np.eye(N, dtype=np.complex128).reshape(N, n, n)
+    zero = np.zeros((1, n, n), dtype=np.complex128)
+    A = np.empty((2 * N, 2 * N), dtype=np.complex128)
+    for cols, fields in ((slice(N), (units, zero)), (slice(N, None), (zero, units))):
+        r1, r2 = _systems_action(coeffs, grid, s, *fields)
+        A[:N, cols] = r1.reshape(N, N).T
+        A[N:, cols] = r2.reshape(N, N).T
+    del units, r1, r2
+    A11, A12, A21, A22 = A[:N, :N], A[:N, N:], A[N:, :N], A[N:, N:]
+    a21 = s * coeffs[1].ravel()  # A21 is diagonal
 
-    def sample(e):
-        return grid.sample(e, 0.0, s).ravel()
-
-    Q = [[sample(c.Q[i][j]) for j in range(2)] for i in range(2)]
-    A11 = D1 * sample(c.f[0]) + D2 * sample(c.f[1])
-    A12 = np.diag(s * sample(c.kappa)) - (
-        (D1 * Q[0][0]) @ D1 + (D1 * Q[0][1]) @ D2 + (D2 * Q[1][0]) @ D1 + (D2 * Q[1][1]) @ D2
-    ) / s
-    a21 = s * sample(c.inv33)
-    A21 = np.diag(a21)
-    A22 = sample(c.g[0])[:, None] * D1 + sample(c.g[1])[:, None] * D2
-
-    S = _matrix_sign(np.block([[A11, A12], [A21, A22]]))
+    S = _matrix_sign(A.copy())
     plus = (2 * N + round(float(np.trace(S).real))) // 2
     if plus != N:
         raise OracleError(f"family sizes {plus} / {2 * N - plus} are not equal")

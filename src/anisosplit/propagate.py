@@ -5,7 +5,9 @@ The transform-domain system is d3 F = -A(x3) F for F = (v3, p),
 with A the 2x2 block operator quantizing the systems symbols. The full
 solver steps this with classical RK4 using exact spectral derivatives
 on the transverse torus (or, for homogeneous media, an exact per-mode
-2x2 exponential). The one-way solvers step d3 u = -G u with G the
+2x2 exponential); both discretizations of A live in ``symbols``
+(``_systems_action``, ``_mode_matrices``), which the grid and quadratic
+oracles share. The one-way solvers step d3 u = -G u with G the
 quantized split generator of the chosen branch.
 
 Conventions: depth increases downward, the + branch decays with
@@ -18,14 +20,14 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .medium import MediumSpec, _coefficients, _constant_value, is_homogeneous
+from .medium import MediumSpec, is_homogeneous
 from .expansion import SplitSymbols
 from .oracle import quad_oracle
-from .symbols import TransverseGrid, quantize_apply, spectral_derivative
+from .symbols import TransverseGrid, quantize_apply
+from .symbols import _coefficient_sampler, _mode_matrices, _systems_action
 
 __all__ = [
     "PropagationError",
-    "apply_systems_operator",
     "full_solve",
     "oneway_solve",
     "recompose",
@@ -35,49 +37,6 @@ __all__ = [
 
 class PropagationError(Exception):
     pass
-
-
-def _coefficient_sampler(m: MediumSpec, grid: TransverseGrid, s: complex):
-    """The ten coefficient fields of A(x3) on the x-grid, as a function of
-    depth: (kappa, inv33, f1, f2, g1, g2, Q11, Q12, Q21, Q22).
-
-    Each field is a pointwise grid operator, which keeps its samples at
-    the two depths read last (``_GridOperator.values``); a field free of
-    x3 is sampled once for every depth.
-    """
-    c = _coefficients(m)
-    ops = [grid.operator(e, s) for e in (c.kappa, c.inv33, *c.f, *c.g, *c.Q[0], *c.Q[1])]
-    return lambda x3: tuple(op.values(x3) for op in ops)
-
-
-def _systems_action(coeffs, grid: TransverseGrid, s: complex, v3, p):
-    """A applied to (v3, p) from the sampled coefficient fields."""
-    kappa, inv33, f1, f2, g1, g2, q11, q12, q21, q22 = coeffs
-    v3 = np.asarray(v3, dtype=np.complex128)
-    p = np.asarray(p, dtype=np.complex128)
-
-    d1p = spectral_derivative(p, grid, 1)
-    d2p = spectral_derivative(p, grid, 2)
-    flux1 = q11 * d1p + q12 * d2p
-    flux2 = q21 * d1p + q22 * d2p
-    r1 = (
-        spectral_derivative(f1 * v3, grid, 1)
-        + spectral_derivative(f2 * v3, grid, 2)
-        + s * kappa * p
-        - (
-            spectral_derivative(flux1, grid, 1)
-            + spectral_derivative(flux2, grid, 2)
-        )
-        / s
-    )
-    r2 = s * inv33 * v3 + g1 * d1p + g2 * d2p
-    return r1, r2
-
-
-def apply_systems_operator(m: MediumSpec, grid: TransverseGrid, s, x3, v3, p):
-    """A(x3) applied to (v3, p) with exact spectral transverse derivatives."""
-    s = complex(s)
-    return _systems_action(_coefficient_sampler(m, grid, s)(x3), grid, s, v3, p)
 
 
 # ---------------------------------------------------------------------------
@@ -183,25 +142,6 @@ def _expm2x2(B: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mode_matrices(m: MediumSpec, grid: TransverseGrid, s: complex) -> np.ndarray:
-    """Per-mode 2x2 systems matrices of a homogeneous medium, shape (n*n, 2, 2)."""
-    c = _coefficients(m)
-    W1g, W2g = grid.xi_mesh()
-    x1, x2 = W1g.ravel(), W2g.ravel()
-    f1, f2 = (_constant_value(e, m) for e in c.f)
-    g1, g2 = (_constant_value(e, m) for e in c.g)
-    inv33 = _constant_value(c.inv33, m)
-    kap = _constant_value(c.kappa, m)
-    Q = [[_constant_value(c.Q[i][j], m) for j in range(2)] for i in range(2)]
-    qform = Q[0][0] * x1 * x1 + (Q[0][1] + Q[1][0]) * x1 * x2 + Q[1][1] * x2 * x2
-    A = np.zeros((x1.size, 2, 2), dtype=np.complex128)
-    A[:, 0, 0] = 1j * (x1 * f1 + x2 * f2)
-    A[:, 0, 1] = s * kap + qform / s
-    A[:, 1, 0] = s * inv33
-    A[:, 1, 1] = 1j * (x1 * g1 + x2 * g2)
-    return A
-
-
 def full_solve(
     m: MediumSpec,
     grid: TransverseGrid,
@@ -239,7 +179,8 @@ def full_solve(
 
         return _march((v3, p), a, b, record, steps, rhs=systems)
 
-    modes = _mode_matrices(m, grid, s)
+    W1g, W2g = grid.xi_mesh()
+    modes = _mode_matrices(m, W1g.ravel(), W2g.ravel(), s)
 
     def exact(d0, d1, fields):
         E = _expm2x2(-(d1 - d0) * modes)

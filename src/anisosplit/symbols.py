@@ -48,7 +48,7 @@ from .expr import (
     sqrt_,
     sub,
 )
-from .medium import MediumSpec, _coefficients, schur
+from .medium import MediumSpec, _coefficients, _constant_value, schur
 
 __all__ = [
     "SymbolForm",
@@ -62,6 +62,7 @@ __all__ = [
     "xi_derivative",
     "x_derivative",
     "random_smooth_field",
+    "apply_systems_operator",
 ]
 
 
@@ -808,3 +809,81 @@ def random_smooth_field(grid: TransverseGrid, rng, decay: float = 3.0) -> np.nda
     spec *= np.exp(-((radius / (n / 2 / decay)) ** 2))
     spec = np.where(grid.nyquist_mask(), spec, 0.0)
     return np.fft.ifft2(spec)
+
+
+# ---------------------------------------------------------------------------
+# the discrete systems operator
+
+
+def _coefficient_sampler(m: MediumSpec, grid: TransverseGrid, s: complex):
+    """The ten coefficient fields of A(x3) on the x-grid, as a function of
+    depth: (kappa, inv33, f1, f2, g1, g2, Q11, Q12, Q21, Q22).
+
+    Each field is a pointwise grid operator, which keeps its samples at
+    the two depths read last (``_GridOperator.values``); a field free of
+    x3 is sampled once for every depth.
+    """
+    c = _coefficients(m)
+    ops = [grid.operator(e, s) for e in (c.kappa, c.inv33, *c.f, *c.g, *c.Q[0], *c.Q[1])]
+    return lambda x3: tuple(op.values(x3) for op in ops)
+
+
+def _systems_action(coeffs, grid: TransverseGrid, s: complex, v3, p):
+    """A applied to (v3, p) from the sampled coefficient fields.
+
+    v3 and p are (n, n) fields or (k, n, n) stacks that broadcast against
+    each other, so a (1, n, n) zero stands for the absent component of a
+    stack of unit fields. This is the one discretization of the systems
+    operator: ``full_solve``'s rk4 steps, ``apply_systems_operator`` and
+    the grid oracle's matrix (``grid_riccati_oracle``) all call it.
+    """
+    kappa, inv33, f1, f2, g1, g2, q11, q12, q21, q22 = coeffs
+    v3 = np.asarray(v3, dtype=np.complex128)
+    p = np.asarray(p, dtype=np.complex128)
+
+    # both derivatives of p as ``spectral_derivative`` takes them, from one fft2
+    w1, w2 = grid.xi_axes()
+    ph = np.fft.fft2(p)
+    d1p = np.fft.ifft2(ph * (1j * w1)[:, None])
+    d2p = np.fft.ifft2(ph * (1j * w2)[None, :])
+    flux1 = q11 * d1p + q12 * d2p
+    flux2 = q21 * d1p + q22 * d2p
+    r1 = (
+        spectral_derivative(f1 * v3, grid, 1)
+        + spectral_derivative(f2 * v3, grid, 2)
+        + s * kappa * p
+        - (
+            spectral_derivative(flux1, grid, 1)
+            + spectral_derivative(flux2, grid, 2)
+        )
+        / s
+    )
+    r2 = s * inv33 * v3 + g1 * d1p + g2 * d2p
+    return r1, r2
+
+
+def apply_systems_operator(m: MediumSpec, grid: TransverseGrid, s, x3, v3, p):
+    """A(x3) applied to (v3, p) with exact spectral transverse derivatives
+    (``_systems_action``, the operator ``full_solve`` integrates and the
+    grid oracle splits)."""
+    s = complex(s)
+    return _systems_action(_coefficient_sampler(m, grid, s)(x3), grid, s, v3, p)
+
+
+def _mode_matrices(m: MediumSpec, xi1, xi2, s) -> np.ndarray:
+    """The systems operator of a homogeneous medium on the Fourier mode
+    exp(i (xi1 x1 + xi2 x2)): its 2x2 matrix at each wavenumber, shape
+    broadcast(xi1, xi2, s) + (2, 2). ``full_solve(method="exact")``
+    exponentiates them on the grid's modes and ``quad_oracle`` solves
+    their Riccati quadratic at its probes."""
+    c = _coefficients(m)
+    kap, inv33, f1, f2, g1, g2, q11, q12, q21, q22 = (
+        _constant_value(e, m) for e in (c.kappa, c.inv33, *c.f, *c.g, *c.Q[0], *c.Q[1])
+    )
+    qform = q11 * xi1 * xi1 + (q12 + q21) * xi1 * xi2 + q22 * xi2 * xi2
+    A = np.empty(np.broadcast(xi1, xi2, s).shape + (2, 2), dtype=np.complex128)
+    A[..., 0, 0] = 1j * (xi1 * f1 + xi2 * f2)
+    A[..., 0, 1] = s * kap + qform / s
+    A[..., 1, 0] = s * inv33
+    A[..., 1, 1] = 1j * (xi1 * g1 + xi2 * g2)
+    return A

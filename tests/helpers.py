@@ -22,6 +22,7 @@ from anisosplit import (
     variable,
 )
 from anisosplit.expr import ZERO, free_vars, ipow, mul, neg, recip
+from anisosplit.medium import _coefficients
 from anisosplit.oracle import _jet_directions, _mixed_partials, _probe_env as probe_env
 from anisosplit.symbols import _multi_indices
 
@@ -106,6 +107,41 @@ def single_shot_kernel(sym, grid, x3, s):
     followed by an fft2 of each row."""
     q = single_shot_quantize(sym, grid, x3, s)
     return np.fft.fft2(q.reshape(-1, grid.n, grid.n)).reshape(q.shape)
+
+
+def _derivative_matrix(n: int, L: float) -> np.ndarray:
+    """Dense spectral d/dx on n periodic samples over a period L."""
+    w = 2.0 * np.pi * np.fft.fftfreq(n) * n / L
+    F = np.fft.fft(np.eye(n), axis=0)
+    return np.fft.ifft((1j * w)[:, None] * F, axis=0)
+
+
+def kron_systems_blocks(m, grid, s):
+    """The blocks (A11, A12, A21, A22) of the discrete systems operator of
+    a depth-free medium at x3 = 0, on C-order raveled grid fields, written
+    with dense Kronecker derivative matrices D1, D2 (test oracle for the
+    spectral action the grid oracle's matrix is built from):
+
+        A11 = D1 f1 + D2 f2,   A12 = s kappa - D_mu Q_mu,nu D_nu / s,
+        A21 = s inv33,         A22 = g1 D1 + g2 D2,
+
+    every coefficient a diagonal matrix of its samples."""
+    n = grid.n
+    D1 = np.kron(_derivative_matrix(n, grid.L1), np.eye(n))
+    D2 = np.kron(np.eye(n), _derivative_matrix(n, grid.L2))
+    c = _coefficients(m)
+
+    def sample(e):
+        return grid.sample(e, 0.0, s).ravel()
+
+    Q = [[sample(c.Q[i][j]) for j in range(2)] for i in range(2)]
+    A11 = D1 * sample(c.f[0]) + D2 * sample(c.f[1])
+    A12 = np.diag(s * sample(c.kappa)) - (
+        (D1 * Q[0][0]) @ D1 + (D1 * Q[0][1]) @ D2 + (D2 * Q[1][0]) @ D1 + (D2 * Q[1][1]) @ D2
+    ) / s
+    A21 = np.diag(s * sample(c.inv33))
+    A22 = sample(c.g[0])[:, None] * D1 + sample(c.g[1])[:, None] * D2
+    return A11, A12, A21, A22
 
 
 def eig_grid_admittance(blocks):

@@ -37,6 +37,7 @@ from helpers import (
     eig_grid_admittance,
     eval_at,
     field_rel,
+    kron_systems_blocks,
     oracle_riccati_degree_part,
     oracle_x_derivative,
     oracle_xi_derivative,
@@ -290,6 +291,34 @@ def test_grid_oracle_matches_scipy_eig(medium, s):
     for mask, got in ((lam.real > 0, res.y_plus), (lam.real < 0, res.y_minus)):
         want = phi[:N, mask] @ np.linalg.inv(phi[N:, mask])
         assert field_rel(got, want) <= 1e-12
+
+
+def x_varying_coupling():
+    # depth-free, with every coupling alpha13, alpha31, alpha23, alpha32
+    # varying in x, so each of f1, f2, g1, g2 is a genuine field
+    from anisosplit import load_medium
+
+    alpha = [
+        "1.6 + 0.1*sin(x2)", "0.1", "0.2 + 0.1*sin(x1)",
+        "0.1", "1.4", "0.15*cos(x1 - x2)",
+        "0.3*cos(x2)", "-0.2 + 0.1*sin(x1)", "1.2 + 0.1*cos(x1)",
+    ]
+    return load_medium(
+        {"kappa": "1 + 0.1*cos(x1 + x2)", "alpha": ", ".join(alpha), "box": presets._BOX}
+    )
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("s", [40.0, 1.2 + 0.4j])
+@pytest.mark.parametrize("medium", [presets.transverse_anisotropic, x_varying_coupling])
+def test_grid_oracle_blocks_match_kronecker_reference(medium, s, n):
+    # the oracle's matrix is the spectral systems action on unit fields;
+    # dense Kronecker derivative matrices give the same blocks
+    m = medium()
+    grid = TransverseGrid(n, TAU, TAU)
+    got = grid_riccati_oracle(m, grid, s).blocks
+    for block, want in zip(got, kron_systems_blocks(m, grid, complex(s))):
+        assert field_rel(block, want) <= 1e-14
 
 
 def test_grid_oracle_matches_eig_reference_at_benchmark_size():

@@ -20,7 +20,7 @@ from anisosplit import (
 )
 from anisosplit import presets
 from anisosplit import symbols
-from anisosplit.symbols import _spectral_kernel
+from anisosplit.symbols import _mode_matrices, _spectral_kernel
 
 from helpers import dft2_matrix, field_rel, single_shot_quantize
 
@@ -51,6 +51,27 @@ def test_apply_systems_operator_matches_mode_matrices(grid8):
     )
     assert field_rel(r1, r1_sym) <= 1e-11
     assert field_rel(r2, r2_sym) <= 1e-11
+
+
+@pytest.mark.parametrize(
+    "medium",
+    [presets.homogeneous_anisotropic, lambda: presets.random_homogeneous(np.random.default_rng(19))],
+)
+def test_mode_matrices_are_the_action_on_fourier_modes(grid8, medium):
+    # constant coefficients: the spectral action maps each grid Fourier
+    # mode, Nyquist modes included, to the modes times the columns of its
+    # 2x2 matrix, which full_solve's exact stepping and quad_oracle read
+    m = medium()
+    s = 1.2 + 0.4j
+    W1, W2 = (w.ravel()[:, None, None] for w in grid8.xi_mesh())
+    X1, X2 = grid8.x_mesh()
+    modes = np.exp(1j * (W1 * X1 + W2 * X2))
+    M = _mode_matrices(m, W1, W2, s)
+    zero = np.zeros_like(modes)
+    for col, fields in enumerate(((modes, zero), (zero, modes))):
+        got = apply_systems_operator(m, grid8, s, 0.0, *fields)
+        for row in range(2):
+            assert field_rel(got[row], M[..., row, col] * modes) <= 1e-13
 
 
 def test_full_solve_zero_interval_is_identity(grid8):
